@@ -1,5 +1,9 @@
 """Boundary control of heat flow with memory: solvers, moment problems, and
-minimal-norm biorthogonal diagnostics on the unit interval."""
+minimal-norm biorthogonal diagnostics on the unit interval.
+
+The package namespace holds the shared vocabulary (errors, grids, kernels);
+everything else is imported from its submodule.
+"""
 
 __version__ = "0.1.0"
 
@@ -18,71 +22,4 @@ from .kernels import (
     PolynomialKernel,
     ZeroKernel,
     kernel_from_config,
-)
-from .algebra import (
-    convolve,
-    convolve_exp,
-    convolve_exp_monomial,
-    convolve_power,
-    end_pairing,
-    exp_profile,
-    resolvent_kernel,
-    volterra_solve,
-)
-from .resolvents import (
-    ResolventTriple,
-    feedback_action,
-    feedback_table,
-    mode_kernel,
-    mode_resolvent_direct,
-    mode_resolvent_series,
-    resolvent_of,
-)
-from .modes import (
-    BoundaryControl,
-    Mode,
-    dirichlet_modes_1d,
-    eigenfunction,
-    first_positive_index,
-    trace_bound_check,
-    trace_pairing,
-)
-from .dynamics import (
-    FieldSolution,
-    ModalTrajectory,
-    assemble,
-    explicit_mode,
-    heat_mode,
-    solve_field,
-    solve_mode,
-)
-from .moments import (
-    InitialData,
-    MomentProblem,
-    asymptotic_table,
-    build_moment_problem,
-    free_end_value,
-    moment_kernels,
-    moment_pairing,
-    moment_profile,
-    scope_threshold,
-)
-from .biorth import (
-    BiorthReport,
-    ControlSweep,
-    GramSystem,
-    cauchy_inverse_log_diag,
-    control_norm_sweep,
-    gram,
-    growth_fit,
-    min_norm_biorth,
-    replay_control,
-)
-from .config import ExperimentConfig, apply_overrides, config_from_dict, load_config
-from .experiments import (
-    cmd_biorth,
-    cmd_control,
-    cmd_moment,
-    cmd_resolvent,
-    cmd_simulate,
 )

@@ -1,10 +1,9 @@
 """Convolution algebra on uniform time grids.
 
-Everything downstream is built on four operations over sampled functions:
+Everything downstream is built on three operations over sampled functions:
 
 * `convolve` - trapezoid-rule convolution, FFT-accelerated, with a canonical
   operand ordering so that f*g and g*f are bitwise identical.
-* `convolve_power` - iterated self-convolution.
 * `volterra_solve` - solve y + K*y = f by marching the trapezoid scheme.
 * `convolve_exp` / `convolve_exp_monomial` - product quadrature against
   exponential (times monomial) weights, exact on the weight factor, so the
@@ -56,16 +55,6 @@ def convolve(f: SampledFunction, g: SampledFunction) -> SampledFunction:
     return SampledFunction(grid, out)
 
 
-def convolve_power(f: SampledFunction, k: int) -> SampledFunction:
-    """k-fold convolution power f * f * ... * f (k >= 1)."""
-    if k < 1:
-        raise ValueError("convolution power requires k >= 1")
-    out = f
-    for _ in range(k - 1):
-        out = convolve(out, f)
-    return out
-
-
 def volterra_solve(kernel: SampledFunction, rhs: SampledFunction) -> SampledFunction:
     """Solve y + K*y = f on the grid by marching the trapezoid discretization.
 
@@ -90,11 +79,6 @@ def volterra_solve(kernel: SampledFunction, rhs: SampledFunction) -> SampledFunc
             acc += np.dot(K[i - 1 : 0 : -1], y[1:i])
         y[i] = (f[i] - dt * acc) / pivot
     return SampledFunction(grid, y)
-
-
-def resolvent_kernel(kernel: SampledFunction) -> SampledFunction:
-    """Resolvent q of a kernel m, the solution of q = m - m*q."""
-    return volterra_solve(kernel, kernel)
 
 
 def exp_profile(grid: TimeGrid, rate: float) -> SampledFunction:
@@ -218,34 +202,6 @@ def convolve_exp(f: SampledFunction, rate: float) -> SampledFunction:
     return convolve_exp_monomial(f, rate, k=0)
 
 
-def integrate_profile_exp(f: SampledFunction, rate: float) -> float:
-    """int_0^T f(s) e^{-rate (T - s)} ds, the final value of convolve_exp."""
-    return float(convolve_exp(f, rate).values[-1])
-
-
-def exp_node_weights(grid: TimeGrid, rate: float) -> np.ndarray:
-    """Node weights W with int_0^T f(s) e^{-rate (T-s)} ds = W . f(nodes).
-
-    Built from the same exact cell moments as `convolve_exp`, so contracting
-    a batch of sampled rows against W reproduces `integrate_profile_exp`
-    row-by-row while letting callers use a single matrix product.
-    """
-    dt = grid.dt
-    n = grid.size
-    A0, A1 = _cell_moments_01(rate, grid)
-    # In the lag variable u = T - s, cell j covers u in [(j-1)dt, j dt] and
-    # joins the sample at node n-j (lag (j-1)dt) to the one at node n-1-j
-    # (lag j dt). The slope moment S_j = A1 - (j-1)dt A0 splits each cell's
-    # weight between the two nodes.
-    lag0 = np.arange(0, n - 1, dtype=float) * dt
-    slope_share = (A1 - lag0 * A0) / dt
-    value_share = A0 - slope_share
-    W = np.zeros(n)
-    W[: n - 1] += slope_share[::-1]
-    W[1:] += value_share[::-1]
-    return W
-
-
 def end_pairing(f: SampledFunction, g: SampledFunction) -> float:
     """Trapezoid value of int_0^T f(s) g(T - s) ds (the last convolve node)."""
     grid = require_same_grid(f, g)
@@ -253,21 +209,3 @@ def end_pairing(f: SampledFunction, g: SampledFunction) -> float:
     b = g.values[::-1]
     raw = float(np.dot(a, b))
     return grid.dt * (raw - 0.5 * (a[0] * b[0] + a[-1] * b[-1]))
-
-
-def fd_derivative(f: SampledFunction) -> SampledFunction:
-    """Second-order finite-difference derivative on the grid.
-
-    Central differences inside, one-sided three-point stencils at the ends.
-    Used only for cross-checks against analytic derivatives.
-    """
-    grid = f.grid
-    v = f.values
-    dt = grid.dt
-    if grid.size < 3:
-        raise ValueError("need at least three nodes for a second-order derivative")
-    out = np.empty_like(v)
-    out[1:-1] = (v[2:] - v[:-2]) / (2.0 * dt)
-    out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * dt)
-    out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * dt)
-    return SampledFunction(grid, out)

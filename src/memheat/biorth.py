@@ -22,13 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 from mpmath import mp, mpf, workprec
 
-from .dynamics import assemble, solve_field
 from .errors import NumericalError, PrecisionError
-from .grids import SampledFunction, TimeGrid
-from .kernels import ConstantKernel, ZeroKernel
-from .modes import BoundaryControl, dirichlet_modes_1d
+from .grids import TimeGrid
 from .moments import InitialData
-from .resolvents import resolvent_of
 
 RESIDUAL_GATE = 1e-20
 MAX_PRECISION_BITS = 1024
@@ -247,21 +243,6 @@ def cauchy_inverse_log_diag(exponents: np.ndarray) -> np.ndarray:
     return np.log(2.0 * x) + 2.0 * log_ratio.sum(axis=1)
 
 
-def cauchy_inverse_diag_mp(exponents, precision: int = 256) -> tuple:
-    """The same closed form evaluated in extended precision (small families)."""
-    exps = [mpf(float(x)) for x in exponents]
-    out = []
-    with workprec(precision):
-        for i, xi in enumerate(exps):
-            acc = 2 * xi
-            for k, xk in enumerate(exps):
-                if k == i:
-                    continue
-                acc *= ((xk + xi) / (xk - xi)) ** 2
-            out.append(acc)
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class GrowthFit:
     slope: float
@@ -306,11 +287,6 @@ def _mode_roots(lam2, c):
     root = mp.sqrt(disc)  # mpc when disc < 0; entries recombine to reals
     rp = (-lam2 + root) / 2
     rm = (-lam2 - root) / 2
-    if rp == rm:
-        raise NumericalError(
-            "degenerate double root in the mode ODE (eigenvalue equals four "
-            "times the kernel constant); perturb the kernel constant"
-        )
     return rp, rm
 
 
@@ -425,10 +401,13 @@ def control_norm_sweep(
     attempts = []
     while True:
         with workprec(bits):
-            G, b = _control_gram_and_targets(
-                family, horizon, memory_constant, initial, max(active_counts)
-            )
+            # A double root of the mode ODE (lam2 = 4c) that coincides at the
+            # working precision divides by rp - rm = 0; like a singular solve,
+            # it is a residual miss that the next precision step resolves.
             try:
+                G, b = _control_gram_and_targets(
+                    family, horizon, memory_constant, initial, max(active_counts)
+                )
                 X = G**-1
             except ZeroDivisionError:
                 X = None
@@ -487,64 +466,3 @@ def control_norm_sweep(
         precision_used=bits,
         residual=attempts[-1][1],
     )
-
-
-@dataclass(frozen=True)
-class ReplayResult:
-    """A reconstructed control signal pushed through the sampled dynamics."""
-
-    control: SampledFunction
-    deficiency: float
-
-
-def replay_control(
-    family: int,
-    n_active: int,
-    horizon: float,
-    memory_constant: float,
-    initial: InitialData,
-    grid: TimeGrid,
-    precision: int = 256,
-) -> ReplayResult:
-    """Close the loop: rebuild the minimal-norm control and simulate it.
-
-    The control coefficients come from the exact Gram solve; the signal is
-    sampled on the grid, fed into the Volterra dynamics as right-endpoint
-    boundary data, and the post-control deficiency at the horizon is
-    measured by the assembler. Small families only: the coefficients blow
-    up exponentially, so replaying a long sweep through double-precision
-    dynamics would measure round-off, not physics.
-    """
-    if abs(grid.horizon - horizon) > 1e-12:
-        raise ValueError("grid horizon must match the control horizon")
-    bits = precision
-    with workprec(bits):
-        G, b = _control_gram_and_targets(
-            family, horizon, memory_constant, initial, n_active
-        )
-        alpha = G**-1 * b
-        T = mpf(horizon)
-        c = mpf(memory_constant)
-        profiles = []
-        gammas = []
-        for n in range(1, family + 1):
-            lam2 = (mpf(n) * mp.pi) ** 2
-            profiles.append(_influence_profile(lam2, c))
-            gammas.append(_trace_scale(n))
-        values = np.zeros(grid.size)
-        for idx, t in enumerate(grid.nodes):
-            s = mpf(float(t))
-            acc = mpf(0)
-            for n in range(family):
-                rp, rm, A, B = profiles[n]
-                psi_flip = A * mp.exp(rp * (T - s)) + B * mp.exp(rm * (T - s))
-                acc += mp.re(alpha[n, 0] * psi_flip) / gammas[n]
-            values[idx] = float(acc)
-    control = BoundaryControl.at_right(SampledFunction(grid, values))
-    kernel = ZeroKernel() if memory_constant == 0 else ConstantKernel(memory_constant)
-    rt = resolvent_of(kernel, grid)
-    modes = dirichlet_modes_1d(family, kernel.value_at_zero)
-    xi = [initial.value(n) if n <= n_active else 0.0 for n in range(1, family + 1)]
-    field = solve_field(modes, rt, xi, control)
-    deficiency = assemble(field, horizon).deficiency
-    return ReplayResult(control.right, deficiency)

@@ -1,4 +1,4 @@
-"""Per-mode evolution of the heat flow with memory, and field assembly.
+"""Per-mode evolution of the heat flow with memory.
 
 Each Dirichlet mode coefficient satisfies a scalar Volterra equation driven
 by the initial value and the boundary trace pairing:
@@ -18,18 +18,13 @@ equality of the discrete values.
 
 from __future__ import annotations
 
-import math
 import warnings
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from .algebra import convolve, convolve_exp, exp_profile, volterra_solve
-from .grids import SampledFunction, TimeGrid, require_same_grid
-from .modes import BoundaryControl, Mode, eigenfunction, trace_pairing
+from .grids import SampledFunction, require_same_grid
+from .modes import Mode
 from .resolvents import ResolventTriple, mode_kernel
-
-DEFAULT_SPACE_POINTS = 201
 
 
 @dataclass(frozen=True)
@@ -43,31 +38,6 @@ class ModalTrajectory:
     def __post_init__(self):
         if self.w.values[0] != self.initial:
             raise ValueError("trajectory does not start at its initial value")
-
-    def at_end(self) -> float:
-        return self.w.at_end()
-
-
-@dataclass(frozen=True)
-class FieldSolution:
-    """A truncated modal expansion with a spatial grid for reconstruction."""
-
-    trajectories: tuple
-    space: np.ndarray = field(
-        default_factory=lambda: np.linspace(0.0, 1.0, DEFAULT_SPACE_POINTS)
-    )
-
-    def __post_init__(self):
-        indices = [t.mode.index for t in self.trajectories]
-        if indices != list(range(1, len(indices) + 1)):
-            raise ValueError("modal indices must be distinct and contiguous from 1")
-        object.__setattr__(self, "trajectories", tuple(self.trajectories))
-        space = np.asarray(self.space, dtype=float)
-        object.__setattr__(self, "space", space)
-
-    @property
-    def grid(self) -> TimeGrid:
-        return self.trajectories[0].w.grid
 
 
 def modal_rhs(
@@ -117,130 +87,3 @@ def explicit_mode(
     k = modal_rhs(mode, rt, xi, g)
     w = k - convolve(h, k)
     return ModalTrajectory(mode, xi, w)
-
-
-def plug_back_residual(
-    mode: Mode,
-    rt: ResolventTriple,
-    traj: ModalTrajectory,
-    xi: float,
-    g: SampledFunction,
-) -> float:
-    """sup |w - e0*(q'*w) - k| with the iterated convolution done independently.
-
-    The solver discretizes the pre-associated kernel z = -(q'*e0); plugging
-    the solution back through the *iterated* form e0*(q'*w) uses a different
-    quadrature composition, so this residual is an honest consistency check
-    (it decays at second order, it is not round-off).
-    """
-    k = modal_rhs(mode, rt, xi, g)
-    inner = convolve(rt.resolvent_deriv, traj.w)
-    iterated = convolve_exp(inner, mode.shifted_rate)
-    return (traj.w - iterated - k).sup_norm()
-
-
-def representation_gap(
-    mode: Mode,
-    rt: ResolventTriple,
-    h: SampledFunction,
-    xi: float,
-    g: SampledFunction,
-) -> float:
-    """sup difference between the Volterra and explicit routes on one input."""
-    a = solve_mode(mode, rt, xi, g)
-    b = explicit_mode(mode, rt, h, xi, g)
-    return (a.w - b.w).sup_norm()
-
-
-def solve_field(
-    modes,
-    rt: ResolventTriple,
-    initial_values,
-    control: BoundaryControl,
-    space_points: int = DEFAULT_SPACE_POINTS,
-) -> FieldSolution:
-    """Solve every mode against the same boundary control (Volterra route)."""
-    initial_values = list(initial_values)
-    if len(initial_values) != len(modes):
-        raise ValueError("need one initial value per mode")
-    trajectories = []
-    for mode, xi in zip(modes, initial_values):
-        g = trace_pairing(mode, control)
-        trajectories.append(solve_mode(mode, rt, xi, g))
-    return FieldSolution(
-        tuple(trajectories), np.linspace(0.0, 1.0, space_points)
-    )
-
-
-@dataclass(frozen=True)
-class SpatialSlice:
-    """Field values at one time, with the smoothed preimage coefficients."""
-
-    time: float
-    values: np.ndarray  # field samples on the spatial grid
-    preimage: np.ndarray  # coefficients -w_n(t) / lam2_n of the inverse Laplacian image
-    deficiency: float  # l2 norm of the truncated preimage sequence
-
-
-def assemble(solution: FieldSolution, t: float) -> SpatialSlice:
-    """Reconstruct the field at a grid time and measure how far from rest it is.
-
-    The rest test is applied to the inverse-Laplacian image of the state (its
-    modal coefficients are -w_n/lam2_n), which is the norm in which the
-    steering problem is posed; the reported deficiency is the l2 norm of the
-    truncated coefficient sequence.
-    """
-    grid = solution.grid
-    idx = grid.node_index(t)
-    coeffs = np.array([traj.w.values[idx] for traj in solution.trajectories])
-    lam2 = np.array([traj.mode.eigenvalue for traj in solution.trajectories])
-    preimage = -coeffs / lam2
-    basis = np.stack(
-        [eigenfunction(traj.mode.index, solution.space) for traj in solution.trajectories]
-    )
-    values = coeffs @ basis
-    return SpatialSlice(
-        time=grid.nodes[idx],
-        values=values,
-        preimage=preimage,
-        deficiency=float(np.linalg.norm(preimage)),
-    )
-
-
-def tail_deficiency_bound(
-    rt: ResolventTriple, tail_initial, start: int, count: int = 40
-) -> float:
-    """Bound the deficiency contribution of uncontrolled modes past the truncation.
-
-    Per free mode, from w = k - h*k with k = xi (e0 - e0*q) and the Gronwall
-    bound sup|h| <= s e^{sT} for s = sup|q'|/mu2:
-
-        |w(T)| <= |xi| (e^{-mu2 T} + [sup|q| + sup|h| (1 + T sup|q|)] / mu2),
-
-    and the preimage coefficient divides by lam2 once more. Without memory
-    every bracket term vanishes and the bound collapses to the exact
-    |xi| e^{-mu2 T} / lam2. Note the memory case decays only algebraically in
-    the index (that slow 1/mu2 tail is the phenomenon the moment asymptotics
-    quantify), so this is a sum over the `count` indices from `start`, not a
-    closed form; pick `count` to cover the support of the tail data.
-    `tail_initial` maps a mode index to |xi_n|.
-    """
-    horizon = rt.grid.horizon
-    sup_q = rt.resolvent.sup_norm()
-    sup_dq = rt.resolvent_deriv.sup_norm()
-    total = 0.0
-    for n in range(start, start + count):
-        lam2 = (n * math.pi) ** 2
-        mu2 = lam2 - rt.gain
-        if mu2 <= 0:
-            raise ValueError(
-                "tail bound applies only beyond the index where rates turn positive"
-            )
-        s_z = sup_dq / mu2
-        sup_h = s_z * math.exp(s_z * horizon)
-        envelope = math.exp(-mu2 * horizon) + (
-            sup_q + sup_h * (1.0 + horizon * sup_q)
-        ) / mu2
-        term = abs(tail_initial(n)) * envelope / lam2
-        total += term * term
-    return math.sqrt(total)

@@ -3,15 +3,13 @@
 Each command validates what it needs, runs the full computation, and only
 then emits its files, so a failed run leaves no partial output directory.
 Every successful run writes `config_echo.json` with the fully resolved
-configuration next to the data files. Per-mode work fans out over a thread
-pool; all file writes happen on the calling thread, atomically.
+configuration next to the data files. All work and every file write happen
+on the calling thread; each write is atomic.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -48,13 +46,13 @@ SCOPE_SEARCH_WIDTH = 64
 
 
 def _per_mode(fn, items):
-    """Map fn over per-mode work items, preserving order."""
-    items = list(items)
-    if len(items) <= 1:
-        return [fn(x) for x in items]
-    workers = min(len(items), os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    """Map fn over per-mode work items, in order, on the calling thread.
+
+    The per-mode work is a Python loop per time step that holds the
+    interpreter lock, so a thread pool only adds overhead. The benchmark's
+    tracer self-test (perfbench/test_checks.py) calls this helper by name.
+    """
+    return [fn(x) for x in items]
 
 
 def _write_outputs(out_dir: Path, echo: dict, csv_files: dict, json_files: dict):

@@ -49,13 +49,6 @@ class TimeGrid:
         """Same horizon, twice the resolution (for convergence studies)."""
         return TimeGrid(self.horizon, 2 * self.steps)
 
-    def node_index(self, t: float, tol: float = 1e-9) -> int:
-        """Index of the node at time t; rejects off-grid times."""
-        k = int(round(t / self.dt))
-        if k < 0 or k > self.steps or abs(t - k * self.dt) > tol * max(self.dt, 1.0):
-            raise ValueError(f"time {t} is not a node of {self}")
-        return k
-
 
 def require_same_grid(*fns: "SampledFunction") -> TimeGrid:
     """Return the common grid of the arguments or raise GridMismatchError."""

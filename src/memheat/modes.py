@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .grids import SampledFunction, TimeGrid, require_same_grid
 
 
@@ -28,10 +26,6 @@ class Mode:
     shifted_rate: float  # eigenvalue minus the kernel value at zero
     trace_left: float  # outward-normal derivative of the eigenfunction at x=0
     trace_right: float  # same at x=1
-
-    def trace_bound(self) -> float:
-        """Sum over both endpoints of |trace / frequency|^2 (equals 4 in 1D)."""
-        return (self.trace_left**2 + self.trace_right**2) / self.eigenvalue
 
 
 def dirichlet_modes_1d(count: int, gain: float) -> tuple:
@@ -60,11 +54,6 @@ def first_positive_index(gain: float) -> int:
     while (n * math.pi) ** 2 <= gain:
         n += 1
     return n
-
-
-def eigenfunction(index: int, x: np.ndarray) -> np.ndarray:
-    """sqrt(2) sin(n pi x) evaluated at the given points."""
-    return math.sqrt(2.0) * np.sin(index * math.pi * np.asarray(x, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -117,11 +106,3 @@ def trace_pairing(mode: Mode, control: BoundaryControl) -> SampledFunction:
     if control.active_right:
         out = out + mode.trace_right * control.right
     return out
-
-
-def trace_bound_check(modes) -> tuple:
-    """(min, max) over the modes of the per-mode trace bound (constant 4 in 1D)."""
-    values = [m.trace_bound() for m in modes]
-    if not values:
-        raise ValueError("need at least one mode")
-    return min(values), max(values)

@@ -6,14 +6,14 @@ Steering mode n to zero at time T is the scalar constraint
 
 where d_n is the free (uncontrolled) value of the mode at T, and the kernel
 factorizes as E_n(x, s) = mu2_n trace_n(x) psi_n(s) with the scalar profile
-psi_n = e0 - h_n*e0. Two structural facts carry the whole analysis:
-
-* the rescaled free values mu2_n d_n / xi_n converge to minus the resolvent
-  value at T, at rate 1/mu2_n (so the constraint family is uniformly
-  nondegenerate exactly when the resolvent does not vanish at T);
-* the profiles psi_n are, up to a two-time kernel independent of n, plain
-  exponentials, which reduces the constraints to a biorthogonality problem
-  against {mu2_n e^{-mu2_n r}}.
+psi_n = e0 - h_n*e0. This module computes the targets d_n, checks their
+asymptotic law (the rescaled free values mu2_n d_n / xi_n converge to minus
+the resolvent value at T, at rate 1/mu2_n, so the constraint family is
+uniformly nondegenerate exactly when the resolvent does not vanish at T),
+finds the first mode from which that holds, and records the assembled
+family. Up to a two-time kernel independent of n, the profiles psi_n are
+plain exponentials; the biorthogonality problem against {mu2_n e^{-mu2_n r}}
+that this leaves is measured in `biorth`.
 """
 
 from __future__ import annotations
@@ -22,11 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import convolve, convolve_exp, end_pairing, exp_profile
-from .dynamics import ModalTrajectory
+from .algebra import convolve_exp, end_pairing
 from .errors import ConfigError, NumericalError
-from .grids import SampledFunction, require_same_grid
-from .modes import BoundaryControl, Mode
+from .grids import SampledFunction
+from .modes import Mode
 from .resolvents import ResolventTriple, mode_resolvent_direct
 
 END_VALUE_GUARD = 1e-4  # relative floor on |resolvent(T)| before we refuse
@@ -217,109 +216,24 @@ def scope_threshold(modes, rt: ResolventTriple) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Moment kernels and pairings
-# ---------------------------------------------------------------------------
-
-
-def moment_profile(mode: Mode, h: SampledFunction) -> SampledFunction:
-    """Scalar time profile psi = e0 - h*e0 shared by both endpoint kernels."""
-    grid = h.grid
-    mu2 = mode.shifted_rate
-    e0 = exp_profile(grid, mu2)
-    return e0 - convolve_exp(h, mu2)
-
-
-def moment_kernels(mode: Mode, h: SampledFunction) -> tuple:
-    """Per-endpoint kernels (left, right): mu2 * trace(x) * psi(s)."""
-    psi = moment_profile(mode, h)
-    mu2 = mode.shifted_rate
-    return (mu2 * mode.trace_left) * psi, (mu2 * mode.trace_right) * psi
-
-
-def moment_pairing(mode: Mode, h: SampledFunction, control: BoundaryControl) -> float:
-    """int_0^T sum_x f(x, T-s) E_n(x, s) ds for a concrete boundary control.
-
-    The kernel's exponential factor has a boundary layer of width 1/mu2, so
-    the pairing is evaluated through the rate-exact product quadrature (the
-    profile split e0 - h*e0 turns the integral into two horizon values of
-    fitted convolutions) rather than a plain trapezoid sum over the sampled
-    kernel, whose error would grow with mu2.
-    """
-    mu2 = mode.shifted_rate
-    total = 0.0
-    for trace, f, active in (
-        (mode.trace_left, control.left, control.active_left),
-        (mode.trace_right, control.right, control.active_right),
-    ):
-        if not active:
-            continue
-        direct = convolve_exp(f, mu2).at_end()
-        smoothed = convolve_exp(convolve(f, h), mu2).at_end()
-        total += mu2 * trace * (direct - smoothed)
-    return total
-
-
-def reachability_from_dynamics(traj: ModalTrajectory) -> float:
-    """The same functional read off a zero-initial trajectory at the horizon.
-
-    For xi = 0 the mode value at T is exactly -1/mu2 times the moment
-    pairing of the control that produced it; this is the dual evaluation
-    path used to cross-check moment_pairing.
-    """
-    if traj.initial != 0.0:
-        raise ValueError("dual evaluation requires a zero initial value")
-    return -traj.mode.shifted_rate * traj.at_end()
-
-
-# ---------------------------------------------------------------------------
-# Scalar reduction through the two-time table
-# ---------------------------------------------------------------------------
-
-
-def transform_profile(chi: SampledFunction, table: np.ndarray) -> SampledFunction:
-    """chi(r) - int_r^T F(s, r) chi(s) ds by column-wise trapezoid quadrature.
-
-    Composing this with the plain pairing against mu2 e^{-mu2 r} reproduces
-    the pairing of the original profile against mu2 psi(r) for every mode
-    rate at once; the table F does not depend on the mode.
-    """
-    grid = chi.grid
-    n = grid.size
-    if table.shape != (n, n):
-        raise ValueError("table shape does not match the grid")
-    v = chi.values
-    raw = table.T @ v
-    corr = 0.5 * (np.diag(table) * v + table[n - 1, :] * v[n - 1])
-    out = v - grid.dt * (raw - corr)
-    return SampledFunction(grid, out)
-
-
-def reduce_scalar(profiles, table: np.ndarray) -> list:
-    """Apply the scalar reduction to a family of profiles."""
-    return [transform_profile(chi, table) for chi in profiles]
-
-
-# ---------------------------------------------------------------------------
-# The assembled problem and the solvability round-trip
+# The assembled problem
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class MomentProblem:
-    """Scope modes with their free end values and scalar kernels."""
+    """Scope modes with their free end values."""
 
     horizon: float
     modes: tuple
     targets: tuple  # free end values d_n for the configured initial data
-    profiles: tuple  # scalar profiles psi_n on the shared grid
 
     def __post_init__(self):
-        if len(self.modes) != len(self.targets) or len(self.modes) != len(self.profiles):
-            raise ValueError("modes, targets, and profiles must align")
+        if len(self.modes) != len(self.targets):
+            raise ValueError("modes and targets must align")
         for mode in self.modes:
             if mode.shifted_rate <= 0:
                 raise ValueError("every mode in a moment problem needs a positive rate")
-        require_same_grid(*self.profiles)
 
     def rescaled_targets(self) -> np.ndarray:
         return np.array(
@@ -330,7 +244,7 @@ class MomentProblem:
 def build_moment_problem(
     modes, rt: ResolventTriple, initial: InitialData, start: int | None = None
 ) -> MomentProblem:
-    """Assemble targets and kernels for every mode from the scope threshold on.
+    """Assemble the targets for every mode from the scope threshold on.
 
     Pass ``start`` to pin the scope by hand instead of searching for it.
     """
@@ -345,34 +259,10 @@ def build_moment_problem(
             "raise the start index past the gain crossover"
         )
     targets = []
-    profiles = []
     for mode in scope:
         h = mode_resolvent_direct(rt, mode.shifted_rate)
         targets.append(free_end_value(mode, rt, h, xi=initial.value(mode.index)))
-        profiles.append(moment_profile(mode, h))
-    return MomentProblem(rt.grid.horizon, tuple(scope), tuple(targets), tuple(profiles))
-
-
-def unit_target_map(modes, rt: ResolventTriple) -> np.ndarray:
-    """Diagonal coefficients c_n per unit initial value: mu2_n d_n(xi=1)."""
-    return np.array([m.shifted_rate * free_end_value(m, rt) for m in modes])
-
-
-def initial_from_targets(targets, modes, rt: ResolventTriple) -> np.ndarray:
-    """Invert the diagonal map: recover initial values from rescaled targets.
-
-    The scope threshold guarantees the diagonal stays away from zero, so a
-    square-summable target sequence pulls back to a square-summable initial
-    sequence; numerically this is a plain elementwise division with a guard.
-    """
-    diag = unit_target_map(modes, rt)
-    end = check_end_value(rt)
-    if np.any(np.abs(diag) < 0.25 * abs(end)):
-        raise NumericalError(
-            "a rescaled unit target fell below the nondegeneracy margin; "
-            "restrict to modes at or beyond the scope threshold"
-        )
-    return np.asarray(targets, dtype=float) / diag
+    return MomentProblem(rt.grid.horizon, tuple(scope), tuple(targets))
 
 
 def moment_problem_record(problem: MomentProblem, grid) -> dict:

@@ -14,7 +14,6 @@ deliberately share no code path, so their agreement is a real check.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,52 +124,3 @@ def mode_resolvent_series(
         terms = k
         power = convolve(power, dq)
     return SampledFunction(grid, out), terms
-
-
-def feedback_table(triple: ResolventTriple, tol: float = 1e-14) -> np.ndarray:
-    """Two-time table F[i, j] = -sum_{k>=1} (q')^{*k}(t_i - t_j) t_j^k / k!.
-
-    The table is lower triangular (zero for t_j > t_i), independent of the
-    mode rate, and reproduces the action of every mode resolvent on its own
-    exponential:
-
-        int_0^t h(t - u) e^{-mu2 u} du = int_0^t F(t, s) e^{-mu2 s} ds.
-
-    Truncated by the same majorant as the series route.
-    """
-    grid = triple.grid
-    dq = triple.resolvent_deriv
-    sup_deriv = dq.sup_norm()
-    n = grid.size
-    nodes = grid.nodes
-    lag_index = np.subtract.outer(np.arange(n), np.arange(n))
-    mask = lag_index >= 0
-    lag_index_clipped = np.where(mask, lag_index, 0)
-    table = np.zeros((n, n))
-    power = dq
-    for k in _series_schedule(sup_deriv, grid.horizon, tol):
-        toeplitz = power.values[lag_index_clipped]
-        col = nodes**k / math.factorial(k)
-        table -= np.where(mask, toeplitz, 0.0) * col[np.newaxis, :]
-        power = convolve(power, dq)
-    return table
-
-
-def feedback_action(
-    table: np.ndarray, grid: TimeGrid, f: SampledFunction
-) -> SampledFunction:
-    """Row-wise integrals int_0^{t_i} F(t_i, s) f(s) ds by the trapezoid rule.
-
-    Deliberately a plain quadrature (no exponential fitting), so comparing it
-    against the product-quadrature route is an independent consistency check.
-    """
-    if table.shape != (grid.size, grid.size):
-        raise ValueError("table shape does not match the grid")
-    if f.grid != grid:
-        raise ValueError("sampled function lives on a different grid")
-    v = f.values
-    raw = table @ v
-    corr = 0.5 * (table[:, 0] * v[0] + np.diag(table) * v)
-    out = grid.dt * (raw - corr)
-    out[0] = 0.0
-    return SampledFunction(grid, out)

@@ -15,13 +15,7 @@ from memheat.algebra import (
     convolve,
     convolve_exp,
     convolve_exp_monomial,
-    convolve_power,
     end_pairing,
-    exp_node_weights,
-    exp_profile,
-    fd_derivative,
-    integrate_profile_exp,
-    resolvent_kernel,
     volterra_solve,
 )
 
@@ -93,14 +87,15 @@ def test_convolve_associates_to_quadrature_error():
 
 
 def test_convolve_power():
+    # repeated convolution of 1 with itself: 1^{*k}(t) = t^{k-1} / (k-1)!
     one = sampled(np.ones_like)
     t = GRID.nodes
-    assert convolve_power(one, 1) is not None
-    assert np.max(np.abs(convolve_power(one, 2).values - t)) < 1e-14
-    assert np.max(np.abs(convolve_power(one, 3).values - t**2 / 2)) < 1e-6
-    assert np.max(np.abs(convolve_power(one, 4).values - t**3 / 6)) < 1e-6
-    with pytest.raises(ValueError):
-        convolve_power(one, 0)
+    two = convolve(one, one)
+    three = convolve(two, one)
+    four = convolve(three, one)
+    assert np.max(np.abs(two.values - t)) < 1e-14
+    assert np.max(np.abs(three.values - t**2 / 2)) < 1e-6
+    assert np.max(np.abs(four.values - t**3 / 6)) < 1e-6
 
 
 def test_convolve_power_induction_bound():
@@ -108,9 +103,11 @@ def test_convolve_power_induction_bound():
     rng = np.random.default_rng(23)
     f = SampledFunction(GRID, rng.uniform(-1.0, 1.0, GRID.size))
     M = f.sup_norm()
+    power = f
     for k in range(1, 7):
         bound = M**k * GRID.horizon ** (k - 1) / math.factorial(k - 1)
-        assert convolve_power(f, k).sup_norm() <= bound * (1.0 + 1e-12)
+        assert power.sup_norm() <= bound * (1.0 + 1e-12)
+        power = convolve(power, f)
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +127,13 @@ def test_volterra_constant_kernel_oracle():
     one = sampled(np.ones_like)
     y = volterra_solve(one, one)
     assert np.max(np.abs(y.values - np.exp(-GRID.nodes))) < 1e-6
+
+
+def test_resolvent_kernel_helper():
+    # the resolvent q of a kernel m solves q = m - m*q; for m = 1, q = e^{-t}
+    one = sampled(np.ones_like)
+    q = volterra_solve(one, one)
+    assert np.max(np.abs(q.values - np.exp(-GRID.nodes))) < 1e-6
 
 
 def test_volterra_cosine_oracle():
@@ -155,12 +159,6 @@ def test_volterra_pivot_guard():
     k = SampledFunction(grid, np.full(grid.size, -2.0 / grid.dt))
     with pytest.raises(NumericalError):
         volterra_solve(k, SampledFunction.zeros(grid))
-
-
-def test_resolvent_kernel_helper():
-    one = sampled(np.ones_like)
-    q = resolvent_kernel(one)
-    assert np.max(np.abs(q.values - np.exp(-GRID.nodes))) < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -232,23 +230,8 @@ def test_convolve_exp_negative_rate():
     assert np.max(np.abs(out.values - exact)) / np.max(exact) < 1e-12
 
 
-def test_exp_node_weights_match_integrator():
-    rng = np.random.default_rng(41)
-    f = SampledFunction(GRID, rng.standard_normal(GRID.size))
-    for mu2 in (2.0, 117.0, -0.4):
-        w = exp_node_weights(GRID, mu2)
-        direct = integrate_profile_exp(f, mu2)
-        assert abs(float(w @ f.values) - direct) < 1e-12 * max(1.0, abs(direct))
-
-
 def test_end_pairing_oracle():
     f = sampled(lambda s: s)
     g = sampled(np.ones_like)
     # int_0^1 s ds = 1/2, trapezoid-exact for a linear integrand
     assert abs(end_pairing(f, g) - 0.5) < 1e-14
-
-
-def test_fd_derivative():
-    f = sampled(lambda s: np.sin(s))
-    df = fd_derivative(f)
-    assert np.max(np.abs(df.values - np.cos(GRID.nodes))) < 1e-5

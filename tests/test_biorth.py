@@ -10,12 +10,12 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mpf, workprec
 
 from memheat import NumericalError, PrecisionError, TimeGrid
 from memheat.biorth import (
     RESIDUAL_GATE,
     BiorthReport,
-    cauchy_inverse_diag_mp,
     cauchy_inverse_log_diag,
     control_norm_sweep,
     empirical_gram,
@@ -24,7 +24,6 @@ from memheat.biorth import (
     growth_fit,
     min_norm_biorth,
     orthonormal_family_gram,
-    replay_control,
 )
 from memheat.moments import InitialData
 
@@ -73,6 +72,20 @@ def test_finite_horizon_norms_dominate():
     infinite = min_norm_biorth(gram(exps, None))
     for nf, ni in zip(finite.norms, infinite.norms):
         assert nf > ni
+
+
+def cauchy_inverse_diag_mp(exponents, precision=256):
+    """The Cauchy closed form for the inverse diagonal, in extended precision."""
+    exps = [mpf(float(x)) for x in exponents]
+    out = []
+    with workprec(precision):
+        for i, xi in enumerate(exps):
+            acc = 2 * xi
+            for k, xk in enumerate(exps):
+                if k != i:
+                    acc *= ((xk + xi) / (xk - xi)) ** 2
+            out.append(acc)
+    return out
 
 
 def test_closed_form_matches_gram_solve():
@@ -266,31 +279,4 @@ def test_control_sweep_validation():
             horizon=1.0,
             memory_constant=0.0,
             initial=InitialData.zero(),
-        )
-
-
-def test_replay_closes_the_loop():
-    grid = TimeGrid(1.0, 2000)
-    result = replay_control(
-        family=6,
-        n_active=2,
-        horizon=1.0,
-        memory_constant=0.0,
-        initial=InitialData.inverse_index(),
-        grid=grid,
-    )
-    assert result.deficiency < 1e-4
-    assert result.control.grid == grid
-    assert float(np.max(np.abs(result.control.values))) > 0.0
-
-
-def test_replay_grid_mismatch():
-    with pytest.raises(ValueError):
-        replay_control(
-            family=4,
-            n_active=1,
-            horizon=1.0,
-            memory_constant=0.0,
-            initial=InitialData.inverse_index(),
-            grid=TimeGrid(2.0, 500),
         )

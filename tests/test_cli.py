@@ -151,6 +151,25 @@ def test_control_rejects_non_constant_kernel(tmp_path):
     assert not out.exists()
 
 
+def test_coincident_mode_roots_escalate_precision(tmp_path):
+    # c = pi^2/4 gives mode 1 a double root (lam2 = 4c); below 64 bits the
+    # two roots coincide, which must escalate like any residual miss
+    cfg = write_config(
+        tmp_path,
+        {
+            "kernel": {"type": "constant", "value": 2.4674011002723395},
+            "control": {"family": 12, "active": 6},
+        },
+    )
+    runs = {}
+    for bits in ("32", "64"):
+        runs[bits] = tmp_path / bits
+        argv = ["control", "--config", str(cfg), "--out", str(runs[bits])]
+        assert main(argv + ["--precision", bits]) == 0
+    sweep = "control_sweep.csv"
+    assert (runs["32"] / sweep).read_bytes() == (runs["64"] / sweep).read_bytes()
+
+
 def test_bad_config_exits_2_without_output(tmp_path):
     cfg = write_config(tmp_path, {"stepz": 100})
     out = tmp_path / "run"

@@ -1,4 +1,4 @@
-"""Modal dynamics on both routes, degeneration, convergence, field assembly.
+"""Modal dynamics on both routes, degeneration, convergence.
 
 The strongest oracle: for a constant kernel c the mode equation is exactly
 the second-order ODE
@@ -11,7 +11,6 @@ genuine cross-check of the whole Volterra pipeline.
 """
 
 import cmath
-import math
 
 import numpy as np
 import pytest
@@ -22,19 +21,15 @@ from memheat import (
     TimeGrid,
     ZeroKernel,
 )
+from memheat.algebra import convolve, convolve_exp
 from memheat.dynamics import (
-    FieldSolution,
     ModalTrajectory,
-    assemble,
     heat_mode,
     explicit_mode,
-    plug_back_residual,
-    representation_gap,
-    solve_field,
+    modal_rhs,
     solve_mode,
-    tail_deficiency_bound,
 )
-from memheat.modes import BoundaryControl, dirichlet_modes_1d
+from memheat.modes import dirichlet_modes_1d
 from memheat.resolvents import mode_resolvent_direct, mode_resolvent_series, resolvent_of
 
 GRID = TimeGrid(1.0, 1000)
@@ -108,7 +103,10 @@ def test_solve_vs_explicit_direct_route():
     g = const_forcing(GRID, 1.0)
     for mode in dirichlet_modes_1d(4, gain=1.0):
         h = mode_resolvent_direct(rt, mode.shifted_rate)
-        gap = representation_gap(mode, rt, h, 1.0 / mode.index, g)
+        xi = 1.0 / mode.index
+        gap = (
+            solve_mode(mode, rt, xi, g).w - explicit_mode(mode, rt, h, xi, g).w
+        ).sup_norm()
         # same discretization algebra on both sides: agreement to round-off
         assert gap < 1e-12
 
@@ -119,17 +117,24 @@ def test_solve_vs_explicit_series_route():
     g = const_forcing(grid, 1.0)
     mode = dirichlet_modes_1d(1, gain=1.0)[0]
     h, _ = mode_resolvent_series(rt, mode.shifted_rate)
-    gap = representation_gap(mode, rt, h, 1.0, g)
+    gap = (
+        solve_mode(mode, rt, 1.0, g).w - explicit_mode(mode, rt, h, 1.0, g).w
+    ).sup_norm()
     assert gap < 1e-7
 
 
 def test_plug_back_residual_converges_second_order():
+    # The solver discretizes the pre-associated kernel z = -(q'*e0); plugging
+    # the solution back through the iterated form e0*(q'*w) composes the
+    # quadratures differently, so the residual is O(dt^2), not round-off.
     mode = dirichlet_modes_1d(2, gain=1.0)[1]
 
     def resid_at(grid):
         rt = resolvent_of(ConstantKernel(1.0), grid)
-        traj = solve_mode(mode, rt, 1.0, SampledFunction.zeros(grid))
-        return plug_back_residual(mode, rt, traj, 1.0, SampledFunction.zeros(grid))
+        g = SampledFunction.zeros(grid)
+        w = solve_mode(mode, rt, 1.0, g).w
+        iterated = convolve_exp(convolve(rt.resolvent_deriv, w), mode.shifted_rate)
+        return (w - iterated - modal_rhs(mode, rt, 1.0, g)).sup_norm()
 
     coarse = resid_at(GRID)
     fine = resid_at(GRID.halved())
@@ -142,7 +147,7 @@ def test_free_memory_modes_decay():
     g = SampledFunction.zeros(GRID)
     for mode in dirichlet_modes_1d(6, gain=1.0):
         traj = solve_mode(mode, rt, 1.0, g)
-        assert abs(traj.at_end()) < 1.0
+        assert abs(traj.w.at_end()) < 1.0
 
 
 def test_nonpositive_rate_warns():
@@ -159,64 +164,3 @@ def test_trajectory_initial_consistency():
     w = SampledFunction.from_callable(GRID, lambda t: 1.0 + t)
     with pytest.raises(ValueError):
         ModalTrajectory(mode, 0.0, w)  # starts at 1, claims 0
-
-
-def test_field_solution_requires_contiguous_modes():
-    rt = resolvent_of(ZeroKernel(), GRID)
-    modes = dirichlet_modes_1d(3, gain=0.0)
-    g = SampledFunction.zeros(GRID)
-    trajs = [heat_mode(m, 1.0, g) for m in modes]
-    FieldSolution(tuple(trajs))  # fine
-    with pytest.raises(ValueError):
-        FieldSolution((trajs[0], trajs[2]))
-
-
-def test_assemble_zero_state():
-    rt = resolvent_of(ZeroKernel(), GRID)
-    modes = dirichlet_modes_1d(3, gain=0.0)
-    field = solve_field(modes, rt, [0.0, 0.0, 0.0], BoundaryControl.none(GRID))
-    sl = assemble(field, 1.0)
-    assert sl.deficiency == 0.0
-    assert np.all(sl.values == 0.0)
-
-
-def test_assemble_single_mode():
-    rt = resolvent_of(ZeroKernel(), GRID)
-    modes = dirichlet_modes_1d(1, gain=0.0)
-    field = solve_field(modes, rt, [1.0], BoundaryControl.none(GRID))
-    sl = assemble(field, 0.0)
-    # at t = 0 the state is phi_1 itself; its preimage coefficient is -1/pi^2
-    assert sl.deficiency == pytest.approx(1.0 / math.pi**2)
-    assert sl.preimage[0] == pytest.approx(-1.0 / math.pi**2)
-    mid = np.argmin(np.abs(field.space - 0.5))
-    assert sl.values[mid] == pytest.approx(math.sqrt(2.0))
-    with pytest.raises(ValueError):
-        assemble(field, 0.12345)  # off-grid time
-
-
-def test_tail_deficiency_bound():
-    grid = TimeGrid(1.0, 400)
-    rt = resolvent_of(ConstantKernel(1.0), grid)
-    bound13 = tail_deficiency_bound(rt, lambda n: 1.0 / n, start=13)
-    bound20 = tail_deficiency_bound(rt, lambda n: 1.0 / n, start=20)
-    assert 0.0 < bound20 < bound13
-    # dominates the directly computed tail contribution (free evolution);
-    # with memory the free modes decay only like 1/mu2, so the envelope has
-    # to carry the resolvent terms, not just e^{-mu2 T}
-    g = SampledFunction.zeros(grid)
-    total = 0.0
-    for n in (13, 14, 15):
-        mode = dirichlet_modes_1d(n, gain=1.0)[-1]
-        w_end = solve_mode(mode, rt, 1.0 / n, g).at_end()
-        total += (w_end / mode.eigenvalue) ** 2
-    assert math.sqrt(total) <= bound13
-    # and in the memoryless case the bound is the exact modal decay
-    rt0 = resolvent_of(ZeroKernel(), grid)
-    mode = dirichlet_modes_1d(13, gain=0.0)[-1]
-    exact = math.exp(-mode.eigenvalue) / mode.eigenvalue
-    assert tail_deficiency_bound(rt0, lambda n: 1.0, start=13, count=1) == (
-        pytest.approx(exact, rel=1e-12)
-    )
-    rt_big = resolvent_of(ConstantKernel(200.0), grid)
-    with pytest.raises(ValueError):
-        tail_deficiency_bound(rt_big, lambda n: 1.0, start=1)

@@ -35,19 +35,6 @@ def test_halved_refines_in_place():
     assert np.allclose(fine.nodes[::2], grid.nodes)
 
 
-def test_node_index():
-    grid = TimeGrid(1.0, 10)
-    assert grid.node_index(0.0) == 0
-    assert grid.node_index(0.3) == 3
-    assert grid.node_index(1.0) == 10
-    with pytest.raises(ValueError):
-        grid.node_index(0.35)
-    with pytest.raises(ValueError):
-        grid.node_index(1.1)
-    with pytest.raises(ValueError):
-        grid.node_index(-0.1)
-
-
 def test_nodes_are_read_only():
     grid = TimeGrid(1.0, 4)
     with pytest.raises(ValueError):

@@ -9,9 +9,7 @@ from memheat import SampledFunction, TimeGrid
 from memheat.modes import (
     BoundaryControl,
     dirichlet_modes_1d,
-    eigenfunction,
     first_positive_index,
-    trace_bound_check,
     trace_pairing,
 )
 
@@ -43,18 +41,16 @@ def test_trace_signs_from_steady_state():
     # memoryless flow held at 1 on the right). This pins the sign convention.
     x = np.linspace(0.0, 1.0, 20001)
     for m in dirichlet_modes_1d(4, gain=0.0):
-        coeff = np.trapezoid(x * eigenfunction(m.index, x), x)
+        phi = math.sqrt(2.0) * np.sin(m.index * math.pi * x)
+        coeff = np.trapezoid(x * phi, x)
         assert coeff == pytest.approx(-m.trace_right / m.eigenvalue, abs=1e-8)
 
 
 def test_trace_bound_is_exactly_four():
+    # sum over both endpoints of |trace / frequency|^2 is 4 for every 1D mode
     modes = dirichlet_modes_1d(50, gain=3.0)
     for m in modes:
-        assert abs(m.trace_bound() - 4.0) < 1e-12
-    lo, hi = trace_bound_check(modes)
-    assert abs(lo - 4.0) < 1e-12 and abs(hi - 4.0) < 1e-12
-    with pytest.raises(ValueError):
-        trace_bound_check([])
+        assert abs((m.trace_left**2 + m.trace_right**2) / m.eigenvalue - 4.0) < 1e-12
 
 
 def test_first_positive_index():
@@ -62,21 +58,6 @@ def test_first_positive_index():
     assert first_positive_index(1.0) == 1
     assert first_positive_index(20.0) == 2  # pi^2 < 20 < 4 pi^2
     assert first_positive_index(40.0) == 3  # 4 pi^2 < 40 < 9 pi^2
-
-
-def test_eigenfunctions_orthonormal():
-    x = np.linspace(0.0, 1.0, 4001)
-    for n in range(1, 6):
-        for m in range(n, 6):
-            inner = np.trapezoid(eigenfunction(n, x) * eigenfunction(m, x), x)
-            assert abs(inner - (1.0 if n == m else 0.0)) < 1e-10
-
-
-def test_eigenfunction_values():
-    assert eigenfunction(1, np.array([0.5]))[0] == pytest.approx(math.sqrt(2))
-    assert eigenfunction(2, np.array([0.25]))[0] == pytest.approx(math.sqrt(2))
-    assert abs(eigenfunction(3, np.array([0.0]))[0]) < 1e-15
-    assert abs(eigenfunction(3, np.array([1.0]))[0]) < 1e-12
 
 
 def test_boundary_control_constructors():

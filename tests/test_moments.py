@@ -1,4 +1,4 @@
-"""End-state constraint family: targets, asymptotic law, pairing duality.
+"""End-state constraint family: targets, asymptotic law, scope, record.
 
 The load-bearing oracle is the exact root of the resolvent of M(t) = 1 - t:
 its Laplace transform has poles at (-1 +- sqrt5)/2, giving
@@ -22,7 +22,7 @@ from memheat import (
     TimeGrid,
     ZeroKernel,
 )
-from memheat.algebra import convolve_exp, exp_profile, integrate_profile_exp
+from memheat.algebra import convolve, convolve_exp
 from memheat.dynamics import solve_mode
 from memheat.modes import BoundaryControl, dirichlet_modes_1d, trace_pairing
 from memheat.moments import (
@@ -31,21 +31,10 @@ from memheat.moments import (
     build_moment_problem,
     check_end_value,
     free_end_value,
-    initial_from_targets,
-    moment_kernels,
-    moment_pairing,
     moment_problem_record,
-    moment_profile,
-    reachability_from_dynamics,
     scope_threshold,
-    transform_profile,
-    unit_target_map,
 )
-from memheat.resolvents import (
-    feedback_table,
-    mode_resolvent_direct,
-    resolvent_of,
-)
+from memheat.resolvents import mode_resolvent_direct, resolvent_of
 
 GRID = TimeGrid(1.0, 1000)
 
@@ -139,84 +128,6 @@ def test_scope_threshold():
     assert all(m.shifted_rate > 0 for m in modes20 if m.index >= start)
 
 
-def test_moment_profile_normalization():
-    rt = resolvent_of(ConstantKernel(1.0), GRID)
-    mode = dirichlet_modes_1d(1, gain=1.0)[0]
-    h = mode_resolvent_direct(rt, mode.shifted_rate)
-    psi = moment_profile(mode, h)
-    assert psi.values[0] == 1.0
-    left, right = moment_kernels(mode, h)
-    assert np.allclose(left.values, mode.shifted_rate * mode.trace_left * psi.values)
-    assert np.allclose(
-        right.values, mode.shifted_rate * mode.trace_right * psi.values
-    )
-
-
-@pytest.mark.parametrize("n", [1, 5, 10])
-def test_pairing_matches_dynamics(n):
-    # the constraint functional evaluated two ways: through the assembled
-    # kernel, and through -mu2 w(T) of an actual zero-initial trajectory
-    grid = TimeGrid(1.0, 2000)
-    rt = resolvent_of(ConstantKernel(1.0), grid)
-    mode = dirichlet_modes_1d(n, gain=1.0)[-1]
-    f = SampledFunction.from_callable(grid, lambda t: np.sin(3.0 * t) + 0.25)
-    control = BoundaryControl.at_right(f)
-    h = mode_resolvent_direct(rt, mode.shifted_rate)
-    via_kernel = moment_pairing(mode, h, control)
-    traj = solve_mode(mode, rt, 0.0, trace_pairing(mode, control))
-    via_dynamics = reachability_from_dynamics(traj)
-    assert abs(via_kernel - via_dynamics) < 1e-6
-    assert via_kernel == pytest.approx(via_dynamics, rel=1e-5)
-
-
-def test_reachability_requires_rest_start():
-    rt = resolvent_of(ConstantKernel(1.0), GRID)
-    mode = dirichlet_modes_1d(1, gain=1.0)[0]
-    traj = solve_mode(mode, rt, 1.0, SampledFunction.zeros(GRID))
-    with pytest.raises(ValueError):
-        reachability_from_dynamics(traj)
-
-
-def test_transform_profile_identity_without_memory():
-    rt = resolvent_of(ZeroKernel(), GRID)
-    table = feedback_table(rt)
-    chi = SampledFunction.from_callable(GRID, lambda t: np.cos(2.0 * t))
-    out = transform_profile(chi, table)
-    assert np.array_equal(out.values, chi.values)
-
-
-@pytest.mark.parametrize("mu2", [1.0, math.pi**2 - 1.0])
-def test_scalar_reduction_preserves_pairings(mu2):
-    # int chi~(r) mu2 e^{-mu2 r} dr == int chi(s) mu2 psi(s) ds: the reduction
-    # turns every mode profile into a plain exponential at once
-    rt = resolvent_of(ConstantKernel(1.0), GRID)
-    table = feedback_table(rt)
-    chi = SampledFunction.from_callable(GRID, lambda t: np.exp(-0.5 * t) + t)
-    chi_t = transform_profile(chi, table)
-    h = mode_resolvent_direct(rt, mu2)
-    e0 = exp_profile(GRID, mu2)
-    psi = e0 - convolve_exp(h, mu2)
-    rhs = mu2 * float(np.trapezoid(chi.values * psi.values, GRID.nodes))
-    lhs = mu2 * float(np.trapezoid(chi_t.values * e0.values, GRID.nodes))
-    assert abs(lhs - rhs) < 1e-6
-    # same integral through the product quadrature: the fitted rule weights
-    # by e^{-mu2 (T - s)}, so hand it the time-reversed profile; the two
-    # quadratures are both second order but discretize differently, so they
-    # agree only at their own error scale, not to round-off
-    reversed_profile = SampledFunction(GRID, chi_t.values[::-1])
-    lhs_fitted = mu2 * integrate_profile_exp(reversed_profile, mu2)
-    assert abs(lhs_fitted - rhs) < 2e-5
-
-
-def test_solvability_round_trip():
-    rt = resolvent_of(ConstantKernel(1.0), GRID)
-    modes = dirichlet_modes_1d(8, gain=1.0)
-    xi = np.array([1.0 / n for n in range(1, 9)])
-    diag = unit_target_map(modes, rt)
-    recovered = initial_from_targets(diag * xi, modes, rt)
-    assert np.max(np.abs(recovered - xi)) < 1e-12
-
-
 def test_build_moment_problem_and_record():
     rt = resolvent_of(ConstantKernel(1.0), GRID)
     modes = dirichlet_modes_1d(5, gain=1.0)
@@ -251,3 +162,24 @@ def test_build_moment_problem_start_validation():
         build_moment_problem(modes, rt, InitialData.zero(), start=9)
     problem = build_moment_problem(modes, rt, InitialData.zero(), start=2)
     assert [m.index for m in problem.modes] == [2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("n", [1, 5, 10])
+def test_pairing_matches_dynamics(n):
+    # the constraint functional evaluated two ways: through the moment kernel
+    # mu2 * trace * (e0 - h*e0) paired with the control by rate-exact fitted
+    # convolutions, and through -mu2 w(T) of an actual zero-initial trajectory
+    grid = TimeGrid(1.0, 2000)
+    rt = resolvent_of(ConstantKernel(1.0), grid)
+    mode = dirichlet_modes_1d(n, gain=1.0)[-1]
+    mu2 = mode.shifted_rate
+    f = SampledFunction.from_callable(grid, lambda t: np.sin(3.0 * t) + 0.25)
+    control = BoundaryControl.at_right(f)
+    h = mode_resolvent_direct(rt, mu2)
+    direct = convolve_exp(f, mu2).values[-1]
+    smoothed = convolve_exp(convolve(f, h), mu2).values[-1]
+    via_kernel = mu2 * mode.trace_right * (direct - smoothed)
+    traj = solve_mode(mode, rt, 0.0, trace_pairing(mode, control))
+    via_dynamics = -mu2 * traj.w.values[-1]
+    assert abs(via_kernel - via_dynamics) < 1e-6
+    assert via_kernel == pytest.approx(via_dynamics, rel=1e-5)

@@ -1,4 +1,4 @@
-"""Kernel resolvents, mode resolvents (both routes), and the feedback table.
+"""Kernel resolvents and mode resolvents (both routes).
 
 The closed forms used as oracles are hand Laplace inversions:
   constant c        ->  R(t) = c e^{-ct}
@@ -18,14 +18,11 @@ from memheat import (
     ExpSumKernel,
     NumericalError,
     PolynomialKernel,
-    SampledFunction,
     TimeGrid,
     ZeroKernel,
 )
-from memheat.algebra import convolve_exp, exp_profile, resolvent_kernel
+from memheat.algebra import volterra_solve
 from memheat.resolvents import (
-    feedback_action,
-    feedback_table,
     mode_kernel,
     mode_resolvent_direct,
     mode_resolvent_series,
@@ -81,8 +78,8 @@ def test_polynomial_kernel_oracle():
 def test_reciprocity():
     # if q is the resolvent of m then -m is the resolvent of -q
     m = ConstantKernel(1.0).sample(GRID)
-    q = resolvent_kernel(m)
-    back = resolvent_kernel(-q)
+    q = volterra_solve(m, m)
+    back = volterra_solve(-q, -q)
     assert (back + m).sup_norm() < 1e-6
 
 
@@ -141,39 +138,3 @@ def test_series_route_validation():
     rt_stiff = resolvent_of(ConstantKernel(40.0), GRID)
     with pytest.raises(NumericalError):
         mode_resolvent_series(rt_stiff, 1.0)
-
-
-def test_feedback_table_zero_kernel():
-    rt = resolvent_of(ZeroKernel(), GRID)
-    table = feedback_table(rt)
-    assert np.array_equal(table, np.zeros((GRID.size, GRID.size)))
-
-
-def test_feedback_table_structure():
-    grid = TimeGrid(1.0, 120)
-    rt = resolvent_of(ConstantKernel(1.0), grid)
-    table = feedback_table(rt)
-    # vanishes for s > t (strictly upper triangle) and along s = 0
-    assert np.max(np.abs(np.triu(table, k=1))) == 0.0
-    assert np.max(np.abs(table[:, 0])) == 0.0
-
-
-@pytest.mark.parametrize("mu2", [1.0, math.pi**2 - 1.0])
-def test_feedback_table_reproduces_mode_resolvent_action(mu2):
-    # int_0^t h(t-u) e^{-mu2 u} du == int_0^t F(t,s) e^{-mu2 s} ds
-    rt = resolvent_of(ConstantKernel(1.0), GRID)
-    table = feedback_table(rt)
-    e0 = exp_profile(GRID, mu2)
-    left = convolve_exp(mode_resolvent_direct(rt, mu2), mu2)
-    right = feedback_action(table, GRID, e0)
-    assert (left - right).sup_norm() < 1e-6
-
-
-def test_feedback_action_shape_guards():
-    rt = resolvent_of(ConstantKernel(1.0), TimeGrid(1.0, 50))
-    table = feedback_table(rt)
-    other = SampledFunction.zeros(TimeGrid(1.0, 60))
-    with pytest.raises(ValueError):
-        feedback_action(table, TimeGrid(1.0, 60), other)
-    with pytest.raises(ValueError):
-        feedback_action(table, rt.grid, other)
