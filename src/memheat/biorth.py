@@ -4,8 +4,11 @@ The Gram matrix of {e^{-mu2_n t}} in L2(0, T) is notoriously ill conditioned;
 the blow-up of its inverse diagonal IS the phenomenon under study (minimal
 biorthogonal norms growing exponentially in the mode index), so round-off
 must be kept strictly smaller than the real growth. Everything here runs in
-arbitrary-precision arithmetic (mpmath), starting at a configured mantissa
-size and escalating on residual failure rather than silently degrading.
+arbitrary-precision arithmetic (mpmath). Both Gram matrices (biorthogonal
+and control) go through one precision ladder: a Cholesky factor and one
+forward and one back substitution per column, with 10 guard bits, then the
+residual max |G X - I| at the working precision against a 1e-20 gate; a miss
+doubles the precision up to 1024 bits and fails loudly past that.
 
 Two independent oracles keep the computation honest: the infinite-horizon
 Gram matrix is a Cauchy matrix with a classical closed-form inverse, and the
@@ -75,12 +78,7 @@ def _gram_matrix(exps, horizon):
     for i in range(n):
         for j in range(i, n):
             s = mpf(exps[i]) + mpf(exps[j])
-            if T is None:
-                entry = 1 / s
-            else:
-                entry = (1 - mp.exp(-s * T)) / s
-            G[i, j] = entry
-            G[j, i] = entry
+            G[i, j] = G[j, i] = 1 / s if T is None else (1 - mp.exp(-s * T)) / s
     return G
 
 
@@ -89,12 +87,11 @@ def empirical_gram(matrix: np.ndarray, precision: int = 256) -> GramSystem:
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError("expected a square matrix")
-    n = matrix.shape[0]
+    # A float product such as (rows * w) @ rows.T is symmetric only to
+    # round-off, and the Cholesky solve reads one triangle.
+    matrix = 0.5 * (matrix + matrix.T)
     with workprec(precision):
-        G = mp.zeros(n, n)
-        for i in range(n):
-            for j in range(n):
-                G[i, j] = mpf(matrix[i, j])
+        G = mp.matrix(matrix.tolist())
     return GramSystem(None, None, precision, G)
 
 
@@ -135,6 +132,67 @@ class BiorthReport:
     diag: tuple  # inverse-diagonal entries kept as mpf for high-precision oracles
 
 
+def _spd_inverse(G):
+    """Columns of G^{-1} by Cholesky, with the 10 guard bits of mp.inverse.
+
+    The columns stay at the guarded precision: rounding them to the working
+    precision raises the residual about a thousandfold. Raises ValueError if
+    G is not positive definite at this precision.
+    """
+    n = G.rows
+    with mp.extraprec(10):
+        L = mp.cholesky(G).tolist()
+        Lt = [list(col) for col in zip(*L)]
+        cols = []
+        for j in range(n):
+            y = [mp.zero] * n
+            for i in range(j, n):
+                y[i] = ((1 if i == j else 0) - mp.fdot(L[i][j:i], y[j:i])) / L[i][i]
+            x = [mp.zero] * n
+            for i in reversed(range(n)):
+                x[i] = (y[i] - mp.fdot(Lt[i][i + 1 :], x[i + 1 :])) / L[i][i]
+            cols.append(x)
+    return cols
+
+
+def _ladder_solve(build, bits: int, gate: float, verify_rows: int):
+    """Invert the SPD matrix `build()` on a doubling precision ladder.
+
+    The defect of row i is max_j |(G X)_ij - delta_ij| at the working
+    precision; a rung passes when the largest defect over the first
+    `verify_rows` rows is below `gate`. A matrix that is not positive definite
+    (ValueError) or mode roots that coincide at the working precision in the
+    build (ZeroDivisionError) count as an infinite residual. Returns the
+    inverse columns, the per-row defects, the passing bits and every
+    (bits, residual) attempt.
+    """
+    attempts = []
+    while True:
+        with workprec(bits):
+            try:
+                G = build()
+                cols = _spd_inverse(G)
+            except (ValueError, ZeroDivisionError):
+                resid = mp.inf
+            else:
+                row_resid = [
+                    max(abs(mp.fdot(g, x) - int(i == j)) for j, x in enumerate(cols))
+                    for i, g in enumerate(G.tolist())
+                ]
+                resid = max(row_resid[:verify_rows])
+        attempts.append((bits, float(resid)))
+        if resid < gate:
+            return cols, tuple(float(r) for r in row_resid), bits, tuple(attempts)
+        if bits >= MAX_PRECISION_BITS:
+            tried = ", ".join(str(b) for b, _ in attempts)
+            raise PrecisionError(
+                f"Gram residual {float(resid):.3e} still above the gate "
+                f"{gate:g} after {tried} bits; the system is too ill "
+                "conditioned for the precision ladder"
+            )
+        bits = min(bits * 2, MAX_PRECISION_BITS)
+
+
 def min_norm_biorth(
     gs: GramSystem, gate: float = RESIDUAL_GATE, verify_size: int = None
 ) -> BiorthReport:
@@ -146,52 +204,22 @@ def min_norm_biorth(
     loudly past the ladder's top.
     """
     n = gs.size
-    if verify_size is None:
-        verify_size = n
-    verify_size = min(verify_size, n)
-    bits = gs.precision
-    attempts = []
-    while True:
-        with workprec(bits):
-            # Exponent-built systems are rebuilt at the escalated precision so
-            # the entries themselves sharpen, not just the solve; empirical
-            # matrices can only have their solve refined.
-            if gs.exponents is not None:
-                G = _gram_matrix(list(gs.exponents), gs.horizon)
-            else:
-                G = gs.matrix.copy()
-            try:
-                X = G**-1
-            except ZeroDivisionError:
-                X = None
-            if X is None:
-                resid = mp.inf
-            else:
-                E = G * X
-                row_resid = [mpf(0)] * n
-                for i in range(n):
-                    for j in range(n):
-                        target = 1 if i == j else 0
-                        row_resid[i] = max(row_resid[i], abs(E[i, j] - target))
-                resid = max(row_resid[:verify_size])
-            attempts.append((bits, float(resid)))
-            if resid < gate:
-                diag = tuple(X[i, i] for i in range(n))
-                log_norms = tuple(float(mp.log(d) / 2) for d in diag)
-                norms = tuple(float(mp.sqrt(d)) for d in diag)
-                residuals = tuple(float(r) for r in row_resid)
-                break
-        if bits >= MAX_PRECISION_BITS:
-            with workprec(bits):
-                cond = (
-                    float(mp.mnorm(G, 1) * mp.mnorm(X, 1)) if X is not None else math.inf
-                )
-            raise PrecisionError(
-                f"biorthogonality residual {float(resid):.3e} still above the "
-                f"gate {gate:g} at {bits} bits (condition estimate {cond:.3e}); "
-                "the family is too ill conditioned for the precision ladder"
-            )
-        bits = min(bits * 2, MAX_PRECISION_BITS)
+    verify_size = n if verify_size is None else min(verify_size, n)
+
+    def build():
+        # Exponent-built systems are rebuilt at each rung so the entries
+        # sharpen too; an empirical matrix can only have its solve refined.
+        if gs.exponents is None:
+            return gs.matrix
+        return _gram_matrix(gs.exponents, gs.horizon)
+
+    cols, residuals, bits, attempts = _ladder_solve(
+        build, gs.precision, gate, verify_size
+    )
+    with workprec(bits):
+        diag = tuple(cols[i][i] for i in range(n))
+        log_norms = tuple(float(mp.log(d) / 2) for d in diag)
+        norms = tuple(float(mp.sqrt(d)) for d in diag)
     if len(attempts) > 1:
         warnings.warn(
             f"Gram solve escalated precision {attempts[0][0]} -> {bits} bits "
@@ -205,7 +233,7 @@ def min_norm_biorth(
         residuals=residuals,
         residual=attempts[-1][1],
         precision_used=bits,
-        escalations=tuple(attempts),
+        escalations=attempts,
         diag=diag,
     )
 
@@ -321,8 +349,8 @@ def _trace_scale(n):
     return mp.sqrt(2) * n * mp.pi * (-1) ** n
 
 
-def _control_gram_and_targets(family, horizon, c_value, initial, n_active):
-    """Gram matrix of the normalized influence kernels and the target vector.
+def _control_gram(family, horizon, c_value):
+    """Gram matrix of the normalized influence kernels.
 
     Kernel n (time-flipped influence profile at the right endpoint) is
     normalized by its trace factor; scaling an equation and its target
@@ -350,15 +378,8 @@ def _control_gram_and_targets(family, horizon, c_value, initial, n_active):
             )
             # Complex-root cases recombine to real entries; re() drops the
             # conjugate-cancellation residue.
-            entry = mp.re(entry) / (gammas[i] * gammas[j])
-            G[i, j] = entry
-            G[j, i] = entry
-    b = mp.zeros(family, 1)
-    for n in range(1, n_active + 1):
-        lam2 = (mpf(n) * mp.pi) ** 2
-        xi = mpf(initial.value(n))
-        b[n - 1, 0] = mp.re(_free_end_value(lam2, c, xi, T)) / gammas[n - 1]
-    return G, b
+            G[i, j] = G[j, i] = mp.re(entry) / (gammas[i] * gammas[j])
+    return G
 
 
 @dataclass(frozen=True)
@@ -376,6 +397,7 @@ class ControlSweep:
     slope: float  # fitted log-norm slope across the sweep
     precision_used: int
     residual: float
+    escalations: tuple  # (bits, residual) for every attempt, last one passing
 
 
 def control_norm_sweep(
@@ -397,58 +419,33 @@ def control_norm_sweep(
     active_counts = tuple(int(n) for n in active_counts)
     if not active_counts or max(active_counts) > family:
         raise ValueError("active mode counts must be nonempty and within the family")
-    bits = precision
-    attempts = []
-    while True:
-        with workprec(bits):
-            # A double root of the mode ODE (lam2 = 4c) that coincides at the
-            # working precision divides by rp - rm = 0; like a singular solve,
-            # it is a residual miss that the next precision step resolves.
-            try:
-                G, b = _control_gram_and_targets(
-                    family, horizon, memory_constant, initial, max(active_counts)
+    cols, _, bits, attempts = _ladder_solve(
+        lambda: _control_gram(family, horizon, memory_constant), precision, gate, family
+    )
+    norms = []
+    log_norms = []
+    with workprec(bits):
+        # targets: free end values of the steered modes, normalized like G
+        T, c = mpf(horizon), mpf(memory_constant)
+        b = [
+            mp.re(_free_end_value((mpf(n) * mp.pi) ** 2, c, mpf(initial.value(n)), T))
+            / _trace_scale(n)
+            for n in range(1, max(active_counts) + 1)
+        ]
+        for count in active_counts:
+            n2 = mpf(0)
+            for i in range(count):
+                for j in range(count):
+                    n2 += b[i] * b[j] * cols[j][i]
+            if n2 <= 0:
+                raise NumericalError(
+                    "nonpositive squared control norm; the Gram solve "
+                    "lost positive definiteness"
                 )
-                X = G**-1
-            except ZeroDivisionError:
-                X = None
-            if X is None:
-                resid = mp.inf
-            else:
-                E = G * X
-                resid = max(
-                    abs(E[i, j] - (1 if i == j else 0))
-                    for i in range(family)
-                    for j in range(family)
-                )
-            attempts.append((bits, float(resid)))
-            if resid < gate:
-                norms = []
-                log_norms = []
-                for count in active_counts:
-                    n2 = mpf(0)
-                    for i in range(count):
-                        for j in range(count):
-                            n2 += b[i, 0] * b[j, 0] * X[i, j]
-                    if n2 <= 0:
-                        raise NumericalError(
-                            "nonpositive squared control norm; the Gram solve "
-                            "lost positive definiteness"
-                        )
-                    norms.append(float(mp.sqrt(n2)))
-                    log_norms.append(float(mp.log(n2) / 2))
-                break
-        if bits >= MAX_PRECISION_BITS:
-            raise PrecisionError(
-                f"control Gram residual {float(resid):.3e} above gate {gate:g} "
-                f"at {bits} bits; the sweep is too ill conditioned"
-            )
-        bits = min(bits * 2, MAX_PRECISION_BITS)
-    diffs = np.diff(log_norms)
-    monotone = bool(np.all(diffs >= 0))
-    if len(norms) > 6:
-        tail_ratio = norms[-1] / norms[-7]
-    else:
-        tail_ratio = norms[-1] / norms[0]
+            norms.append(float(mp.sqrt(n2)))
+            log_norms.append(float(mp.log(n2) / 2))
+    monotone = bool(np.all(np.diff(log_norms) >= 0))
+    tail_ratio = norms[-1] / norms[max(len(norms) - 7, 0)]
     if len(active_counts) >= 2:
         slope = fit_log_growth(active_counts, log_norms).slope
     else:
@@ -465,4 +462,5 @@ def control_norm_sweep(
         slope=slope,
         precision_used=bits,
         residual=attempts[-1][1],
+        escalations=attempts,
     )

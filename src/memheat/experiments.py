@@ -24,7 +24,7 @@ from .biorth import (
     orthonormal_family_gram,
 )
 from .config import ExperimentConfig
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 from .grids import SampledFunction, TimeGrid
 from .kernels import ConstantKernel
 from .modes import dirichlet_modes_1d, first_positive_index
@@ -136,18 +136,25 @@ def cmd_simulate(config: ExperimentConfig, out_dir, refine: bool = False) -> dic
         traj = solve_mode(mode, rt, xi, g)
         h = mode_resolvent_direct(rt, mode.shifted_rate)
         gap = (traj.w - explicit_mode(mode, rt, h, xi, g).w).sup_norm()
+        series_gap = failure = None
         if mode.shifted_rate > 0:
-            h_series, _ = mode_resolvent_series(rt, mode.shifted_rate, config.series_tol)
-            series_gap = (h_series - h).sup_norm()
-        else:
-            series_gap = None
-        return traj, gap, series_gap
+            # The series route only cross-checks the direct one: a series that
+            # cannot converge leaves this mode unchecked, not the run failed.
+            try:
+                h_series, _ = mode_resolvent_series(
+                    rt, mode.shifted_rate, config.series_tol
+                )
+                series_gap = (h_series - h).sup_norm()
+            except NumericalError as exc:
+                failure = {"mode": mode.index, "reason": str(exc)}
+        return traj, gap, series_gap, failure
 
     results = _per_mode(one, zip(modes, xis))
     trajectories = [r[0] for r in results]
     gaps = [r[1] for r in results]
     series_gaps = [r[2] for r in results if r[2] is not None]
-    skipped = [m.index for m, r in zip(modes, results) if r[2] is None]
+    skipped = [m.index for m, r in zip(modes, results) if m.shifted_rate <= 0]
+    failed = [r[3] for r in results if r[3] is not None]
 
     w = np.stack([t.w.values for t in trajectories])  # (N, size)
     lam2 = np.array([m.eigenvalue for m in modes])
@@ -162,6 +169,8 @@ def cmd_simulate(config: ExperimentConfig, out_dir, refine: bool = False) -> dic
         "series_vs_direct": float(max(series_gaps)) if series_gaps else None,
         "series_modes_skipped": skipped,
     }
+    if failed:  # only then, so runs whose series all converge keep their bytes
+        discrepancy["series_modes_failed"] = failed
 
     csv_files = {
         "trajectories.csv": (traj_header, traj_rows),

@@ -7,9 +7,12 @@ inverse or against resampled trapezoid arithmetic.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mpf, workprec
 
 from memheat import NumericalError, PrecisionError, TimeGrid
@@ -204,6 +207,80 @@ def test_singular_empirical_matrix_fails_loudly():
     gs = empirical_gram(np.ones((2, 2)), precision=64)
     with pytest.raises(PrecisionError, match="ill conditioned"):
         min_norm_biorth(gs)
+
+
+# a gate nothing can pass walks every rung of the ladder, then fails loudly
+LADDER_TOP = "after 256, 512, 1024 bits; the system is too ill conditioned"
+
+
+def test_biorth_ladder_top_raises():
+    with pytest.raises(PrecisionError, match=LADDER_TOP):
+        min_norm_biorth(gram((1.0, 2.0, 3.0), None), gate=0.0)
+
+
+def test_control_ladder_top_raises():
+    with pytest.raises(PrecisionError, match=LADDER_TOP):
+        control_norm_sweep(
+            family=4,
+            active_counts=(1, 2),
+            horizon=1.0,
+            memory_constant=1.0,
+            initial=InitialData.inverse_index(),
+            gate=0.0,
+        )
+
+
+def test_control_sweep_records_escalations():
+    # below 64 bits the control Gram of twelve modes is not even positive
+    # definite in working arithmetic: an infinite residual that escalates
+    sweep = control_norm_sweep(
+        family=12,
+        active_counts=range(1, 7),
+        horizon=1.0,
+        memory_constant=1.0,
+        initial=InitialData.inverse_index(),
+        precision=16,
+    )
+    assert [bits for bits, _ in sweep.escalations] == [16, 32, 64, 128]
+    assert sweep.escalations[0][1] == math.inf
+    assert sweep.escalations[-2][1] > RESIDUAL_GATE
+    assert sweep.escalations[-1] == (sweep.precision_used, sweep.residual)
+    assert sweep.residual < RESIDUAL_GATE
+    reference = control_norm_sweep(
+        family=12,
+        active_counts=range(1, 7),
+        horizon=1.0,
+        memory_constant=1.0,
+        initial=InitialData.inverse_index(),
+        precision=128,
+    )
+    assert sweep.norms == reference.norms
+
+
+def test_sanity_gram_is_exactly_symmetric():
+    # the Cholesky solve reads one triangle, so the float orthonormalized
+    # Gram must reach extended precision exactly symmetric
+    gs = orthonormal_family_gram(16, TimeGrid(1.0, 400), seed=7)
+    assert gs.matrix == gs.matrix.T
+
+
+@st.composite
+def distinct_exponents(draw):
+    # geometric spacing of at least 5% keeps the Cauchy matrix within reach
+    # of the ladder while still exercising arbitrary rates
+    start = draw(st.floats(min_value=0.05, max_value=50.0))
+    ratios = draw(st.lists(st.floats(min_value=1.05, max_value=4.0), max_size=11))
+    return np.cumprod([start] + ratios)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(distinct_exponents())
+def test_gram_solve_matches_cauchy_closed_form(exps):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # escalation is allowed
+        report = min_norm_biorth(gram(exps, None, precision=256))
+    closed = 0.5 * cauchy_inverse_log_diag(exps)
+    assert np.max(np.abs(np.array(report.log_norms) - closed)) < 1e-12
 
 
 def test_growth_fit_validation():

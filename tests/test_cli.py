@@ -69,6 +69,7 @@ def test_simulate_command_with_refinement(tmp_path):
     assert gaps["solve_vs_explicit"] < 1e-10
     assert gaps["series_vs_direct"] < 1e-4
     assert gaps["series_modes_skipped"] == []
+    assert "series_modes_failed" not in gaps
     rows = (out / "convergence.csv").read_text().splitlines()
     assert rows[0].split(",") == ["steps", "dt", "sup_error", "ratio"]
     ratios = [float(r.split(",")[3]) for r in rows[2:]]
@@ -86,6 +87,26 @@ def test_simulate_memoryless_routes_coincide_exactly(tmp_path):
     # bitwise: any nonzero gap here means the degeneration is broken
     assert gaps["solve_vs_explicit"] == 0.0
     assert gaps["series_vs_direct"] == 0.0
+
+
+def test_simulate_reports_unconverged_series_modes(tmp_path):
+    # m = 30: the series cross-check cannot converge (majorant ~2e95 after
+    # 60 terms) although the direct route solves every mode, so the run
+    # succeeds and names each unchecked mode with the reason
+    cfg = write_config(
+        tmp_path, {"kernel": {"type": "constant", "value": 30}, "modes": 6}
+    )
+    out = tmp_path / "run"
+    with pytest.warns(UserWarning, match="nonpositive shifted rate"):
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    assert (out / "trajectories.csv").exists()
+    gaps = read_json(out / "discrepancy.json")
+    assert gaps["series_modes_skipped"] == [1]  # pi^2 - 30 < 0: never attempted
+    failed = gaps["series_modes_failed"]
+    assert [f["mode"] for f in failed] == [2, 3, 4, 5, 6]
+    assert all("did not reach tolerance" in f["reason"] for f in failed)
+    assert gaps["series_vs_direct"] is None
+    assert gaps["solve_vs_explicit"] < 1e-6
 
 
 def test_moment_command_schema(tmp_path):
