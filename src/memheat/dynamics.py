@@ -7,9 +7,10 @@ by the initial value and the boundary trace pairing:
 
 where e0(t) = e^{-mu2 t}, q is the kernel resolvent, z the mode kernel built
 from the resolvent derivative, and g the boundary forcing. Two independent
-solution routes are kept side by side: a marching Volterra solve, and the
-explicit form w = k - h*k through the mode resolvent h. Their agreement is a
-genuine invertibility check, so the two routes are never collapsed.
+solution routes are kept side by side: a Volterra solve of w + z*w = k,
+and the explicit form w = k - h*k through the mode resolvent h. Their
+agreement is a genuine invertibility check, so the two routes are never
+collapsed.
 
 With no memory kernel the Volterra route degenerates, step by step, into the
 plain heat semigroup formula; the tests pin that degeneration down to exact
@@ -62,7 +63,7 @@ def heat_mode(mode: Mode, xi: float, g: SampledFunction) -> ModalTrajectory:
 def solve_mode(
     mode: Mode, rt: ResolventTriple, xi: float, g: SampledFunction
 ) -> ModalTrajectory:
-    """Marching Volterra solve of the mode equation w + z*w = k."""
+    """Volterra solve of the mode equation w + z*w = k."""
     if mode.shifted_rate <= 0:
         warnings.warn(
             f"mode {mode.index} has nonpositive shifted rate "

@@ -48,9 +48,8 @@ SCOPE_SEARCH_WIDTH = 64
 def _per_mode(fn, items):
     """Map fn over per-mode work items, in order, on the calling thread.
 
-    The per-mode work is a Python loop per time step that holds the
-    interpreter lock, so a thread pool only adds overhead. The benchmark's
-    tracer self-test (perfbench/test_checks.py) calls this helper by name.
+    The benchmark's tracer self-test (perfbench/test_checks.py) calls this
+    helper by name.
     """
     return [fn(x) for x in items]
 
@@ -187,7 +186,12 @@ def cmd_simulate(config: ExperimentConfig, out_dir, refine: bool = False) -> dic
         prev_err = None
         for mult in (1, 2, 4):
             steps = mult * config.steps
-            w_coarse = w4 if mult == 4 else _solve_trajectories(config, steps)
+            if mult == 1:
+                w_coarse = w  # the main path already solved this grid
+            elif mult == 4:
+                w_coarse = w4
+            else:
+                w_coarse = _solve_trajectories(config, steps)
             err = float(np.max(np.abs(w_coarse - reference[:, :: 4 // mult])))
             ratio = float("nan") if prev_err is None else prev_err / err
             conv_rows.append((steps, config.horizon / steps, err, ratio))
@@ -213,18 +217,19 @@ def cmd_moment(config: ExperimentConfig, out_dir, refine: bool = False) -> dict:
     of the assembled end-state constraint family."""
     grid = TimeGrid(config.horizon, config.steps)
     rt = resolvent_of(config.kernel, grid)
+    hs = {}  # mode index -> h_n, so each mode resolvent is solved once
 
     if config.scope == "auto":
         lowest = first_positive_index(rt.gain)
         search = dirichlet_modes_1d(lowest + SCOPE_SEARCH_WIDTH - 1, rt.gain)
-        start = scope_threshold(search[lowest - 1 :], rt)
+        start = scope_threshold(search[lowest - 1 :], rt, hs)
     else:
         start = int(config.scope)
     window = dirichlet_modes_1d(start + config.modes - 1, rt.gain)[start - 1 :]
 
-    problem = build_moment_problem(window, rt, config.initial, start=start)
+    problem = build_moment_problem(window, rt, config.initial, start=start, hs=hs)
     record = moment_problem_record(problem, grid)
-    report = asymptotic_table(window, rt)
+    report = asymptotic_table(window, rt, hs)
 
     rows = []
     for mode, target, ratio, resid in zip(

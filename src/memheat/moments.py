@@ -145,6 +145,22 @@ def free_end_value(
     return (e_end - q.values[-1] - he0_end + hq_end) * xi
 
 
+def _mode_resolvent(
+    mode: Mode, rt: ResolventTriple, hs: dict = None
+) -> SampledFunction:
+    """The mode resolvent h_n, solved once per mode through the memo ``hs``.
+
+    ``hs`` maps mode indices to resolvents on ``rt``'s grid; a missing entry
+    is solved and stored. Pass the same dict to `scope_threshold`,
+    `asymptotic_table` and `build_moment_problem` to share their solves.
+    """
+    if hs is None:
+        return mode_resolvent_direct(rt, mode.shifted_rate)
+    if mode.index not in hs:
+        hs[mode.index] = mode_resolvent_direct(rt, mode.shifted_rate)
+    return hs[mode.index]
+
+
 @dataclass(frozen=True)
 class AsymptoticReport:
     """Rescaled free values against the resolvent end-value law."""
@@ -157,11 +173,12 @@ class AsymptoticReport:
     end_value: float
 
 
-def asymptotic_table(modes, rt: ResolventTriple) -> AsymptoticReport:
+def asymptotic_table(modes, rt: ResolventTriple, hs: dict = None) -> AsymptoticReport:
     """Tabulate mu2_n d_n (per unit initial value) and the law residuals.
 
     For a zero kernel the ratios decay to zero and the report is flagged
-    memoryless; for a genuine kernel the horizon guard applies.
+    memoryless; for a genuine kernel the horizon guard applies. ``hs`` is
+    the optional resolvent memo of `_mode_resolvent`.
     """
     if rt.kernel.is_zero:
         end = 0.0
@@ -176,7 +193,7 @@ def asymptotic_table(modes, rt: ResolventTriple) -> AsymptoticReport:
             raise ValueError(
                 "asymptotic table needs modes with positive shifted rates"
             )
-        d = free_end_value(mode, rt)
+        d = free_end_value(mode, rt, _mode_resolvent(mode, rt, hs))
         ratio = mode.shifted_rate * d
         resid = ratio + end
         indices.append(mode.index)
@@ -188,13 +205,14 @@ def asymptotic_table(modes, rt: ResolventTriple) -> AsymptoticReport:
     )
 
 
-def scope_threshold(modes, rt: ResolventTriple) -> int:
+def scope_threshold(modes, rt: ResolventTriple, hs: dict = None) -> int:
     """Smallest mode index from which the constraint family is nondegenerate.
 
     Requires a positive shifted rate and a law residual below half the
     resolvent end value, so the rescaled targets stay bounded away from zero
     for every mode in scope. Without memory the law degenerates (the limit
-    is zero) and the threshold is simply the first positive rate.
+    is zero) and the threshold is simply the first positive rate. ``hs`` is
+    the optional resolvent memo of `_mode_resolvent`.
     """
     if rt.kernel.is_zero:
         for mode in modes:
@@ -205,7 +223,7 @@ def scope_threshold(modes, rt: ResolventTriple) -> int:
     for mode in modes:
         if mode.shifted_rate <= 0:
             continue
-        d = free_end_value(mode, rt)
+        d = free_end_value(mode, rt, _mode_resolvent(mode, rt, hs))
         resid = mode.shifted_rate * d + end
         if abs(resid) < 0.5 * abs(end):
             return mode.index
@@ -242,14 +260,19 @@ class MomentProblem:
 
 
 def build_moment_problem(
-    modes, rt: ResolventTriple, initial: InitialData, start: int | None = None
+    modes,
+    rt: ResolventTriple,
+    initial: InitialData,
+    start: int | None = None,
+    hs: dict = None,
 ) -> MomentProblem:
     """Assemble the targets for every mode from the scope threshold on.
 
     Pass ``start`` to pin the scope by hand instead of searching for it.
+    ``hs`` is the optional resolvent memo of `_mode_resolvent`.
     """
     if start is None:
-        start = scope_threshold(modes, rt)
+        start = scope_threshold(modes, rt, hs)
     scope = [m for m in modes if m.index >= start]
     if not scope:
         raise NumericalError(f"no modes at or beyond index {start}")
@@ -260,7 +283,7 @@ def build_moment_problem(
         )
     targets = []
     for mode in scope:
-        h = mode_resolvent_direct(rt, mode.shifted_rate)
+        h = _mode_resolvent(mode, rt, hs)
         targets.append(free_end_value(mode, rt, h, xi=initial.value(mode.index)))
     return MomentProblem(rt.grid.horizon, tuple(scope), tuple(targets))
 

@@ -78,22 +78,21 @@ def mode_resolvent_direct(triple: ResolventTriple, mu2: float) -> SampledFunctio
     return volterra_solve(z, z)
 
 
-def _series_schedule(sup_deriv: float, horizon: float, tol: float):
-    """Yield term indices k = 1, 2, ... until the analytic majorant
+def _series_terms(sup_deriv: float, horizon: float, tol: float) -> int:
+    """Number of terms k = 1, 2, ... after which the analytic majorant
 
         (sup|q'| * T)^k / k!
 
-    drops below tol (with at least SERIES_MIN_TERMS terms taken). Raises if
-    SERIES_MAX_TERMS terms do not suffice.
+    drops below tol (at least SERIES_MIN_TERMS). Raises if SERIES_MAX_TERMS
+    terms do not suffice.
     """
     if tol <= 0:
         raise ValueError("series tolerance must be positive")
     bound = 1.0
     for k in range(1, SERIES_MAX_TERMS + 1):
         bound *= sup_deriv * horizon / k
-        yield k
         if bound < tol and k >= SERIES_MIN_TERMS:
-            return
+            return k
     raise NumericalError(
         f"mode-resolvent series did not reach tolerance {tol:g} within "
         f"{SERIES_MAX_TERMS} terms (majorant {bound:g}); the kernel derivative "
@@ -116,11 +115,12 @@ def mode_resolvent_series(
     grid = triple.grid
     dq = triple.resolvent_deriv
     sup_deriv = dq.sup_norm()
+    # The majorant does not depend on the mode: settle the term count (or
+    # fail) before the first convolution.
+    terms = _series_terms(sup_deriv, grid.horizon, tol)
     out = np.zeros(grid.size)
     power = dq
-    terms = 0
-    for k in _series_schedule(sup_deriv, grid.horizon, tol):
+    for k in range(1, terms + 1):
         out -= convolve_exp_monomial(power, mu2, k - 1).values
-        terms = k
         power = convolve(power, dq)
     return SampledFunction(grid, out), terms

@@ -1,17 +1,31 @@
-"""Convolution quadrature, Volterra marching, and the fitted exponential rules.
+"""Convolution quadrature, the blocked Volterra solve, and the fitted
+exponential rules.
 
-Oracles here are hand-computed convolutions and ODE solutions; the grid
-refinement checks pin the second-order accuracy that the dynamics tests
-rely on later.
+Oracles here are hand-computed convolutions and ODE solutions, and a
+test-local per-step march of the trapezoid scheme for the blocked solve;
+the grid refinement checks pin the second-order accuracy that the dynamics
+tests rely on later.
 """
 
+import gc
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from memheat import NumericalError, SampledFunction, TimeGrid
+from memheat import (
+    ExpSumKernel,
+    NumericalError,
+    PolynomialKernel,
+    SampledFunction,
+    TimeGrid,
+)
 from memheat.algebra import (
+    BLOCK,
     convolve,
     convolve_exp,
     convolve_exp_monomial,
@@ -115,11 +129,71 @@ def test_convolve_power_induction_bound():
 # ---------------------------------------------------------------------------
 
 
+def march(kernel, rhs):
+    """Reference: the trapezoid scheme marched one step at a time, O(n^2)."""
+    K, f, dt = kernel.values, rhs.values, kernel.grid.dt
+    pivot = 1.0 + 0.5 * dt * K[0]
+    y = np.empty_like(f)
+    y[0] = f[0]
+    for i in range(1, len(f)):
+        acc = 0.5 * K[i] * y[0]
+        if i > 1:
+            acc += np.dot(K[i - 1 : 0 : -1], y[1:i])
+        y[i] = (f[i] - dt * acc) / pivot
+    return y
+
+
 def test_volterra_zero_kernel_is_identity():
     rng = np.random.default_rng(3)
-    rhs = SampledFunction(GRID, rng.standard_normal(GRID.size))
-    out = volterra_solve(SampledFunction.zeros(GRID), rhs)
+    grid = TimeGrid(1.0, 3 * BLOCK + 5)  # several blocks and FFT history steps
+    rhs = SampledFunction(grid, rng.standard_normal(grid.size))
+    out = volterra_solve(SampledFunction.zeros(grid), rhs)
     assert np.array_equal(out.values, rhs.values)
+
+
+coefficients = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
+kernels = st.one_of(
+    st.lists(
+        st.tuples(coefficients, st.floats(min_value=0.0, max_value=5.0)),
+        min_size=1,
+        max_size=3,
+    ).map(ExpSumKernel),
+    st.lists(coefficients, min_size=1, max_size=4).map(PolynomialKernel),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    kernels,
+    st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5, 1000]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_volterra_blocked_matches_march(kernel, steps, seed):
+    grid = TimeGrid(1.0, steps)
+    rhs = SampledFunction(grid, np.random.default_rng(seed).standard_normal(grid.size))
+    y = volterra_solve(kernel.sample(grid), rhs).values
+    ref = march(kernel.sample(grid), rhs)
+    assert np.max(np.abs(y - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+
+def test_volterra_leaves_no_cyclic_garbage():
+    # the recursion must not keep its work arrays alive in reference cycles
+    one = SampledFunction(GRID, np.ones(GRID.size))
+    gc.collect()
+    gc.disable()
+    try:
+        volterra_solve(one, one)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_cli_import_leaves_scipy_linalg_out():
+    code = "import sys, memheat.cli; print('scipy.linalg' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_volterra_constant_kernel_oracle():
@@ -154,7 +228,7 @@ def test_volterra_second_order():
 
 
 def test_volterra_pivot_guard():
-    # dt * K(0) / 2 = -1 makes the marching pivot vanish
+    # dt * K(0) / 2 = -1 makes the pivot of the trapezoid scheme vanish
     grid = TimeGrid(1.0, 1000)
     k = SampledFunction(grid, np.full(grid.size, -2.0 / grid.dt))
     with pytest.raises(NumericalError):

@@ -76,6 +76,25 @@ def test_simulate_command_with_refinement(tmp_path):
     assert all(3.8 < r < 4.2 for r in ratios)
 
 
+def test_refinement_reuses_the_base_grid(tmp_path, monkeypatch):
+    # the 1x row of the convergence table is the trajectory the main path
+    # already solved; only the 2x, 4x and 8x grids are solved again
+    from memheat import experiments
+
+    solved = []
+    solve = experiments._solve_trajectories
+
+    def counted(config, steps):
+        solved.append(steps)
+        return solve(config, steps)
+
+    monkeypatch.setattr(experiments, "_solve_trajectories", counted)
+    cfg = write_config(tmp_path, SMALL)
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out), "--refine"]) == 0
+    assert sorted(solved) == [400, 800, 1600]
+
+
 def test_simulate_memoryless_routes_coincide_exactly(tmp_path):
     cfg = write_config(
         tmp_path, {"kernel": {"type": "zero"}, "steps": 150, "modes": 3}
@@ -123,6 +142,23 @@ def test_moment_command_schema(tmp_path):
     assert summary["limit"] == pytest.approx(-math.exp(-1.0), abs=1e-4)
     header = read_csv_header(out / "asymptotics.csv")
     assert header == ["n", "mu2", "d_n", "ratio", "residual", "weighted_residual"]
+
+
+def test_moment_solves_each_mode_resolvent_once(tmp_path, monkeypatch):
+    # the scope search, the targets and the asymptotic table share h_n
+    from memheat import moments
+
+    rates = []
+    solve = moments.mode_resolvent_direct
+
+    def counted(rt, mu2):
+        rates.append(mu2)
+        return solve(rt, mu2)
+
+    monkeypatch.setattr(moments, "mode_resolvent_direct", counted)
+    cfg = write_config(tmp_path, SMALL)
+    assert main(["moment", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+    assert len(rates) == len(set(rates)) == SMALL["modes"]
 
 
 def test_biorth_command(tmp_path):

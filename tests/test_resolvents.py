@@ -138,3 +138,28 @@ def test_series_route_validation():
     rt_stiff = resolvent_of(ConstantKernel(40.0), GRID)
     with pytest.raises(NumericalError):
         mode_resolvent_series(rt_stiff, 1.0)
+
+
+def test_series_fails_before_convolving(monkeypatch):
+    # the majorant decides the term count up front, so a series that cannot
+    # converge raises without doing any of its convolutions
+    from memheat import resolvents
+
+    rt_stiff = resolvent_of(ConstantKernel(30.0), GRID)
+    rt_mild = resolvent_of(ConstantKernel(1.0), GRID)
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("convolve", "convolve_exp_monomial"):
+        monkeypatch.setattr(resolvents, name, counted(getattr(resolvents, name)))
+    with pytest.raises(NumericalError, match="did not reach tolerance"):
+        mode_resolvent_series(rt_stiff, 1.0)
+    assert calls == []
+    _, terms = mode_resolvent_series(rt_mild, 1.0)
+    assert calls.count("convolve_exp_monomial") == terms
