@@ -10,6 +10,12 @@ forward and one back substitution per column, with 10 guard bits, then the
 residual max |G X - I| at the working precision against a 1e-20 gate; a miss
 doubles the precision up to 1024 bits and fails loudly past that.
 
+Every dot product in the factor, the substitutions and the residual is
+exact with one rounding, the same as mpmath's fdot: the mpf entries become
+integer mantissas over one common power of two (a long accumulator in
+Python integers), the products are summed exactly, and the sum is rounded
+once at the working precision.
+
 Two independent oracles keep the computation honest: the infinite-horizon
 Gram matrix is a Cauchy matrix with a classical closed-form inverse, and the
 constant-kernel control sweeps use exact two-exponential mode profiles
@@ -21,9 +27,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 from mpmath import mp, mpf, workprec
+from mpmath.libmp import from_man_exp
 
 from .errors import NumericalError, PrecisionError
 from .grids import TimeGrid
@@ -132,27 +140,123 @@ class BiorthReport:
     diag: tuple  # inverse-diagonal entries kept as mpf for high-precision oracles
 
 
+class _ExactVector:
+    """mpf values held exactly as integer mantissas times one power of two.
+
+    Entry k is mans[k] * 2**exp, with exp the lowest exponent appended so far;
+    appending a value below it shifts the earlier mantissas up. An infinity
+    or a nan (mantissa 0, nonzero exponent) raises ValueError: read as 0 it
+    would silently drop out of a dot product.
+    """
+
+    __slots__ = ("mans", "exp")
+
+    def __init__(self, values=()):
+        self.mans = []
+        self.exp = None
+        for value in values:
+            self.append(value)
+
+    def append(self, value):
+        sign, man, exp, _ = value._mpf_
+        if not man:
+            if exp:
+                raise ValueError("an infinity or a nan has no integer mantissa")
+            self.mans.append(0)
+            return
+        if sign:
+            man = -man
+        if self.exp is None:
+            self.exp = exp
+        elif exp < self.exp:
+            shift = self.exp - exp
+            self.mans = [m << shift for m in self.mans]
+            self.exp = exp
+        self.mans.append(man << (exp - self.exp))
+
+    def dot(self, other):
+        """sum_k self[k] * other[k], exact, rounded once at the working precision.
+
+        This is mpmath's fdot bit for bit while the products lie within
+        2 prec bits of each other; past that fdot's mpf_sum drops terms and
+        this sum is the more accurate one.
+        """
+        total = sum(map(mul, self.mans, other.mans))
+        if not total:
+            return mp.zero
+        prec, rnd = mp._prec_rounding
+        return mp.make_mpf(from_man_exp(total, self.exp + other.exp, prec, rnd))
+
+
+def _cholesky(A):
+    """mpmath's Cholesky factor of the rows A, entry for entry.
+
+    Returns the rows of L below the diagonal (as mpf lists and as exact
+    vectors) and its diagonal. L_ij = (A_ij - sum_k L_ik L_jk) / L_jj, each
+    sum exact and rounded once, as mpmath's fdot does. The diagonal is
+    s / sqrt(s) for s = A_jj - sum_k L_jk^2, not sqrt(s): mpmath's inner loop
+    starts at i = j, so it overwrites sqrt(s) with (A_jj - t) / sqrt(s), and
+    every later entry of the column divides by that. Raises ValueError when
+    s < eps, as mpmath does.
+    """
+    lower, exact, diag = [], [], []
+    for i, a in enumerate(A):
+        row = []
+        vec = _ExactVector()
+        for j in range(i):
+            row.append((a[j] - vec.dot(exact[j])) / diag[j])
+            vec.append(row[j])
+        s = a[i] - vec.dot(vec)
+        if s < mp.eps:
+            raise ValueError("matrix is not positive-definite")
+        diag.append(s / mp.sqrt(s))
+        lower.append(row)
+        exact.append(vec)
+    return lower, exact, diag
+
+
 def _spd_inverse(G):
     """Columns of G^{-1} by Cholesky, with the 10 guard bits of mp.inverse.
 
-    The columns stay at the guarded precision: rounding them to the working
-    precision raises the residual about a thousandfold. Raises ValueError if
-    G is not positive definite at this precision.
+    The factor and both substitutions take their dot products exactly with
+    one rounding, the same as mpmath's fdot, so the columns are those of
+    mpmath's cholesky followed by fdot substitutions. Solved entries join a
+    growing exact vector as they come. The columns stay at the guarded
+    precision: rounding them to the working precision raises the residual
+    about a thousandfold. Raises ValueError if G is not positive definite at
+    this precision.
     """
     n = G.rows
     with mp.extraprec(10):
-        L = mp.cholesky(G).tolist()
-        Lt = [list(col) for col in zip(*L)]
+        lower, exact, diag = _cholesky(G.tolist())
+        # column i of L below the diagonal, bottom entry first
+        below = [
+            _ExactVector(lower[k][i] for k in reversed(range(i + 1, n)))
+            for i in range(n)
+        ]
         cols = []
         for j in range(n):
             y = [mp.zero] * n
+            ys = _ExactVector(y[:j])  # zeros above row j
             for i in range(j, n):
-                y[i] = ((1 if i == j else 0) - mp.fdot(L[i][j:i], y[j:i])) / L[i][i]
+                y[i] = ((1 if i == j else 0) - exact[i].dot(ys)) / diag[i]
+                ys.append(y[i])
             x = [mp.zero] * n
+            xs = _ExactVector()  # x[n-1], x[n-2], ... as they are solved
             for i in reversed(range(n)):
-                x[i] = (y[i] - mp.fdot(Lt[i][i + 1 :], x[i + 1 :])) / L[i][i]
+                x[i] = (y[i] - below[i].dot(xs)) / diag[i]
+                xs.append(x[i])
             cols.append(x)
     return cols
+
+
+def _residual_rows(G, cols):
+    """Per row i of G: max_j |(G X)_ij - delta_ij| at the working precision."""
+    xs = [_ExactVector(x) for x in cols]
+    return [
+        max(abs(g.dot(x) - int(i == j)) for j, x in enumerate(xs))
+        for i, g in enumerate(map(_ExactVector, G.tolist()))
+    ]
 
 
 def _ladder_solve(build, bits: int, gate: float, verify_rows: int):
@@ -161,10 +265,10 @@ def _ladder_solve(build, bits: int, gate: float, verify_rows: int):
     The defect of row i is max_j |(G X)_ij - delta_ij| at the working
     precision; a rung passes when the largest defect over the first
     `verify_rows` rows is below `gate`. A matrix that is not positive definite
-    (ValueError) or mode roots that coincide at the working precision in the
-    build (ZeroDivisionError) count as an infinite residual. Returns the
-    inverse columns, the per-row defects, the passing bits and every
-    (bits, residual) attempt.
+    or holds an infinity or a nan (ValueError), or mode roots that coincide at
+    the working precision in the build (ZeroDivisionError), count as an
+    infinite residual. Returns the inverse columns, the per-row defects, the
+    passing bits and every (bits, residual) attempt.
     """
     attempts = []
     while True:
@@ -172,13 +276,10 @@ def _ladder_solve(build, bits: int, gate: float, verify_rows: int):
             try:
                 G = build()
                 cols = _spd_inverse(G)
+                row_resid = _residual_rows(G, cols)
             except (ValueError, ZeroDivisionError):
                 resid = mp.inf
             else:
-                row_resid = [
-                    max(abs(mp.fdot(g, x) - int(i == j)) for j, x in enumerate(cols))
-                    for i, g in enumerate(G.tolist())
-                ]
                 resid = max(row_resid[:verify_rows])
         attempts.append((bits, float(resid)))
         if resid < gate:
@@ -336,14 +437,6 @@ def _free_end_value(lam2, c, xi, T):
     return xi * (rp * mp.exp(rp * T) - rm * mp.exp(rm * T)) / (rp - rm)
 
 
-def _cross_integral(r1, r2, T):
-    """int_0^T e^{(r1+r2)u} du, with the exact limit at r1 + r2 = 0."""
-    s = r1 + r2
-    if s == 0:
-        return T
-    return (mp.exp(s * T) - 1) / s
-
-
 def _trace_scale(n):
     """Outward-normal trace of eigenfunction n at the right endpoint."""
     return mp.sqrt(2) * n * mp.pi * (-1) ** n
@@ -359,23 +452,23 @@ def _control_gram(family, horizon, c_value):
     """
     T = mpf(horizon)
     c = mpf(c_value)
-    profiles = []
+    terms = []
     gammas = []
     for n in range(1, family + 1):
         lam2 = (mpf(n) * mp.pi) ** 2
-        profiles.append(_influence_profile(lam2, c))
+        rp, rm, A, B = _influence_profile(lam2, c)
+        # e^{(r + r')T} = e^{rT} e^{r'T}: one exponential per root, not per pair
+        terms.append(((A, rp, mp.exp(rp * T)), (B, rm, mp.exp(rm * T))))
         gammas.append(_trace_scale(n))
     G = mp.zeros(family, family)
     for i in range(family):
-        rp_i, rm_i, A_i, B_i = profiles[i]
         for j in range(i, family):
-            rp_j, rm_j, A_j, B_j = profiles[j]
-            entry = (
-                A_i * A_j * _cross_integral(rp_i, rp_j, T)
-                + A_i * B_j * _cross_integral(rp_i, rm_j, T)
-                + B_i * A_j * _cross_integral(rm_i, rp_j, T)
-                + B_i * B_j * _cross_integral(rm_i, rm_j, T)
-            )
+            entry = 0
+            for a, r, e in terms[i]:
+                for b, q, f in terms[j]:
+                    # int_0^T e^{(r+q)u} du, with the exact limit at r + q = 0
+                    s = r + q
+                    entry += a * b * (T if s == 0 else (e * f - 1) / s)
             # Complex-root cases recombine to real entries; re() drops the
             # conjugate-cancellation residue.
             G[i, j] = G[j, i] = mp.re(entry) / (gammas[i] * gammas[j])

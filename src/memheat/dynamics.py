@@ -48,7 +48,10 @@ def modal_rhs(
     grid = require_same_grid(rt.resolvent, g)
     mu2 = mode.shifted_rate
     e0 = exp_profile(grid, mu2)
-    k = xi * e0 - xi * convolve_exp(rt.resolvent, mu2) - convolve_exp(g, mu2)
+    k = xi * e0 - xi * convolve_exp(rt.resolvent, mu2)
+    if g.values.any():
+        # zero forcing (every CLI path) would subtract exact zeros: x - 0.0 == x
+        k = k - convolve_exp(g, mu2)
     return k
 
 

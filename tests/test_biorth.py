@@ -7,18 +7,23 @@ inverse or against resampled trapezoid arithmetic.
 """
 
 import math
+import random
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import mpf, workprec
+from mpmath import mp, mpf, workprec
+from mpmath.libmp import from_man_exp
 
 from memheat import NumericalError, PrecisionError, TimeGrid
 from memheat.biorth import (
     RESIDUAL_GATE,
     BiorthReport,
+    _control_gram,
+    _ExactVector,
+    _spd_inverse,
     cauchy_inverse_log_diag,
     control_norm_sweep,
     empirical_gram,
@@ -281,6 +286,104 @@ def test_gram_solve_matches_cauchy_closed_form(exps):
         report = min_norm_biorth(gram(exps, None, precision=256))
     closed = 0.5 * cauchy_inverse_log_diag(exps)
     assert np.max(np.abs(np.array(report.log_norms) - closed)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# The exact dot-product kernel against mpmath's fdot
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def fdot_case(draw):
+    """A working precision and two mpf vectors whose products span <= 2 prec.
+
+    Every entry is m * 2**(base + k) with |m| < 2**(prec/2) and
+    0 <= k <= prec/2, so each lowest set bit lies in [base, base + prec] and
+    each product's in a window of 2 prec bits: the range in which fdot's
+    mpf_sum is exact before its one rounding. Hypothesis draws the shape
+    (precision, base, length, share of exact zeros); a drawn seed fills in
+    the entries, which keeps an example cheap at 70 entries.
+    """
+    prec = draw(st.sampled_from((53, 266, 522)))
+    half = prec // 2
+    base = draw(st.integers(-4 * prec, prec))
+    n = draw(st.integers(0, 70))
+    zeros = draw(st.sampled_from((0.0, 0.3, 1.0)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+
+    def entry():
+        if rng.random() < zeros:
+            return mp.zero
+        m = rng.randrange(-(2**half) + 1, 2**half)
+        return mp.make_mpf(from_man_exp(m, base + rng.randint(0, half)))
+
+    return prec, [entry() for _ in range(n)], [entry() for _ in range(n)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(fdot_case())
+def test_exact_dot_equals_fdot_bit_for_bit(case):
+    prec, xs, ys = case
+    with workprec(prec):
+        got = _ExactVector(xs).dot(_ExactVector(ys))
+        assert got._mpf_ == mp.fdot(xs, ys)._mpf_
+
+
+def test_exact_dot_cancels_to_exact_zero():
+    with workprec(53):
+        a, b = mpf(3) / 7, mpf(2) ** -90
+        xs, ys = [a, b, a], [b, a, -2 * b]
+        assert _ExactVector(xs).dot(_ExactVector(ys))._mpf_ == mp.zero._mpf_
+        assert mp.fdot(xs, ys) == 0
+
+
+@pytest.mark.parametrize("special", ["inf", "-inf", "nan"])
+def test_exact_vector_refuses_special_values(special):
+    # mpf infinities and nan have mantissa 0; read as 0 they would vanish
+    # from a dot product that mpmath's fdot makes infinite or nan
+    with pytest.raises(ValueError, match="infinity or a nan"):
+        _ExactVector([mpf(1), mpf(special), mpf(2)])
+    # the ladder takes the refusal as an infinite residual on every rung
+    gs = empirical_gram(np.array([[1.0, float(special)], [float(special), 1.0]]))
+    with pytest.raises(PrecisionError, match="inf still above"):
+        min_norm_biorth(gs)
+
+
+def _spd_inverse_reference(G):
+    """The inverse as mpmath computes it: cholesky, then fdot substitutions."""
+    n = G.rows
+    with mp.extraprec(10):
+        L = mp.cholesky(G).tolist()
+        Lt = [list(col) for col in zip(*L)]
+        cols = []
+        for j in range(n):
+            y = [mp.zero] * n
+            for i in range(j, n):
+                y[i] = ((1 if i == j else 0) - mp.fdot(L[i][j:i], y[j:i])) / L[i][i]
+            x = [mp.zero] * n
+            for i in reversed(range(n)):
+                x[i] = (y[i] - mp.fdot(Lt[i][i + 1 :], x[i + 1 :])) / L[i][i]
+            cols.append(x)
+    return cols
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: _control_gram(60, 1.0, 0.0),
+        lambda: _control_gram(60, 1.0, 1.0),
+        lambda: gram([(n * math.pi) ** 2 - 1.0 for n in range(1, 13)], None).matrix,
+    ],
+    ids=["control-60-memoryless", "control-60-memory", "cauchy-12"],
+)
+def test_spd_inverse_matches_mpmath_entry_for_entry(build):
+    with workprec(256):
+        G = build()
+        got = _spd_inverse(G)
+        want = _spd_inverse_reference(G)
+    assert [[x._mpf_ for x in col] for col in got] == [
+        [x._mpf_ for x in col] for col in want
+    ]
 
 
 def test_growth_fit_validation():

@@ -14,6 +14,7 @@ import sys
 
 import pytest
 
+from memheat import biorth
 from memheat.cli import main
 
 SMALL = {
@@ -208,16 +209,16 @@ def test_control_rejects_non_constant_kernel(tmp_path):
     assert not out.exists()
 
 
+COINCIDENT_ROOTS = {
+    "kernel": {"type": "constant", "value": 2.4674011002723395},
+    "control": {"family": 12, "active": 6},
+}
+
+
 def test_coincident_mode_roots_escalate_precision(tmp_path):
     # c = pi^2/4 gives mode 1 a double root (lam2 = 4c); below 64 bits the
     # two roots coincide, which must escalate like any residual miss
-    cfg = write_config(
-        tmp_path,
-        {
-            "kernel": {"type": "constant", "value": 2.4674011002723395},
-            "control": {"family": 12, "active": 6},
-        },
-    )
+    cfg = write_config(tmp_path, COINCIDENT_ROOTS)
     runs = {}
     for bits in ("32", "64"):
         runs[bits] = tmp_path / bits
@@ -225,6 +226,18 @@ def test_coincident_mode_roots_escalate_precision(tmp_path):
         assert main(argv + ["--precision", bits]) == 0
     sweep = "control_sweep.csv"
     assert (runs["32"] / sweep).read_bytes() == (runs["64"] / sweep).read_bytes()
+
+
+def test_ladder_top_exits_3_without_output(tmp_path, monkeypatch, capsys):
+    # with the ladder capped at 32 bits the coincident roots never separate:
+    # the run fails loudly, names every rung it tried and writes nothing
+    monkeypatch.setattr(biorth, "MAX_PRECISION_BITS", 32)
+    cfg = write_config(tmp_path, COINCIDENT_ROOTS)
+    out = tmp_path / "run"
+    argv = ["control", "--config", str(cfg), "--out", str(out), "--precision", "16"]
+    assert main(argv) == 3
+    assert not out.exists()
+    assert "after 16, 32 bits" in capsys.readouterr().err
 
 
 def test_bad_config_exits_2_without_output(tmp_path):

@@ -21,6 +21,7 @@ from memheat import (
     TimeGrid,
     ZeroKernel,
 )
+from memheat import dynamics
 from memheat.algebra import convolve, convolve_exp
 from memheat.dynamics import (
     ModalTrajectory,
@@ -140,6 +141,28 @@ def test_plug_back_residual_converges_second_order():
     fine = resid_at(GRID.halved())
     assert coarse < 1e-6
     assert 3.0 < coarse / fine < 5.0
+
+
+def test_zero_forcing_skips_its_convolution(monkeypatch):
+    # every CLI path passes g = 0; its convolution would subtract exact zeros
+    calls = []
+
+    def counted(f, rate):
+        calls.append(f)
+        return convolve_exp(f, rate)
+
+    monkeypatch.setattr(dynamics, "convolve_exp", counted)
+    rt = resolvent_of(ConstantKernel(1.0), GRID)
+    mode = dirichlet_modes_1d(2, gain=1.0)[1]
+    zero = SampledFunction.zeros(GRID)
+    k = modal_rhs(mode, rt, 0.7, zero)
+    assert [f is rt.resolvent for f in calls] == [True]
+    with_zero = k - convolve_exp(zero, mode.shifted_rate)
+    assert k.values.tobytes() == with_zero.values.tobytes()
+    calls.clear()
+    g = const_forcing(GRID, 1.0)
+    modal_rhs(mode, rt, 0.7, g)
+    assert [f is h for f, h in zip(calls, (rt.resolvent, g))] == [True, True]
 
 
 def test_free_memory_modes_decay():
