@@ -134,10 +134,9 @@ class BiorthReport:
     norms: tuple  # float norms (may be astronomically large but finite)
     log_norms: tuple  # natural logs, computed before leaving extended precision
     residuals: tuple  # per-index biorthogonality defect (row max of |G G^-1 - I|)
-    residual: float  # max defect over the verified rows (the gated quantity)
+    residual: float  # max defect over all rows (the gated quantity)
     precision_used: int
     escalations: tuple  # (bits, residual) for every attempt, last one passing
-    diag: tuple  # inverse-diagonal entries kept as mpf for high-precision oracles
 
 
 class _ExactVector:
@@ -259,12 +258,13 @@ def _residual_rows(G, cols):
     ]
 
 
-def _ladder_solve(build, bits: int, gate: float, verify_rows: int):
+def _ladder_solve(build, bits: int):
     """Invert the SPD matrix `build()` on a doubling precision ladder.
 
-    The defect of row i is max_j |(G X)_ij - delta_ij| at the working
-    precision; a rung passes when the largest defect over the first
-    `verify_rows` rows is below `gate`. A matrix that is not positive definite
+    `build` runs once per rung, at that rung's working precision, starting at
+    `bits`. The defect of row i is max_j |(G X)_ij - delta_ij| at the working
+    precision; a rung passes when the largest defect over all rows is below
+    RESIDUAL_GATE, read at call time. A matrix that is not positive definite
     or holds an infinity or a nan (ValueError), or mode roots that coincide at
     the working precision in the build (ZeroDivisionError), count as an
     infinite residual. Returns the inverse columns, the per-row defects, the
@@ -280,43 +280,39 @@ def _ladder_solve(build, bits: int, gate: float, verify_rows: int):
             except (ValueError, ZeroDivisionError):
                 resid = mp.inf
             else:
-                resid = max(row_resid[:verify_rows])
+                resid = max(row_resid)
         attempts.append((bits, float(resid)))
-        if resid < gate:
+        if resid < RESIDUAL_GATE:
             return cols, tuple(float(r) for r in row_resid), bits, tuple(attempts)
         if bits >= MAX_PRECISION_BITS:
             tried = ", ".join(str(b) for b, _ in attempts)
             raise PrecisionError(
                 f"Gram residual {float(resid):.3e} still above the gate "
-                f"{gate:g} after {tried} bits; the system is too ill "
+                f"{RESIDUAL_GATE:g} after {tried} bits; the system is too ill "
                 "conditioned for the precision ladder"
             )
         bits = min(bits * 2, MAX_PRECISION_BITS)
 
 
-def min_norm_biorth(
-    gs: GramSystem, gate: float = RESIDUAL_GATE, verify_size: int = None
-) -> BiorthReport:
+def min_norm_biorth(gs: GramSystem) -> BiorthReport:
     """Minimal-norm biorthogonal family: norm_n^2 is the inverse Gram diagonal.
 
     The biorthogonality defect is measured per row as the maximum entry of
-    |G G^{-1} - I|; the gate applies to the first `verify_size` rows. If the
-    gated residual misses, precision doubles and the solve reruns, failing
-    loudly past the ladder's top.
+    |G G^{-1} - I|, and RESIDUAL_GATE applies to every row. If the gated
+    residual misses, precision doubles and the solve reruns, failing loudly
+    past the ladder's top.
     """
     n = gs.size
-    verify_size = n if verify_size is None else min(verify_size, n)
 
     def build():
-        # Exponent-built systems are rebuilt at each rung so the entries
-        # sharpen too; an empirical matrix can only have its solve refined.
-        if gs.exponents is None:
+        # Exponent-built systems are rebuilt at each higher rung so the
+        # entries sharpen too; an empirical matrix can only have its solve
+        # refined.
+        if gs.exponents is None or mp.prec == gs.precision:
             return gs.matrix
         return _gram_matrix(gs.exponents, gs.horizon)
 
-    cols, residuals, bits, attempts = _ladder_solve(
-        build, gs.precision, gate, verify_size
-    )
+    cols, residuals, bits, attempts = _ladder_solve(build, gs.precision)
     with workprec(bits):
         diag = tuple(cols[i][i] for i in range(n))
         log_norms = tuple(float(mp.log(d) / 2) for d in diag)
@@ -324,7 +320,8 @@ def min_norm_biorth(
     if len(attempts) > 1:
         warnings.warn(
             f"Gram solve escalated precision {attempts[0][0]} -> {bits} bits "
-            f"to pass the residual gate ({attempts[-1][1]:.3e} < {gate:g})",
+            f"to pass the residual gate "
+            f"({attempts[-1][1]:.3e} < {RESIDUAL_GATE:g})",
             stacklevel=2,
         )
     return BiorthReport(
@@ -335,7 +332,6 @@ def min_norm_biorth(
         residual=attempts[-1][1],
         precision_used=bits,
         escalations=attempts,
-        diag=diag,
     )
 
 
@@ -375,7 +371,6 @@ def cauchy_inverse_log_diag(exponents: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class GrowthFit:
     slope: float
-    intercept: float
     residual: float  # rms of the fit residuals
 
 
@@ -387,7 +382,7 @@ def fit_log_growth(indices, log_values) -> GrowthFit:
         raise ValueError("need at least two points to fit a slope")
     slope, intercept = np.polyfit(x, y, 1)
     rms = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
-    return GrowthFit(float(slope), float(intercept), rms)
+    return GrowthFit(float(slope), rms)
 
 
 def growth_fit(report: BiorthReport) -> GrowthFit:
@@ -479,10 +474,6 @@ def _control_gram(family, horizon, c_value):
 class ControlSweep:
     """Minimal-norm control magnitudes as the steered mode count grows."""
 
-    family: int
-    horizon: float
-    memory_constant: float  # 0 means memoryless
-    active_counts: tuple
     norms: tuple
     log_norms: tuple
     monotone: bool
@@ -500,7 +491,6 @@ def control_norm_sweep(
     memory_constant: float,
     initial: InitialData,
     precision: int = 256,
-    gate: float = RESIDUAL_GATE,
 ) -> ControlSweep:
     """Minimal L2 norm of a right-endpoint control steering the first N modes.
 
@@ -513,7 +503,7 @@ def control_norm_sweep(
     if not active_counts or max(active_counts) > family:
         raise ValueError("active mode counts must be nonempty and within the family")
     cols, _, bits, attempts = _ladder_solve(
-        lambda: _control_gram(family, horizon, memory_constant), precision, gate, family
+        lambda: _control_gram(family, horizon, memory_constant), precision
     )
     norms = []
     log_norms = []
@@ -544,10 +534,6 @@ def control_norm_sweep(
     else:
         slope = math.nan  # a single sweep point carries no growth information
     return ControlSweep(
-        family=family,
-        horizon=float(horizon),
-        memory_constant=float(memory_constant),
-        active_counts=active_counts,
         norms=tuple(norms),
         log_norms=tuple(log_norms),
         monotone=monotone,

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, reject_unknown_keys
 from .kernels import MemoryKernel, kernel_from_config
 from .moments import InitialData, initial_data_from_config
 
@@ -152,9 +152,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         rec = data["control"]
         if not isinstance(rec, dict):
             raise ConfigError("control", "expected a record")
-        unknown = sorted(set(rec) - _CONTROL_KEYS)
-        if unknown:
-            raise ConfigError(f"control.{unknown[0]}", "unknown key")
+        reject_unknown_keys(rec, _CONTROL_KEYS, "control")
         if "family" in rec:
             control_family = _want_int(rec, "family", "control.", minimum=1)
         if "active" in rec:
@@ -171,9 +169,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         rec = data["biorth"]
         if not isinstance(rec, dict):
             raise ConfigError("biorth", "expected a record")
-        unknown = sorted(set(rec) - _BIORTH_KEYS)
-        if unknown:
-            raise ConfigError(f"biorth.{unknown[0]}", "unknown key")
+        reject_unknown_keys(rec, _BIORTH_KEYS, "biorth")
         if "family" in rec:
             biorth_family = _want_int(rec, "family", "biorth.", minimum=8)
         if "verify_modes" in rec:

@@ -30,9 +30,8 @@ from .resolvents import ResolventTriple, mode_kernel
 
 @dataclass(frozen=True)
 class ModalTrajectory:
-    """One mode's coefficient path w_n(t), tagged with its eigendata."""
+    """One mode's coefficient path w_n(t), started at `initial`."""
 
-    mode: Mode
     initial: float
     w: SampledFunction
 
@@ -60,7 +59,7 @@ def heat_mode(mode: Mode, xi: float, g: SampledFunction) -> ModalTrajectory:
     grid = g.grid
     lam2 = mode.eigenvalue
     w = xi * exp_profile(grid, lam2) - convolve_exp(g, lam2)
-    return ModalTrajectory(mode, xi, w)
+    return ModalTrajectory(xi, w)
 
 
 def solve_mode(
@@ -77,7 +76,7 @@ def solve_mode(
     k = modal_rhs(mode, rt, xi, g)
     z = mode_kernel(rt, mode.shifted_rate)
     w = volterra_solve(z, k)
-    return ModalTrajectory(mode, xi, w)
+    return ModalTrajectory(xi, w)
 
 
 def explicit_mode(
@@ -90,4 +89,4 @@ def explicit_mode(
     """Closed-form route w = k - h*k through a precomputed mode resolvent h."""
     k = modal_rhs(mode, rt, xi, g)
     w = k - convolve(h, k)
-    return ModalTrajectory(mode, xi, w)
+    return ModalTrajectory(xi, w)

@@ -22,6 +22,13 @@ class ConfigError(MemheatError):
         super().__init__(f"{path}: {message}")
 
 
+def reject_unknown_keys(record: dict, allowed: set, path: str) -> None:
+    """Raise ConfigError at `path.key` for the first key outside `allowed`."""
+    unknown = sorted(set(record) - allowed)
+    if unknown:
+        raise ConfigError(f"{path}.{unknown[0]}", "unknown key")
+
+
 class NumericalError(MemheatError):
     """A computation failed; a finer grid, a different horizon, or more
     precision may fix it. The message says which."""

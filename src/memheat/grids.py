@@ -45,10 +45,6 @@ class TimeGrid:
         t.flags.writeable = False
         return t
 
-    def halved(self) -> "TimeGrid":
-        """Same horizon, twice the resolution (for convergence studies)."""
-        return TimeGrid(self.horizon, 2 * self.steps)
-
 
 def require_same_grid(*fns: "SampledFunction") -> TimeGrid:
     """Return the common grid of the arguments or raise GridMismatchError."""

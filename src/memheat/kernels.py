@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, reject_unknown_keys
 from .grids import SampledFunction, TimeGrid
 
 
@@ -181,14 +181,14 @@ def kernel_from_config(record: dict, path: str = "kernel") -> MemoryKernel:
         raise ConfigError(path, f"expected a tagged record, got {type(record).__name__}")
     tag = record.get("type")
     if tag == "zero":
-        _reject_unknown(record, {"type"}, path)
+        reject_unknown_keys(record, {"type"}, path)
         return ZeroKernel()
     if tag == "constant":
-        _reject_unknown(record, {"type", "value"}, path)
+        reject_unknown_keys(record, {"type", "value"}, path)
         value = _require_number(record, "value", path)
         return ConstantKernel(value)
     if tag == "exp_sum":
-        _reject_unknown(record, {"type", "terms"}, path)
+        reject_unknown_keys(record, {"type", "terms"}, path)
         terms = record.get("terms")
         if not isinstance(terms, list) or not terms:
             raise ConfigError(f"{path}.terms", "expected a nonempty list of {c, b} records")
@@ -197,7 +197,7 @@ def kernel_from_config(record: dict, path: str = "kernel") -> MemoryKernel:
             tpath = f"{path}.terms[{i}]"
             if not isinstance(term, dict):
                 raise ConfigError(tpath, "expected a {c, b} record")
-            _reject_unknown(term, {"c", "b"}, tpath)
+            reject_unknown_keys(term, {"c", "b"}, tpath)
             c = _require_number(term, "c", tpath)
             b = _require_number(term, "b", tpath)
             if b < 0:
@@ -205,7 +205,7 @@ def kernel_from_config(record: dict, path: str = "kernel") -> MemoryKernel:
             pairs.append((c, b))
         return ExpSumKernel(tuple(pairs))
     if tag == "polynomial":
-        _reject_unknown(record, {"type", "coeffs"}, path)
+        reject_unknown_keys(record, {"type", "coeffs"}, path)
         coeffs = record.get("coeffs")
         if not isinstance(coeffs, list) or not coeffs:
             raise ConfigError(f"{path}.coeffs", "expected a nonempty list of numbers")
@@ -224,9 +224,3 @@ def _require_number(record: dict, key: str, path: str) -> float:
     if not isinstance(v, (int, float)) or isinstance(v, bool) or not np.isfinite(v):
         raise ConfigError(f"{path}.{key}", f"expected a finite number, got {v!r}")
     return float(v)
-
-
-def _reject_unknown(record: dict, allowed: set, path: str) -> None:
-    unknown = sorted(set(record) - allowed)
-    if unknown:
-        raise ConfigError(f"{path}.{unknown[0]}", "unknown key")

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .grids import SampledFunction, TimeGrid, require_same_grid
+from .grids import SampledFunction, require_same_grid
 
 
 @dataclass(frozen=True)
@@ -60,49 +60,25 @@ def first_positive_index(gain: float) -> int:
 class BoundaryControl:
     """Dirichlet boundary data on the two endpoints of the interval.
 
-    Inactive endpoints hold identically-zero samples; the activity flags let
-    callers skip work and make the intent explicit in configs.
+    An inactive endpoint holds identically-zero samples.
     """
 
     left: SampledFunction
     right: SampledFunction
-    active_left: bool
-    active_right: bool
 
     def __post_init__(self):
         require_same_grid(self.left, self.right)
-        if not self.active_left and self.left.sup_norm() != 0.0:
-            raise ValueError("inactive left endpoint must carry zero samples")
-        if not self.active_right and self.right.sup_norm() != 0.0:
-            raise ValueError("inactive right endpoint must carry zero samples")
-
-    @property
-    def grid(self) -> TimeGrid:
-        return self.left.grid
-
-    @classmethod
-    def none(cls, grid: TimeGrid) -> "BoundaryControl":
-        z = SampledFunction.zeros(grid)
-        return cls(z, z, active_left=False, active_right=False)
-
-    @classmethod
-    def at_left(cls, f: SampledFunction) -> "BoundaryControl":
-        return cls(f, SampledFunction.zeros(f.grid), active_left=True, active_right=False)
 
     @classmethod
     def at_right(cls, f: SampledFunction) -> "BoundaryControl":
-        return cls(SampledFunction.zeros(f.grid), f, active_left=False, active_right=True)
+        """Data f at the right endpoint, the left one held at zero."""
+        return cls(SampledFunction.zeros(f.grid), f)
 
 
 def trace_pairing(mode: Mode, control: BoundaryControl) -> SampledFunction:
     """Boundary integral of the control against the mode's normal trace.
 
-    In 1D the integral over the two-point boundary is a weighted sum of the
-    endpoint signals.
+    In 1D the integral over the two-point boundary is the weighted sum
+    trace_left * left + trace_right * right of the endpoint signals.
     """
-    out = SampledFunction.zeros(control.grid)
-    if control.active_left:
-        out = out + mode.trace_left * control.left
-    if control.active_right:
-        out = out + mode.trace_right * control.right
-    return out
+    return mode.trace_left * control.left + mode.trace_right * control.right

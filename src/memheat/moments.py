@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import convolve_exp, end_pairing
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, reject_unknown_keys
 from .grids import SampledFunction
 from .modes import Mode
 from .resolvents import ResolventTriple, mode_resolvent_direct
@@ -45,10 +45,6 @@ class InitialData:
     @classmethod
     def inverse_index(cls) -> "InitialData":
         return cls("inverse_index")
-
-    @classmethod
-    def zero(cls) -> "InitialData":
-        return cls("zero")
 
     def value(self, n: int) -> float:
         if n < 1:
@@ -77,9 +73,7 @@ def initial_data_from_config(record, path: str = "initial") -> InitialData:
         raise ConfigError(path, f"expected a record, got {type(record).__name__}")
     rule = record.get("rule")
     if rule == "explicit":
-        unknown = sorted(set(record) - {"rule", "values"})
-        if unknown:
-            raise ConfigError(f"{path}.{unknown[0]}", "unknown key")
+        reject_unknown_keys(record, {"rule", "values"}, path)
         values = record.get("values")
         if not isinstance(values, list) or not values:
             raise ConfigError(f"{path}.values", "expected a nonempty list of numbers")
@@ -88,9 +82,7 @@ def initial_data_from_config(record, path: str = "initial") -> InitialData:
                 raise ConfigError(f"{path}.values[{i}]", f"expected a finite number, got {v!r}")
         return InitialData.from_values(values)
     if rule in ("inverse_index", "zero"):
-        unknown = sorted(set(record) - {"rule"})
-        if unknown:
-            raise ConfigError(f"{path}.{unknown[0]}", "unknown key")
+        reject_unknown_keys(record, {"rule"}, path)
         return InitialData(rule)
     raise ConfigError(
         f"{path}.rule",
@@ -165,7 +157,6 @@ def _mode_resolvent(
 class AsymptoticReport:
     """Rescaled free values against the resolvent end-value law."""
 
-    indices: tuple
     ratios: tuple  # mu2_n d_n / xi_n
     residuals: tuple  # ratios + resolvent(T)
     sup_weighted_residual: float  # sup over n of |residual_n| mu2_n
@@ -186,7 +177,7 @@ def asymptotic_table(modes, rt: ResolventTriple, hs: dict = None) -> AsymptoticR
     else:
         end = check_end_value(rt)
         regime = "memory"
-    indices, ratios, residuals = [], [], []
+    ratios, residuals = [], []
     sup_weighted = 0.0
     for mode in modes:
         if mode.shifted_rate <= 0:
@@ -196,12 +187,11 @@ def asymptotic_table(modes, rt: ResolventTriple, hs: dict = None) -> AsymptoticR
         d = free_end_value(mode, rt, _mode_resolvent(mode, rt, hs))
         ratio = mode.shifted_rate * d
         resid = ratio + end
-        indices.append(mode.index)
         ratios.append(ratio)
         residuals.append(resid)
         sup_weighted = max(sup_weighted, abs(resid) * mode.shifted_rate)
     return AsymptoticReport(
-        tuple(indices), tuple(ratios), tuple(residuals), sup_weighted, regime, end
+        tuple(ratios), tuple(residuals), sup_weighted, regime, end
     )
 
 
@@ -253,26 +243,20 @@ class MomentProblem:
             if mode.shifted_rate <= 0:
                 raise ValueError("every mode in a moment problem needs a positive rate")
 
-    def rescaled_targets(self) -> np.ndarray:
-        return np.array(
-            [m.shifted_rate * d for m, d in zip(self.modes, self.targets)]
-        )
-
 
 def build_moment_problem(
     modes,
     rt: ResolventTriple,
     initial: InitialData,
-    start: int | None = None,
+    start: int,
     hs: dict = None,
 ) -> MomentProblem:
-    """Assemble the targets for every mode from the scope threshold on.
+    """Assemble the targets for every mode from index ``start`` on.
 
-    Pass ``start`` to pin the scope by hand instead of searching for it.
-    ``hs`` is the optional resolvent memo of `_mode_resolvent`.
+    ``start`` is the first mode in scope: the `scope_threshold` of a search
+    or an index pinned by hand. ``hs`` is the optional resolvent memo of
+    `_mode_resolvent`.
     """
-    if start is None:
-        start = scope_threshold(modes, rt, hs)
     scope = [m for m in modes if m.index >= start]
     if not scope:
         raise NumericalError(f"no modes at or beyond index {start}")

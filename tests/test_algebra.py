@@ -69,7 +69,7 @@ def test_convolve_square_with_one_halving_ratio():
 
     err = err_at(GRID)
     assert err < 1e-6
-    ratio = err / err_at(GRID.halved())
+    ratio = err / err_at(TimeGrid(GRID.horizon, 2 * GRID.steps))
     assert 3.5 < ratio < 4.5
 
 

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf, workprec
 from mpmath.libmp import from_man_exp
 
-from memheat import NumericalError, PrecisionError, TimeGrid
+from memheat import NumericalError, PrecisionError, TimeGrid, biorth
 from memheat.biorth import (
     RESIDUAL_GATE,
     BiorthReport,
@@ -208,6 +208,24 @@ def test_precision_escalation_warns_and_records():
     assert report.escalations[-1][1] < RESIDUAL_GATE
 
 
+def test_first_rung_reuses_the_built_gram(monkeypatch):
+    # gram() built the entries at the requested precision; only the higher
+    # rungs of the ladder build them again
+    calls = []
+    build = biorth._gram_matrix
+    monkeypatch.setattr(
+        biorth, "_gram_matrix", lambda *args: calls.append(mp.prec) or build(*args)
+    )
+    exps = tuple((n * math.pi) ** 2 for n in range(1, 13))
+    min_norm_biorth(gram(exps, None, precision=256))
+    assert calls == [256]
+    calls.clear()
+    with pytest.warns(UserWarning, match="escalated"):
+        report = min_norm_biorth(gram(exps, None, precision=64))
+    assert calls == [bits for bits, _ in report.escalations]
+    assert len(calls) >= 2
+
+
 def test_singular_empirical_matrix_fails_loudly():
     gs = empirical_gram(np.ones((2, 2)), precision=64)
     with pytest.raises(PrecisionError, match="ill conditioned"):
@@ -218,12 +236,14 @@ def test_singular_empirical_matrix_fails_loudly():
 LADDER_TOP = "after 256, 512, 1024 bits; the system is too ill conditioned"
 
 
-def test_biorth_ladder_top_raises():
+def test_biorth_ladder_top_raises(monkeypatch):
+    monkeypatch.setattr(biorth, "RESIDUAL_GATE", 0.0)
     with pytest.raises(PrecisionError, match=LADDER_TOP):
-        min_norm_biorth(gram((1.0, 2.0, 3.0), None), gate=0.0)
+        min_norm_biorth(gram((1.0, 2.0, 3.0), None))
 
 
-def test_control_ladder_top_raises():
+def test_control_ladder_top_raises(monkeypatch):
+    monkeypatch.setattr(biorth, "RESIDUAL_GATE", 0.0)
     with pytest.raises(PrecisionError, match=LADDER_TOP):
         control_norm_sweep(
             family=4,
@@ -231,7 +251,6 @@ def test_control_ladder_top_raises():
             horizon=1.0,
             memory_constant=1.0,
             initial=InitialData.inverse_index(),
-            gate=0.0,
         )
 
 
@@ -397,7 +416,6 @@ def test_growth_fit_validation():
         residual=0.0,
         precision_used=64,
         escalations=((64, 0.0),),
-        diag=(1.0,) * 5,
     )
     with pytest.raises(ValueError):
         growth_fit(report)
@@ -450,7 +468,7 @@ def test_control_sweep_validation():
             active_counts=(1, 5),
             horizon=1.0,
             memory_constant=0.0,
-            initial=InitialData.zero(),
+            initial=InitialData("zero"),
         )
     with pytest.raises(ValueError):
         control_norm_sweep(
@@ -458,5 +476,5 @@ def test_control_sweep_validation():
             active_counts=(),
             horizon=1.0,
             memory_constant=0.0,
-            initial=InitialData.zero(),
+            initial=InitialData("zero"),
         )

@@ -267,6 +267,37 @@ def test_degenerate_horizon_exits_3_without_output(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command,config,message",
+    [
+        # dt * K(0) / 2 = -1: the trapezoid pivot of the resolvent solve vanishes
+        (
+            "resolvent",
+            {"kernel": {"type": "constant", "value": -200.0}, "horizon": 1.0, "steps": 100},
+            "Volterra step is degenerate",
+        ),
+        # pi^2 < 20, so a scope pinned at mode 1 holds a nonpositive rate
+        (
+            "moment",
+            {
+                "kernel": {"type": "constant", "value": 20.0},
+                "horizon": 0.1,
+                "steps": 500,
+                "modes": 3,
+                "scope": 1,
+            },
+            "scope start 1 admits a nonpositive shifted rate",
+        ),
+    ],
+)
+def test_numerical_failure_exits_3_without_output(tmp_path, capsys, command, config, message):
+    cfg = write_config(tmp_path, config)
+    out = tmp_path / "run"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+    assert not out.exists()
+    assert message in capsys.readouterr().err
+
+
 def test_overrides_are_echoed(tmp_path):
     cfg = write_config(tmp_path, SMALL)
     out = tmp_path / "run"

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from memheat import SampledFunction, TimeGrid
+from memheat import GridMismatchError, SampledFunction, TimeGrid
 from memheat.modes import (
     BoundaryControl,
     dirichlet_modes_1d,
@@ -63,23 +63,23 @@ def test_first_positive_index():
 def test_boundary_control_constructors():
     grid = TimeGrid(1.0, 10)
     f = SampledFunction.from_callable(grid, lambda t: 1.0 + 0.0 * t)
-    none = BoundaryControl.none(grid)
-    assert not none.active_left and not none.active_right
-    left = BoundaryControl.at_left(f)
-    assert left.active_left and not left.active_right
     right = BoundaryControl.at_right(f)
-    assert right.active_right and right.grid == grid
-    with pytest.raises(ValueError):
-        BoundaryControl(f, f, active_left=True, active_right=False)
+    assert right.right is f and right.left.sup_norm() == 0.0
+    assert right.left.grid == grid
+    with pytest.raises(GridMismatchError):
+        BoundaryControl(f, SampledFunction.zeros(TimeGrid(1.0, 20)))
 
 
 def test_trace_pairing():
     grid = TimeGrid(1.0, 10)
     one = SampledFunction.from_callable(grid, lambda t: np.ones_like(t))
     mode1 = dirichlet_modes_1d(1, gain=0.0)[0]
-    g_left = trace_pairing(mode1, BoundaryControl.at_left(one))
+    zero = SampledFunction.zeros(grid)
+    g_left = trace_pairing(mode1, BoundaryControl(one, zero))
     assert np.allclose(g_left.values, -math.sqrt(2) * math.pi)
     g_right = trace_pairing(mode1, BoundaryControl.at_right(one))
     assert np.allclose(g_right.values, -math.sqrt(2) * math.pi)
-    g_none = trace_pairing(mode1, BoundaryControl.none(grid))
+    g_both = trace_pairing(mode1, BoundaryControl(one, one))
+    assert np.allclose(g_both.values, -2 * math.sqrt(2) * math.pi)
+    g_none = trace_pairing(mode1, BoundaryControl(zero, zero))
     assert g_none.sup_norm() == 0.0

@@ -54,7 +54,7 @@ def test_initial_data_rules():
     explicit = InitialData.from_values([2.0, -1.0])
     assert explicit.value(1) == 2.0
     assert explicit.value(5) == 0.0  # beyond the list: silence, not an error
-    assert InitialData.zero().value(7) == 0.0
+    assert InitialData("zero").value(7) == 0.0
     with pytest.raises(ValueError):
         inv.value(0)
 
@@ -131,13 +131,15 @@ def test_scope_threshold():
 def test_build_moment_problem_and_record():
     rt = resolvent_of(ConstantKernel(1.0), GRID)
     modes = dirichlet_modes_1d(5, gain=1.0)
-    problem = build_moment_problem(modes, rt, InitialData.inverse_index())
+    start = scope_threshold(modes, rt)
+    assert start == 1
+    problem = build_moment_problem(modes, rt, InitialData.inverse_index(), start)
     assert [m.index for m in problem.modes] == [1, 2, 3, 4, 5]
     assert problem.horizon == 1.0
     # rescaled targets track the law times the initial data
-    rescaled = problem.rescaled_targets()
-    for value, mode in zip(rescaled, problem.modes):
-        assert value == pytest.approx(-math.exp(-1.0) / mode.index, rel=0.2)
+    for mode, d in zip(problem.modes, problem.targets):
+        rescaled = mode.shifted_rate * d
+        assert rescaled == pytest.approx(-math.exp(-1.0) / mode.index, rel=0.2)
     record = moment_problem_record(problem, GRID)
     assert set(record) == {"T", "modes", "grid"}
     assert record["grid"] == {"horizon": 1.0, "steps": 1000}
@@ -157,10 +159,10 @@ def test_build_moment_problem_start_validation():
     rt = resolvent_of(ConstantKernel(20.0), grid)
     modes = dirichlet_modes_1d(5, gain=20.0)
     with pytest.raises(NumericalError):
-        build_moment_problem(modes, rt, InitialData.zero(), start=1)
+        build_moment_problem(modes, rt, InitialData("zero"), start=1)
     with pytest.raises(NumericalError):
-        build_moment_problem(modes, rt, InitialData.zero(), start=9)
-    problem = build_moment_problem(modes, rt, InitialData.zero(), start=2)
+        build_moment_problem(modes, rt, InitialData("zero"), start=9)
+    problem = build_moment_problem(modes, rt, InitialData("zero"), start=2)
     assert [m.index for m in problem.modes] == [2, 3, 4, 5]
 
 

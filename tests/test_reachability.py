@@ -1,13 +1,23 @@
-"""Every shipped definition is reached from the CLI or the acceptance gate.
+"""Every shipped definition and class member is reached from the CLI or the gate.
 
 A static walk over the package source: the roots are `cli.main`, the
 module-level statements of every module (which run at import, so `cli`'s
 command table counts), and the names `tests/test_acceptance.py` imports from
-memheat. From a reached top-level function or class, every name it mentions
-that resolves to another top-level definition (in its own module or through a
-`from .module import name`) is reached too. A definition that only a unit
-test calls fails the check: it is shipped code that produces no output and
-guards no gate criterion.
+memheat. From a reached top-level function, every name it mentions that
+resolves to another top-level definition (in its own module or through a
+`from .module import name`) is reached too. A reached class contributes the
+names in its body outside its methods: bases, decorators and field
+declarations.
+
+Class members (methods, properties, classmethods and dataclass fields) are
+matched by attribute name, which is conservative: a member of a reached class
+is reached when a reached body, a module-level statement or the gate mentions
+`.name` anywhere. Dunders and abstract methods count as reached, since Python
+or a subclass calls them. Methods are resolved to a fixpoint together with
+the top-level definitions, so an unreached method's body reaches nothing.
+
+A definition or member that only a unit test uses fails the check: it is
+shipped code that produces no output and guards no gate criterion.
 """
 
 import ast
@@ -17,7 +27,8 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "memheat"
 GATE = ROOT / "tests" / "test_acceptance.py"
 
-DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+DEFINITIONS = FUNCTIONS + (ast.ClassDef,)
 
 
 def _parse(path):
@@ -34,20 +45,56 @@ def _relative_imports(tree):
     return out
 
 
-def _names(node):
-    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+def _mentions(nodes):
+    """(names, attribute names) mentioned anywhere in the given nodes."""
+    names, attrs = set(), set()
+    for node in nodes:
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name):
+                names.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                attrs.add(n.attr)
+    return names, attrs
+
+
+def _own_body(node):
+    """A function whole; a class without its methods (they are members)."""
+    if isinstance(node, ast.ClassDef):
+        return node.bases + node.keywords + node.decorator_list + [
+            s for s in node.body if not isinstance(s, FUNCTIONS)
+        ]
+    return [node]
+
+
+def _members(cls):
+    """Member name -> its method node (None for a field) of a class body."""
+    out = {}
+    for s in cls.body:
+        if isinstance(s, FUNCTIONS):
+            out[s.name] = s
+        elif isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name):
+            out[s.target.id] = None
+    return out
+
+
+def _always_reached(name, method):
+    if name.startswith("__") and name.endswith("__"):
+        return True
+    return method is not None and any(
+        getattr(d, "id", getattr(d, "attr", None)) == "abstractmethod"
+        for d in method.decorator_list
+    )
 
 
 def _package():
-    """Per module: its top-level definitions, its imports, its import-time names."""
+    """Per module: its top-level definitions, its imports, its import-time statements."""
     modules = {}
     for path in sorted(PACKAGE.glob("*.py")):
         tree = _parse(path)
         defs = {n.name: n for n in tree.body if isinstance(n, DEFINITIONS)}
-        run_at_import = set()
-        for node in tree.body:
-            if not isinstance(node, DEFINITIONS + (ast.Import, ast.ImportFrom)):
-                run_at_import |= _names(node)
+        run_at_import = [
+            n for n in tree.body if not isinstance(n, DEFINITIONS + (ast.Import, ast.ImportFrom))
+        ]
         modules[path.stem] = (defs, _relative_imports(tree), run_at_import)
     return modules
 
@@ -65,31 +112,58 @@ def _resolve(modules, module, name, seen=()):
 
 
 def _reached(modules):
+    """(reached top-level definitions, reached (module, class, member) triples)."""
     gate = _parse(GATE)
     roots = [("cli", "main")]
+    attrs = _mentions([gate])[1]
     for module, (_, _, run_at_import) in modules.items():
-        roots += [(module, name) for name in run_at_import]
+        names, more = _mentions(run_at_import)
+        roots += [(module, name) for name in names]
+        attrs |= more
     for node in gate.body:
         if isinstance(node, ast.ImportFrom) and node.module.startswith("memheat"):
             source = node.module.partition(".")[2] or "__init__"
             roots += [(source, alias.name) for alias in node.names]
-    reached = set()
-    todo = [r for r in (_resolve(modules, m, n) for m, n in roots) if r]
-    while todo:
-        module, name = todo.pop()
-        if (module, name) in reached:
-            continue
-        reached.add((module, name))
-        for ref in _names(modules[module][0][name]):
-            target = _resolve(modules, module, ref)
-            if target:
-                todo.append(target)
-    return reached
+
+    reached, members = set(), set()
+    todo = [(m, n, None) for m, n in roots]  # (module, name, member or None)
+    while True:
+        while todo:
+            module, name, member = todo.pop()
+            if member is None:
+                target = _resolve(modules, module, name)
+                if target is None or target in reached:
+                    continue
+                reached.add(target)
+                module, name = target
+                body = _own_body(modules[module][0][name])
+            else:
+                if (module, name, member) in members:
+                    continue
+                members.add((module, name, member))
+                method = _members(modules[module][0][name])[member]
+                body = [] if method is None else [method]
+            names, more = _mentions(body)
+            todo += [(module, n, None) for n in names]
+            attrs |= more
+        # A member joins once its class is reached and its name is mentioned;
+        # its body may mention more, so repeat until nothing new is reached.
+        for module, name in reached:
+            node = modules[module][0][name]
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for member, method in _members(node).items():
+                if (module, name, member) not in members and (
+                    member in attrs or _always_reached(member, method)
+                ):
+                    todo.append((module, name, member))
+        if not todo:
+            return reached, members
 
 
 def test_every_definition_is_reached_from_cli_or_gate():
     modules = _package()
-    reached = _reached(modules)
+    reached, _ = _reached(modules)
     unreached = sorted(
         f"{module}.{name}"
         for module, (defs, _, _) in modules.items()
@@ -97,5 +171,17 @@ def test_every_definition_is_reached_from_cli_or_gate():
         for name in defs
         if (module, name) not in reached
     )
-    assert unreached == []
+    assert not unreached, f"reached only from unit tests: {unreached}"
 
+
+def test_every_class_member_is_reached_from_cli_or_gate():
+    modules = _package()
+    reached, members = _reached(modules)
+    unreached = sorted(
+        f"{module}.{name}.{member}"
+        for module, name in reached
+        if isinstance(modules[module][0][name], ast.ClassDef)
+        for member in _members(modules[module][0][name])
+        if (module, name, member) not in members
+    )
+    assert not unreached, f"reached only from unit tests: {unreached}"
