@@ -66,21 +66,17 @@ def mismatches(golden: dict, actual: dict, out_root: Path) -> list:
         if golden[f]["sha256"] == actual[f]["sha256"]:
             continue
         lines = (Path(out_root) / f).read_text().splitlines()
-        want = golden[f]["lines"]
+        want, got = golden[f]["lines"], actual[f]["lines"]
         first = next(
-            (
-                i
-                for i in range(max(len(lines), len(want) // 4))
-                if want[4 * i : 4 * i + 4] != (_line_digest(lines[i]) if i < len(lines) else "")
-            ),
-            None,
-        )
-        if first is None:
-            problems.append(f"{f}: differs, but every line digest matches")
-        elif first < len(lines):
+            (i for i in range(0, min(len(want), len(got)), 4) if want[i : i + 4] != got[i : i + 4]),
+            min(len(want), len(got)),
+        ) // 4
+        if first < len(lines):
             problems.append(f"{f}: first differing line {first + 1}: {lines[first]!r}")
-        else:
+        elif len(want) > len(got):
             problems.append(f"{f}: ends early, after line {len(lines)}")
+        else:
+            problems.append(f"{f}: differs, but every line digest matches")
     return problems
 
 
