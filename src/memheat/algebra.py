@@ -19,9 +19,9 @@ constant across the whole spectrum.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammainc, gammaln
 
 from .errors import NumericalError
 from .grids import SampledFunction, TimeGrid, require_same_grid
@@ -132,10 +132,14 @@ def exp_profile(grid: TimeGrid, rate: float) -> SampledFunction:
 # plus slope correction, the integral becomes a discrete convolution of the
 # node values (and the cell slopes) against exact per-cell moments
 #
-#     A_k(j) = int_{(j-1) dt}^{j dt} u^k e^{-mu2 u} du,
+#     A_k(j) = int_{(j-1) dt}^{j dt} u^k e^{-mu2 u} du.
 #
-# which we evaluate in closed form. Both convolutions run through the same
-# FFT helper as `convolve`.
+# Degree 0 has closed forms for any sign of mu2 (`_cell_moments_01`). The
+# higher degrees, which only the series route asks for, come from one table
+# per (mu2, grid) holding every degree: the incomplete gamma integral at the
+# top degree, stepped down by its positive recurrence, in numpy alone
+# (`_moment_table`). Both convolutions run through the same FFT
+# helper as `convolve`.
 
 
 def _cell_moments_01(mu2: float, grid: TimeGrid) -> tuple:
@@ -170,23 +174,78 @@ def _cell_moments_01(mu2: float, grid: TimeGrid) -> tuple:
     return A0, A1
 
 
-def _cell_moments_k(mu2: float, k: int, grid: TimeGrid) -> tuple:
-    """Exact cell moments A_k, A_{k+1} for k >= 1 via incomplete gammas.
+# Top degree of the cell-moment table. The series route of `resolvents` asks
+# for degrees k < SERIES_MAX_TERMS together with k + 1, so one table up to
+# SERIES_MAX_TERMS serves every call of a mode.
+MOMENT_TABLE_DEGREE = 60
 
-    Requires mu2 > 0 (the gamma route); the k in {0, 1} path above covers
-    nonpositive rates.
+
+@lru_cache(maxsize=1)
+def _moment_table(mu2: float, grid: TimeGrid, top: int) -> np.ndarray:
+    """Cell moments A_d(j) of every degree d = 0..top, one row per degree.
+
+    The cumulative integrals C_d(t) = int_0^t u^d e^{-mu2 u} du are
+    d!/mu2^{d+1} P(d+1, mu2 t), P the regularized lower incomplete gamma.
+    C_top comes from P at the order a = top + 1, with y = mu2 t: for y < a
+    by the lower series P(a, y) = y^a e^{-y}/a! sum_m y^m / ((a+1)...(a+m)),
+    which makes C_top = t^a e^{-y}/a times that sum; otherwise as
+    P(a, y) = 1 - e^{-y} sum_{i<a} y^i/i!. The lower degrees follow from
+    C_d = (mu2 C_{d+1} + t^{d+1} e^{-y}) / (d+1) (integration by parts, the
+    recurrence P(i, y) = P(i+1, y) + y^i e^{-y}/i! scaled): every term added
+    is positive, so it is stable for every y, and no factor d!/mu2^{d+1}
+    that could overflow for a small rate is formed. The cells are
+    differences of the C_d. Needs mu2 > 0.
+
+    A row depends only on (mu2, grid, top), so it is the same bits whichever
+    degree is asked for first; the cache only spares the rebuild across the
+    calls of one mode.
     """
-    dt = grid.dt
-    n = grid.size
-    edges = np.arange(n, dtype=float) * dt
+    t = np.arange(grid.size, dtype=float) * grid.dt
+    y = mu2 * t
+    a = top + 1
+    # w[i] = t^i e^{-y} for i = 0..a, as products of positive factors.
+    w = np.empty((a + 1, grid.size))
+    w[0] = np.exp(-y)
+    for i in range(1, a + 1):
+        np.multiply(w[i - 1], t, out=w[i])
+    c = np.empty(grid.size)  # C_top
+    low = y < a
+    yl = y[low]
+    term = np.ones_like(yl)
+    series = np.ones_like(yl)
+    m = 0
+    while term.max(initial=0.0) > 1e-17:  # series >= 1: a relative bound
+        m += 1
+        term *= yl / (a + m)
+        series += term
+    c[low] = w[a, low] * series / a
+    yu = y[~low]
+    term = np.exp(-yu)
+    q = term.copy()  # e^{-y} sum_{i<a} y^i/i!
+    for i in range(1, a):
+        term *= yu / i
+        q += term
+    scale = 1.0 / mu2  # top!/mu2^a, finite wherever some y >= a
+    for d in range(1, a):
+        scale *= d / mu2
+    c[~low] = scale * (1.0 - q)
+    table = np.empty((a, grid.steps))
+    for d in range(top, -1, -1):
+        if d < top:
+            c = (mu2 * c + w[d + 1]) / (d + 1)
+        np.subtract(c[1:], c[:-1], out=table[d])
+    table.flags.writeable = False  # cached: callers share the rows
+    return table
 
-    def moments(kk: int) -> np.ndarray:
-        # int_0^T u^kk e^{-mu2 u} du = gammainc(kk+1, mu2 T) * kk! / mu2^{kk+1}
-        scale = np.exp(gammaln(kk + 1.0) - (kk + 1.0) * np.log(mu2))
-        cum = gammainc(kk + 1.0, mu2 * edges) * scale
-        return np.diff(cum)
 
-    return moments(k), moments(k + 1)
+def _cell_moments_k(mu2: float, k: int, grid: TimeGrid) -> tuple:
+    """Exact cell moments A_k, A_{k+1} for k >= 1, rows of `_moment_table`.
+
+    Requires mu2 > 0; only k = 0 (`_cell_moments_01`) takes nonpositive
+    rates. Degrees past MOMENT_TABLE_DEGREE get a table topped at k + 1.
+    """
+    table = _moment_table(float(mu2), grid, max(MOMENT_TABLE_DEGREE, k + 1))
+    return table[k], table[k + 1]
 
 
 def convolve_exp_monomial(
@@ -195,8 +254,8 @@ def convolve_exp_monomial(
     """(f * w)(t) for the weight w(u) = u^k e^{-mu2 u} / k!, exact in w.
 
     f is treated as piecewise linear between its samples. Nonpositive rates
-    are supported for k in {0, 1} (the series-stabilized closed forms); the
-    incomplete-gamma route for k >= 2 needs mu2 > 0.
+    are supported for k = 0 only (the series-stabilized closed forms); every
+    k >= 1 goes through the incomplete-gamma table and needs mu2 > 0.
     """
     grid = f.grid
     dt = grid.dt

@@ -63,9 +63,18 @@ def heat_mode(mode: Mode, xi: float, g: SampledFunction) -> ModalTrajectory:
 
 
 def solve_mode(
-    mode: Mode, rt: ResolventTriple, xi: float, g: SampledFunction
+    mode: Mode,
+    rt: ResolventTriple,
+    xi: float,
+    g: SampledFunction,
+    k: SampledFunction | None = None,
+    z: SampledFunction | None = None,
 ) -> ModalTrajectory:
-    """Volterra solve of the mode equation w + z*w = k."""
+    """Volterra solve of the mode equation w + z*w = k.
+
+    A caller that already built this mode's right-hand side (`modal_rhs`) or
+    kernel (`mode_kernel`) passes it as `k` or `z`; otherwise it is built here.
+    """
     if mode.shifted_rate <= 0:
         warnings.warn(
             f"mode {mode.index} has nonpositive shifted rate "
@@ -73,8 +82,10 @@ def solve_mode(
             "estimates behind the moment asymptotics do not apply",
             stacklevel=2,
         )
-    k = modal_rhs(mode, rt, xi, g)
-    z = mode_kernel(rt, mode.shifted_rate)
+    if k is None:
+        k = modal_rhs(mode, rt, xi, g)
+    if z is None:
+        z = mode_kernel(rt, mode.shifted_rate)
     w = volterra_solve(z, k)
     return ModalTrajectory(xi, w)
 
@@ -85,8 +96,13 @@ def explicit_mode(
     h: SampledFunction,
     xi: float,
     g: SampledFunction,
+    k: SampledFunction | None = None,
 ) -> ModalTrajectory:
-    """Closed-form route w = k - h*k through a precomputed mode resolvent h."""
-    k = modal_rhs(mode, rt, xi, g)
+    """Closed-form route w = k - h*k through a precomputed mode resolvent h.
+
+    `k` is the mode's `modal_rhs` when the caller already has it.
+    """
+    if k is None:
+        k = modal_rhs(mode, rt, xi, g)
     w = k - convolve(h, k)
     return ModalTrajectory(xi, w)

@@ -52,6 +52,18 @@ class ResolventTriple:
         """Resolvent value at the final time (drives the moment asymptotics)."""
         return self.resolvent.at_end()
 
+    def series_powers(self, terms: int) -> list:
+        """The convolution powers q', q'*q', ... (`terms` of them).
+
+        They do not depend on the mode, so the series route builds them once
+        per triple and extends the list when a later call needs more; each
+        power is the previous one convolved with q', whatever the call order.
+        """
+        powers = self.__dict__.setdefault("_series_powers", [self.resolvent_deriv])
+        while len(powers) < terms:
+            powers.append(convolve(powers[-1], self.resolvent_deriv))
+        return powers[:terms]
+
 
 def resolvent_of(kernel: MemoryKernel, grid: TimeGrid) -> ResolventTriple:
     """Compute the resolvent triple of a kernel on a grid."""
@@ -72,9 +84,15 @@ def mode_kernel(triple: ResolventTriple, mu2: float) -> SampledFunction:
     return -convolve_exp(triple.resolvent_deriv, mu2)
 
 
-def mode_resolvent_direct(triple: ResolventTriple, mu2: float) -> SampledFunction:
-    """Resolvent h of the mode kernel via the Volterra identity h = z - z*h."""
-    z = mode_kernel(triple, mu2)
+def mode_resolvent_direct(
+    triple: ResolventTriple, mu2: float, z: SampledFunction | None = None
+) -> SampledFunction:
+    """Resolvent h of the mode kernel via the Volterra identity h = z - z*h.
+
+    `z` is `mode_kernel(triple, mu2)` when the caller already has it.
+    """
+    if z is None:
+        z = mode_kernel(triple, mu2)
     return volterra_solve(z, z)
 
 
@@ -113,14 +131,11 @@ def mode_resolvent_series(
             "the series route requires a positive decay rate; use the direct route"
         )
     grid = triple.grid
-    dq = triple.resolvent_deriv
-    sup_deriv = dq.sup_norm()
+    sup_deriv = triple.resolvent_deriv.sup_norm()
     # The majorant does not depend on the mode: settle the term count (or
     # fail) before the first convolution.
     terms = _series_terms(sup_deriv, grid.horizon, tol)
     out = np.zeros(grid.size)
-    power = dq
-    for k in range(1, terms + 1):
-        out -= convolve_exp_monomial(power, mu2, k - 1).values
-        power = convolve(power, dq)
+    for k, power in enumerate(triple.series_powers(terms)):
+        out -= convolve_exp_monomial(power, mu2, k).values
     return SampledFunction(grid, out), terms

@@ -11,10 +11,12 @@ import gc
 import math
 import subprocess
 import sys
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from memheat import (
@@ -26,6 +28,8 @@ from memheat import (
 )
 from memheat.algebra import (
     BLOCK,
+    _cell_moments_k,
+    _moment_table,
     convolve,
     convolve_exp,
     convolve_exp_monomial,
@@ -188,12 +192,15 @@ def test_volterra_leaves_no_cyclic_garbage():
         gc.enable()
 
 
-def test_cli_import_leaves_scipy_linalg_out():
-    code = "import sys, memheat.cli; print('scipy.linalg' in sys.modules)"
+def test_cli_import_loads_no_scipy():
+    code = (
+        "import sys, memheat.cli; "
+        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 def test_volterra_constant_kernel_oracle():
@@ -295,6 +302,55 @@ def test_convolve_exp_monomial_quadratic_weight():
     assert np.max(np.abs(out.values - exact)) < 1e-8
     with pytest.raises(NumericalError):
         convolve_exp_monomial(one, -1.0, 2)  # k >= 1 requires decay
+
+
+def _reference_cell_moments(mu2, d, grid):
+    """Cells of int_0^t u^d e^{-mu2 u} du at 200 bits, and the total at T.
+
+    The edges and the rate are the same doubles the table sees, so only the
+    table's own arithmetic is measured.
+    """
+    with mpmath.workprec(200):
+        mu = mpmath.mpf(mu2)
+        cum = [
+            mpmath.gammainc(d + 1, 0, mu * mpmath.mpf(float(x))) / mu ** (d + 1)
+            for x in np.arange(grid.size, dtype=float) * grid.dt
+        ]
+        cells = np.array([float(b - a) for a, b in zip(cum, cum[1:])])
+        return cells, float(cum[-1])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    st.floats(min_value=math.log(1e-6), max_value=math.log(1e4)),
+    st.integers(min_value=1, max_value=60),
+    st.integers(min_value=1, max_value=60),
+    st.floats(min_value=0.01, max_value=5.0),
+)
+@example(math.log(4.4e-6), 2, 60, 0.01)  # d!/mu2^{d+1} overflows at d = 60
+def test_cell_moments_match_incomplete_gamma(log_mu2, k, steps, horizon):
+    # k = 60 asks for degree 61, past the table's top: the taller table
+    mu2 = math.exp(log_mu2)
+    grid = TimeGrid(horizon, steps)
+    _moment_table.cache_clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow, not even in unused rows
+        moments = _cell_moments_k(mu2, k, grid)
+    for d, cells in zip((k, k + 1), moments):
+        ref, total = _reference_cell_moments(mu2, d, grid)
+        assert np.max(np.abs(cells - ref)) <= 1e-13 * total
+
+
+def test_cell_moment_rows_ignore_request_order():
+    # a row depends on (mu2, grid, degree) only, not on what was built first
+    grid = TimeGrid(2.0, 300)
+    rows = {}
+    for order in ((3, 59), (59, 3)):
+        _moment_table.cache_clear()
+        rows[order] = {k: _cell_moments_k(7.5, k, grid) for k in order}
+    for k in (3, 59):
+        for first, second in zip(rows[(3, 59)][k], rows[(59, 3)][k]):
+            assert first.tobytes() == second.tobytes()
 
 
 def test_convolve_exp_negative_rate():

@@ -162,6 +162,32 @@ def test_moment_solves_each_mode_resolvent_once(tmp_path, monkeypatch):
     assert len(rates) == len(set(rates)) == SMALL["modes"]
 
 
+def test_simulate_builds_each_mode_equation_once(tmp_path, monkeypatch):
+    # the Volterra solve, the direct resolvent and the explicit route share
+    # one right-hand side k and one mode kernel z per mode
+    from memheat import dynamics, experiments, resolvents
+
+    built = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            built.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name, fn in (
+        ("modal_rhs", dynamics.modal_rhs),
+        ("mode_kernel", resolvents.mode_kernel),
+    ):
+        for module in (dynamics, experiments, resolvents):
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, counted(name, fn))
+    cfg = write_config(tmp_path, SMALL)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+    assert built.count("modal_rhs") == built.count("mode_kernel") == SMALL["modes"]
+
+
 def test_biorth_command(tmp_path):
     cfg = write_config(tmp_path, SMALL)
     out = tmp_path / "run"

@@ -21,8 +21,9 @@ from memheat import (
     TimeGrid,
     ZeroKernel,
 )
-from memheat.algebra import volterra_solve
+from memheat.algebra import MOMENT_TABLE_DEGREE, volterra_solve
 from memheat.resolvents import (
+    SERIES_MAX_TERMS,
     mode_kernel,
     mode_resolvent_direct,
     mode_resolvent_series,
@@ -163,3 +164,34 @@ def test_series_fails_before_convolving(monkeypatch):
     assert calls == []
     _, terms = mode_resolvent_series(rt_mild, 1.0)
     assert calls.count("convolve_exp_monomial") == terms
+
+
+def test_series_powers_are_shared_across_modes(monkeypatch):
+    # the powers q'^{*k} do not depend on the mode: a later mode convolves
+    # only the powers no earlier mode needed, and the bits do not depend on
+    # which mode came first
+    from memheat import resolvents
+
+    alone, _ = mode_resolvent_series(resolvent_of(ConstantKernel(1.0), GRID), 2.0)
+    rt = resolvent_of(ConstantKernel(1.0), GRID)
+    calls = []
+    convolve = resolvents.convolve
+
+    def counted(f, g):
+        calls.append(1)
+        return convolve(f, g)
+
+    monkeypatch.setattr(resolvents, "convolve", counted)
+    _, few = mode_resolvent_series(rt, 5.0, tol=1e-6)
+    assert len(calls) == few - 1
+    shared, terms = mode_resolvent_series(rt, 2.0)
+    assert terms > few and len(calls) == terms - 1
+    assert np.array_equal(shared.values, alone.values)
+    mode_resolvent_series(rt, 7.0)
+    assert len(calls) == terms - 1
+
+
+def test_moment_table_covers_the_series():
+    # every degree the series asks for (up to SERIES_MAX_TERMS) comes from
+    # the one shared table
+    assert MOMENT_TABLE_DEGREE >= SERIES_MAX_TERMS

@@ -1,0 +1,129 @@
+"""Benchmark this checkout against a base commit; write BENCH_<base>.json.
+
+    python3 tools/bench_pairs.py --base REV --pairs 10 --first-seed 101 \
+        --seconds 40 [--work DIR]
+
+The base commit is exported with ``git archive`` into a scratch directory
+(``--work``, a fresh temporary directory by default); the change is this
+checkout's working tree. For each seed and workload both sides run
+``perfbench/run.py --trace 0`` back to back, the base first on even pairs and
+the change first on odd ones, so a drift in the host's speed falls on both
+sides alike. Every run's result JSON (the last line perfbench prints) is kept
+as it is, and the record also gives, per workload and metric, both medians
+and the number of pairs in which the change was better. The record goes to
+``BENCH_<short base sha>.json`` at the repo root.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("march", "gram")
+
+
+def git(*args) -> str:
+    return subprocess.run(
+        ["git", *args], cwd=ROOT, capture_output=True, text=True, check=True
+    ).stdout.strip()
+
+
+def export(rev: str, dest: Path) -> None:
+    """Unpack the tree of `rev` into dest."""
+    dest.mkdir(parents=True)
+    archive = subprocess.run(
+        ["git", "archive", "--format=tar", rev], cwd=ROOT, capture_output=True, check=True
+    ).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
+def perfbench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    out = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True, check=True,
+    ).stdout
+    return json.loads(out.strip().splitlines()[-1])
+
+
+def summarize(runs: list) -> dict:
+    """Medians per side and the pairs the change won, per workload and metric."""
+    out = {}
+    for workload in WORKLOADS:
+        pairs = [r for r in runs if r["workload"] == workload]
+        metrics = {}
+        for name in pairs[0]["base"]["metrics"]:
+            base = [p["base"]["metrics"][name]["value"] for p in pairs]
+            change = [p["change"]["metrics"][name]["value"] for p in pairs]
+            metrics[name] = {
+                "base_median": statistics.median(base),
+                "change_median": statistics.median(change),
+                "change_lower_in_pairs": sum(c < b for b, c in zip(base, change)),
+                "pairs": len(pairs),
+            }
+        metrics["all_correct"] = all(
+            p[side]["correct"] for p in pairs for side in ("base", "change")
+        )
+        out[workload] = metrics
+    return out
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--base", required=True, help="git revision to compare against")
+    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--first-seed", type=int, default=101)
+    p.add_argument("--seconds", type=float, default=40.0)
+    p.add_argument("--work", type=Path, default=None)
+    args = p.parse_args(argv)
+
+    base_sha = git("rev-parse", "--short", args.base)
+    work = Path(args.work or tempfile.mkdtemp())
+    work.mkdir(parents=True, exist_ok=True)
+    base_dir = work / f"base_{base_sha}"
+    shutil.rmtree(base_dir, ignore_errors=True)
+    export(args.base, base_dir)
+    sides = {"base": base_dir, "change": ROOT}
+
+    runs = []
+    for i in range(args.pairs):
+        seed = args.first_seed + i
+        for workload in WORKLOADS:
+            order = ("base", "change") if i % 2 == 0 else ("change", "base")
+            record = {"workload": workload, "seed": seed, "first": order[0]}
+            for side in order:
+                record[side] = perfbench(sides[side], workload, seed, args.seconds)
+            runs.append(record)
+            print(json.dumps(record), flush=True)
+
+    bench = {
+        "base": git("rev-parse", args.base),
+        "change": "working tree on " + git("rev-parse", "HEAD"),
+        "command": "python3 perfbench/run.py --workload W --seed S "
+                   f"--seconds {args.seconds:g} --trace 0",
+        "machine": {
+            "nproc": os.cpu_count(),
+            "platform": platform.platform(),
+            "python": platform.python_version(),
+        },
+        "summary": summarize(runs),
+        "runs": runs,
+    }
+    path = ROOT / f"BENCH_{base_sha}.json"
+    path.write_text(json.dumps(bench, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {path}")
+    shutil.rmtree(base_dir, ignore_errors=True)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
