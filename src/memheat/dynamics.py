@@ -10,7 +10,9 @@ from the resolvent derivative, and g the boundary forcing. Two independent
 solution routes are kept side by side: a Volterra solve of w + z*w = k,
 and the explicit form w = k - h*k through the mode resolvent h. Their
 agreement is a genuine invertibility check, so the two routes are never
-collapsed.
+collapsed: each builds its own k (and the solve its own z) from the mode and
+the triple. The mode resolvent h of the explicit route is the only per-mode
+array a caller passes in, and none is cached.
 
 With no memory kernel the Volterra route degenerates, step by step, into the
 plain heat semigroup formula; the tests pin that degeneration down to exact
@@ -63,18 +65,9 @@ def heat_mode(mode: Mode, xi: float, g: SampledFunction) -> ModalTrajectory:
 
 
 def solve_mode(
-    mode: Mode,
-    rt: ResolventTriple,
-    xi: float,
-    g: SampledFunction,
-    k: SampledFunction | None = None,
-    z: SampledFunction | None = None,
+    mode: Mode, rt: ResolventTriple, xi: float, g: SampledFunction
 ) -> ModalTrajectory:
-    """Volterra solve of the mode equation w + z*w = k.
-
-    A caller that already built this mode's right-hand side (`modal_rhs`) or
-    kernel (`mode_kernel`) passes it as `k` or `z`; otherwise it is built here.
-    """
+    """Volterra solve of the mode equation w + z*w = k."""
     if mode.shifted_rate <= 0:
         warnings.warn(
             f"mode {mode.index} has nonpositive shifted rate "
@@ -82,10 +75,8 @@ def solve_mode(
             "estimates behind the moment asymptotics do not apply",
             stacklevel=2,
         )
-    if k is None:
-        k = modal_rhs(mode, rt, xi, g)
-    if z is None:
-        z = mode_kernel(rt, mode.shifted_rate)
+    k = modal_rhs(mode, rt, xi, g)
+    z = mode_kernel(rt, mode.shifted_rate)
     w = volterra_solve(z, k)
     return ModalTrajectory(xi, w)
 
@@ -96,13 +87,8 @@ def explicit_mode(
     h: SampledFunction,
     xi: float,
     g: SampledFunction,
-    k: SampledFunction | None = None,
 ) -> ModalTrajectory:
-    """Closed-form route w = k - h*k through a precomputed mode resolvent h.
-
-    `k` is the mode's `modal_rhs` when the caller already has it.
-    """
-    if k is None:
-        k = modal_rhs(mode, rt, xi, g)
+    """Closed-form route w = k - h*k through a precomputed mode resolvent h."""
+    k = modal_rhs(mode, rt, xi, g)
     w = k - convolve(h, k)
     return ModalTrajectory(xi, w)

@@ -36,12 +36,11 @@ from .moments import (
 )
 from .output import write_csv, write_json
 from .resolvents import (
-    mode_kernel,
     mode_resolvent_direct,
     mode_resolvent_series,
     resolvent_of,
 )
-from .dynamics import explicit_mode, modal_rhs, solve_mode
+from .dynamics import explicit_mode, solve_mode
 
 SCOPE_SEARCH_WIDTH = 64
 
@@ -133,12 +132,9 @@ def cmd_simulate(config: ExperimentConfig, out_dir, refine: bool = False) -> dic
 
     def one(mode_xi):
         mode, xi = mode_xi
-        # Both routes solve the same equation: build its k and z once.
-        k = modal_rhs(mode, rt, xi, g)
-        z = mode_kernel(rt, mode.shifted_rate)
-        traj = solve_mode(mode, rt, xi, g, k, z)
-        h = mode_resolvent_direct(rt, mode.shifted_rate, z)
-        gap = (traj.w - explicit_mode(mode, rt, h, xi, g, k).w).sup_norm()
+        traj = solve_mode(mode, rt, xi, g)
+        h = mode_resolvent_direct(rt, mode.shifted_rate)
+        gap = (traj.w - explicit_mode(mode, rt, h, xi, g).w).sup_norm()
         series_gap = failure = None
         if mode.shifted_rate > 0:
             # The series route only cross-checks the direct one: a series that
@@ -221,19 +217,18 @@ def cmd_moment(config: ExperimentConfig, out_dir, refine: bool = False) -> dict:
     of the assembled end-state constraint family."""
     grid = TimeGrid(config.horizon, config.steps)
     rt = resolvent_of(config.kernel, grid)
-    hs = {}  # mode index -> h_n, so each mode resolvent is solved once
 
     if config.scope == "auto":
         lowest = first_positive_index(rt.gain)
         search = dirichlet_modes_1d(lowest + SCOPE_SEARCH_WIDTH - 1, rt.gain)
-        start = scope_threshold(search[lowest - 1 :], rt, hs)
+        start = scope_threshold(search[lowest - 1 :], rt)
     else:
         start = int(config.scope)
     window = dirichlet_modes_1d(start + config.modes - 1, rt.gain)[start - 1 :]
 
-    problem = build_moment_problem(window, rt, config.initial, start=start, hs=hs)
+    problem = build_moment_problem(window, rt, config.initial, start=start)
     record = moment_problem_record(problem, grid)
-    report = asymptotic_table(window, rt, hs)
+    report = asymptotic_table(window, rt)
 
     rows = []
     for mode, target, ratio, resid in zip(
@@ -281,12 +276,19 @@ def cmd_biorth(config: ExperimentConfig, out_dir, refine: bool = False) -> dict:
     mu2 = (ns * math.pi) ** 2 - gain
     keep = mu2 > 0
     ns, mu2 = ns[keep], mu2[keep]
+    first = first_positive_index(gain)
+    if not ns.size:
+        raise ConfigError(
+            "biorth.family",
+            f"no mode up to {config.biorth_family} has a positive rate for this "
+            f"kernel (first usable mode is {first})",
+        )
     lo, hi = config.fit_window
-    if lo < ns.min():
+    if lo < first:
         raise ConfigError(
             "biorth.fit_window",
             f"window start {lo} has a nonpositive rate for this kernel "
-            f"(first usable mode is {int(ns.min())})",
+            f"(first usable mode is {first})",
         )
 
     closed_logs = 0.5 * cauchy_inverse_log_diag(mu2)

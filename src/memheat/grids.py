@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GridMismatchError
+from .errors import GridMismatchError, NumericalError
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,11 @@ class SampledFunction:
                 f"expected {self.grid.size} samples for {self.grid}, got shape {v.shape}"
             )
         if not np.all(np.isfinite(v)):
-            raise ValueError("samples must all be finite")
+            # configs admit only finite numbers, so a non-finite sample is
+            # an overflow of the computation: exit 3, not a traceback
+            raise NumericalError(
+                "samples must all be finite; a value overflowed double precision"
+            )
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 

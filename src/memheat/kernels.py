@@ -210,8 +210,8 @@ def kernel_from_config(record: dict, path: str = "kernel") -> MemoryKernel:
         if not isinstance(coeffs, list) or not coeffs:
             raise ConfigError(f"{path}.coeffs", "expected a nonempty list of numbers")
         for i, c in enumerate(coeffs):
-            if not isinstance(c, (int, float)) or isinstance(c, bool):
-                raise ConfigError(f"{path}.coeffs[{i}]", f"expected a number, got {c!r}")
+            if not isinstance(c, (int, float)) or isinstance(c, bool) or not np.isfinite(c):
+                raise ConfigError(f"{path}.coeffs[{i}]", f"expected a finite number, got {c!r}")
         return PolynomialKernel(tuple(float(c) for c in coeffs))
     raise ConfigError(
         f"{path}.type",

@@ -49,11 +49,19 @@ def dirichlet_modes_1d(count: int, gain: float) -> tuple:
 
 
 def first_positive_index(gain: float) -> int:
-    """Smallest mode index whose shifted rate is positive."""
-    n = 1
-    while (n * math.pi) ** 2 <= gain:
-        n += 1
-    return n
+    """Smallest mode index whose shifted rate is positive.
+
+    The answer is floor(sqrt(gain)/pi) + 1 up to one step of rounding either
+    way, so at most two indices are tested; a count from n = 1 would take
+    sqrt(gain)/pi steps.
+    """
+    if gain < math.pi**2:
+        return 1
+    n = int(math.sqrt(gain) / math.pi)
+    for m in (n, n + 1):
+        if (m * math.pi) ** 2 > gain:
+            return m
+    return n + 2
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,11 @@ finds the first mode from which that holds, and records the assembled
 family. Up to a two-time kernel independent of n, the profiles psi_n are
 plain exponentials; the biorthogonality problem against {mu2_n e^{-mu2_n r}}
 that this leaves is measured in `biorth`.
+
+The per-mode functions build what they need from each mode and the
+resolvent triple. The one piece of per-mode work they share, the end-value
+bracket of d_n, is cached as a single float per rate on the triple
+(`free_end_value`).
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ import numpy as np
 
 from .algebra import convolve_exp, end_pairing
 from .errors import ConfigError, NumericalError, reject_unknown_keys
-from .grids import SampledFunction
 from .modes import Mode
 from .resolvents import ResolventTriple, mode_resolvent_direct
 
@@ -118,39 +122,24 @@ def check_end_value(rt: ResolventTriple) -> float:
     return end
 
 
-def free_end_value(
-    mode: Mode, rt: ResolventTriple, h: SampledFunction = None, xi: float = 1.0
-) -> float:
+def free_end_value(mode: Mode, rt: ResolventTriple, xi: float = 1.0) -> float:
     """Value at T of the uncontrolled mode started at xi (the target d_n).
 
     Evaluated directly from the explicit representation at the final node:
-    d = [e^{-mu2 T} - (e0*q)(T) - (h*e0)(T) + (h*(e0*q))(T)] xi.
+    d = [e^{-mu2 T} - (e0*q)(T) - (h*e0)(T) + (h*(e0*q))(T)] xi. The bracket
+    depends only on the rate, so it is computed once per rate and kept on
+    the triple; the scope search, the targets and the asymptotic table all
+    read it. Only that scalar is kept, never h or e0*q.
     """
-    if h is None:
-        h = mode_resolvent_direct(rt, mode.shifted_rate)
-    grid = rt.grid
     mu2 = mode.shifted_rate
-    q = convolve_exp(rt.resolvent, mu2)
-    e_end = float(np.exp(-mu2 * grid.horizon))
-    he0_end = float(convolve_exp(h, mu2).values[-1])
-    hq_end = end_pairing(h, q)
-    return (e_end - q.values[-1] - he0_end + hq_end) * xi
-
-
-def _mode_resolvent(
-    mode: Mode, rt: ResolventTriple, hs: dict = None
-) -> SampledFunction:
-    """The mode resolvent h_n, solved once per mode through the memo ``hs``.
-
-    ``hs`` maps mode indices to resolvents on ``rt``'s grid; a missing entry
-    is solved and stored. Pass the same dict to `scope_threshold`,
-    `asymptotic_table` and `build_moment_problem` to share their solves.
-    """
-    if hs is None:
-        return mode_resolvent_direct(rt, mode.shifted_rate)
-    if mode.index not in hs:
-        hs[mode.index] = mode_resolvent_direct(rt, mode.shifted_rate)
-    return hs[mode.index]
+    brackets = rt.__dict__.setdefault("_end_brackets", {})
+    if mu2 not in brackets:
+        h = mode_resolvent_direct(rt, mu2)
+        q = convolve_exp(rt.resolvent, mu2)
+        e_end = float(np.exp(-mu2 * rt.grid.horizon))
+        he0_end = float(convolve_exp(h, mu2).values[-1])
+        brackets[mu2] = e_end - q.values[-1] - he0_end + end_pairing(h, q)
+    return brackets[mu2] * xi
 
 
 @dataclass(frozen=True)
@@ -164,12 +153,11 @@ class AsymptoticReport:
     end_value: float
 
 
-def asymptotic_table(modes, rt: ResolventTriple, hs: dict = None) -> AsymptoticReport:
+def asymptotic_table(modes, rt: ResolventTriple) -> AsymptoticReport:
     """Tabulate mu2_n d_n (per unit initial value) and the law residuals.
 
     For a zero kernel the ratios decay to zero and the report is flagged
-    memoryless; for a genuine kernel the horizon guard applies. ``hs`` is
-    the optional resolvent memo of `_mode_resolvent`.
+    memoryless; for a genuine kernel the horizon guard applies.
     """
     if rt.kernel.is_zero:
         end = 0.0
@@ -184,7 +172,7 @@ def asymptotic_table(modes, rt: ResolventTriple, hs: dict = None) -> AsymptoticR
             raise ValueError(
                 "asymptotic table needs modes with positive shifted rates"
             )
-        d = free_end_value(mode, rt, _mode_resolvent(mode, rt, hs))
+        d = free_end_value(mode, rt)
         ratio = mode.shifted_rate * d
         resid = ratio + end
         ratios.append(ratio)
@@ -195,14 +183,13 @@ def asymptotic_table(modes, rt: ResolventTriple, hs: dict = None) -> AsymptoticR
     )
 
 
-def scope_threshold(modes, rt: ResolventTriple, hs: dict = None) -> int:
+def scope_threshold(modes, rt: ResolventTriple) -> int:
     """Smallest mode index from which the constraint family is nondegenerate.
 
     Requires a positive shifted rate and a law residual below half the
     resolvent end value, so the rescaled targets stay bounded away from zero
     for every mode in scope. Without memory the law degenerates (the limit
-    is zero) and the threshold is simply the first positive rate. ``hs`` is
-    the optional resolvent memo of `_mode_resolvent`.
+    is zero) and the threshold is simply the first positive rate.
     """
     if rt.kernel.is_zero:
         for mode in modes:
@@ -213,7 +200,7 @@ def scope_threshold(modes, rt: ResolventTriple, hs: dict = None) -> int:
     for mode in modes:
         if mode.shifted_rate <= 0:
             continue
-        d = free_end_value(mode, rt, _mode_resolvent(mode, rt, hs))
+        d = free_end_value(mode, rt)
         resid = mode.shifted_rate * d + end
         if abs(resid) < 0.5 * abs(end):
             return mode.index
@@ -249,13 +236,11 @@ def build_moment_problem(
     rt: ResolventTriple,
     initial: InitialData,
     start: int,
-    hs: dict = None,
 ) -> MomentProblem:
     """Assemble the targets for every mode from index ``start`` on.
 
     ``start`` is the first mode in scope: the `scope_threshold` of a search
-    or an index pinned by hand. ``hs`` is the optional resolvent memo of
-    `_mode_resolvent`.
+    or an index pinned by hand.
     """
     scope = [m for m in modes if m.index >= start]
     if not scope:
@@ -265,10 +250,7 @@ def build_moment_problem(
             f"scope start {start} admits a nonpositive shifted rate; "
             "raise the start index past the gain crossover"
         )
-    targets = []
-    for mode in scope:
-        h = _mode_resolvent(mode, rt, hs)
-        targets.append(free_end_value(mode, rt, h, xi=initial.value(mode.index)))
+    targets = [free_end_value(m, rt, xi=initial.value(m.index)) for m in scope]
     return MomentProblem(rt.grid.horizon, tuple(scope), tuple(targets))
 
 

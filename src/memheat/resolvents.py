@@ -84,15 +84,9 @@ def mode_kernel(triple: ResolventTriple, mu2: float) -> SampledFunction:
     return -convolve_exp(triple.resolvent_deriv, mu2)
 
 
-def mode_resolvent_direct(
-    triple: ResolventTriple, mu2: float, z: SampledFunction | None = None
-) -> SampledFunction:
-    """Resolvent h of the mode kernel via the Volterra identity h = z - z*h.
-
-    `z` is `mode_kernel(triple, mu2)` when the caller already has it.
-    """
-    if z is None:
-        z = mode_kernel(triple, mu2)
+def mode_resolvent_direct(triple: ResolventTriple, mu2: float) -> SampledFunction:
+    """Resolvent h of the mode kernel via the Volterra identity h = z - z*h."""
+    z = mode_kernel(triple, mu2)
     return volterra_solve(z, z)
 
 

@@ -162,30 +162,23 @@ def test_moment_solves_each_mode_resolvent_once(tmp_path, monkeypatch):
     assert len(rates) == len(set(rates)) == SMALL["modes"]
 
 
-def test_simulate_builds_each_mode_equation_once(tmp_path, monkeypatch):
-    # the Volterra solve, the direct resolvent and the explicit route share
-    # one right-hand side k and one mode kernel z per mode
-    from memheat import dynamics, experiments, resolvents
+def test_moment_evaluates_each_end_bracket_once(tmp_path, monkeypatch):
+    # free_end_value convolves twice per rate; the scope search, the targets
+    # and the asymptotic table read the bracket cached on the triple
+    from memheat import moments
 
-    built = []
+    rates = []
+    convolve_exp = moments.convolve_exp
 
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            built.append(name)
-            return fn(*args, **kwargs)
+    def counted(f, rate):
+        rates.append(rate)
+        return convolve_exp(f, rate)
 
-        return wrapper
-
-    for name, fn in (
-        ("modal_rhs", dynamics.modal_rhs),
-        ("mode_kernel", resolvents.mode_kernel),
-    ):
-        for module in (dynamics, experiments, resolvents):
-            if getattr(module, name, None) is fn:
-                monkeypatch.setattr(module, name, counted(name, fn))
+    monkeypatch.setattr(moments, "convolve_exp", counted)
     cfg = write_config(tmp_path, SMALL)
-    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
-    assert built.count("modal_rhs") == built.count("mode_kernel") == SMALL["modes"]
+    assert main(["moment", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+    assert len(set(rates)) == SMALL["modes"]
+    assert all(rates.count(rate) == 2 for rate in rates)
 
 
 def test_biorth_command(tmp_path):
@@ -276,6 +269,25 @@ def test_bad_config_exits_2_without_output(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "biorth_record, key",
+    [
+        # pi^2 n^2 > 1000 first at n = 11: no mode of the family is usable
+        ({"family": 8, "fit_window": [1, 8], "verify_modes": 4}, "biorth.family"),
+        ({"family": 64, "fit_window": [1, 30], "verify_modes": 4}, "biorth.fit_window"),
+    ],
+)
+def test_biorth_without_usable_modes_exits_2(tmp_path, capsys, biorth_record, key):
+    cfg = write_config(
+        tmp_path, {"kernel": {"type": "constant", "value": 1000}, "biorth": biorth_record}
+    )
+    out = tmp_path / "run"
+    assert main(["biorth", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert key in err and "first usable mode is 11" in err
+
+
 def test_degenerate_horizon_exits_3_without_output(tmp_path):
     # M(t) = 1 - t: the resolvent transform crosses zero at t* = 0.86081...,
     # and running the constraint assembly right at the crossing must refuse
@@ -313,6 +325,18 @@ def test_degenerate_horizon_exits_3_without_output(tmp_path):
                 "scope": 1,
             },
             "scope start 1 admits a nonpositive shifted rate",
+        ),
+        # e^{-mu2 t} of the negative rates overflows
+        (
+            "simulate",
+            {"kernel": {"type": "constant", "value": 1000}, "steps": 100, "modes": 4},
+            "samples must all be finite",
+        ),
+        # the resolvent of m = 1e300 overflows in its first step
+        (
+            "resolvent",
+            {"kernel": {"type": "exp_sum", "terms": [{"c": 1e300, "b": 0}]}, "steps": 100},
+            "samples must all be finite",
         ),
     ],
 )

@@ -127,6 +127,7 @@ def test_root_and_unknown_keys():
         ({"biorth": {"fit_window": [10, 16]}}, "biorth.fit_window"),
         ({"biorth": {"family": 20, "fit_window": [10, 25]}}, "biorth.fit_window"),
         ({"biorth": {"family": 20}}, "biorth.fit_window"),
+        ({"kernel": {"type": "polynomial", "coeffs": [0.5, float("nan")]}}, "kernel.coeffs[1]"),
     ],
 )
 def test_rejections(data, key):

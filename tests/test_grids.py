@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from memheat import GridMismatchError, SampledFunction, TimeGrid, require_same_grid
+from memheat import (
+    GridMismatchError,
+    NumericalError,
+    SampledFunction,
+    TimeGrid,
+    require_same_grid,
+)
 
 
 def test_grid_basics():
@@ -55,9 +61,9 @@ def test_sampled_function_validation():
     grid = TimeGrid(1.0, 3)
     with pytest.raises(ValueError):
         SampledFunction(grid, np.zeros(3))  # wrong length
-    with pytest.raises(ValueError):
+    with pytest.raises(NumericalError):
         SampledFunction(grid, [0.0, 1.0, np.nan, 2.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(NumericalError):
         SampledFunction(grid, [0.0, 1.0, np.inf, 2.0])
 
 

@@ -59,6 +59,22 @@ def test_first_positive_index():
     assert first_positive_index(20.0) == 2  # pi^2 < 20 < 4 pi^2
     assert first_positive_index(40.0) == 3  # 4 pi^2 < 40 < 9 pi^2
 
+    def counted(gain):
+        n = 1
+        while (n * math.pi) ** 2 <= gain:
+            n += 1
+        return n
+
+    # the squares (n pi)^2 themselves and their float neighbours are the
+    # edge cases of the closed-form start
+    edges = [(n * math.pi) ** 2 for n in range(1, 400)]
+    gains = edges + [math.nextafter(g, 0.0) for g in edges]
+    gains += [math.nextafter(g, math.inf) for g in edges] + [1000.0, 1e6]
+    for gain in gains:
+        assert first_positive_index(gain) == counted(gain), gain
+    # sqrt(1e300)/pi steps would never finish
+    assert first_positive_index(1e300) > 3e149
+
 
 def test_boundary_control_constructors():
     grid = TimeGrid(1.0, 10)

@@ -68,6 +68,18 @@ def test_memoryless_targets_are_exact():
     assert free_end_value(mode, rt, xi=0.0) == 0.0
 
 
+@pytest.mark.parametrize("xi", [0.0, -0.7, 3.0])
+def test_cached_end_bracket_gives_the_same_bits(xi):
+    # the bracket cached by an xi = 1 call scales to the uncached value
+    mode = dirichlet_modes_1d(2, gain=1.0)[1]
+    grid = TimeGrid(1.0, 200)
+    fresh = free_end_value(mode, resolvent_of(ConstantKernel(1.0), grid), xi=xi)
+    rt = resolvent_of(ConstantKernel(1.0), grid)
+    free_end_value(mode, rt)
+    cached = free_end_value(mode, rt, xi=xi)
+    assert np.float64(cached).tobytes() == np.float64(fresh).tobytes()
+
+
 def test_asymptotic_law_memory():
     rt = resolvent_of(ConstantKernel(1.0), GRID)
     modes = dirichlet_modes_1d(12, gain=1.0)

@@ -9,8 +9,9 @@ checkout's working tree. For each seed and workload both sides run
 ``perfbench/run.py --trace 0`` back to back, the base first on even pairs and
 the change first on odd ones, so a drift in the host's speed falls on both
 sides alike. Every run's result JSON (the last line perfbench prints) is kept
-as it is, and the record also gives, per workload and metric, both medians
-and the number of pairs in which the change was better. The record goes to
+as it is, and the record also gives, per workload and metric, both medians,
+both interquartile ranges (q3 - q1, the spread a gain must exceed) and the
+number of pairs in which the change was better. The record goes to
 ``BENCH_<short base sha>.json`` at the repo root.
 """
 
@@ -55,8 +56,17 @@ def perfbench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(out.strip().splitlines()[-1])
 
 
+def iqr(values: list):
+    """q3 - q1 of the values; None for fewer than two."""
+    if len(values) < 2:
+        return None
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return q3 - q1
+
+
 def summarize(runs: list) -> dict:
-    """Medians per side and the pairs the change won, per workload and metric."""
+    """Medians and spreads per side and the pairs the change won, per
+    workload and metric."""
     out = {}
     for workload in WORKLOADS:
         pairs = [r for r in runs if r["workload"] == workload]
@@ -67,6 +77,8 @@ def summarize(runs: list) -> dict:
             metrics[name] = {
                 "base_median": statistics.median(base),
                 "change_median": statistics.median(change),
+                "base_iqr": iqr(base),
+                "change_iqr": iqr(change),
                 "change_lower_in_pairs": sum(c < b for b, c in zip(base, change)),
                 "pairs": len(pairs),
             }
