@@ -525,8 +525,14 @@ def control_norm_sweep(
                     "nonpositive squared control norm; the Gram solve "
                     "lost positive definiteness"
                 )
-            norms.append(float(mp.sqrt(n2)))
-            log_norms.append(float(mp.log(n2) / 2))
+            norm, log_norm = float(mp.sqrt(n2)), float(mp.log(n2) / 2)
+            if not 0 < norm < math.inf:
+                raise NumericalError(
+                    f"the control norm at N = {count} is e^{log_norm:.6g}, outside "
+                    "double range; shorten the horizon"
+                )
+            norms.append(norm)
+            log_norms.append(log_norm)
     monotone = bool(np.all(np.diff(log_norms) >= 0))
     tail_ratio = norms[-1] / norms[max(len(norms) - 7, 0)]
     if len(active_counts) >= 2:

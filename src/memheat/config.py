@@ -2,7 +2,8 @@
 
 Every run is reproducible from its config alone, so validation is strict:
 unknown keys are rejected (they are usually typos silently changing nothing),
-every value is range-checked with the offending key path in the error, and
+every value is read by the shared readers in `errors`, which range-check it
+and name the offending key path in the error, and
 the fully resolved configuration (defaults materialized, overrides applied)
 is echoed into the output directory next to the data files.
 """
@@ -13,7 +14,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ConfigError, reject_unknown_keys
+from .errors import ConfigError, read_int, read_list, read_number, read_record
 from .kernels import MemoryKernel, kernel_from_config
 from .moments import InitialData, initial_data_from_config
 
@@ -33,6 +34,8 @@ _TOP_LEVEL_KEYS = {
 
 _CONTROL_KEYS = {"family", "active"}
 _BIORTH_KEYS = {"family", "fit_window", "verify_modes"}
+
+_DEFAULT_KERNEL = {"type": "constant", "value": 1.0}
 
 MIN_STEPS = 100
 MIN_PRECISION = 16
@@ -79,111 +82,41 @@ class ExperimentConfig:
         }
 
 
-def _want_int(record, key, path, minimum=None, maximum=None):
-    v = record.get(key)
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise ConfigError(f"{path}{key}", f"expected an integer, got {v!r}")
-    if minimum is not None and v < minimum:
-        raise ConfigError(f"{path}{key}", f"must be at least {minimum}, got {v}")
-    if maximum is not None and v > maximum:
-        raise ConfigError(f"{path}{key}", f"must be at most {maximum}, got {v}")
-    return v
-
-
-def _want_number(record, key, path, positive=False):
-    v = record.get(key)
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        raise ConfigError(f"{path}{key}", f"expected a number, got {v!r}")
-    v = float(v)
-    if v != v or v in (float("inf"), float("-inf")):
-        raise ConfigError(f"{path}{key}", "must be finite")
-    if positive and v <= 0:
-        raise ConfigError(f"{path}{key}", f"must be positive, got {v}")
-    return v
-
-
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Validate a parsed config tree; raises ConfigError with the key path."""
-    if not isinstance(data, dict):
-        raise ConfigError("<root>", "config must be a JSON object")
-    unknown = sorted(set(data) - _TOP_LEVEL_KEYS)
-    if unknown:
-        raise ConfigError(unknown[0], "unknown key")
-
-    defaults = ExperimentConfig(kernel=kernel_from_config({"type": "constant", "value": 1.0}))
-
-    kernel = (
-        kernel_from_config(data["kernel"]) if "kernel" in data else defaults.kernel
+    data = read_record(data, "", _TOP_LEVEL_KEYS)
+    d = ExperimentConfig  # the field defaults, read off the class
+    kernel = kernel_from_config(data.get("kernel", _DEFAULT_KERNEL))
+    horizon = read_number(data, "horizon", "", positive=True, default=d.horizon)
+    steps = read_int(data, "steps", "", minimum=MIN_STEPS, default=d.steps)
+    modes = read_int(data, "modes", "", minimum=1, default=d.modes)
+    precision = read_int(
+        data, "precision", "", minimum=MIN_PRECISION, maximum=MAX_PRECISION, default=d.precision
     )
-    horizon = (
-        _want_number(data, "horizon", "", positive=True)
-        if "horizon" in data
-        else defaults.horizon
-    )
-    steps = (
-        _want_int(data, "steps", "", minimum=MIN_STEPS)
-        if "steps" in data
-        else defaults.steps
-    )
-    modes = _want_int(data, "modes", "", minimum=1) if "modes" in data else defaults.modes
-    precision = (
-        _want_int(data, "precision", "", minimum=MIN_PRECISION, maximum=MAX_PRECISION)
-        if "precision" in data
-        else defaults.precision
-    )
-    seed = _want_int(data, "seed", "", minimum=0) if "seed" in data else defaults.seed
-    series_tol = (
-        _want_number(data, "series_tol", "", positive=True)
-        if "series_tol" in data
-        else defaults.series_tol
-    )
-    initial = (
-        initial_data_from_config(data["initial"]) if "initial" in data else defaults.initial
-    )
-
-    scope = data.get("scope", defaults.scope)
+    seed = read_int(data, "seed", "", minimum=0, default=d.seed)
+    series_tol = read_number(data, "series_tol", "", positive=True, default=d.series_tol)
+    initial = initial_data_from_config(data.get("initial", d.initial.to_config()))
+    scope = data.get("scope", d.scope)
     if scope != "auto":
-        if not isinstance(scope, int) or isinstance(scope, bool) or scope < 1:
-            raise ConfigError("scope", f'expected "auto" or a positive integer, got {scope!r}')
+        scope = read_int(data, "scope", "", minimum=1)
 
-    control_family = defaults.control_family
-    control_active = defaults.control_active
-    if "control" in data:
-        rec = data["control"]
-        if not isinstance(rec, dict):
-            raise ConfigError("control", "expected a record")
-        reject_unknown_keys(rec, _CONTROL_KEYS, "control")
-        if "family" in rec:
-            control_family = _want_int(rec, "family", "control.", minimum=1)
-        if "active" in rec:
-            control_active = _want_int(rec, "active", "control.", minimum=1)
+    control = read_record(data.get("control", {}), "control", _CONTROL_KEYS)
+    control_family = read_int(control, "family", "control", minimum=1, default=d.control_family)
+    control_active = read_int(control, "active", "control", minimum=1, default=d.control_active)
     if control_active > control_family:
         raise ConfigError(
             "control.active", "cannot exceed the family size being held at zero"
         )
 
-    biorth_family = defaults.biorth_family
-    fit_window = defaults.fit_window
-    verify_modes = defaults.verify_modes
-    if "biorth" in data:
-        rec = data["biorth"]
-        if not isinstance(rec, dict):
-            raise ConfigError("biorth", "expected a record")
-        reject_unknown_keys(rec, _BIORTH_KEYS, "biorth")
-        if "family" in rec:
-            biorth_family = _want_int(rec, "family", "biorth.", minimum=8)
-        if "verify_modes" in rec:
-            verify_modes = _want_int(rec, "verify_modes", "biorth.", minimum=2, maximum=64)
-        if "fit_window" in rec:
-            win = rec["fit_window"]
-            if (
-                not isinstance(win, list)
-                or len(win) != 2
-                or not all(isinstance(x, int) and not isinstance(x, bool) for x in win)
-            ):
-                raise ConfigError("biorth.fit_window", "expected a pair of integers [lo, hi]")
-            fit_window = (win[0], win[1])
-    lo, hi = fit_window
+    biorth = read_record(data.get("biorth", {}), "biorth", _BIORTH_KEYS)
+    biorth_family = read_int(biorth, "family", "biorth", minimum=8, default=d.biorth_family)
+    verify_modes = read_int(
+        biorth, "verify_modes", "biorth", minimum=2, maximum=64, default=d.verify_modes
+    )
+    window = read_list(biorth, "fit_window", "biorth", read_int, default=d.fit_window)
+    if len(window) != 2:
+        raise ConfigError("biorth.fit_window", "expected a pair of integers [lo, hi]")
+    lo, hi = window
     if lo < 1 or hi <= lo or hi - lo < 7:
         raise ConfigError(
             "biorth.fit_window", "need 1 <= lo < hi with at least eight indices"
@@ -204,7 +137,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         control_family=control_family,
         control_active=control_active,
         biorth_family=biorth_family,
-        fit_window=fit_window,
+        fit_window=(lo, hi),
         verify_modes=verify_modes,
     )
 
@@ -214,11 +147,11 @@ def load_config(path) -> ExperimentConfig:
     p = Path(path)
     try:
         text = p.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(str(path), f"cannot read config file: {exc}") from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed, or an integer past Python's digit limit
         raise ConfigError(str(path), f"invalid JSON: {exc}") from exc
     return config_from_dict(data)
 

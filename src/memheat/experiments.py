@@ -220,11 +220,11 @@ def cmd_moment(config: ExperimentConfig, out_dir, refine: bool = False) -> dict:
 
     if config.scope == "auto":
         lowest = first_positive_index(rt.gain)
-        search = dirichlet_modes_1d(lowest + SCOPE_SEARCH_WIDTH - 1, rt.gain)
-        start = scope_threshold(search[lowest - 1 :], rt)
+        search = dirichlet_modes_1d(SCOPE_SEARCH_WIDTH, rt.gain, first=lowest)
+        start = scope_threshold(search, rt)
     else:
         start = int(config.scope)
-    window = dirichlet_modes_1d(start + config.modes - 1, rt.gain)[start - 1 :]
+    window = dirichlet_modes_1d(config.modes, rt.gain, first=start)
 
     problem = build_moment_problem(window, rt, config.initial, start=start)
     record = moment_problem_record(problem, grid)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, reject_unknown_keys
+from .errors import ConfigError, read_list, read_number, read_record, read_tagged
 from .grids import SampledFunction, TimeGrid
 
 
@@ -172,55 +172,35 @@ class PolynomialKernel(MemoryKernel):
         return {"type": "polynomial", "coeffs": list(self.coeffs)}
 
 
-def kernel_from_config(record: dict, path: str = "kernel") -> MemoryKernel:
+_KERNEL_KEYS = {
+    "zero": (),
+    "constant": ("value",),
+    "exp_sum": ("terms",),
+    "polynomial": ("coeffs",),
+}
+
+
+def kernel_from_config(record, path: str = "kernel") -> MemoryKernel:
     """Build a kernel from its tagged config record.
 
     Raises ConfigError with the offending key path on any malformed input.
     """
-    if not isinstance(record, dict):
-        raise ConfigError(path, f"expected a tagged record, got {type(record).__name__}")
-    tag = record.get("type")
+    tag, record = read_tagged(record, path, "type", _KERNEL_KEYS)
     if tag == "zero":
-        reject_unknown_keys(record, {"type"}, path)
         return ZeroKernel()
     if tag == "constant":
-        reject_unknown_keys(record, {"type", "value"}, path)
-        value = _require_number(record, "value", path)
-        return ConstantKernel(value)
+        return ConstantKernel(read_number(record, "value", path))
     if tag == "exp_sum":
-        reject_unknown_keys(record, {"type", "terms"}, path)
-        terms = record.get("terms")
-        if not isinstance(terms, list) or not terms:
-            raise ConfigError(f"{path}.terms", "expected a nonempty list of {c, b} records")
-        pairs = []
-        for i, term in enumerate(terms):
-            tpath = f"{path}.terms[{i}]"
-            if not isinstance(term, dict):
-                raise ConfigError(tpath, "expected a {c, b} record")
-            reject_unknown_keys(term, {"c", "b"}, tpath)
-            c = _require_number(term, "c", tpath)
-            b = _require_number(term, "b", tpath)
-            if b < 0:
-                raise ConfigError(f"{tpath}.b", "decay rate must be nonnegative")
-            pairs.append((c, b))
-        return ExpSumKernel(tuple(pairs))
-    if tag == "polynomial":
-        reject_unknown_keys(record, {"type", "coeffs"}, path)
-        coeffs = record.get("coeffs")
-        if not isinstance(coeffs, list) or not coeffs:
-            raise ConfigError(f"{path}.coeffs", "expected a nonempty list of numbers")
-        for i, c in enumerate(coeffs):
-            if not isinstance(c, (int, float)) or isinstance(c, bool) or not np.isfinite(c):
-                raise ConfigError(f"{path}.coeffs[{i}]", f"expected a finite number, got {c!r}")
-        return PolynomialKernel(tuple(float(c) for c in coeffs))
-    raise ConfigError(
-        f"{path}.type",
-        f"unknown kernel type {tag!r}; expected one of zero, constant, exp_sum, polynomial",
-    )
+        return ExpSumKernel(tuple(read_list(record, "terms", path, _read_term)))
+    return PolynomialKernel(tuple(read_list(record, "coeffs", path, read_number)))
 
 
-def _require_number(record: dict, key: str, path: str) -> float:
-    v = record.get(key)
-    if not isinstance(v, (int, float)) or isinstance(v, bool) or not np.isfinite(v):
-        raise ConfigError(f"{path}.{key}", f"expected a finite number, got {v!r}")
-    return float(v)
+def _read_term(terms: list, i: int, path: str) -> tuple:
+    """The (c, b) pair of one exp_sum term record."""
+    tpath = f"{path}[{i}]"
+    term = read_record(terms[i], tpath, {"c", "b"})
+    c = read_number(term, "c", tpath)
+    b = read_number(term, "b", tpath)
+    if b < 0:
+        raise ConfigError(f"{tpath}.b", "decay rate must be nonnegative")
+    return c, b

@@ -28,12 +28,13 @@ class Mode:
     trace_right: float  # same at x=1
 
 
-def dirichlet_modes_1d(count: int, gain: float) -> tuple:
-    """First `count` modes with rates shifted by `gain` (the kernel at t=0)."""
+def dirichlet_modes_1d(count: int, gain: float, first: int = 1) -> tuple:
+    """`count` modes from index `first` on, with rates shifted by `gain` (the
+    kernel at t=0)."""
     if count < 1:
         raise ValueError("need at least one mode")
     modes = []
-    for n in range(1, count + 1):
+    for n in range(first, first + count):
         lam2 = (n * math.pi) ** 2
         trace = math.sqrt(2.0) * n * math.pi
         modes.append(

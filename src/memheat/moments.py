@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import convolve_exp, end_pairing
-from .errors import ConfigError, NumericalError, reject_unknown_keys
+from .errors import NumericalError, read_list, read_number, read_tagged
 from .modes import Mode
 from .resolvents import ResolventTriple, mode_resolvent_direct
 
@@ -72,26 +72,14 @@ class InitialData:
         return {"rule": self.rule}
 
 
+_INITIAL_KEYS = {"explicit": ("values",), "inverse_index": (), "zero": ()}
+
+
 def initial_data_from_config(record, path: str = "initial") -> InitialData:
-    if not isinstance(record, dict):
-        raise ConfigError(path, f"expected a record, got {type(record).__name__}")
-    rule = record.get("rule")
+    rule, record = read_tagged(record, path, "rule", _INITIAL_KEYS)
     if rule == "explicit":
-        reject_unknown_keys(record, {"rule", "values"}, path)
-        values = record.get("values")
-        if not isinstance(values, list) or not values:
-            raise ConfigError(f"{path}.values", "expected a nonempty list of numbers")
-        for i, v in enumerate(values):
-            if not isinstance(v, (int, float)) or isinstance(v, bool) or not np.isfinite(v):
-                raise ConfigError(f"{path}.values[{i}]", f"expected a finite number, got {v!r}")
-        return InitialData.from_values(values)
-    if rule in ("inverse_index", "zero"):
-        reject_unknown_keys(record, {"rule"}, path)
-        return InitialData(rule)
-    raise ConfigError(
-        f"{path}.rule",
-        f"unknown initial-data rule {rule!r}; expected explicit, inverse_index, or zero",
-    )
+        return InitialData.from_values(read_list(record, "values", path, read_number))
+    return InitialData(rule)
 
 
 # ---------------------------------------------------------------------------

@@ -181,6 +181,16 @@ def test_moment_evaluates_each_end_bracket_once(tmp_path, monkeypatch):
     assert all(rates.count(rate) == 2 for rate in rates)
 
 
+def test_moment_at_a_far_scope_builds_only_its_window(tmp_path):
+    # building modes 1..10^8 would take gigabytes; the window is two modes
+    cfg = write_config(tmp_path, {"steps": 100, "modes": 2, "scope": 100_000_000})
+    out = tmp_path / "run"
+    assert main(["moment", "--config", str(cfg), "--out", str(out)]) == 0
+    assert read_json(out / "moment_summary.json")["scope_start"] == 100_000_000
+    modes = read_json(out / "moments.json")["modes"]
+    assert [m["n"] for m in modes] == [100_000_000, 100_000_001]
+
+
 def test_biorth_command(tmp_path):
     cfg = write_config(tmp_path, SMALL)
     out = tmp_path / "run"
@@ -259,7 +269,7 @@ def test_ladder_top_exits_3_without_output(tmp_path, monkeypatch, capsys):
     assert "after 16, 32 bits" in capsys.readouterr().err
 
 
-def test_bad_config_exits_2_without_output(tmp_path):
+def test_bad_config_exits_2_without_output(tmp_path, capsys):
     cfg = write_config(tmp_path, {"stepz": 100})
     out = tmp_path / "run"
     assert main(["resolvent", "--config", str(cfg), "--out", str(out)]) == 2
@@ -267,6 +277,11 @@ def test_bad_config_exits_2_without_output(tmp_path):
     missing = tmp_path / "nope.json"
     assert main(["resolvent", "--config", str(missing), "--out", str(out)]) == 2
     assert not out.exists()
+    # 10^400 is a JSON number that does not fit a double
+    huge = write_config(tmp_path, {"kernel": {"type": "constant", "value": 10**400}})
+    assert main(["resolvent", "--config", str(huge), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "kernel.value: must be finite and fit a double" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -337,6 +352,12 @@ def test_degenerate_horizon_exits_3_without_output(tmp_path):
             "resolvent",
             {"kernel": {"type": "exp_sum", "terms": [{"c": 1e300, "b": 0}]}, "steps": 100},
             "samples must all be finite",
+        ),
+        # e^{-mu2 T} at T = 1e300 underflows the control norm to zero
+        (
+            "control",
+            {"horizon": 1e300, "control": {"family": 8, "active": 4}},
+            "outside double range",
         ),
     ],
 )

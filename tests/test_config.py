@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memheat import ConfigError
 from memheat.config import (
@@ -73,6 +75,9 @@ def test_echo_round_trip():
     assert rebuilt.echo() == echo
 
 
+HUGE = 10**400  # a JSON integer; float() overflows on it
+
+
 def rejected(data) -> str:
     with pytest.raises(ConfigError) as info:
         config_from_dict(data)
@@ -128,6 +133,17 @@ def test_root_and_unknown_keys():
         ({"biorth": {"family": 20, "fit_window": [10, 25]}}, "biorth.fit_window"),
         ({"biorth": {"family": 20}}, "biorth.fit_window"),
         ({"kernel": {"type": "polynomial", "coeffs": [0.5, float("nan")]}}, "kernel.coeffs[1]"),
+        ({"kernel": {"type": ["constant"]}}, "kernel.type"),
+        # integers too large for a double
+        ({"horizon": HUGE}, "horizon: must be finite"),
+        ({"series_tol": HUGE}, "series_tol: must be finite"),
+        ({"kernel": {"type": "constant", "value": HUGE}}, "kernel.value: must be finite"),
+        (
+            {"kernel": {"type": "exp_sum", "terms": [{"c": 1.0, "b": HUGE}]}},
+            "kernel.terms[0].b: must be finite",
+        ),
+        ({"kernel": {"type": "polynomial", "coeffs": [1.0, HUGE]}}, "kernel.coeffs[1]: must be finite"),
+        ({"initial": {"rule": "explicit", "values": [HUGE]}}, "initial.values[0]: must be finite"),
     ],
 )
 def test_rejections(data, key):
@@ -176,10 +192,144 @@ def test_load_config(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ConfigError, match="invalid JSON"):
         load_config(bad)
+    # past Python's 4300-digit limit json.loads raises a plain ValueError
+    bad.write_text('{"steps": 1%s}' % ("0" * 5000))
+    with pytest.raises(ConfigError, match="invalid JSON"):
+        load_config(bad)
+    bad.write_bytes(b'{"steps": \xff}')
+    with pytest.raises(ConfigError, match="cannot read"):
+        load_config(bad)
 
 
 def test_config_is_frozen():
     cfg = config_from_dict({})
     with pytest.raises(AttributeError):
         cfg.steps = 7
+    assert isinstance(cfg, ExperimentConfig)
+
+
+# ---------------------------------------------------------------------------
+# Properties over generated configs
+# ---------------------------------------------------------------------------
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+finite = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(10**300), 10**300),
+)
+kernels = st.one_of(
+    st.just({"type": "zero"}),
+    st.builds(lambda v: {"type": "constant", "value": v}, finite),
+    st.lists(
+        st.fixed_dictionaries(
+            {"c": finite, "b": st.floats(min_value=0.0, allow_infinity=False)}
+        ),
+        min_size=1,
+        max_size=3,
+    ).map(lambda terms: {"type": "exp_sum", "terms": terms}),
+    st.lists(finite, min_size=1, max_size=4).map(
+        lambda coeffs: {"type": "polynomial", "coeffs": coeffs}
+    ),
+)
+initials = st.one_of(
+    st.sampled_from([{"rule": "zero"}, {"rule": "inverse_index"}]),
+    st.lists(finite, min_size=1, max_size=4).map(
+        lambda values: {"rule": "explicit", "values": values}
+    ),
+)
+positive = st.floats(min_value=5e-324, allow_infinity=False)
+
+
+@st.composite
+def controls(draw):
+    family = draw(st.integers(1, 10**6))
+    return {"family": family, "active": draw(st.integers(1, family))}
+
+
+@st.composite
+def biorths(draw):
+    lo = draw(st.integers(1, 10**6))
+    hi = lo + draw(st.integers(7, 10**6))
+    return {
+        "family": hi + draw(st.integers(0, 10**6)),
+        "fit_window": [lo, hi],
+        "verify_modes": draw(st.integers(2, 64)),
+    }
+
+
+valid_configs = st.fixed_dictionaries(
+    {},
+    optional={
+        "kernel": kernels,
+        "horizon": positive,
+        "steps": st.integers(100, 10**30),
+        "modes": st.integers(1, 10**30),
+        "precision": st.integers(16, 1024),
+        "seed": st.integers(0, 10**30),
+        "series_tol": positive,
+        "initial": initials,
+        "scope": st.one_of(st.just("auto"), st.integers(1, 10**30)),
+        "control": controls(),
+        "biorth": biorths(),
+    },
+)
+
+
+@PROPERTY
+@given(valid_configs)
+def test_echo_reaches_a_fixed_point(data):
+    echo = config_from_dict(data).echo()
+    cfg = config_from_dict(json.loads(json.dumps(echo)))
+    assert cfg.echo() == echo
+    assert config_from_dict(cfg.echo()) == cfg
+
+
+SCHEMA_KEYS = sorted(
+    {
+        "kernel", "horizon", "steps", "modes", "precision", "seed", "series_tol",
+        "initial", "scope", "control", "biorth", "type", "value", "terms", "c", "b",
+        "coeffs", "rule", "values", "family", "active", "fit_window", "verify_modes",
+        "stepz",
+    }
+)
+json_trees = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.floats(),
+        st.integers(),
+        st.sampled_from([10**400, -(10**400), 2**1024]),
+        st.sampled_from(["auto", "zero", "constant", "exp_sum", "polynomial", "explicit"]),
+    ),
+    lambda children: st.one_of(
+        st.lists(children, max_size=3),
+        st.dictionaries(st.sampled_from(SCHEMA_KEYS), children, max_size=3),
+    ),
+    max_leaves=12,
+)
+
+
+@st.composite
+def mutated_configs(draw):
+    """A valid config with one entry, at any depth, replaced by an arbitrary tree."""
+    data = json.loads(json.dumps(config_from_dict(draw(valid_configs)).echo()))
+    node = data
+    while True:
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        key = draw(st.sampled_from(keys))
+        child = node[key]
+        if not isinstance(child, (dict, list)) or not child or draw(st.booleans()):
+            node[key] = draw(json_trees)
+            return data
+        node = child
+
+
+@PROPERTY
+@given(st.one_of(json_trees, mutated_configs()))
+def test_any_json_tree_is_a_config_or_a_config_error(data):
+    try:
+        cfg = config_from_dict(data)
+    except ConfigError:
+        return
     assert isinstance(cfg, ExperimentConfig)

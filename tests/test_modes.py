@@ -27,6 +27,10 @@ def test_eigendata():
         )
 
 
+def test_modes_from_a_later_index_match_the_full_list():
+    assert dirichlet_modes_1d(3, gain=40.0, first=5) == dirichlet_modes_1d(7, gain=40.0)[4:]
+
+
 def test_trace_parity():
     modes = dirichlet_modes_1d(8, gain=0.0)
     for m in modes:
