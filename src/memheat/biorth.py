@@ -8,7 +8,10 @@ arbitrary-precision arithmetic (mpmath). Both Gram matrices (biorthogonal
 and control) go through one precision ladder: a Cholesky factor and one
 forward and one back substitution per column, with 10 guard bits, then the
 residual max |G X - I| at the working precision against a 1e-20 gate; a miss
-doubles the precision up to 1024 bits and fails loudly past that.
+doubles the precision up to 1024 bits and fails loudly past that. The
+residual is checked one column at a time, largest inverse diagonal first,
+and below the top of the ladder the first column over the gate ends the
+rung: a missed rung solves and checks only the columns up to it.
 
 Every dot product in the factor, the substitutions and the residual is
 exact with one rounding, the same as mpmath's fdot: the mpf entries become
@@ -136,7 +139,11 @@ class BiorthReport:
     residuals: tuple  # per-index biorthogonality defect (row max of |G G^-1 - I|)
     residual: float  # max defect over all rows (the gated quantity)
     precision_used: int
-    escalations: tuple  # (bits, residual) for every attempt, last one passing
+    # (bits, residual) for every attempt, last one passing. A missed rung
+    # below the ladder top records the worst entry of its first column over
+    # the gate: a lower bound of its full maximum, equal to it on every
+    # measured run. The top rung records the full maximum.
+    escalations: tuple
 
 
 class _ExactVector:
@@ -217,13 +224,17 @@ def _cholesky(A):
 def _spd_inverse(G):
     """Columns of G^{-1} by Cholesky, with the 10 guard bits of mp.inverse.
 
-    The factor and both substitutions take their dot products exactly with
-    one rounding, the same as mpmath's fdot, so the columns are those of
-    mpmath's cholesky followed by fdot substitutions. Solved entries join a
-    growing exact vector as they come. The columns stay at the guarded
-    precision: rounding them to the working precision raises the residual
-    about a thousandfold. Raises ValueError if G is not positive definite at
-    this precision.
+    Yields (j, x, xs): the index j, column j of the inverse as a list, and the
+    same column as an exact vector in reversed order (x[n-1] first). The
+    factor and both substitutions take their dot products exactly with one
+    rounding, the same as mpmath's fdot, so the columns are those of
+    mpmath's cholesky followed by fdot substitutions. The factor and every
+    forward substitution run on the first request. The columns then come in
+    order of descending (G^{-1})_jj = |L^{-1} e_j|^2, each back-substituted
+    only when requested, so a caller that stops early skips the rest. The
+    columns stay at the guarded precision: rounding them to the working
+    precision raises the residual about a thousandfold. Raises ValueError if
+    G is not positive definite at this precision.
     """
     n = G.rows
     with mp.extraprec(10):
@@ -233,29 +244,24 @@ def _spd_inverse(G):
             _ExactVector(lower[k][i] for k in reversed(range(i + 1, n)))
             for i in range(n)
         ]
-        cols = []
+        forward = []
         for j in range(n):
             y = [mp.zero] * n
             ys = _ExactVector(y[:j])  # zeros above row j
             for i in range(j, n):
                 y[i] = ((1 if i == j else 0) - exact[i].dot(ys)) / diag[i]
                 ys.append(y[i])
+            forward.append((ys.dot(ys), j, y))
+    # the largest inverse diagonal first; ties keep the natural order
+    forward.sort(key=lambda f: f[0], reverse=True)
+    for _, j, y in forward:
+        with mp.extraprec(10):
             x = [mp.zero] * n
             xs = _ExactVector()  # x[n-1], x[n-2], ... as they are solved
             for i in reversed(range(n)):
                 x[i] = (y[i] - below[i].dot(xs)) / diag[i]
                 xs.append(x[i])
-            cols.append(x)
-    return cols
-
-
-def _residual_rows(G, cols):
-    """Per row i of G: max_j |(G X)_ij - delta_ij| at the working precision."""
-    xs = [_ExactVector(x) for x in cols]
-    return [
-        max(abs(g.dot(x) - int(i == j)) for j, x in enumerate(xs))
-        for i, g in enumerate(map(_ExactVector, G.tolist()))
-    ]
+        yield j, x, xs
 
 
 def _ladder_solve(build, bits: int):
@@ -264,19 +270,35 @@ def _ladder_solve(build, bits: int):
     `build` runs once per rung, at that rung's working precision, starting at
     `bits`. The defect of row i is max_j |(G X)_ij - delta_ij| at the working
     precision; a rung passes when the largest defect over all rows is below
-    RESIDUAL_GATE, read at call time. A matrix that is not positive definite
-    or holds an infinity or a nan (ValueError), or mode roots that coincide at
-    the working precision in the build (ZeroDivisionError), count as an
-    infinite residual. Returns the inverse columns, the per-row defects, the
-    passing bits and every (bits, residual) attempt.
+    RESIDUAL_GATE, read at call time. The defects are computed column by
+    column as `_spd_inverse` yields the columns, largest inverse diagonal
+    first. Below the ladder top the first column with an entry at or above
+    the gate ends the rung as a miss, and its worst entry is recorded: a
+    lower bound of the rung's full maximum, since every earlier column lies
+    below the gate. A passing rung and the top rung check all n^2 entries,
+    so the passing defects and the top rung's maximum are the full ones.
+    A matrix that is not positive definite or holds an infinity or a nan
+    (ValueError), or mode roots that coincide at the working precision in the
+    build (ZeroDivisionError), count as an infinite residual. Returns the
+    inverse columns, the per-row defects, the passing bits and every
+    (bits, residual) attempt.
     """
     attempts = []
     while True:
+        top = bits >= MAX_PRECISION_BITS
         with workprec(bits):
             try:
                 G = build()
-                cols = _spd_inverse(G)
-                row_resid = _residual_rows(G, cols)
+                # rows of G in reversed order, to meet the reversed columns
+                rows = [_ExactVector(reversed(g)) for g in G.tolist()]
+                cols = [None] * G.rows
+                row_resid = [mp.zero] * G.rows
+                for j, x, xs in _spd_inverse(G):
+                    cols[j] = x
+                    col_resid = [abs(g.dot(xs) - int(i == j)) for i, g in enumerate(rows)]
+                    row_resid = list(map(max, row_resid, col_resid))
+                    if not top and max(col_resid) >= RESIDUAL_GATE:
+                        break
             except (ValueError, ZeroDivisionError):
                 resid = mp.inf
             else:
@@ -284,7 +306,7 @@ def _ladder_solve(build, bits: int):
         attempts.append((bits, float(resid)))
         if resid < RESIDUAL_GATE:
             return cols, tuple(float(r) for r in row_resid), bits, tuple(attempts)
-        if bits >= MAX_PRECISION_BITS:
+        if top:
             tried = ", ".join(str(b) for b, _ in attempts)
             raise PrecisionError(
                 f"Gram residual {float(resid):.3e} still above the gate "
@@ -452,8 +474,11 @@ def _control_gram(family, horizon, c_value):
     for n in range(1, family + 1):
         lam2 = (mpf(n) * mp.pi) ** 2
         rp, rm, A, B = _influence_profile(lam2, c)
-        # e^{(r + r')T} = e^{rT} e^{r'T}: one exponential per root, not per pair
-        terms.append(((A, rp, mp.exp(rp * T)), (B, rm, mp.exp(rm * T))))
+        # e^{(r + r')T} = e^{rT} e^{r'T}: one exponential per root, not per
+        # pair. A term with an exactly zero coefficient adds an exact zero, so
+        # it is left out: in the memoryless case A = 0, so 3 of the 4 terms per
+        # entry go.
+        terms.append([(a, r, mp.exp(r * T)) for a, r in ((A, rp), (B, rm)) if a])
         gammas.append(_trace_scale(n))
     G = mp.zeros(family, family)
     for i in range(family):
@@ -481,7 +506,7 @@ class ControlSweep:
     slope: float  # fitted log-norm slope across the sweep
     precision_used: int
     residual: float
-    escalations: tuple  # (bits, residual) for every attempt, last one passing
+    escalations: tuple  # (bits, residual) per attempt, as in BiorthReport
 
 
 def control_norm_sweep(

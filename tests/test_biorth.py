@@ -398,11 +398,114 @@ def _spd_inverse_reference(G):
 def test_spd_inverse_matches_mpmath_entry_for_entry(build):
     with workprec(256):
         G = build()
-        got = _spd_inverse(G)
+        cols = {j: x for j, x, _ in _spd_inverse(G)}
+        got = [cols[j] for j in range(G.rows)]
         want = _spd_inverse_reference(G)
     assert [[x._mpf_ for x in col] for col in got] == [
         [x._mpf_ for x in col] for col in want
     ]
+
+
+def _residual_by_fdot(G, cols):
+    """|G X - I| as mpmath computes it, entry [i][j] for row i and column j."""
+    rows = G.tolist()
+    return [
+        [abs(mp.fdot(g, x) - int(i == j)) for j, x in enumerate(cols)]
+        for i, g in enumerate(rows)
+    ]
+
+
+def _count_back_substitutions(monkeypatch):
+    """Record (bits, j) for every column that `_spd_inverse` back-substitutes."""
+    solved = []
+    inverse = biorth._spd_inverse
+
+    def counting(G):
+        for item in inverse(G):
+            solved.append((mp.prec, item[0]))
+            yield item
+
+    monkeypatch.setattr(biorth, "_spd_inverse", counting)
+    return solved
+
+
+@pytest.mark.parametrize("c", [1.0, 0.0], ids=["memory", "memoryless"])
+def test_missed_rung_ends_at_its_first_column_over_the_gate(monkeypatch, c):
+    solved = _count_back_substitutions(monkeypatch)
+    solves = []
+    ladder = biorth._ladder_solve
+    monkeypatch.setattr(
+        biorth, "_ladder_solve", lambda *args: solves.append(ladder(*args)) or solves[-1]
+    )
+    sweep = control_norm_sweep(60, range(1, 13), 1.0, c, InitialData.inverse_index(), 256)
+    assert [bits for bits, _ in sweep.escalations] == [256, 512]
+    assert sweep.escalations[0][1] > RESIDUAL_GATE > sweep.escalations[1][1]
+    missed = [j for bits, j in solved if bits == 256]
+    assert len(missed) < 60
+    assert sorted(j for bits, j in solved if bits == 512) == list(range(60))
+    # the passing rung's per-row defects are the full ones
+    (cols, residuals, bits, _), = solves
+    assert bits == 512
+    with workprec(512):
+        resid = _residual_by_fdot(_control_gram(60, 1.0, c), cols)
+    assert residuals == tuple(float(max(row)) for row in resid)
+
+
+def test_ladder_top_reports_the_full_maximum(monkeypatch):
+    # a Householder reflection of a diagonal spread over twelve decades: at
+    # 1024 bits the column checked first is not the worst one
+    v, d = (3, 9, 7, 2, 6), (1.0, 1e-3, 1e-6, 1e-9, 1e-12)
+    vv = sum(x * x for x in v)
+    q = [[(i == k) - 2 * v[i] * v[k] / vv for k in range(5)] for i in range(5)]
+    m = [[sum(q[i][k] * d[k] * q[j][k] for k in range(5)) for j in range(5)] for i in range(5)]
+    gs = empirical_gram(np.array(m))
+    solved = _count_back_substitutions(monkeypatch)
+    monkeypatch.setattr(biorth, "RESIDUAL_GATE", 0.0)
+    with pytest.raises(PrecisionError, match=LADDER_TOP) as err:
+        min_norm_biorth(gs)
+    # a rung below the top stops at its first column; the top checks all
+    assert [bits for bits, _ in solved[:2]] == [256, 512]
+    top = [j for bits, j in solved[2:] if bits == 1024]
+    assert sorted(top) == list(range(5)) and len(solved) == 7
+    with workprec(1024):
+        resid = _residual_by_fdot(gs.matrix, _spd_inverse_reference(gs.matrix))
+    full = float(max(max(row) for row in resid))
+    first = float(max(row[top[0]] for row in resid))
+    assert first < full
+    assert f"Gram residual {full:.3e} still above" in str(err.value)
+
+
+def _control_gram_reference(family, horizon, c_value):
+    """The control Gram with all four terms per entry, zero coefficients too."""
+    T, c = mpf(horizon), mpf(c_value)
+    terms, gammas = [], []
+    for n in range(1, family + 1):
+        rp, rm, A, B = biorth._influence_profile((mpf(n) * mp.pi) ** 2, c)
+        terms.append(((A, rp, mp.exp(rp * T)), (B, rm, mp.exp(rm * T))))
+        gammas.append(biorth._trace_scale(n))
+    G = mp.zeros(family, family)
+    for i in range(family):
+        for j in range(i, family):
+            entry = 0
+            for a, r, e in terms[i]:
+                for b, q, f in terms[j]:
+                    s = r + q
+                    entry += a * b * (T if s == 0 else (e * f - 1) / s)
+            G[i, j] = G[j, i] = mp.re(entry) / (gammas[i] * gammas[j])
+    return G
+
+
+@pytest.mark.parametrize("bits", [256, 512])
+@pytest.mark.parametrize("c", [0.0, 1.0], ids=["memoryless", "memory"])
+def test_control_gram_skips_only_exact_zero_terms(c, bits):
+    with workprec(bits):
+        if c == 0.0:  # the slow root and its coefficient vanish exactly
+            for n in (1, 30, 60):
+                rp, _, A, _ = biorth._influence_profile((mpf(n) * mp.pi) ** 2, mpf(0))
+                assert rp == 0 and A == 0
+        got = _control_gram(60, 1.0, c)
+        want = _control_gram_reference(60, 1.0, c)
+    assert [x._mpf_ for x in got] == [x._mpf_ for x in want]
 
 
 def test_growth_fit_validation():

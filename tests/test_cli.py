@@ -282,6 +282,12 @@ def test_bad_config_exits_2_without_output(tmp_path, capsys):
     assert main(["resolvent", "--config", str(huge), "--out", str(out)]) == 2
     assert not out.exists()
     assert "kernel.value: must be finite and fit a double" in capsys.readouterr().err
+    # 10^29 steps would fail in the grid allocation; the upper bound refuses it
+    many = write_config(tmp_path, {"steps": 10**29})
+    for command in ("resolvent", "moment"):
+        assert main([command, "--config", str(many), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "steps: must be at most 100000" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from memheat import ConfigError
 from memheat.config import (
+    MAX_STEPS,
+    MIN_STEPS,
     ExperimentConfig,
     apply_overrides,
     config_from_dict,
@@ -144,6 +146,7 @@ def test_root_and_unknown_keys():
         ),
         ({"kernel": {"type": "polynomial", "coeffs": [1.0, HUGE]}}, "kernel.coeffs[1]: must be finite"),
         ({"initial": {"rule": "explicit", "values": [HUGE]}}, "initial.values[0]: must be finite"),
+        ({"steps": 100_001}, "steps: must be at most 100000"),
     ],
 )
 def test_rejections(data, key):
@@ -263,7 +266,7 @@ valid_configs = st.fixed_dictionaries(
     optional={
         "kernel": kernels,
         "horizon": positive,
-        "steps": st.integers(100, 10**30),
+        "steps": st.integers(MIN_STEPS, MAX_STEPS),
         "modes": st.integers(1, 10**30),
         "precision": st.integers(16, 1024),
         "seed": st.integers(0, 10**30),
