@@ -46,20 +46,14 @@ MAX_PRECISION_BITS = 1024
 
 @dataclass(frozen=True)
 class GramSystem:
-    """A symmetric positive-definite Gram matrix held in extended precision.
+    """A symmetric positive-definite Gram matrix, given by its builder.
 
-    `exponents` is None for empirical matrices that did not come from an
-    exponential family; `horizon` is None for the infinite-horizon case.
+    The ladder calls `build()` once per rung from `precision` bits on; it
+    returns the entries as an mp.matrix at the current working precision.
     """
 
-    exponents: tuple
-    horizon: float
+    build: object  # () -> mp.matrix at the working precision
     precision: int
-    matrix: object  # mp.matrix
-
-    @property
-    def size(self) -> int:
-        return self.matrix.rows
 
 
 def gram(exponents, horizon, precision: int = 256) -> GramSystem:
@@ -67,6 +61,7 @@ def gram(exponents, horizon, precision: int = 256) -> GramSystem:
 
     Finite-horizon entries are (1 - e^{-(mu_i+mu_j)T})/(mu_i+mu_j); letting
     T grow they increase monotonically to the Cauchy entries 1/(mu_i+mu_j).
+    `horizon` None is the infinite horizon. Nothing is built until a rung asks.
     """
     exps = [float(x) for x in exponents]
     if any(x <= 0 for x in exps):
@@ -76,9 +71,7 @@ def gram(exponents, horizon, precision: int = 256) -> GramSystem:
             "duplicate exponents make the Gram matrix singular; the family "
             "must consist of distinct rates"
         )
-    with workprec(precision):
-        G = _gram_matrix(exps, horizon)
-    return GramSystem(tuple(exps), horizon, precision, G)
+    return GramSystem(lambda: _gram_matrix(exps, horizon), precision)
 
 
 def _gram_matrix(exps, horizon):
@@ -94,7 +87,7 @@ def _gram_matrix(exps, horizon):
 
 
 def empirical_gram(matrix: np.ndarray, precision: int = 256) -> GramSystem:
-    """Wrap a numerically computed symmetric Gram matrix (no exponent family)."""
+    """Wrap a numerically computed symmetric Gram matrix; every rung solves it as is."""
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError("expected a square matrix")
@@ -103,7 +96,7 @@ def empirical_gram(matrix: np.ndarray, precision: int = 256) -> GramSystem:
     matrix = 0.5 * (matrix + matrix.T)
     with workprec(precision):
         G = mp.matrix(matrix.tolist())
-    return GramSystem(None, None, precision, G)
+    return GramSystem(lambda: G, precision)
 
 
 def orthonormal_family_gram(
@@ -320,21 +313,13 @@ def min_norm_biorth(gs: GramSystem) -> BiorthReport:
     """Minimal-norm biorthogonal family: norm_n^2 is the inverse Gram diagonal.
 
     The biorthogonality defect is measured per row as the maximum entry of
-    |G G^{-1} - I|, and RESIDUAL_GATE applies to every row. If the gated
+    |G G^{-1} - I|, and RESIDUAL_GATE applies to every row. The ladder
+    starts at `gs.precision` and calls `gs.build` once per rung; if the gated
     residual misses, precision doubles and the solve reruns, failing loudly
     past the ladder's top.
     """
-    n = gs.size
-
-    def build():
-        # Exponent-built systems are rebuilt at each higher rung so the
-        # entries sharpen too; an empirical matrix can only have its solve
-        # refined.
-        if gs.exponents is None or mp.prec == gs.precision:
-            return gs.matrix
-        return _gram_matrix(gs.exponents, gs.horizon)
-
-    cols, residuals, bits, attempts = _ladder_solve(build, gs.precision)
+    cols, residuals, bits, attempts = _ladder_solve(gs.build, gs.precision)
+    n = len(cols)
     with workprec(bits):
         diag = tuple(cols[i][i] for i in range(n))
         log_norms = tuple(float(mp.log(d) / 2) for d in diag)

@@ -44,6 +44,18 @@ MIN_STEPS = 100
 # 105 MB, `moment` 57 MB, `simulate --refine` 322 MB with 2 modes, plus
 # about 17 MB per further mode. A larger value fails in the allocation.
 MAX_STEPS = 100_000
+# Time grows linearly in modes, one Volterra solve each. Measured at 1,000
+# modes and 1,000 steps: `simulate` 11.7 s and 158 MB, `moment` 2.1 s and
+# 36 MB (`moment` with 10 modes at 100,000 steps: 4.3 s).
+MAX_MODES = 1000
+# The Cauchy closed form holds six family x family arrays. Measured `biorth`
+# peaks: 80 MB at 1,000, 220 MB at 2,000, 659 MB (1.1 s) at 4,000.
+MAX_BIORTH_FAMILY = 4000
+# Two mpmath Gram solves, O(family^3). Measured `control` at horizon 1,
+# constant 1: 2.0 s at 60, 53 s at 150, 113 s at 200, both sweeps at the
+# top rung (1024 bits), whose residual rises about a decade per member
+# (6e-158 at 150, 1e-105 at 200): near 280 it would miss the gate.
+MAX_CONTROL_FAMILY = 200
 MIN_PRECISION = 16
 MAX_PRECISION = 1024
 
@@ -97,7 +109,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     steps = read_int(
         data, "steps", "", minimum=MIN_STEPS, maximum=MAX_STEPS, default=d.steps
     )
-    modes = read_int(data, "modes", "", minimum=1, default=d.modes)
+    modes = read_int(data, "modes", "", minimum=1, maximum=MAX_MODES, default=d.modes)
     precision = read_int(
         data, "precision", "", minimum=MIN_PRECISION, maximum=MAX_PRECISION, default=d.precision
     )
@@ -109,7 +121,9 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         scope = read_int(data, "scope", "", minimum=1)
 
     control = read_record(data.get("control", {}), "control", _CONTROL_KEYS)
-    control_family = read_int(control, "family", "control", minimum=1, default=d.control_family)
+    control_family = read_int(
+        control, "family", "control", minimum=1, maximum=MAX_CONTROL_FAMILY, default=d.control_family
+    )
     control_active = read_int(control, "active", "control", minimum=1, default=d.control_active)
     if control_active > control_family:
         raise ConfigError(
@@ -117,7 +131,9 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         )
 
     biorth = read_record(data.get("biorth", {}), "biorth", _BIORTH_KEYS)
-    biorth_family = read_int(biorth, "family", "biorth", minimum=8, default=d.biorth_family)
+    biorth_family = read_int(
+        biorth, "family", "biorth", minimum=8, maximum=MAX_BIORTH_FAMILY, default=d.biorth_family
+    )
     verify_modes = read_int(
         biorth, "verify_modes", "biorth", minimum=2, maximum=64, default=d.verify_modes
     )

@@ -31,7 +31,6 @@ from .modes import dirichlet_modes_1d, first_positive_index
 from .moments import (
     asymptotic_table,
     build_moment_problem,
-    moment_problem_record,
     scope_threshold,
 )
 from .output import write_csv, write_json
@@ -56,8 +55,10 @@ def _per_mode(fn, items):
 
 def _write_outputs(out_dir: Path, echo: dict, csv_files: dict, json_files: dict):
     """Single write phase: echo first, then every data file, all atomic."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file at the path or above it, say
+        raise ConfigError("--out", f"cannot create the output directory: {exc}") from exc
     write_json(out_dir / "config_echo.json", echo)
     for name, (header, rows) in csv_files.items():
         write_csv(out_dir / name, header, rows)
@@ -215,8 +216,7 @@ def cmd_simulate(config: ExperimentConfig, out_dir, refine: bool = False) -> dic
 def cmd_moment(config: ExperimentConfig, out_dir, refine: bool = False) -> dict:
     """Constraint targets d_n, their rescaled asymptotics, and the JSON dump
     of the assembled end-state constraint family."""
-    grid = TimeGrid(config.horizon, config.steps)
-    rt = resolvent_of(config.kernel, grid)
+    rt = resolvent_of(config.kernel, TimeGrid(config.horizon, config.steps))
 
     if config.scope == "auto":
         lowest = first_positive_index(rt.gain)
@@ -226,24 +226,13 @@ def cmd_moment(config: ExperimentConfig, out_dir, refine: bool = False) -> dict:
         start = int(config.scope)
     window = dirichlet_modes_1d(config.modes, rt.gain, first=start)
 
-    problem = build_moment_problem(window, rt, config.initial, start=start)
-    record = moment_problem_record(problem, grid)
+    record = build_moment_problem(window, rt, config.initial)
     report = asymptotic_table(window, rt)
 
-    rows = []
-    for mode, target, ratio, resid in zip(
-        problem.modes, problem.targets, report.ratios, report.residuals
-    ):
-        rows.append(
-            (
-                mode.index,
-                mode.shifted_rate,
-                target,
-                ratio,
-                resid,
-                abs(resid) * mode.shifted_rate,
-            )
-        )
+    rows = [
+        (m["n"], m["mu2"], m["d_n"], ratio, resid, abs(resid) * m["mu2"])
+        for m, ratio, resid in zip(record["modes"], report.ratios, report.residuals)
+    ]
     header = ["n", "mu2", "d_n", "ratio", "residual", "weighted_residual"]
 
     summary = {
@@ -363,21 +352,11 @@ def cmd_control(config: ExperimentConfig, out_dir, refine: bool = False) -> dict
             'value (type "constant"); the memoryless side is built in',
         )
     counts = tuple(range(1, config.control_active + 1))
-    memory = control_norm_sweep(
-        config.control_family,
-        counts,
-        config.horizon,
-        kernel.value,
-        config.initial,
-        config.precision,
-    )
-    baseline = control_norm_sweep(
-        config.control_family,
-        counts,
-        config.horizon,
-        0.0,
-        config.initial,
-        config.precision,
+    memory, baseline = (
+        control_norm_sweep(
+            config.control_family, counts, config.horizon, c, config.initial, config.precision
+        )
+        for c in (kernel.value, 0.0)
     )
 
     rows = list(

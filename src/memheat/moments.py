@@ -10,10 +10,11 @@ psi_n = e0 - h_n*e0. This module computes the targets d_n, checks their
 asymptotic law (the rescaled free values mu2_n d_n / xi_n converge to minus
 the resolvent value at T, at rate 1/mu2_n, so the constraint family is
 uniformly nondegenerate exactly when the resolvent does not vanish at T),
-finds the first mode from which that holds, and records the assembled
-family. Up to a two-time kernel independent of n, the profiles psi_n are
-plain exponentials; the biorthogonality problem against {mu2_n e^{-mu2_n r}}
-that this leaves is measured in `biorth`.
+finds the first mode from which that holds, and returns the assembled
+family directly as its JSON record (`build_moment_problem`). Up to a
+two-time kernel independent of n, the profiles psi_n are plain
+exponentials; the biorthogonality problem against {mu2_n e^{-mu2_n r}} that
+this leaves is measured in `biorth`.
 
 The per-mode functions build what they need from each mode and the
 resolvent triple. The one piece of per-mode work they share, the end-value
@@ -203,57 +204,27 @@ def scope_threshold(modes, rt: ResolventTriple) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MomentProblem:
-    """Scope modes with their free end values."""
+def build_moment_problem(modes, rt: ResolventTriple, initial: InitialData) -> dict:
+    """JSON record (stable external schema) of the targets d_n of `modes`.
 
-    horizon: float
-    modes: tuple
-    targets: tuple  # free end values d_n for the configured initial data
-
-    def __post_init__(self):
-        if len(self.modes) != len(self.targets):
-            raise ValueError("modes and targets must align")
-        for mode in self.modes:
-            if mode.shifted_rate <= 0:
-                raise ValueError("every mode in a moment problem needs a positive rate")
-
-
-def build_moment_problem(
-    modes,
-    rt: ResolventTriple,
-    initial: InitialData,
-    start: int,
-) -> MomentProblem:
-    """Assemble the targets for every mode from index ``start`` on.
-
-    ``start`` is the first mode in scope: the `scope_threshold` of a search
-    or an index pinned by hand.
+    `modes` is the scope window: it starts at the `scope_threshold` of a
+    search or at an index pinned by hand.
     """
-    scope = [m for m in modes if m.index >= start]
-    if not scope:
-        raise NumericalError(f"no modes at or beyond index {start}")
-    if any(m.shifted_rate <= 0 for m in scope):
+    if any(m.shifted_rate <= 0 for m in modes):
         raise NumericalError(
-            f"scope start {start} admits a nonpositive shifted rate; "
+            f"scope start {modes[0].index} admits a nonpositive shifted rate; "
             "raise the start index past the gain crossover"
         )
-    targets = [free_end_value(m, rt, xi=initial.value(m.index)) for m in scope]
-    return MomentProblem(rt.grid.horizon, tuple(scope), tuple(targets))
-
-
-def moment_problem_record(problem: MomentProblem, grid) -> dict:
-    """JSON-ready dump of the assembled problem (stable external schema)."""
     return {
-        "T": problem.horizon,
+        "T": rt.grid.horizon,
         "modes": [
             {
                 "n": mode.index,
                 "mu2": mode.shifted_rate,
-                "d_n": target,
+                "d_n": free_end_value(mode, rt, xi=initial.value(mode.index)),
                 "trace_factors": [mode.trace_left, mode.trace_right],
             }
-            for mode, target in zip(problem.modes, problem.targets)
+            for mode in modes
         ],
-        "grid": {"horizon": grid.horizon, "steps": grid.steps},
+        "grid": {"horizon": rt.grid.horizon, "steps": rt.grid.steps},
     }

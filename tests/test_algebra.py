@@ -92,6 +92,22 @@ def test_convolve_commutes_bitwise():
     assert np.array_equal(convolve(f, g).values, convolve(g, f).values)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(min_value=1, max_value=3 * BLOCK),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=-100, max_value=100),
+    st.integers(min_value=-100, max_value=100),
+)
+def test_convolve_commutes_bitwise_on_any_grid(steps, seed, f_exp, g_exp):
+    # odd and even node counts, operands of unrelated magnitudes
+    grid = TimeGrid(1.0, steps)
+    rng = np.random.default_rng(seed)
+    f = SampledFunction(grid, 10.0**f_exp * rng.standard_normal(grid.size))
+    g = SampledFunction(grid, 10.0**g_exp * rng.standard_normal(grid.size))
+    assert convolve(f, g).values.tobytes() == convolve(g, f).values.tobytes()
+
+
 def test_convolve_associates_to_quadrature_error():
     rng = np.random.default_rng(11)
     f = SampledFunction(GRID, rng.standard_normal(GRID.size))

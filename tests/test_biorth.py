@@ -66,9 +66,10 @@ def test_gram_validation():
 
 def test_finite_horizon_entries_grow_to_cauchy():
     exps = (1.0, 2.0)
-    g_short = gram(exps, 0.5).matrix
-    g_long = gram(exps, 2.0).matrix
-    g_inf = gram(exps, None).matrix
+    with workprec(256):
+        g_short = gram(exps, 0.5).build()
+        g_long = gram(exps, 2.0).build()
+        g_inf = gram(exps, None).build()
     for i in range(2):
         for j in range(2):
             assert float(g_short[i, j]) < float(g_long[i, j]) < float(g_inf[i, j])
@@ -209,8 +210,8 @@ def test_precision_escalation_warns_and_records():
 
 
 def test_first_rung_reuses_the_built_gram(monkeypatch):
-    # gram() built the entries at the requested precision; only the higher
-    # rungs of the ladder build them again
+    # gram() builds nothing; each rung of the ladder builds the entries once,
+    # at that rung's precision
     calls = []
     build = biorth._gram_matrix
     monkeypatch.setattr(
@@ -285,7 +286,9 @@ def test_sanity_gram_is_exactly_symmetric():
     # the Cholesky solve reads one triangle, so the float orthonormalized
     # Gram must reach extended precision exactly symmetric
     gs = orthonormal_family_gram(16, TimeGrid(1.0, 400), seed=7)
-    assert gs.matrix == gs.matrix.T
+    with workprec(gs.precision):
+        G = gs.build()
+    assert G == G.T
 
 
 @st.composite
@@ -391,7 +394,7 @@ def _spd_inverse_reference(G):
     [
         lambda: _control_gram(60, 1.0, 0.0),
         lambda: _control_gram(60, 1.0, 1.0),
-        lambda: gram([(n * math.pi) ** 2 - 1.0 for n in range(1, 13)], None).matrix,
+        lambda: gram([(n * math.pi) ** 2 - 1.0 for n in range(1, 13)], None).build(),
     ],
     ids=["control-60-memoryless", "control-60-memory", "cauchy-12"],
 )
@@ -467,8 +470,10 @@ def test_ladder_top_reports_the_full_maximum(monkeypatch):
     assert [bits for bits, _ in solved[:2]] == [256, 512]
     top = [j for bits, j in solved[2:] if bits == 1024]
     assert sorted(top) == list(range(5)) and len(solved) == 7
+    with workprec(gs.precision):
+        G = gs.build()
     with workprec(1024):
-        resid = _residual_by_fdot(gs.matrix, _spd_inverse_reference(gs.matrix))
+        resid = _residual_by_fdot(G, _spd_inverse_reference(G))
     full = float(max(max(row) for row in resid))
     first = float(max(row[top[0]] for row in resid))
     assert first < full

@@ -16,6 +16,7 @@ import pytest
 
 from memheat import biorth
 from memheat.cli import main
+from memheat.config import MAX_BIORTH_FAMILY, MAX_CONTROL_FAMILY, MAX_MODES
 
 SMALL = {
     "kernel": {"type": "constant", "value": 1.0},
@@ -288,6 +289,48 @@ def test_bad_config_exits_2_without_output(tmp_path, capsys):
         assert main([command, "--config", str(many), "--out", str(out)]) == 2
         assert not out.exists()
         assert "steps: must be at most 100000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, data, message",
+    [
+        ("moment", {"modes": MAX_MODES + 1}, f"modes: must be at most {MAX_MODES}"),
+        (
+            "biorth",
+            {"biorth": {"family": MAX_BIORTH_FAMILY + 1}},
+            f"biorth.family: must be at most {MAX_BIORTH_FAMILY}",
+        ),
+        (
+            "control",
+            {"control": {"family": MAX_CONTROL_FAMILY + 1}},
+            f"control.family: must be at most {MAX_CONTROL_FAMILY}",
+        ),
+    ],
+    ids=["modes", "biorth.family", "control.family"],
+)
+def test_size_past_its_bound_exits_2_without_output(tmp_path, capsys, command, data, message):
+    cfg = write_config(tmp_path, data)
+    out = tmp_path / "run"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert message in capsys.readouterr().err
+
+
+def test_modes_override_past_its_bound_exits_2(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["simulate", "--modes", str(MAX_MODES + 1), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert f"modes: must be at most {MAX_MODES}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["a-file", "under-a-file"])
+def test_out_that_cannot_be_a_directory_exits_2(tmp_path, capsys, below):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept")
+    out = blocker / "run" if below else blocker
+    assert main(["resolvent", "--out", str(out)]) == 2
+    assert blocker.read_text() == "kept"
+    assert "--out: cannot create the output directory" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

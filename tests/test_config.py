@@ -8,6 +8,9 @@ from hypothesis import strategies as st
 
 from memheat import ConfigError
 from memheat.config import (
+    MAX_BIORTH_FAMILY,
+    MAX_CONTROL_FAMILY,
+    MAX_MODES,
     MAX_STEPS,
     MIN_STEPS,
     ExperimentConfig,
@@ -147,6 +150,15 @@ def test_root_and_unknown_keys():
         ({"kernel": {"type": "polynomial", "coeffs": [1.0, HUGE]}}, "kernel.coeffs[1]: must be finite"),
         ({"initial": {"rule": "explicit", "values": [HUGE]}}, "initial.values[0]: must be finite"),
         ({"steps": 100_001}, "steps: must be at most 100000"),
+        ({"modes": MAX_MODES + 1}, f"modes: must be at most {MAX_MODES}"),
+        (
+            {"control": {"family": MAX_CONTROL_FAMILY + 1}},
+            f"control.family: must be at most {MAX_CONTROL_FAMILY}",
+        ),
+        (
+            {"biorth": {"family": MAX_BIORTH_FAMILY + 1}},
+            f"biorth.family: must be at most {MAX_BIORTH_FAMILY}",
+        ),
     ],
 )
 def test_rejections(data, key):
@@ -246,16 +258,17 @@ positive = st.floats(min_value=5e-324, allow_infinity=False)
 
 @st.composite
 def controls(draw):
-    family = draw(st.integers(1, 10**6))
+    family = draw(st.integers(1, MAX_CONTROL_FAMILY))
     return {"family": family, "active": draw(st.integers(1, family))}
 
 
 @st.composite
 def biorths(draw):
-    lo = draw(st.integers(1, 10**6))
-    hi = lo + draw(st.integers(7, 10**6))
+    family = draw(st.integers(8, MAX_BIORTH_FAMILY))
+    hi = draw(st.integers(8, family))
+    lo = draw(st.integers(1, hi - 7))
     return {
-        "family": hi + draw(st.integers(0, 10**6)),
+        "family": family,
         "fit_window": [lo, hi],
         "verify_modes": draw(st.integers(2, 64)),
     }
@@ -267,7 +280,7 @@ valid_configs = st.fixed_dictionaries(
         "kernel": kernels,
         "horizon": positive,
         "steps": st.integers(MIN_STEPS, MAX_STEPS),
-        "modes": st.integers(1, 10**30),
+        "modes": st.integers(1, MAX_MODES),
         "precision": st.integers(16, 1024),
         "seed": st.integers(0, 10**30),
         "series_tol": positive,

@@ -14,6 +14,8 @@ import cmath
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memheat import (
     ConstantKernel,
@@ -75,6 +77,27 @@ def test_memoryless_degeneration_is_bitwise():
         via_solver = solve_mode(mode, rt, 0.7, g)
         baseline = heat_mode(mode, 0.7, g)
         assert np.array_equal(via_solver.w.values, baseline.w.values)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(min_value=1, max_value=4),
+    st.floats(min_value=-10.0, max_value=10.0),
+    st.integers(min_value=1, max_value=600),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.booleans(),
+)
+def test_zero_kernel_solve_is_heat_mode_bitwise(n, xi, steps, seed, forced):
+    # with no memory the Volterra route adds and solves only exact zeros
+    grid = TimeGrid(1.0, steps)
+    rt = resolvent_of(ZeroKernel(), grid)
+    g = SampledFunction.zeros(grid)
+    if forced:
+        g = SampledFunction(grid, np.random.default_rng(seed).standard_normal(grid.size))
+    mode = dirichlet_modes_1d(n, gain=0.0)[-1]
+    via_solver = solve_mode(mode, rt, xi, g)
+    baseline = heat_mode(mode, xi, g)
+    assert via_solver.w.values.tobytes() == baseline.w.values.tobytes()
 
 
 @pytest.mark.parametrize("xi,g_const", [(1.0, 0.0), (0.3, 2.0), (0.0, 1.0)])

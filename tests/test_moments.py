@@ -31,7 +31,6 @@ from memheat.moments import (
     build_moment_problem,
     check_end_value,
     free_end_value,
-    moment_problem_record,
     scope_threshold,
 )
 from memheat.resolvents import mode_resolvent_direct, resolvent_of
@@ -145,14 +144,13 @@ def test_build_moment_problem_and_record():
     modes = dirichlet_modes_1d(5, gain=1.0)
     start = scope_threshold(modes, rt)
     assert start == 1
-    problem = build_moment_problem(modes, rt, InitialData.inverse_index(), start)
-    assert [m.index for m in problem.modes] == [1, 2, 3, 4, 5]
-    assert problem.horizon == 1.0
+    record = build_moment_problem(modes, rt, InitialData.inverse_index())
+    assert [m["n"] for m in record["modes"]] == [1, 2, 3, 4, 5]
+    assert record["T"] == 1.0
     # rescaled targets track the law times the initial data
-    for mode, d in zip(problem.modes, problem.targets):
-        rescaled = mode.shifted_rate * d
-        assert rescaled == pytest.approx(-math.exp(-1.0) / mode.index, rel=0.2)
-    record = moment_problem_record(problem, GRID)
+    for m in record["modes"]:
+        rescaled = m["mu2"] * m["d_n"]
+        assert rescaled == pytest.approx(-math.exp(-1.0) / m["n"], rel=0.2)
     assert set(record) == {"T", "modes", "grid"}
     assert record["grid"] == {"horizon": 1.0, "steps": 1000}
     assert len(record["modes"]) == 5
@@ -170,12 +168,10 @@ def test_build_moment_problem_start_validation():
     grid = TimeGrid(0.1, 500)
     rt = resolvent_of(ConstantKernel(20.0), grid)
     modes = dirichlet_modes_1d(5, gain=20.0)
-    with pytest.raises(NumericalError):
-        build_moment_problem(modes, rt, InitialData("zero"), start=1)
-    with pytest.raises(NumericalError):
-        build_moment_problem(modes, rt, InitialData("zero"), start=9)
-    problem = build_moment_problem(modes, rt, InitialData("zero"), start=2)
-    assert [m.index for m in problem.modes] == [2, 3, 4, 5]
+    with pytest.raises(NumericalError, match="scope start 1 admits"):
+        build_moment_problem(modes, rt, InitialData("zero"))
+    record = build_moment_problem(modes[1:], rt, InitialData("zero"))
+    assert [m["n"] for m in record["modes"]] == [2, 3, 4, 5]
 
 
 @pytest.mark.parametrize("n", [1, 5, 10])

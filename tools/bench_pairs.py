@@ -12,7 +12,9 @@ sides alike. Every run's result JSON (the last line perfbench prints) is kept
 as it is, and the record also gives, per workload and metric, both medians,
 both interquartile ranges (q3 - q1, the spread a gain must exceed) and the
 number of pairs in which the change was better. The record goes to
-``BENCH_<short base sha>.json`` at the repo root.
+``BENCH_<short base sha>.json`` at the repo root. A run that exits nonzero
+ends the comparison with exit status 1, after printing its side, workload,
+seed and stderr. The export is removed in every case.
 """
 
 from __future__ import annotations
@@ -32,6 +34,10 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("march", "gram")
 
 
+class RunFailed(Exception):
+    """A perfbench run exited nonzero; carries its exit code and stderr."""
+
+
 def git(*args) -> str:
     return subprocess.run(
         ["git", *args], cwd=ROOT, capture_output=True, text=True, check=True
@@ -48,12 +54,14 @@ def export(rev: str, dest: Path) -> None:
 
 
 def perfbench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    out = subprocess.run(
+    proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True, check=True,
-    ).stdout
-    return json.loads(out.strip().splitlines()[-1])
+        cwd=checkout, capture_output=True, text=True,
+    )
+    if proc.returncode:
+        raise RunFailed(f"exit {proc.returncode}\n{proc.stderr}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 def iqr(values: list):
@@ -103,19 +111,31 @@ def main(argv=None) -> int:
     work.mkdir(parents=True, exist_ok=True)
     base_dir = work / f"base_{base_sha}"
     shutil.rmtree(base_dir, ignore_errors=True)
-    export(args.base, base_dir)
     sides = {"base": base_dir, "change": ROOT}
 
     runs = []
-    for i in range(args.pairs):
-        seed = args.first_seed + i
-        for workload in WORKLOADS:
-            order = ("base", "change") if i % 2 == 0 else ("change", "base")
-            record = {"workload": workload, "seed": seed, "first": order[0]}
-            for side in order:
-                record[side] = perfbench(sides[side], workload, seed, args.seconds)
-            runs.append(record)
-            print(json.dumps(record), flush=True)
+    try:
+        export(args.base, base_dir)
+        for i in range(args.pairs):
+            seed = args.first_seed + i
+            for workload in WORKLOADS:
+                order = ("base", "change") if i % 2 == 0 else ("change", "base")
+                record = {"workload": workload, "seed": seed, "first": order[0]}
+                for side in order:
+                    try:
+                        record[side] = perfbench(sides[side], workload, seed, args.seconds)
+                    except RunFailed as exc:
+                        print(
+                            f"perfbench failed on the {side} side, workload {workload}, "
+                            f"seed {seed}: {exc}",
+                            file=sys.stderr,
+                        )
+                        return 1
+                runs.append(record)
+                print(json.dumps(record), flush=True)
+    finally:
+        # the export, or the whole work directory when it was a fresh temporary one
+        shutil.rmtree(base_dir if args.work else work, ignore_errors=True)
 
     bench = {
         "base": git("rev-parse", args.base),
@@ -133,7 +153,6 @@ def main(argv=None) -> int:
     path = ROOT / f"BENCH_{base_sha}.json"
     path.write_text(json.dumps(bench, indent=2, sort_keys=True) + "\n")
     print(f"wrote {path}")
-    shutil.rmtree(base_dir, ignore_errors=True)
     return 0
 
 
