@@ -1,10 +1,10 @@
 """Command-line entry point.
 
 Subcommands map one-to-one onto the functions in `experiments`; every run
-reads an optional JSON config, applies the command-line overrides, and
-writes CSV/JSON artifacts plus the resolved config echo into the output
-directory. Exit codes: 0 success, 2 configuration error, 3 numerical
-failure.
+reads an optional JSON config, applies the command-line overrides, computes
+the command's files, and only then writes them, after the resolved config
+echo, into the output directory. Exit codes: 0 success, 2 configuration
+error (a bad `--out` included), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .experiments import (
     cmd_resolvent,
     cmd_simulate,
 )
+from .output import write_outputs
 
 COMMANDS = {
     "resolvent": (cmd_resolvent, "tabulate the memory kernel's resolvent"),
@@ -48,11 +49,12 @@ def build_parser() -> argparse.ArgumentParser:
             "--precision", type=int, default=None, help="override precision bits"
         )
         p.add_argument("--modes", type=int, default=None, help="override mode count")
-        p.add_argument(
-            "--refine",
-            action="store_true",
-            help="also emit a grid-refinement table (simulate only)",
-        )
+        if name == "simulate":
+            p.add_argument(
+                "--refine",
+                action="store_true",
+                help="also emit a grid-refinement table",
+            )
     return parser
 
 
@@ -62,7 +64,9 @@ def main(argv=None) -> int:
         config = load_config(args.config) if args.config else config_from_dict({})
         config = apply_overrides(config, modes=args.modes, precision=args.precision)
         runner = COMMANDS[args.command][0]
-        runner(config, args.out, refine=args.refine)
+        options = {"refine": args.refine} if args.command == "simulate" else {}
+        files = runner(config, **options)
+        write_outputs(args.out, {"config_echo.json": config.echo(), **files})
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

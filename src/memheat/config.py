@@ -14,6 +14,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+from .biorth import MAX_PRECISION_BITS
 from .errors import ConfigError, read_int, read_list, read_number, read_record
 from .kernels import MemoryKernel, kernel_from_config
 from .moments import InitialData, initial_data_from_config
@@ -57,7 +58,6 @@ MAX_BIORTH_FAMILY = 4000
 # (6e-158 at 150, 1e-105 at 200): near 280 it would miss the gate.
 MAX_CONTROL_FAMILY = 200
 MIN_PRECISION = 16
-MAX_PRECISION = 1024
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     )
     modes = read_int(data, "modes", "", minimum=1, maximum=MAX_MODES, default=d.modes)
     precision = read_int(
-        data, "precision", "", minimum=MIN_PRECISION, maximum=MAX_PRECISION, default=d.precision
+        data, "precision", "", minimum=MIN_PRECISION, maximum=MAX_PRECISION_BITS, default=d.precision
     )
     seed = read_int(data, "seed", "", minimum=0, default=d.seed)
     series_tol = read_number(data, "series_tol", "", positive=True, default=d.series_tol)

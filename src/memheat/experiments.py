@@ -1,16 +1,16 @@
-"""Command implementations behind the CLI: compute everything, then write.
+"""Command implementations behind the CLI: each computes its files, and
+writes none.
 
-Each command validates what it needs, runs the full computation, and only
-then emits its files, so a failed run leaves no partial output directory.
-Every successful run writes `config_echo.json` with the fully resolved
-configuration next to the data files. All work and every file write happen
-on the calling thread; each write is atomic.
+A command validates what it needs, runs the full computation, and returns
+its files as one dict of file name -> payload: `(header, rows)` for a `.csv`
+file, the record itself for a `.json` file. The CLI hands that dict to
+`output.write_outputs`, the one write phase, so a run whose computation
+fails leaves no output directory. All work happens on the calling thread.
 """
 
 from __future__ import annotations
 
 import math
-from pathlib import Path
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from .moments import (
     build_moment_problem,
     scope_threshold,
 )
-from .output import write_csv, write_json
 from .resolvents import (
     mode_resolvent_direct,
     mode_resolvent_series,
@@ -53,25 +52,12 @@ def _per_mode(fn, items):
     return [fn(x) for x in items]
 
 
-def _write_outputs(out_dir: Path, echo: dict, csv_files: dict, json_files: dict):
-    """Single write phase: echo first, then every data file, all atomic."""
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:  # a file at the path or above it, say
-        raise ConfigError("--out", f"cannot create the output directory: {exc}") from exc
-    write_json(out_dir / "config_echo.json", echo)
-    for name, (header, rows) in csv_files.items():
-        write_csv(out_dir / name, header, rows)
-    for name, payload in json_files.items():
-        write_json(out_dir / name, payload)
-
-
 # ---------------------------------------------------------------------------
 # resolvent
 # ---------------------------------------------------------------------------
 
 
-def cmd_resolvent(config: ExperimentConfig, out_dir, refine: bool = False) -> dict:
+def cmd_resolvent(config: ExperimentConfig) -> dict:
     """Tabulate the kernel's resolvent and its derivative, against the
     closed-form oracle when the kernel family has one."""
     grid = TimeGrid(config.horizon, config.steps)
@@ -95,13 +81,7 @@ def cmd_resolvent(config: ExperimentConfig, out_dir, refine: bool = False) -> di
         "end_value": rt.end_value(),
         "oracle_sup_error": oracle_sup_error,
     }
-    _write_outputs(
-        Path(out_dir),
-        config.echo(),
-        {"resolvent.csv": (header, rows)},
-        {"resolvent_summary.json": summary},
-    )
-    return summary
+    return {"resolvent.csv": (header, rows), "resolvent_summary.json": summary}
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +102,7 @@ def _solve_trajectories(config: ExperimentConfig, steps: int) -> np.ndarray:
     return np.stack(rows)
 
 
-def cmd_simulate(config: ExperimentConfig, out_dir, refine: bool = False) -> dict:
+def cmd_simulate(config: ExperimentConfig, refine: bool = False) -> dict:
     """Free modal trajectories, the dual-representation gap, and the
     deficiency time series; optionally a grid-refinement table."""
     grid = TimeGrid(config.horizon, config.steps)
@@ -172,40 +152,28 @@ def cmd_simulate(config: ExperimentConfig, out_dir, refine: bool = False) -> dic
     if failed:  # only then, so runs whose series all converge keep their bytes
         discrepancy["series_modes_failed"] = failed
 
-    csv_files = {
+    files = {
         "trajectories.csv": (traj_header, traj_rows),
         "deficiency.csv": (["t", "deficiency"], defic_rows),
+        "discrepancy.json": discrepancy,
     }
     if refine:
         # The reference is the Richardson extrapolation of the two finest
         # grids; a plain finest-grid reference would leave its own O(dt^2)
-        # bias in the error column and skew the ratios away from 4.
-        w8 = _solve_trajectories(config, 8 * config.steps)
-        w4 = _solve_trajectories(config, 4 * config.steps)
+        # bias in the error column and skew the ratios away from 4. The 1x
+        # row reuses the trajectories the main path already solved.
+        w8, w4, w2 = (_solve_trajectories(config, m * config.steps) for m in (8, 4, 2))
         reference = (4.0 * w8[:, ::2] - w4) / 3.0  # lives on the 4x nodes
         conv_rows = []
         prev_err = None
-        for mult in (1, 2, 4):
+        for mult, w_coarse in ((1, w), (2, w2), (4, w4)):
             steps = mult * config.steps
-            if mult == 1:
-                w_coarse = w  # the main path already solved this grid
-            elif mult == 4:
-                w_coarse = w4
-            else:
-                w_coarse = _solve_trajectories(config, steps)
             err = float(np.max(np.abs(w_coarse - reference[:, :: 4 // mult])))
             ratio = float("nan") if prev_err is None else prev_err / err
             conv_rows.append((steps, config.horizon / steps, err, ratio))
             prev_err = err
-        csv_files["convergence.csv"] = (
-            ["steps", "dt", "sup_error", "ratio"],
-            conv_rows,
-        )
-
-    _write_outputs(
-        Path(out_dir), config.echo(), csv_files, {"discrepancy.json": discrepancy}
-    )
-    return discrepancy
+        files["convergence.csv"] = (["steps", "dt", "sup_error", "ratio"], conv_rows)
+    return files
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +181,7 @@ def cmd_simulate(config: ExperimentConfig, out_dir, refine: bool = False) -> dic
 # ---------------------------------------------------------------------------
 
 
-def cmd_moment(config: ExperimentConfig, out_dir, refine: bool = False) -> dict:
+def cmd_moment(config: ExperimentConfig) -> dict:
     """Constraint targets d_n, their rescaled asymptotics, and the JSON dump
     of the assembled end-state constraint family."""
     rt = resolvent_of(config.kernel, TimeGrid(config.horizon, config.steps))
@@ -242,13 +210,11 @@ def cmd_moment(config: ExperimentConfig, out_dir, refine: bool = False) -> dict:
         "sup_weighted_residual": report.sup_weighted_residual,
         "scope_start": start,
     }
-    _write_outputs(
-        Path(out_dir),
-        config.echo(),
-        {"asymptotics.csv": (header, rows)},
-        {"moments.json": record, "moment_summary.json": summary},
-    )
-    return summary
+    return {
+        "asymptotics.csv": (header, rows),
+        "moments.json": record,
+        "moment_summary.json": summary,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +222,7 @@ def cmd_moment(config: ExperimentConfig, out_dir, refine: bool = False) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def cmd_biorth(config: ExperimentConfig, out_dir, refine: bool = False) -> dict:
+def cmd_biorth(config: ExperimentConfig) -> dict:
     """Minimal biorthogonal norms: closed-form growth law over the full
     family, an extended-precision Gram verification block, an orthonormal
     sanity control, and the finite-horizon domination check."""
@@ -325,16 +291,11 @@ def cmd_biorth(config: ExperimentConfig, out_dir, refine: bool = False) -> dict:
         "family": int(config.biorth_family),
         "verify_modes": int(verify),
     }
-    _write_outputs(
-        Path(out_dir),
-        config.echo(),
-        {
-            "biorth.csv": (["n", "norm", "log_norm", "residual"], biorth_rows),
-            "growth_law.csv": (["n", "mu2", "log_norm"], growth_rows),
-        },
-        {"biorth_summary.json": summary},
-    )
-    return summary
+    return {
+        "biorth.csv": (["n", "norm", "log_norm", "residual"], biorth_rows),
+        "growth_law.csv": (["n", "mu2", "log_norm"], growth_rows),
+        "biorth_summary.json": summary,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +303,7 @@ def cmd_biorth(config: ExperimentConfig, out_dir, refine: bool = False) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def cmd_control(config: ExperimentConfig, out_dir, refine: bool = False) -> dict:
+def cmd_control(config: ExperimentConfig) -> dict:
     """Minimal-norm control sweep: memory vs memoryless, with the verdict."""
     kernel = config.kernel
     if not isinstance(kernel, ConstantKernel) or kernel.value <= 0:
@@ -387,10 +348,4 @@ def cmd_control(config: ExperimentConfig, out_dir, refine: bool = False) -> dict
         "residual_memory": memory.residual,
         "residual_memoryless": baseline.residual,
     }
-    _write_outputs(
-        Path(out_dir),
-        config.echo(),
-        {"control_sweep.csv": (header, rows)},
-        {"verdict.json": verdict},
-    )
-    return verdict
+    return {"control_sweep.csv": (header, rows), "verdict.json": verdict}

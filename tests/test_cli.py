@@ -9,6 +9,8 @@ module really is runnable as `python3 -m memheat.cli`.
 import filecmp
 import json
 import math
+import os
+import stat
 import subprocess
 import sys
 
@@ -323,14 +325,49 @@ def test_modes_override_past_its_bound_exits_2(tmp_path, capsys):
     assert f"modes: must be at most {MAX_MODES}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("below", [False, True], ids=["a-file", "under-a-file"])
-def test_out_that_cannot_be_a_directory_exits_2(tmp_path, capsys, below):
-    blocker = tmp_path / "blocker"
+@pytest.mark.parametrize(
+    "case", ["a-file", "under-a-file", "a-directory-at-a-file-name"]
+)
+def test_out_that_cannot_be_a_directory_exits_2(tmp_path, capsys, case):
+    if case == "a-directory-at-a-file-name":
+        # the directory is fine, but resolvent.csv cannot replace a directory
+        out = tmp_path / "run"
+        blocker = out / "resolvent.csv" / "kept"
+        blocker.parent.mkdir(parents=True)
+        message = "--out: cannot write resolvent.csv"
+    else:
+        blocker = tmp_path / "blocker"
+        out = blocker / "run" if case == "under-a-file" else blocker
+        message = "--out: cannot create the output directory"
     blocker.write_text("kept")
-    out = blocker / "run" if below else blocker
     assert main(["resolvent", "--out", str(out)]) == 2
     assert blocker.read_text() == "kept"
-    assert "--out: cannot create the output directory" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
+
+
+def test_written_files_follow_the_umask(tmp_path):
+    cfg = write_config(tmp_path, SMALL)
+    out = tmp_path / "run"
+    previous = os.umask(0o027)
+    try:
+        assert main(["resolvent", "--config", str(cfg), "--out", str(out)]) == 0
+    finally:
+        os.umask(previous)
+    # the mode open(path, "w") would give: 0o666 less the umask
+    assert {p.name: stat.S_IMODE(p.stat().st_mode) for p in out.iterdir()} == {
+        "config_echo.json": 0o640,
+        "resolvent.csv": 0o640,
+        "resolvent_summary.json": 0o640,
+    }
+
+
+def test_refine_is_a_simulate_flag_only(tmp_path, capsys):
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["moment", "--out", str(out), "--refine"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --refine" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

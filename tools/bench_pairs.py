@@ -3,18 +3,20 @@
     python3 tools/bench_pairs.py --base REV --pairs 10 --first-seed 101 \
         --seconds 40 [--work DIR]
 
-The base commit is exported with ``git archive`` into a scratch directory
-(``--work``, a fresh temporary directory by default); the change is this
-checkout's working tree. For each seed and workload both sides run
-``perfbench/run.py --trace 0`` back to back, the base first on even pairs and
-the change first on odd ones, so a drift in the host's speed falls on both
-sides alike. Every run's result JSON (the last line perfbench prints) is kept
-as it is, and the record also gives, per workload and metric, both medians,
-both interquartile ranges (q3 - q1, the spread a gain must exceed) and the
-number of pairs in which the change was better. The record goes to
-``BENCH_<short base sha>.json`` at the repo root. A run that exits nonzero
-ends the comparison with exit status 1, after printing its side, workload,
-seed and stderr. The export is removed in every case.
+Both sides run from fresh exports in one scratch directory (``--work``, a
+fresh temporary directory by default): the base commit through ``git
+archive``, the change as a copy of this checkout's working tree (its tracked
+and untracked files, not the ignored ones), so that neither side starts with
+caches or leftovers the other lacks. For each seed and workload both sides
+run ``perfbench/run.py --trace 0`` back to back, the base first on even
+pairs and the change first on odd ones, so a drift in the host's speed falls
+on both sides alike. Every run's result JSON (the last line perfbench
+prints) is kept as it is, and the record also gives, per workload and
+metric, both medians, both interquartile ranges (q3 - q1, the spread a gain
+must exceed) and the number of pairs in which the change was better. The
+record goes to ``BENCH_<short base sha>.json`` at the repo root. A run that
+exits nonzero ends the comparison with exit status 1, after printing its
+side, workload, seed and stderr. Both exports are removed in every case.
 """
 
 from __future__ import annotations
@@ -51,6 +53,18 @@ def export(rev: str, dest: Path) -> None:
         ["git", "archive", "--format=tar", rev], cwd=ROOT, capture_output=True, check=True
     ).stdout
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
+def export_working_tree(dest: Path) -> None:
+    """Copy this checkout's tracked and untracked files, not the ignored
+    ones, into dest."""
+    names = git("ls-files", "-z", "--cached", "--others", "--exclude-standard")
+    for name in filter(None, names.split("\0")):
+        source = ROOT / name
+        if source.is_file():  # a tracked file deleted from the tree is skipped
+            target = dest / name
+            target.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, target)
 
 
 def perfbench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -109,13 +123,14 @@ def main(argv=None) -> int:
     base_sha = git("rev-parse", "--short", args.base)
     work = Path(args.work or tempfile.mkdtemp())
     work.mkdir(parents=True, exist_ok=True)
-    base_dir = work / f"base_{base_sha}"
-    shutil.rmtree(base_dir, ignore_errors=True)
-    sides = {"base": base_dir, "change": ROOT}
+    sides = {"base": work / f"base_{base_sha}", "change": work / "change"}
+    for path in sides.values():
+        shutil.rmtree(path, ignore_errors=True)
 
     runs = []
     try:
-        export(args.base, base_dir)
+        export(args.base, sides["base"])
+        export_working_tree(sides["change"])
         for i in range(args.pairs):
             seed = args.first_seed + i
             for workload in WORKLOADS:
@@ -134,8 +149,9 @@ def main(argv=None) -> int:
                 runs.append(record)
                 print(json.dumps(record), flush=True)
     finally:
-        # the export, or the whole work directory when it was a fresh temporary one
-        shutil.rmtree(base_dir if args.work else work, ignore_errors=True)
+        # the exports, or the whole work directory when it was a fresh temporary one
+        for path in sides.values() if args.work else (work,):
+            shutil.rmtree(path, ignore_errors=True)
 
     bench = {
         "base": git("rev-parse", args.base),
