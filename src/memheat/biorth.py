@@ -49,10 +49,10 @@ class GramSystem:
     """A symmetric positive-definite Gram matrix, given by its builder.
 
     The ladder calls `build()` once per rung from `precision` bits on; it
-    returns the entries as an mp.matrix at the current working precision.
+    returns a list of rows of mpf at the current working precision.
     """
 
-    build: object  # () -> mp.matrix at the working precision
+    build: object  # () -> list of rows of mpf at the working precision
     precision: int
 
 
@@ -75,14 +75,14 @@ def gram(exponents, horizon, precision: int = 256) -> GramSystem:
 
 
 def _gram_matrix(exps, horizon):
-    """Entries at the current working precision (callers set workprec)."""
+    """Rows of entries at the current working precision (callers set workprec)."""
     n = len(exps)
-    G = mp.zeros(n, n)
+    G = [[None] * n for _ in range(n)]
     T = None if horizon is None else mpf(horizon)
     for i in range(n):
         for j in range(i, n):
             s = mpf(exps[i]) + mpf(exps[j])
-            G[i, j] = G[j, i] = 1 / s if T is None else (1 - mp.exp(-s * T)) / s
+            G[i][j] = G[j][i] = 1 / s if T is None else (1 - mp.exp(-s * T)) / s
     return G
 
 
@@ -92,10 +92,9 @@ def empirical_gram(matrix: np.ndarray, precision: int = 256) -> GramSystem:
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError("expected a square matrix")
     # A float product such as (rows * w) @ rows.T is symmetric only to
-    # round-off, and the Cholesky solve reads one triangle.
-    matrix = 0.5 * (matrix + matrix.T)
-    with workprec(precision):
-        G = mp.matrix(matrix.tolist())
+    # round-off, and the Cholesky solve reads one triangle; mp.convert keeps
+    # every double exact.
+    G = [[mp.convert(v) for v in row] for row in 0.5 * (matrix + matrix.T)]
     return GramSystem(lambda: G, precision)
 
 
@@ -229,9 +228,9 @@ def _spd_inverse(G):
     precision raises the residual about a thousandfold. Raises ValueError if
     G is not positive definite at this precision.
     """
-    n = G.rows
+    n = len(G)
     with mp.extraprec(10):
-        lower, exact, diag = _cholesky(G.tolist())
+        lower, exact, diag = _cholesky(G)
         # column i of L below the diagonal, bottom entry first
         below = [
             _ExactVector(lower[k][i] for k in reversed(range(i + 1, n)))
@@ -283,9 +282,9 @@ def _ladder_solve(build, bits: int):
             try:
                 G = build()
                 # rows of G in reversed order, to meet the reversed columns
-                rows = [_ExactVector(reversed(g)) for g in G.tolist()]
-                cols = [None] * G.rows
-                row_resid = [mp.zero] * G.rows
+                rows = [_ExactVector(reversed(g)) for g in G]
+                cols = [None] * len(G)
+                row_resid = [mp.zero] * len(G)
                 for j, x, xs in _spd_inverse(G):
                     cols[j] = x
                     col_resid = [abs(g.dot(xs) - int(i == j)) for i, g in enumerate(rows)]
@@ -319,9 +318,8 @@ def min_norm_biorth(gs: GramSystem) -> BiorthReport:
     past the ladder's top.
     """
     cols, residuals, bits, attempts = _ladder_solve(gs.build, gs.precision)
-    n = len(cols)
     with workprec(bits):
-        diag = tuple(cols[i][i] for i in range(n))
+        diag = tuple(col[i] for i, col in enumerate(cols))
         log_norms = tuple(float(mp.log(d) / 2) for d in diag)
         norms = tuple(float(mp.sqrt(d)) for d in diag)
     if len(attempts) > 1:
@@ -332,7 +330,7 @@ def min_norm_biorth(gs: GramSystem) -> BiorthReport:
             stacklevel=2,
         )
     return BiorthReport(
-        indices=tuple(range(1, n + 1)),
+        indices=tuple(range(1, len(cols) + 1)),
         norms=norms,
         log_norms=log_norms,
         residuals=residuals,
@@ -353,26 +351,24 @@ def cauchy_inverse_log_diag(exponents: np.ndarray) -> np.ndarray:
     The classical closed form is
         (C^{-1})_{nn} = 2 x_n * prod_{k != n} [(x_k + x_n)/(x_k - x_n)]^2,
     accumulated in log space because the products overflow long before the
-    interesting family sizes are reached.
+    interesting family sizes are reached; one row at a time, in O(n) memory.
     """
     x = np.asarray(exponents, dtype=float)
     if np.any(x <= 0):
         raise ValueError("exponents must be positive")
-    n = len(x)
-    sums = np.add.outer(x, x)
-    diffs = np.abs(np.subtract.outer(x, x))
-    off = ~np.eye(n, dtype=bool)
-    if n > 1:
-        gap = diffs[off].min()
-        if gap < 1e-9 * x.max():
-            warnings.warn(
-                "near-coincident exponents: the closed-form inverse is "
-                "numerically fragile here",
-                stacklevel=2,
-            )
-    log_ratio = np.zeros((n, n))
-    log_ratio[off] = np.log(sums[off]) - np.log(diffs[off])
-    return np.log(2.0 * x) + 2.0 * log_ratio.sum(axis=1)
+    # the closest pair of a sorted family is adjacent
+    if len(x) > 1 and np.diff(np.sort(x)).min() < 1e-9 * x.max():
+        warnings.warn(
+            "near-coincident exponents: the closed-form inverse is "
+            "numerically fragile here",
+            stacklevel=2,
+        )
+    log_ratio = np.empty(len(x))
+    for i, xi in enumerate(x):
+        s, d = x + xi, np.abs(x - xi)
+        s[i] = d[i] = 1.0  # the diagonal adds log 1 - log 1 = +0.0
+        log_ratio[i] = (np.log(s) - np.log(d)).sum()
+    return np.log(2.0 * x) + 2.0 * log_ratio
 
 
 @dataclass(frozen=True)
@@ -416,9 +412,7 @@ def growth_fit(report: BiorthReport) -> GrowthFit:
 def _mode_roots(lam2, c):
     disc = lam2 * lam2 - 4 * c * lam2
     root = mp.sqrt(disc)  # mpc when disc < 0; entries recombine to reals
-    rp = (-lam2 + root) / 2
-    rm = (-lam2 - root) / 2
-    return rp, rm
+    return (-lam2 + root) / 2, (-lam2 - root) / 2
 
 
 def _influence_profile(lam2, c):
@@ -454,8 +448,7 @@ def _control_gram(family, horizon, c_value):
     """
     T = mpf(horizon)
     c = mpf(c_value)
-    terms = []
-    gammas = []
+    terms, gammas = [], []
     for n in range(1, family + 1):
         lam2 = (mpf(n) * mp.pi) ** 2
         rp, rm, A, B = _influence_profile(lam2, c)
@@ -465,7 +458,7 @@ def _control_gram(family, horizon, c_value):
         # entry go.
         terms.append([(a, r, mp.exp(r * T)) for a, r in ((A, rp), (B, rm)) if a])
         gammas.append(_trace_scale(n))
-    G = mp.zeros(family, family)
+    G = [[None] * family for _ in range(family)]
     for i in range(family):
         for j in range(i, family):
             entry = 0
@@ -476,7 +469,7 @@ def _control_gram(family, horizon, c_value):
                     entry += a * b * (T if s == 0 else (e * f - 1) / s)
             # Complex-root cases recombine to real entries; re() drops the
             # conjugate-cancellation residue.
-            G[i, j] = G[j, i] = mp.re(entry) / (gammas[i] * gammas[j])
+            G[i][j] = G[j][i] = mp.re(entry) / (gammas[i] * gammas[j])
     return G
 
 
@@ -515,8 +508,7 @@ def control_norm_sweep(
     cols, _, bits, attempts = _ladder_solve(
         lambda: _control_gram(family, horizon, memory_constant), precision
     )
-    norms = []
-    log_norms = []
+    norms, log_norms = [], []
     with workprec(bits):
         # targets: free end values of the steered modes, normalized like G
         T, c = mpf(horizon), mpf(memory_constant)

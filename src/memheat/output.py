@@ -11,6 +11,7 @@ hands them over here.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from pathlib import Path
@@ -61,17 +62,23 @@ def write_json(path, payload) -> None:
 def write_outputs(out_dir, files: dict) -> None:
     """Create out_dir and write each file in order, by its suffix: a `.csv`
     payload is `(header, rows)`, a `.json` payload is the record. A directory
-    or file that cannot be written is a `--out` error."""
+    or file that cannot be written is a `--out` error, and undoes this call."""
     out_dir = Path(out_dir)
+    created = not out_dir.exists()
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # a file at the path or above it, say
         raise ConfigError("--out", f"cannot create the output directory: {exc}") from exc
-    for name, payload in files.items():
+    for k, (name, payload) in enumerate(files.items()):
         try:
             if name.endswith(".csv"):
                 write_csv(out_dir / name, *payload)
             else:
                 write_json(out_dir / name, payload)
         except OSError as exc:  # a directory at the file's name, say
+            with contextlib.suppress(OSError):
+                for done in list(files)[:k]:
+                    (out_dir / done).unlink()
+                if created:
+                    out_dir.rmdir()
             raise ConfigError("--out", f"cannot write {name}: {exc}") from exc

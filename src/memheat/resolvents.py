@@ -43,7 +43,8 @@ class ResolventTriple:
     resolvent_deriv: SampledFunction
 
     def identity_residual(self) -> float:
-        """sup |q + m*q - m| over the grid; a direct check of the defining equation."""
+        """sup |q + m*q - m| with the trapezoid rule the solve enforces: round-off,
+        not discretization error (`oracle_sup_error` is the accuracy figure)."""
         m = self.kernel.sample(self.grid)
         lhs = self.resolvent + convolve(m, self.resolvent)
         return (lhs - m).sup_norm()

@@ -8,6 +8,7 @@ inverse or against resampled trapezoid arithmetic.
 
 import math
 import random
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -72,7 +73,7 @@ def test_finite_horizon_entries_grow_to_cauchy():
         g_inf = gram(exps, None).build()
     for i in range(2):
         for j in range(2):
-            assert float(g_short[i, j]) < float(g_long[i, j]) < float(g_inf[i, j])
+            assert float(g_short[i][j]) < float(g_long[i][j]) < float(g_inf[i][j])
 
 
 def test_finite_horizon_norms_dominate():
@@ -113,6 +114,60 @@ def test_closed_form_matches_gram_solve():
 def test_closed_form_warns_on_near_coincident_exponents():
     with pytest.warns(UserWarning, match="near-coincident"):
         cauchy_inverse_log_diag(np.array([1.0, 1.0 + 1e-12]))
+
+
+def _cauchy_log_diag_outer(x):
+    """The closed form over full n x n arrays: the row-at-a-time form's oracle."""
+    n = len(x)
+    sums = np.add.outer(x, x)
+    diffs = np.abs(np.subtract.outer(x, x))
+    off = ~np.eye(n, dtype=bool)
+    log_ratio = np.zeros((n, n))
+    log_ratio[off] = np.log(sums[off]) - np.log(diffs[off])
+    warns = bool(n > 1 and diffs[off].min() < 1e-9 * x.max())
+    return np.log(2.0 * x) + 2.0 * log_ratio.sum(axis=1), warns
+
+
+@st.composite
+def cauchy_families(draw):
+    """1-300 distinct rates over up to twelve decades, some nearly coincident.
+
+    Hypothesis draws the shape (size, span, share of near-twins); a drawn
+    seed fills in the rates, which keeps an example cheap at 300 members.
+    """
+    n = draw(st.integers(1, 300))
+    low = draw(st.floats(-6.0, 3.0))
+    span = draw(st.floats(0.0, 12.0))
+    twins = draw(st.sampled_from((0.0, 0.1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    x = 10.0 ** rng.uniform(low, low + span, n)
+    near = rng.random(n) < twins
+    x[near] = x[np.roll(near, -1)] * (1.0 + rng.uniform(1e-14, 1e-10, near.sum()))
+    x = np.unique(x)
+    return x[rng.permutation(len(x))]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(cauchy_families())
+def test_closed_form_rows_equal_the_outer_product_form(x):
+    want, warns = _cauchy_log_diag_outer(x)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = cauchy_inverse_log_diag(x)
+    assert got.tobytes() == want.tobytes()
+    assert [str(w.message).split(":")[0] for w in caught] == ["near-coincident exponents"] * warns
+
+
+def test_closed_form_memory_is_linear_in_the_family():
+    # the outer-product form peaked at 49 MB here, in six 1000 x 1000 arrays
+    exps = np.array([(n * math.pi) ** 2 - 1.0 for n in range(1, 1001)])
+    tracemalloc.start()
+    try:
+        cauchy_inverse_log_diag(exps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
 
 
 def test_growth_law_slope():
@@ -288,7 +343,7 @@ def test_sanity_gram_is_exactly_symmetric():
     gs = orthonormal_family_gram(16, TimeGrid(1.0, 400), seed=7)
     with workprec(gs.precision):
         G = gs.build()
-    assert G == G.T
+    assert G == [list(col) for col in zip(*G)]
 
 
 @st.composite
@@ -373,9 +428,9 @@ def test_exact_vector_refuses_special_values(special):
 
 def _spd_inverse_reference(G):
     """The inverse as mpmath computes it: cholesky, then fdot substitutions."""
-    n = G.rows
+    n = len(G)
     with mp.extraprec(10):
-        L = mp.cholesky(G).tolist()
+        L = mp.cholesky(mp.matrix(G)).tolist()
         Lt = [list(col) for col in zip(*L)]
         cols = []
         for j in range(n):
@@ -402,7 +457,7 @@ def test_spd_inverse_matches_mpmath_entry_for_entry(build):
     with workprec(256):
         G = build()
         cols = {j: x for j, x, _ in _spd_inverse(G)}
-        got = [cols[j] for j in range(G.rows)]
+        got = [cols[j] for j in range(len(G))]
         want = _spd_inverse_reference(G)
     assert [[x._mpf_ for x in col] for col in got] == [
         [x._mpf_ for x in col] for col in want
@@ -411,10 +466,9 @@ def test_spd_inverse_matches_mpmath_entry_for_entry(build):
 
 def _residual_by_fdot(G, cols):
     """|G X - I| as mpmath computes it, entry [i][j] for row i and column j."""
-    rows = G.tolist()
     return [
         [abs(mp.fdot(g, x) - int(i == j)) for j, x in enumerate(cols)]
-        for i, g in enumerate(rows)
+        for i, g in enumerate(G)
     ]
 
 
@@ -510,7 +564,7 @@ def test_control_gram_skips_only_exact_zero_terms(c, bits):
                 assert rp == 0 and A == 0
         got = _control_gram(60, 1.0, c)
         want = _control_gram_reference(60, 1.0, c)
-    assert [x._mpf_ for x in got] == [x._mpf_ for x in want]
+    assert [x._mpf_ for row in got for x in row] == [x._mpf_ for x in want]
 
 
 def test_growth_fit_validation():

@@ -343,6 +343,8 @@ def test_out_that_cannot_be_a_directory_exits_2(tmp_path, capsys, case):
     assert main(["resolvent", "--out", str(out)]) == 2
     assert blocker.read_text() == "kept"
     assert message in capsys.readouterr().err
+    # the echo written before the failing file goes again
+    assert not (out / "config_echo.json").exists()
 
 
 def test_written_files_follow_the_umask(tmp_path):

@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from memheat.output import fmt17, write_csv, write_json
+from memheat import ConfigError
+from memheat.output import fmt17, write_csv, write_json, write_outputs
 
 
 def test_fmt17_round_trips_doubles():
@@ -63,3 +64,18 @@ def test_write_csv_accepts_strings(tmp_path):
     p = tmp_path / "x.csv"
     write_csv(p, ["only"], [("literal",)])
     assert p.read_text() == "only\nliteral\n"
+
+
+def test_failed_write_removes_what_this_call_wrote(tmp_path):
+    # a name under a missing subdirectory fails after the first file is written
+    files = {"first.json": {"a": 1}, "missing/second.json": {"b": 2}}
+    out = tmp_path / "new"
+    with pytest.raises(ConfigError, match="cannot write missing/second.json"):
+        write_outputs(out, files)
+    assert not out.exists()
+    # a directory that was there before stays, with what it already held
+    out.mkdir()
+    (out / "earlier.txt").write_text("kept")
+    with pytest.raises(ConfigError, match="cannot write missing/second.json"):
+        write_outputs(out, files)
+    assert [p.name for p in out.iterdir()] == ["earlier.txt"]

@@ -7,10 +7,12 @@ Both sides run from fresh exports in one scratch directory (``--work``, a
 fresh temporary directory by default): the base commit through ``git
 archive``, the change as a copy of this checkout's working tree (its tracked
 and untracked files, not the ignored ones), so that neither side starts with
-caches or leftovers the other lacks. For each seed and workload both sides
-run ``perfbench/run.py --trace 0`` back to back, the base first on even
-pairs and the change first on odd ones, so a drift in the host's speed falls
-on both sides alike. Every run's result JSON (the last line perfbench
+caches or leftovers the other lacks. The exports are ``tree_a`` (base) and
+``tree_b`` (change), names of one length that do not encode the role, so
+their paths differ in one letter only. For each seed and workload both
+sides run ``perfbench/run.py --trace 0`` back to back, the base first on
+even pairs and the change first on odd ones, so a drift in the host's speed
+falls on both sides alike. Every run's result JSON (the last line perfbench
 prints) is kept as it is, and the record also gives, per workload and
 metric, both medians, both interquartile ranges (q3 - q1, the spread a gain
 must exceed) and the number of pairs in which the change was better. The
@@ -123,7 +125,7 @@ def main(argv=None) -> int:
     base_sha = git("rev-parse", "--short", args.base)
     work = Path(args.work or tempfile.mkdtemp())
     work.mkdir(parents=True, exist_ok=True)
-    sides = {"base": work / f"base_{base_sha}", "change": work / "change"}
+    sides = {"base": work / "tree_a", "change": work / "tree_b"}
     for path in sides.values():
         shutil.rmtree(path, ignore_errors=True)
 
