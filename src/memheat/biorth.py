@@ -7,11 +7,11 @@ must be kept strictly smaller than the real growth. Everything here runs in
 arbitrary-precision arithmetic (mpmath). Both Gram matrices (biorthogonal
 and control) go through one precision ladder: a Cholesky factor and one
 forward and one back substitution per column, with 10 guard bits, then the
-residual max |G X - I| at the working precision against a 1e-20 gate; a miss
-doubles the precision up to 1024 bits and fails loudly past that. The
-residual is checked one column at a time, largest inverse diagonal first,
-and below the top of the ladder the first column over the gate ends the
-rung: a missed rung solves and checks only the columns up to it.
+residual max |G X - I| over all entries at the working precision against a
+1e-20 gate. The residual tracks the Cholesky backward-error bound
+kappa * 2^-bits, so a miss steps up by the bits it was short plus a margin,
+rounded up to a multiple of 32 and never more than doubling, up to 1024
+bits; past that the ladder fails loudly.
 
 Every dot product in the factor, the substitutions and the residual is
 exact with one rounding, the same as mpmath's fdot: the mpf entries become
@@ -42,6 +42,12 @@ from .moments import InitialData
 
 RESIDUAL_GATE = 1e-20
 MAX_PRECISION_BITS = 1024
+# Bits a step adds beyond the miss. log2(residual * 2^bits) stays within 2
+# bits from rung to rung: 190.4-191.8 on the family-60 control Grams and
+# 501.0-502.8 at family 150, with and without memory, and within 2 bits on
+# 300 random Cauchy Grams of up to 12 members. So a step of the miss plus 8
+# bits lands at least 2^6 below the gate even before the rounding to 32.
+MARGIN = 8
 
 
 @dataclass(frozen=True)
@@ -131,11 +137,7 @@ class BiorthReport:
     residuals: tuple  # per-index biorthogonality defect (row max of |G G^-1 - I|)
     residual: float  # max defect over all rows (the gated quantity)
     precision_used: int
-    # (bits, residual) for every attempt, last one passing. A missed rung
-    # below the ladder top records the worst entry of its first column over
-    # the gate: a lower bound of its full maximum, equal to it on every
-    # measured run. The top rung records the full maximum.
-    escalations: tuple
+    escalations: tuple  # (bits, residual) for every attempt, last one passing
 
 
 class _ExactVector:
@@ -214,21 +216,17 @@ def _cholesky(A):
 
 
 def _spd_inverse(G):
-    """Columns of G^{-1} by Cholesky, with the 10 guard bits of mp.inverse.
+    """The columns of G^{-1} by Cholesky, with the 10 guard bits of mp.inverse.
 
-    Yields (j, x, xs): the index j, column j of the inverse as a list, and the
-    same column as an exact vector in reversed order (x[n-1] first). The
-    factor and both substitutions take their dot products exactly with one
-    rounding, the same as mpmath's fdot, so the columns are those of
-    mpmath's cholesky followed by fdot substitutions. The factor and every
-    forward substitution run on the first request. The columns then come in
-    order of descending (G^{-1})_jj = |L^{-1} e_j|^2, each back-substituted
-    only when requested, so a caller that stops early skips the rest. The
-    columns stay at the guarded precision: rounding them to the working
-    precision raises the residual about a thousandfold. Raises ValueError if
-    G is not positive definite at this precision.
+    The factor and both substitutions take their dot products exactly with
+    one rounding, the same as mpmath's fdot, so the columns are those of
+    mpmath's cholesky followed by fdot substitutions. The columns stay at the
+    guarded precision: rounding them to the working precision raises the
+    residual about a thousandfold. Raises ValueError if G is not positive
+    definite at this precision.
     """
     n = len(G)
+    cols = []
     with mp.extraprec(10):
         lower, exact, diag = _cholesky(G)
         # column i of L below the diagonal, bottom entry first
@@ -236,61 +234,60 @@ def _spd_inverse(G):
             _ExactVector(lower[k][i] for k in reversed(range(i + 1, n)))
             for i in range(n)
         ]
-        forward = []
         for j in range(n):
             y = [mp.zero] * n
             ys = _ExactVector(y[:j])  # zeros above row j
             for i in range(j, n):
                 y[i] = ((1 if i == j else 0) - exact[i].dot(ys)) / diag[i]
                 ys.append(y[i])
-            forward.append((ys.dot(ys), j, y))
-    # the largest inverse diagonal first; ties keep the natural order
-    forward.sort(key=lambda f: f[0], reverse=True)
-    for _, j, y in forward:
-        with mp.extraprec(10):
             x = [mp.zero] * n
             xs = _ExactVector()  # x[n-1], x[n-2], ... as they are solved
             for i in reversed(range(n)):
                 x[i] = (y[i] - below[i].dot(xs)) / diag[i]
                 xs.append(x[i])
-        yield j, x, xs
+            cols.append(x)
+    return cols
+
+
+def _next_bits(bits: int, resid) -> int:
+    """The rung after a miss by `resid` at `bits`.
+
+    The residual tracks the Cholesky backward-error bound kappa * 2^-bits, so
+    the miss says how many bits are missing: bits + ceil(log2(resid / gate))
+    + MARGIN, at most 2 * bits, rounded up to a multiple of 32 and capped at
+    the ladder top. An infinite residual (a failed factor, or coincident
+    roots) says nothing and doubles; so does a zero gate, as mpmath's log(0)
+    is -inf.
+    """
+    missing = mp.ceil(mp.log(resid, 2) - mp.log(RESIDUAL_GATE, 2))
+    step = min(2 * bits, bits + missing + MARGIN)
+    return min(-(-int(step) // 32) * 32, MAX_PRECISION_BITS)
 
 
 def _ladder_solve(build, bits: int):
-    """Invert the SPD matrix `build()` on a doubling precision ladder.
+    """Invert the SPD matrix `build()` on a precision ladder.
 
     `build` runs once per rung, at that rung's working precision, starting at
     `bits`. The defect of row i is max_j |(G X)_ij - delta_ij| at the working
-    precision; a rung passes when the largest defect over all rows is below
-    RESIDUAL_GATE, read at call time. The defects are computed column by
-    column as `_spd_inverse` yields the columns, largest inverse diagonal
-    first. Below the ladder top the first column with an entry at or above
-    the gate ends the rung as a miss, and its worst entry is recorded: a
-    lower bound of the rung's full maximum, since every earlier column lies
-    below the gate. A passing rung and the top rung check all n^2 entries,
-    so the passing defects and the top rung's maximum are the full ones.
-    A matrix that is not positive definite or holds an infinity or a nan
-    (ValueError), or mode roots that coincide at the working precision in the
-    build (ZeroDivisionError), count as an infinite residual. Returns the
-    inverse columns, the per-row defects, the passing bits and every
-    (bits, residual) attempt.
+    precision, over all n^2 entries on every rung; a rung passes when the
+    largest defect is below RESIDUAL_GATE, read at call time. A miss steps to
+    `_next_bits`. A matrix that is not positive definite or holds an infinity
+    or a nan (ValueError), or mode roots that coincide at the working
+    precision in the build (ZeroDivisionError), count as an infinite
+    residual. Returns the inverse columns, the per-row defects, the passing
+    bits and every (bits, residual) attempt.
     """
     attempts = []
     while True:
-        top = bits >= MAX_PRECISION_BITS
         with workprec(bits):
             try:
                 G = build()
-                # rows of G in reversed order, to meet the reversed columns
-                rows = [_ExactVector(reversed(g)) for g in G]
-                cols = [None] * len(G)
-                row_resid = [mp.zero] * len(G)
-                for j, x, xs in _spd_inverse(G):
-                    cols[j] = x
-                    col_resid = [abs(g.dot(xs) - int(i == j)) for i, g in enumerate(rows)]
-                    row_resid = list(map(max, row_resid, col_resid))
-                    if not top and max(col_resid) >= RESIDUAL_GATE:
-                        break
+                cols = _spd_inverse(G)
+                exact_cols = [_ExactVector(x) for x in cols]
+                row_resid = [
+                    max(abs(g.dot(x) - int(i == j)) for j, x in enumerate(exact_cols))
+                    for i, g in enumerate(map(_ExactVector, G))
+                ]
             except (ValueError, ZeroDivisionError):
                 resid = mp.inf
             else:
@@ -298,14 +295,14 @@ def _ladder_solve(build, bits: int):
         attempts.append((bits, float(resid)))
         if resid < RESIDUAL_GATE:
             return cols, tuple(float(r) for r in row_resid), bits, tuple(attempts)
-        if top:
+        if bits >= MAX_PRECISION_BITS:
             tried = ", ".join(str(b) for b, _ in attempts)
             raise PrecisionError(
                 f"Gram residual {float(resid):.3e} still above the gate "
                 f"{RESIDUAL_GATE:g} after {tried} bits; the system is too ill "
                 "conditioned for the precision ladder"
             )
-        bits = min(bits * 2, MAX_PRECISION_BITS)
+        bits = _next_bits(bits, float(resid))
 
 
 def min_norm_biorth(gs: GramSystem) -> BiorthReport:
@@ -314,8 +311,8 @@ def min_norm_biorth(gs: GramSystem) -> BiorthReport:
     The biorthogonality defect is measured per row as the maximum entry of
     |G G^{-1} - I|, and RESIDUAL_GATE applies to every row. The ladder
     starts at `gs.precision` and calls `gs.build` once per rung; if the gated
-    residual misses, precision doubles and the solve reruns, failing loudly
-    past the ladder's top.
+    residual misses, the precision steps up by the bits the miss says are
+    missing and the solve reruns, failing loudly past the ladder's top.
     """
     cols, residuals, bits, attempts = _ladder_solve(gs.build, gs.precision)
     with workprec(bits):
@@ -484,7 +481,6 @@ class ControlSweep:
     slope: float  # fitted log-norm slope across the sweep
     precision_used: int
     residual: float
-    escalations: tuple  # (bits, residual) per attempt, as in BiorthReport
 
 
 def control_norm_sweep(
@@ -549,5 +545,4 @@ def control_norm_sweep(
         slope=slope,
         precision_used=bits,
         residual=attempts[-1][1],
-        escalations=attempts,
     )

@@ -53,9 +53,11 @@ MAX_MODES = 1000
 # Xeon): 41 MB, 0.10 s at 1,000; 42 MB, 0.13 s at 2,000; 42 MB, 0.23 s at 4,000.
 MAX_BIORTH_FAMILY = 4000
 # Two mpmath Gram solves, O(family^3). Measured `control` at horizon 1,
-# constant 1: 2.0 s at 60, 53 s at 150, 113 s at 200, both sweeps at the
-# top rung (1024 bits), whose residual rises about a decade per member
-# (6e-158 at 150, 1e-105 at 200): near 280 it would miss the gate.
+# constant 1 (2-core Xeon): 1.7 s at 60 (both sweeps at 288 bits), 42 s at
+# 150 (608 bits), 101 s at 200, where 512 bits cannot factor the Gram and
+# both sweeps double to the top rung (1024 bits). At 1024 bits the residual
+# rises about a decade per member (6e-158 at 150, 1e-105 at 200): near 280
+# it would miss the gate.
 MAX_CONTROL_FAMILY = 200
 MIN_PRECISION = 16
 

@@ -310,9 +310,21 @@ def test_control_ladder_top_raises(monkeypatch):
         )
 
 
-def test_control_sweep_records_escalations():
+def _record_ladders(monkeypatch):
+    """Collect what every `_ladder_solve` call returns."""
+    solves = []
+    ladder = biorth._ladder_solve
+    monkeypatch.setattr(
+        biorth, "_ladder_solve", lambda *args: solves.append(ladder(*args)) or solves[-1]
+    )
+    return solves
+
+
+def test_control_sweep_records_escalations(monkeypatch):
     # below 64 bits the control Gram of twelve modes is not even positive
-    # definite in working arithmetic: an infinite residual that escalates
+    # definite in working arithmetic: an infinite residual that doubles. The
+    # 64-bit miss (5e-12) is 29 bits short: 64 + 29 + 8 rounds up to 128
+    solves = _record_ladders(monkeypatch)
     sweep = control_norm_sweep(
         family=12,
         active_counts=range(1, 7),
@@ -321,10 +333,11 @@ def test_control_sweep_records_escalations():
         initial=InitialData.inverse_index(),
         precision=16,
     )
-    assert [bits for bits, _ in sweep.escalations] == [16, 32, 64, 128]
-    assert sweep.escalations[0][1] == math.inf
-    assert sweep.escalations[-2][1] > RESIDUAL_GATE
-    assert sweep.escalations[-1] == (sweep.precision_used, sweep.residual)
+    ((_, _, bits, attempts),) = solves
+    assert [b for b, _ in attempts] == [16, 32, 64, 128]
+    assert attempts[0][1] == math.inf
+    assert attempts[-2][1] > RESIDUAL_GATE
+    assert attempts[-1] == (bits, sweep.residual) == (sweep.precision_used, sweep.residual)
     assert sweep.residual < RESIDUAL_GATE
     reference = control_norm_sweep(
         family=12,
@@ -332,7 +345,7 @@ def test_control_sweep_records_escalations():
         horizon=1.0,
         memory_constant=1.0,
         initial=InitialData.inverse_index(),
-        precision=128,
+        precision=sweep.precision_used,
     )
     assert sweep.norms == reference.norms
 
@@ -456,8 +469,7 @@ def _spd_inverse_reference(G):
 def test_spd_inverse_matches_mpmath_entry_for_entry(build):
     with workprec(256):
         G = build()
-        cols = {j: x for j, x, _ in _spd_inverse(G)}
-        got = [cols[j] for j in range(len(G))]
+        got = _spd_inverse(G)
         want = _spd_inverse_reference(G)
     assert [[x._mpf_ for x in col] for col in got] == [
         [x._mpf_ for x in col] for col in want
@@ -472,66 +484,61 @@ def _residual_by_fdot(G, cols):
     ]
 
 
-def _count_back_substitutions(monkeypatch):
-    """Record (bits, j) for every column that `_spd_inverse` back-substitutes."""
-    solved = []
-    inverse = biorth._spd_inverse
-
-    def counting(G):
-        for item in inverse(G):
-            solved.append((mp.prec, item[0]))
-            yield item
-
-    monkeypatch.setattr(biorth, "_spd_inverse", counting)
-    return solved
-
-
 @pytest.mark.parametrize("c", [1.0, 0.0], ids=["memory", "memoryless"])
-def test_missed_rung_ends_at_its_first_column_over_the_gate(monkeypatch, c):
-    solved = _count_back_substitutions(monkeypatch)
-    solves = []
-    ladder = biorth._ladder_solve
-    monkeypatch.setattr(
-        biorth, "_ladder_solve", lambda *args: solves.append(ladder(*args)) or solves[-1]
-    )
+def test_family_60_control_sweep_steps_from_256_to_288(monkeypatch, c):
+    # both 256-bit rungs miss the gate by about 2x, one bit's worth: the step
+    # lands on the next multiple of 32, not on 512
+    solves = _record_ladders(monkeypatch)
     sweep = control_norm_sweep(60, range(1, 13), 1.0, c, InitialData.inverse_index(), 256)
-    assert [bits for bits, _ in sweep.escalations] == [256, 512]
-    assert sweep.escalations[0][1] > RESIDUAL_GATE > sweep.escalations[1][1]
-    missed = [j for bits, j in solved if bits == 256]
-    assert len(missed) < 60
-    assert sorted(j for bits, j in solved if bits == 512) == list(range(60))
-    # the passing rung's per-row defects are the full ones
-    (cols, residuals, bits, _), = solves
-    assert bits == 512
-    with workprec(512):
-        resid = _residual_by_fdot(_control_gram(60, 1.0, c), cols)
-    assert residuals == tuple(float(max(row)) for row in resid)
+    ((cols, residuals, bits, attempts),) = solves
+    assert [b for b, _ in attempts] == [256, 288] and bits == sweep.precision_used
+    assert attempts[0][1] > RESIDUAL_GATE > attempts[1][1]
+    # the missed rung records its full maximum, the passing rung its full rows
+    with workprec(256):
+        G = _control_gram(60, 1.0, c)
+        missed = _residual_by_fdot(G, _spd_inverse_reference(G))
+    assert attempts[0][1] == float(max(max(row) for row in missed))
+    with workprec(288):
+        passed = _residual_by_fdot(_control_gram(60, 1.0, c), cols)
+    assert residuals == tuple(float(max(row)) for row in passed)
 
 
-def test_ladder_top_reports_the_full_maximum(monkeypatch):
-    # a Householder reflection of a diagonal spread over twelve decades: at
-    # 1024 bits the column checked first is not the worst one
+def test_every_rung_records_its_full_maximum(monkeypatch):
+    # a Householder reflection of a diagonal spread over twelve decades
     v, d = (3, 9, 7, 2, 6), (1.0, 1e-3, 1e-6, 1e-9, 1e-12)
     vv = sum(x * x for x in v)
     q = [[(i == k) - 2 * v[i] * v[k] / vv for k in range(5)] for i in range(5)]
     m = [[sum(q[i][k] * d[k] * q[j][k] for k in range(5)) for j in range(5)] for i in range(5)]
     gs = empirical_gram(np.array(m))
-    solved = _count_back_substitutions(monkeypatch)
     monkeypatch.setattr(biorth, "RESIDUAL_GATE", 0.0)
+    missed = []
+    step = biorth._next_bits
+    monkeypatch.setattr(biorth, "_next_bits", lambda b, r: missed.append((b, r)) or step(b, r))
     with pytest.raises(PrecisionError, match=LADDER_TOP) as err:
         min_norm_biorth(gs)
-    # a rung below the top stops at its first column; the top checks all
-    assert [bits for bits, _ in solved[:2]] == [256, 512]
-    top = [j for bits, j in solved[2:] if bits == 1024]
-    assert sorted(top) == list(range(5)) and len(solved) == 7
     with workprec(gs.precision):
         G = gs.build()
-    with workprec(1024):
-        resid = _residual_by_fdot(G, _spd_inverse_reference(G))
-    full = float(max(max(row) for row in resid))
-    first = float(max(row[top[0]] for row in resid))
-    assert first < full
-    assert f"Gram residual {full:.3e} still above" in str(err.value)
+    full = []
+    for bits in (256, 512, 1024):
+        with workprec(bits):
+            resid = _residual_by_fdot(G, _spd_inverse_reference(G))
+        full.append(float(max(max(row) for row in resid)))
+    assert missed == [(256, full[0]), (512, full[1])]
+    assert f"Gram residual {full[2]:.3e} still above" in str(err.value)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(16, biorth.MAX_PRECISION_BITS - 1),
+    st.floats(RESIDUAL_GATE, math.inf),
+)
+def test_next_rung_is_above_and_at_most_doubled(bits, resid):
+    doubled = min(biorth.MAX_PRECISION_BITS, -(-2 * bits // 32) * 32)
+    step = biorth._next_bits(bits, resid)
+    assert bits < step <= doubled
+    assert step % 32 == 0
+    # an infinite residual says nothing about the bits missing
+    assert biorth._next_bits(bits, math.inf) == doubled
 
 
 def _control_gram_reference(family, horizon, c_value):

@@ -4,10 +4,12 @@
         --seconds 40 [--work DIR]
 
 Both sides run from fresh exports in one scratch directory (``--work``, a
-fresh temporary directory by default): the base commit through ``git
-archive``, the change as a copy of this checkout's working tree (its tracked
-and untracked files, not the ignored ones), so that neither side starts with
-caches or leftovers the other lacks. The exports are ``tree_a`` (base) and
+fresh temporary directory by default), made the same way: ``git archive`` of
+a tree unpacked by ``tar``. The base side is the tree of the base commit; the
+change side is this checkout's working tree written as a tree object through
+a temporary index (its tracked and untracked files with their edits and
+deletions, not the ignored ones), so that neither side starts with caches,
+leftovers or file times the other lacks. The exports are ``tree_a`` (base) and
 ``tree_b`` (change), names of one length that do not encode the role, so
 their paths differ in one letter only. For each seed and workload both
 sides run ``perfbench/run.py --trace 0`` back to back, the base first on
@@ -42,14 +44,14 @@ class RunFailed(Exception):
     """A perfbench run exited nonzero; carries its exit code and stderr."""
 
 
-def git(*args) -> str:
+def git(*args, env=None) -> str:
     return subprocess.run(
-        ["git", *args], cwd=ROOT, capture_output=True, text=True, check=True
+        ["git", *args], cwd=ROOT, env=env, capture_output=True, text=True, check=True
     ).stdout.strip()
 
 
 def export(rev: str, dest: Path) -> None:
-    """Unpack the tree of `rev` into dest."""
+    """Unpack the tree of `rev` (a commit or a tree) into dest."""
     dest.mkdir(parents=True)
     archive = subprocess.run(
         ["git", "archive", "--format=tar", rev], cwd=ROOT, capture_output=True, check=True
@@ -57,16 +59,16 @@ def export(rev: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
-def export_working_tree(dest: Path) -> None:
-    """Copy this checkout's tracked and untracked files, not the ignored
-    ones, into dest."""
-    names = git("ls-files", "-z", "--cached", "--others", "--exclude-standard")
-    for name in filter(None, names.split("\0")):
-        source = ROOT / name
-        if source.is_file():  # a tracked file deleted from the tree is skipped
-            target = dest / name
-            target.parent.mkdir(parents=True, exist_ok=True)
-            shutil.copy2(source, target)
+def working_tree() -> str:
+    """A tree object of this checkout as `git add -A` would stage it.
+
+    The staging goes through a temporary index, so the checkout's own index
+    is left as it is."""
+    with tempfile.TemporaryDirectory() as tmp:
+        env = {**os.environ, "GIT_INDEX_FILE": str(Path(tmp) / "index")}
+        git("read-tree", "HEAD", env=env)
+        git("add", "-A", env=env)
+        return git("write-tree", env=env)
 
 
 def perfbench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -129,10 +131,11 @@ def main(argv=None) -> int:
     for path in sides.values():
         shutil.rmtree(path, ignore_errors=True)
 
+    change_tree = working_tree()
     runs = []
     try:
         export(args.base, sides["base"])
-        export_working_tree(sides["change"])
+        export(change_tree, sides["change"])
         for i in range(args.pairs):
             seed = args.first_seed + i
             for workload in WORKLOADS:
@@ -157,7 +160,7 @@ def main(argv=None) -> int:
 
     bench = {
         "base": git("rev-parse", args.base),
-        "change": "working tree on " + git("rev-parse", "HEAD"),
+        "change": f"tree {change_tree} on " + git("rev-parse", "HEAD"),
         "command": "python3 perfbench/run.py --workload W --seed S "
                    f"--seconds {args.seconds:g} --trace 0",
         "machine": {
