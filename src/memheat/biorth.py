@@ -478,7 +478,7 @@ class ControlSweep:
     log_norms: tuple
     monotone: bool
     tail_ratio: float  # last norm over the norm six sweep points earlier
-    slope: float  # fitted log-norm slope across the sweep
+    slope: float | None  # fitted log-norm slope across the sweep; None for one point
     precision_used: int
     residual: float
 
@@ -536,7 +536,7 @@ def control_norm_sweep(
     if len(active_counts) >= 2:
         slope = fit_log_growth(active_counts, log_norms).slope
     else:
-        slope = math.nan  # a single sweep point carries no growth information
+        slope = None  # a single sweep point carries no growth information
     return ControlSweep(
         norms=tuple(norms),
         log_norms=tuple(log_norms),

@@ -59,6 +59,12 @@ MAX_BIORTH_FAMILY = 4000
 # rises about a decade per member (6e-158 at 150, 1e-105 at 200): near 280
 # it would miss the gate.
 MAX_CONTROL_FAMILY = 200
+# `moment` builds only its window, so time does not grow with scope; the
+# rates do. (n pi)^2 must stay a double, and so must rate * steps in the cell
+# moments. Measured `moment`: 10^151 runs clean at 100 and 100,000 steps (1.2 s
+# with 1,000 modes at 100,000 steps); 10^152 at 100,000 steps and 10^153 at
+# 1,000 steps exit 0 after numpy overflow warnings; 10^154 overflows (n pi)^2.
+MAX_SCOPE = 10**151
 MIN_PRECISION = 16
 
 
@@ -120,7 +126,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     initial = initial_data_from_config(data.get("initial", d.initial.to_config()))
     scope = data.get("scope", d.scope)
     if scope != "auto":
-        scope = read_int(data, "scope", "", minimum=1)
+        scope = read_int(data, "scope", "", minimum=1, maximum=MAX_SCOPE)
 
     control = read_record(data.get("control", {}), "control", _CONTROL_KEYS)
     control_family = read_int(

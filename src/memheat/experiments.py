@@ -6,6 +6,11 @@ its files as one dict of file name -> payload: `(header, rows)` for a `.csv`
 file, the record itself for a `.json` file. The CLI hands that dict to
 `output.write_outputs`, the one write phase, so a run whose computation
 fails leaves no output directory. All work happens on the calling thread.
+
+`simulate` solves a grid's modes in one place, `_solve_trajectories`, for
+the main grid and each refinement grid; one loop then checks every mode of
+the main grid against the resolvent representation and the series route,
+each of which builds its own data.
 """
 
 from __future__ import annotations
@@ -89,60 +94,47 @@ def cmd_resolvent(config: ExperimentConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _solve_trajectories(config: ExperimentConfig, steps: int) -> np.ndarray:
-    """Volterra-route free trajectories on a grid with the given step count."""
+def _solve_trajectories(config: ExperimentConfig, steps: int) -> tuple:
+    """The resolvent triple, the modes and the Volterra-route free trajectory
+    of every mode on a grid of `steps` cells: the one place a grid's modes
+    are solved, for the main grid and each refinement grid alike."""
     grid = TimeGrid(config.horizon, steps)
     rt = resolvent_of(config.kernel, grid)
     modes = dirichlet_modes_1d(config.modes, rt.gain)
     g = SampledFunction.zeros(grid)
     xis = config.initial.values(config.modes)
-    rows = _per_mode(
-        lambda mx: solve_mode(mx[0], rt, mx[1], g).w.values, zip(modes, xis)
-    )
-    return np.stack(rows)
+    trajectories = _per_mode(lambda mx: solve_mode(mx[0], rt, mx[1], g), zip(modes, xis))
+    return rt, modes, trajectories
 
 
 def cmd_simulate(config: ExperimentConfig, refine: bool = False) -> dict:
     """Free modal trajectories, the dual-representation gap, and the
     deficiency time series; optionally a grid-refinement table."""
-    grid = TimeGrid(config.horizon, config.steps)
-    rt = resolvent_of(config.kernel, grid)
-    modes = dirichlet_modes_1d(config.modes, rt.gain)
-    g = SampledFunction.zeros(grid)
-    xis = config.initial.values(config.modes)
+    rt, modes, trajectories = _solve_trajectories(config, config.steps)
+    g = SampledFunction.zeros(rt.grid)
 
-    def one(mode_xi):
-        mode, xi = mode_xi
-        traj = solve_mode(mode, rt, xi, g)
+    gaps, series_gaps, skipped, failed = [], [], [], []
+    for mode, traj in zip(modes, trajectories):
         h = mode_resolvent_direct(rt, mode.shifted_rate)
-        gap = (traj.w - explicit_mode(mode, rt, h, xi, g).w).sup_norm()
-        series_gap = failure = None
-        if mode.shifted_rate > 0:
-            # The series route only cross-checks the direct one: a series that
-            # cannot converge leaves this mode unchecked, not the run failed.
-            try:
-                h_series, _ = mode_resolvent_series(
-                    rt, mode.shifted_rate, config.series_tol
-                )
-                series_gap = (h_series - h).sup_norm()
-            except NumericalError as exc:
-                failure = {"mode": mode.index, "reason": str(exc)}
-        return traj, gap, series_gap, failure
-
-    results = _per_mode(one, zip(modes, xis))
-    trajectories = [r[0] for r in results]
-    gaps = [r[1] for r in results]
-    series_gaps = [r[2] for r in results if r[2] is not None]
-    skipped = [m.index for m, r in zip(modes, results) if m.shifted_rate <= 0]
-    failed = [r[3] for r in results if r[3] is not None]
+        gaps.append((traj.w - explicit_mode(mode, rt, h, traj.initial, g).w).sup_norm())
+        if mode.shifted_rate <= 0:
+            skipped.append(mode.index)
+            continue
+        # The series route only cross-checks the direct one: a series that
+        # cannot converge leaves this mode unchecked, not the run failed.
+        try:
+            h_series, _ = mode_resolvent_series(rt, mode.shifted_rate, config.series_tol)
+            series_gaps.append((h_series - h).sup_norm())
+        except NumericalError as exc:
+            failed.append({"mode": mode.index, "reason": str(exc)})
 
     w = np.stack([t.w.values for t in trajectories])  # (N, size)
     lam2 = np.array([m.eigenvalue for m in modes])
     deficiency = np.sqrt(np.sum((w / lam2[:, None]) ** 2, axis=0))
 
     traj_header = ["t"] + [f"w_{m.index}" for m in modes]
-    traj_rows = list(zip(grid.nodes, *w))
-    defic_rows = list(zip(grid.nodes, deficiency))
+    traj_rows = list(zip(rt.grid.nodes, *w))
+    defic_rows = list(zip(rt.grid.nodes, deficiency))
 
     discrepancy = {
         "solve_vs_explicit": float(max(gaps)),
@@ -162,7 +154,10 @@ def cmd_simulate(config: ExperimentConfig, refine: bool = False) -> dict:
         # grids; a plain finest-grid reference would leave its own O(dt^2)
         # bias in the error column and skew the ratios away from 4. The 1x
         # row reuses the trajectories the main path already solved.
-        w8, w4, w2 = (_solve_trajectories(config, m * config.steps) for m in (8, 4, 2))
+        w8, w4, w2 = (
+            np.stack([t.w.values for t in _solve_trajectories(config, m * config.steps)[2]])
+            for m in (8, 4, 2)
+        )
         reference = (4.0 * w8[:, ::2] - w4) / 3.0  # lives on the 4x nodes
         conv_rows = []
         prev_err = None
@@ -227,11 +222,9 @@ def cmd_biorth(config: ExperimentConfig) -> dict:
     family, an extended-precision Gram verification block, an orthonormal
     sanity control, and the finite-horizon domination check."""
     gain = config.kernel.value_at_zero
-    ns = np.arange(1, config.biorth_family + 1)
-    mu2 = (ns * math.pi) ** 2 - gain
-    keep = mu2 > 0
-    ns, mu2 = ns[keep], mu2[keep]
     first = first_positive_index(gain)
+    ns = np.arange(first, config.biorth_family + 1)
+    mu2 = (ns * math.pi) ** 2 - gain
     if not ns.size:
         raise ConfigError(
             "biorth.family",

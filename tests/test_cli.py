@@ -18,7 +18,7 @@ import pytest
 
 from memheat import biorth
 from memheat.cli import main
-from memheat.config import MAX_BIORTH_FAMILY, MAX_CONTROL_FAMILY, MAX_MODES
+from memheat.config import MAX_BIORTH_FAMILY, MAX_CONTROL_FAMILY, MAX_MODES, MAX_SCOPE
 
 SMALL = {
     "kernel": {"type": "constant", "value": 1.0},
@@ -35,8 +35,13 @@ def write_config(tmp_path, data, name="config.json"):
     return path
 
 
+def _no_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
 def read_json(path):
-    return json.loads(path.read_text())
+    """Parse strictly: NaN and Infinity, which Python writes by default, fail."""
+    return json.loads(path.read_text(), parse_constant=_no_constant)
 
 
 def read_csv_header(path):
@@ -81,8 +86,8 @@ def test_simulate_command_with_refinement(tmp_path):
 
 
 def test_refinement_reuses_the_base_grid(tmp_path, monkeypatch):
-    # the 1x row of the convergence table is the trajectory the main path
-    # already solved; only the 2x, 4x and 8x grids are solved again
+    # the main path and every refinement grid go through one solve each: the
+    # 1x row of the convergence table is the trajectory the main path solved
     from memheat import experiments
 
     solved = []
@@ -96,7 +101,7 @@ def test_refinement_reuses_the_base_grid(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, SMALL)
     out = tmp_path / "run"
     assert main(["simulate", "--config", str(cfg), "--out", str(out), "--refine"]) == 0
-    assert sorted(solved) == [400, 800, 1600]
+    assert sorted(solved) == [200, 400, 800, 1600]
 
 
 def test_simulate_memoryless_routes_coincide_exactly(tmp_path):
@@ -232,6 +237,17 @@ def test_control_command(tmp_path):
     ]
 
 
+def test_control_with_one_active_mode_writes_null_slopes(tmp_path):
+    # a one-point sweep has no slope: null, not the NaN a strict parser rejects
+    cfg = write_config(tmp_path, {**SMALL, "control": {"family": 12, "active": 1}})
+    out = tmp_path / "run"
+    assert main(["control", "--config", str(cfg), "--out", str(out)]) == 0
+    verdict = read_json(out / "verdict.json")
+    assert verdict["memory_blowup_slope"] is None
+    assert verdict["memoryless_slope"] is None
+    assert verdict["memoryless_tail_ratio"] == 1.0
+
+
 def test_control_rejects_non_constant_kernel(tmp_path):
     cfg = write_config(
         tmp_path, {"kernel": {"type": "exp_sum", "terms": [{"c": 1.0, "b": 1.0}]}}
@@ -307,8 +323,10 @@ def test_bad_config_exits_2_without_output(tmp_path, capsys):
             {"control": {"family": MAX_CONTROL_FAMILY + 1}},
             f"control.family: must be at most {MAX_CONTROL_FAMILY}",
         ),
+        # near 10^154 (n pi)^2 leaves double range and `moment` ended in a traceback
+        ("moment", {"scope": MAX_SCOPE + 1}, f"scope: must be at most {MAX_SCOPE}"),
     ],
-    ids=["modes", "biorth.family", "control.family"],
+    ids=["modes", "biorth.family", "control.family", "scope"],
 )
 def test_size_past_its_bound_exits_2_without_output(tmp_path, capsys, command, data, message):
     cfg = write_config(tmp_path, data)

@@ -11,6 +11,7 @@ from memheat.config import (
     MAX_BIORTH_FAMILY,
     MAX_CONTROL_FAMILY,
     MAX_MODES,
+    MAX_SCOPE,
     MAX_STEPS,
     MIN_STEPS,
     ExperimentConfig,
@@ -159,6 +160,7 @@ def test_root_and_unknown_keys():
             {"biorth": {"family": MAX_BIORTH_FAMILY + 1}},
             f"biorth.family: must be at most {MAX_BIORTH_FAMILY}",
         ),
+        ({"scope": MAX_SCOPE + 1}, f"scope: must be at most {MAX_SCOPE}"),
     ],
 )
 def test_rejections(data, key):
