@@ -6,12 +6,14 @@ biorthogonal norms growing exponentially in the mode index), so round-off
 must be kept strictly smaller than the real growth. Everything here runs in
 arbitrary-precision arithmetic (mpmath). Both Gram matrices (biorthogonal
 and control) go through one precision ladder: a Cholesky factor and one
-forward and one back substitution per column, with 10 guard bits, then the
-residual max |G X - I| over all entries at the working precision against a
-1e-20 gate. The residual tracks the Cholesky backward-error bound
-kappa * 2^-bits, so a miss steps up by the bits it was short plus a margin,
-rounded up to a multiple of 32 and never more than doubling, up to 1024
-bits; past that the ladder fails loudly.
+forward and one back substitution per column that the caller reads, with 10
+guard bits, then the residual max |G X - I| over all n rows of those columns
+at the working precision against a 1e-20 gate. The biorthogonal norms read
+every column; a control sweep steering up to N modes reads the first N. So
+the gate covers every number an output depends on. The residual tracks the
+Cholesky backward-error bound kappa * 2^-bits, so a miss steps up by the
+bits it was short plus a margin, rounded up to a multiple of 32 and never
+more than doubling, up to 1024 bits; past that the ladder fails loudly.
 
 Every dot product in the factor, the substitutions and the residual is
 exact with one rounding, the same as mpmath's fdot: the mpf entries become
@@ -43,7 +45,8 @@ from .moments import InitialData
 RESIDUAL_GATE = 1e-20
 MAX_PRECISION_BITS = 1024
 # Bits a step adds beyond the miss. log2(residual * 2^bits) stays within 2
-# bits from rung to rung: 190.4-191.8 on the family-60 control Grams and
+# bits from rung to rung: 190.4-191.8 on the full inverses of the family-60
+# control Grams (129.8-131.3 on their first 12 columns, 256-320 bits) and
 # 501.0-502.8 at family 150, with and without memory, and within 2 bits on
 # 300 random Cauchy Grams of up to 12 members. So a step of the miss plus 8
 # bits lands at least 2^6 below the gate even before the rounding to 32.
@@ -215,12 +218,15 @@ def _cholesky(A):
     return lower, exact, diag
 
 
-def _spd_inverse(G):
-    """The columns of G^{-1} by Cholesky, with the 10 guard bits of mp.inverse.
+def _spd_inverse(G, count: int | None = None):
+    """The first `count` columns of G^{-1} by Cholesky; None asks for all n.
 
-    The factor and both substitutions take their dot products exactly with
-    one rounding, the same as mpmath's fdot, so the columns are those of
-    mpmath's cholesky followed by fdot substitutions. The columns stay at the
+    The factor is the whole of G's, with the 10 guard bits of mp.inverse;
+    each returned column takes one forward and one back substitution over
+    all n rows. The factor and both substitutions take their dot products
+    exactly with one rounding, the same as mpmath's fdot, so the columns are
+    those of mpmath's cholesky followed by fdot substitutions, and a column
+    does not depend on how many are asked for. The columns stay at the
     guarded precision: rounding them to the working precision raises the
     residual about a thousandfold. Raises ValueError if G is not positive
     definite at this precision.
@@ -234,7 +240,7 @@ def _spd_inverse(G):
             _ExactVector(lower[k][i] for k in reversed(range(i + 1, n)))
             for i in range(n)
         ]
-        for j in range(n):
+        for j in range(n if count is None else count):
             y = [mp.zero] * n
             ys = _ExactVector(y[:j])  # zeros above row j
             for i in range(j, n):
@@ -264,25 +270,28 @@ def _next_bits(bits: int, resid) -> int:
     return min(-(-int(step) // 32) * 32, MAX_PRECISION_BITS)
 
 
-def _ladder_solve(build, bits: int):
-    """Invert the SPD matrix `build()` on a precision ladder.
+def _ladder_solve(build, bits: int, count: int | None = None):
+    """The first `count` columns of the SPD inverse of `build()`, on a ladder.
 
     `build` runs once per rung, at that rung's working precision, starting at
-    `bits`. The defect of row i is max_j |(G X)_ij - delta_ij| at the working
-    precision, over all n^2 entries on every rung; a rung passes when the
-    largest defect is below RESIDUAL_GATE, read at call time. A miss steps to
-    `_next_bits`. A matrix that is not positive definite or holds an infinity
-    or a nan (ValueError), or mode roots that coincide at the working
-    precision in the build (ZeroDivisionError), count as an infinite
-    residual. Returns the inverse columns, the per-row defects, the passing
-    bits and every (bits, residual) attempt.
+    `bits`. Each returned column x_j is gated over all n rows of G: the
+    defect of row i is max_j |(G x_j)_i - delta_ij| over the returned
+    columns, taken exactly at the working precision on every rung, and a rung
+    passes when the largest defect is below RESIDUAL_GATE, read at call time.
+    So the gate covers every column the caller gets, and with it every number
+    an output depends on; columns past `count` (None asks for all n) are
+    neither solved nor gated. A miss steps to `_next_bits`. A matrix that is
+    not positive definite or holds an infinity or a nan (ValueError), or mode
+    roots that coincide at the working precision in the build
+    (ZeroDivisionError), count as an infinite residual. Returns the columns,
+    the per-row defects, the passing bits and every (bits, residual) attempt.
     """
     attempts = []
     while True:
         with workprec(bits):
             try:
                 G = build()
-                cols = _spd_inverse(G)
+                cols = _spd_inverse(G, count)
                 exact_cols = [_ExactVector(x) for x in cols]
                 row_resid = [
                     max(abs(g.dot(x) - int(i == j)) for j, x in enumerate(exact_cols))
@@ -499,10 +508,14 @@ def control_norm_sweep(
     constant kernel forces the norms up geometrically.
     """
     active_counts = tuple(int(n) for n in active_counts)
-    if not active_counts or max(active_counts) > family:
-        raise ValueError("active mode counts must be nonempty and within the family")
+    if not active_counts or min(active_counts) < 1 or max(active_counts) > family:
+        raise ValueError("active mode counts must be nonempty and within 1..family")
+    # norm^2 = b^T G^-1 b with b zero past the steered modes reads only the
+    # first max(active_counts) columns, so only those are solved and gated
     cols, _, bits, attempts = _ladder_solve(
-        lambda: _control_gram(family, horizon, memory_constant), precision
+        lambda: _control_gram(family, horizon, memory_constant),
+        precision,
+        max(active_counts),
     )
     norms, log_norms = [], []
     with workprec(bits):

@@ -52,12 +52,14 @@ MAX_MODES = 1000
 # The Cauchy closed form runs one row at a time. Measured `biorth` (2-core
 # Xeon): 41 MB, 0.10 s at 1,000; 42 MB, 0.13 s at 2,000; 42 MB, 0.23 s at 4,000.
 MAX_BIORTH_FAMILY = 4000
-# Two mpmath Gram solves, O(family^3). Measured `control` at horizon 1,
-# constant 1 (2-core Xeon): 1.7 s at 60 (both sweeps at 288 bits), 42 s at
-# 150 (608 bits), 101 s at 200, where 512 bits cannot factor the Gram and
-# both sweeps double to the top rung (1024 bits). At 1024 bits the residual
-# rises about a decade per member (6e-158 at 150, 1e-105 at 200): near 280
-# it would miss the gate.
+# Two mpmath Gram solves: an O(family^3) factor, then only the `active`
+# inverse columns a sweep reads. Measured `control` at horizon 1, constant 1
+# (2-core Xeon): 0.4 s at 60, active 12 (both sweeps at 256 bits); at 150,
+# 7.3 s with active 12 (512 bits) and 56-64 s with active 150 (608 bits); at
+# 200, 27 s with active 12 and 181 s with active 200, where 512 bits cannot
+# factor the Gram and both sweeps double to the top rung (1024 bits). At 1024
+# bits the residual of all family columns rises about a decade per member
+# (6e-158 at 150, 1e-105 at 200): near 280 it would miss the gate.
 MAX_CONTROL_FAMILY = 200
 # `moment` builds only its window, so time does not grow with scope; the
 # rates do. (n pi)^2 must stay a double, and so must rate * steps in the cell

@@ -10,6 +10,7 @@ import math
 import random
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -323,7 +324,8 @@ def _record_ladders(monkeypatch):
 def test_control_sweep_records_escalations(monkeypatch):
     # below 64 bits the control Gram of twelve modes is not even positive
     # definite in working arithmetic: an infinite residual that doubles. The
-    # 64-bit miss (5e-12) is 29 bits short: 64 + 29 + 8 rounds up to 128
+    # 64-bit miss of the 6 read columns (4e-13) is 26 bits short: 64 + 26 + 8
+    # rounds up to 128
     solves = _record_ladders(monkeypatch)
     sweep = control_norm_sweep(
         family=12,
@@ -485,22 +487,64 @@ def _residual_by_fdot(G, cols):
 
 
 @pytest.mark.parametrize("c", [1.0, 0.0], ids=["memory", "memoryless"])
-def test_family_60_control_sweep_steps_from_256_to_288(monkeypatch, c):
-    # both 256-bit rungs miss the gate by about 2x, one bit's worth: the step
-    # lands on the next multiple of 32, not on 512
+def test_family_60_control_sweep_passes_at_256(monkeypatch, c):
+    # the sweep reads the first 12 of 60 inverse columns; gated over all 60
+    # rows they pass at 256 bits (about 1e-38), where the full inverse misses
+    # by about 2x
     solves = _record_ladders(monkeypatch)
     sweep = control_norm_sweep(60, range(1, 13), 1.0, c, InitialData.inverse_index(), 256)
     ((cols, residuals, bits, attempts),) = solves
-    assert [b for b, _ in attempts] == [256, 288] and bits == sweep.precision_used
-    assert attempts[0][1] > RESIDUAL_GATE > attempts[1][1]
-    # the missed rung records its full maximum, the passing rung its full rows
+    assert [b for b, _ in attempts] == [256] and bits == sweep.precision_used
+    assert len(cols) == 12 and all(len(x) == 60 for x in cols)
     with workprec(256):
         G = _control_gram(60, 1.0, c)
-        missed = _residual_by_fdot(G, _spd_inverse_reference(G))
-    assert attempts[0][1] == float(max(max(row) for row in missed))
-    with workprec(288):
-        passed = _residual_by_fdot(_control_gram(60, 1.0, c), cols)
-    assert residuals == tuple(float(max(row)) for row in passed)
+        read = _residual_by_fdot(G, _spd_inverse_reference(G)[:12])
+    assert len(read) == 60
+    assert residuals == tuple(float(max(row)) for row in read)
+    assert attempts[0][1] == sweep.residual == float(max(max(row) for row in read))
+    assert sweep.residual < RESIDUAL_GATE
+
+
+@pytest.mark.parametrize(
+    "build,counts",
+    [
+        (lambda: _control_gram(60, 1.0, 1.0), (1, 12, 59)),
+        (lambda: gram([(n * math.pi) ** 2 - 1.0 for n in range(1, 13)], None).build(), (1, 6)),
+    ],
+    ids=["control-60-memory", "cauchy-12"],
+)
+def test_leading_columns_are_those_of_the_full_solve(build, counts):
+    # a column does not depend on how many are asked for: the full inverse
+    # is the oracle for every column-limited solve
+    with workprec(256):
+        G = build()
+        full = [[x._mpf_ for x in col] for col in _spd_inverse(G)]
+        for count in counts:
+            got = _spd_inverse(G, count)
+            assert [[x._mpf_ for x in col] for col in got] == full[:count]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(1, 14).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+    st.floats(0.0, 5.0),
+)
+def test_sweep_equals_the_one_formed_from_full_inverse_columns(size, c):
+    family, active = size
+    counts = range(1, active + 1)
+    initial = InitialData.inverse_index()
+    sweep = control_norm_sweep(family, counts, 1.0, c, initial)
+
+    def full_inverse(build, bits, count):
+        assert count == active
+        with workprec(sweep.precision_used):
+            cols = _spd_inverse_reference(build())
+        return cols, None, sweep.precision_used, ((sweep.precision_used, 0.0),)
+
+    with mock.patch.object(biorth, "_ladder_solve", full_inverse):
+        reference = control_norm_sweep(family, counts, 1.0, c, initial)
+    assert sweep.norms == reference.norms
+    assert sweep.log_norms == reference.log_norms
 
 
 def test_every_rung_records_its_full_maximum(monkeypatch):
@@ -643,6 +687,15 @@ def test_control_sweep_validation():
         control_norm_sweep(
             family=4,
             active_counts=(),
+            horizon=1.0,
+            memory_constant=0.0,
+            initial=InitialData("zero"),
+        )
+    # a sweep point steering no mode asks the solve for no column
+    with pytest.raises(ValueError, match="within 1..family"):
+        control_norm_sweep(
+            family=4,
+            active_counts=(0, 2),
             horizon=1.0,
             memory_constant=0.0,
             initial=InitialData("zero"),

@@ -288,6 +288,23 @@ def test_ladder_top_exits_3_without_output(tmp_path, monkeypatch, capsys):
     assert "after 16, 32 bits" in capsys.readouterr().err
 
 
+def test_nonpositive_control_norm_exits_3_without_output(tmp_path, monkeypatch, capsys):
+    # the squared norm b^T X b reads only the returned block X of G^-1; a
+    # solve whose block has lost definiteness must fail loudly, not write data
+    ladder = biorth._ladder_solve
+
+    def negated(*args):
+        cols, residuals, bits, attempts = ladder(*args)
+        return [[-x for x in col] for col in cols], residuals, bits, attempts
+
+    monkeypatch.setattr(biorth, "_ladder_solve", negated)
+    cfg = write_config(tmp_path, SMALL)
+    out = tmp_path / "run"
+    assert main(["control", "--config", str(cfg), "--out", str(out)]) == 3
+    assert not out.exists()
+    assert "nonpositive squared control norm" in capsys.readouterr().err
+
+
 def test_bad_config_exits_2_without_output(tmp_path, capsys):
     cfg = write_config(tmp_path, {"stepz": 100})
     out = tmp_path / "run"
