@@ -4,8 +4,10 @@ Everything downstream is built on three operations over sampled functions:
 
 * `convolve` - trapezoid-rule convolution, FFT-accelerated, with a canonical
   operand ordering so that f*g and g*f are bitwise identical.
-* `volterra_solve` - solve y + K*y = f, the trapezoid scheme solved blockwise
-  with FFT history in O(n log^2 n).
+* `volterra_solve_stack` - solve y + K*y = f for a stack of rows, one kernel
+  and one right-hand side per row, the trapezoid scheme solved blockwise
+  with FFT history in O(n log^2 n) per row; `volterra_solve` is its one-row
+  case on sampled functions.
 * `convolve_exp` / `convolve_exp_monomial` - product quadrature against
   exponential (times monomial) weights, exact on the weight factor, so the
   accuracy is uniform in the decay rate instead of collapsing for stiff modes.
@@ -24,16 +26,25 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NumericalError
-from .grids import SampledFunction, TimeGrid, require_same_grid
+from .grids import SampledFunction, TimeGrid, check_finite, require_same_grid
+
+
+def _fft_size(n: int) -> int:
+    """Smallest power of two holding a linear convolution of n samples."""
+    return 1 << (n - 1).bit_length()
 
 
 def _fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Full linear convolution of two 1-d arrays via a power-of-two rfft."""
-    n = len(a) + len(b) - 1
-    size = 1 << (n - 1).bit_length()
+    """Full linear convolution along the last axis via a power-of-two rfft.
+
+    a and b are single rows or stacks of rows of equal count; each row of a
+    stack gets the same bits as the row alone.
+    """
+    n = a.shape[-1] + b.shape[-1] - 1
+    size = _fft_size(n)
     fa = np.fft.rfft(a, size)
-    fb = np.fft.rfft(b, size)
-    return np.fft.irfft(fa * fb, size)[:n]
+    fa *= np.fft.rfft(b, size)
+    return np.fft.irfft(fa, size)[..., :n]
 
 
 def convolve(f: SampledFunction, g: SampledFunction) -> SampledFunction:
@@ -62,9 +73,16 @@ BLOCK = 128
 
 
 def volterra_solve(kernel: SampledFunction, rhs: SampledFunction) -> SampledFunction:
-    """Solve y + K*y = f on the grid: the trapezoid discretization, blocked.
+    """Solve y + K*y = f on the grid: `volterra_solve_stack` for one row."""
+    grid = require_same_grid(kernel, rhs)
+    y = volterra_solve_stack(kernel.values[None], rhs.values[None], grid.dt)
+    return SampledFunction(grid, y[0])
 
-    The trapezoid scheme is the lower-triangular Toeplitz system
+
+def volterra_solve_stack(kernels: np.ndarray, rhs: np.ndarray, dt: float) -> np.ndarray:
+    """Solve y_r + K_r*y_r = f_r for every row r of two (rows, nodes) stacks.
+
+    The trapezoid scheme is, per row, the lower-triangular Toeplitz system
 
         pivot y_i + dt sum_{0<j<i} K_{i-j} y_j = f_i - dt K_i y_0 / 2,
 
@@ -74,45 +92,61 @@ def volterra_solve(kernel: SampledFunction, rhs: SampledFunction) -> SampledFunc
     convolution, and blocks of at most BLOCK nodes are solved by convolving
     with the first column of the inverse of the leading BLOCK x BLOCK
     system matrix (itself lower-triangular Toeplitz). That costs
-    O(n log^2 n) instead of the O(n^2) of marching step by step, and a
-    zero kernel returns f bit for bit. If the pivot is near zero the scheme
-    is degenerate and we refuse to continue rather than amplify noise.
+    O(n log^2 n) per row instead of the O(n^2) of marching step by step,
+    and a zero kernel returns f bit for bit.
+
+    All rows go down the recursion together, so a stack pays its Python
+    overhead once, and each row gets the same bits as a solve of that row
+    alone: its own pivot and inverse block, and the same operations on it.
+    The history accumulates in the output stack, each node read once at its
+    block before the solution overwrites it. One FFT call transforms
+    max(1, top // size) rows, top being the FFT size of the widest span, so
+    no call holds more than the widest transform of a single row.
+
+    Raises NumericalError if a row's pivot is near zero (the scheme is
+    degenerate there, and we refuse to amplify noise) or a row overflows.
     """
-    grid = require_same_grid(kernel, rhs)
-    K = kernel.values
-    f = rhs.values
-    dt = grid.dt
-    pivot = 1.0 + 0.5 * dt * K[0]
-    if abs(pivot) < 1e-12:
+    pivots = 1.0 + 0.5 * dt * kernels[:, 0]
+    if np.any(np.abs(pivots) < 1e-12):
         raise NumericalError(
             "Volterra step is degenerate: 1 + dt*K(0)/2 is numerically zero. "
             "Refine the time grid or rescale the kernel."
         )
-    n = len(f)
-    # First column of the inverse block matrix: a unit impulse pushed
-    # through the leading block of the system.
+    n = rhs.shape[1]
+    # First column of each row's inverse block matrix: a unit impulse pushed
+    # through the leading block of that row's system.
     m = min(BLOCK, n - 1)
-    inv = np.zeros(m)
-    inv[0] = 1.0 / pivot
-    for i in range(1, m):
-        inv[i] = -dt * np.dot(K[i:0:-1], inv[:i]) / pivot
-    y = np.empty_like(f)
-    y[0] = f[0]
-    acc = 0.5 * K * y[0]
-    _solve_span(y, acc, f, K, inv, dt, 1, n)
-    return SampledFunction(grid, y)
+    inv = np.zeros((len(rhs), m))
+    for K, row, pivot in zip(kernels, inv, pivots):
+        row[0] = 1.0 / pivot
+        for i in range(1, m):
+            row[i] = -dt * np.dot(K[i:0:-1], row[:i]) / pivot
+    y = np.empty(rhs.shape)
+    y[:, 0] = rhs[:, 0]
+    np.multiply(kernels[:, 1:], 0.5, out=y[:, 1:])  # the history of y_0
+    y[:, 1:] *= y[:, :1]
+    top = _fft_size((n - 1) // 2 + n - 2)  # the span [1, n)
+    _solve_span(y, rhs, kernels, inv, dt, 1, n, top)
+    check_finite(y)
+    return y
 
 
-def _solve_span(y, acc, f, K, inv, dt, lo, hi):
-    """Fill y[lo:hi], given that acc[lo:hi] holds the history from y[:lo]."""
+def _solve_span(y, f, K, inv, dt, lo, hi, top):
+    """Fill y[:, lo:hi], given that it holds the history from y[:, :lo]."""
     m = hi - lo
     if m <= BLOCK:
-        y[lo:hi] = np.convolve(inv[:m], f[lo:hi] - dt * acc[lo:hi])[:m]
+        b = f[:, lo:hi] - dt * y[:, lo:hi]
+        for row, inv_row, b_row in zip(y, inv, b):
+            row[lo:hi] = np.convolve(inv_row[:m], b_row)[:m]
         return
     mid = lo + m // 2
-    _solve_span(y, acc, f, K, inv, dt, lo, mid)
-    acc[mid:hi] += _fft_convolve(y[lo:mid], K[:m])[mid - lo : m]
-    _solve_span(y, acc, f, K, inv, dt, mid, hi)
+    _solve_span(y, f, K, inv, dt, lo, mid, top)
+    rows = max(1, top // _fft_size(mid - lo + m - 1))
+    for r in range(0, len(y), rows):
+        y[r : r + rows, mid:hi] += _fft_convolve(
+            y[r : r + rows, lo:mid], K[r : r + rows, :m]
+        )[:, mid - lo : m]
+    _solve_span(y, f, K, inv, dt, mid, hi, top)
 
 
 def exp_profile(grid: TimeGrid, rate: float) -> SampledFunction:
@@ -278,6 +312,7 @@ def convolve_exp_monomial(
     WB = np.zeros(n)
     lag = np.arange(1, n, dtype=float) * dt
     WB[1:] = lag * Ak - Ak1
+    del Ak, Ak1, lag  # not held through the FFTs, which set the peak memory
 
     vals = f.values
     slopes = np.empty(n)

@@ -64,21 +64,31 @@ def heat_mode(mode: Mode, xi: float, g: SampledFunction) -> ModalTrajectory:
     return ModalTrajectory(xi, w)
 
 
-def solve_mode(
+def mode_equation(
     mode: Mode, rt: ResolventTriple, xi: float, g: SampledFunction
-) -> ModalTrajectory:
-    """Volterra solve of the mode equation w + z*w = k."""
+) -> tuple:
+    """Kernel z and right-hand side k of the mode equation w + z*w = k.
+
+    Warns once per call for a nonpositive rate: the equation is still
+    solved, but the decay estimates behind the moment asymptotics fail.
+    """
     if mode.shifted_rate <= 0:
         warnings.warn(
             f"mode {mode.index} has nonpositive shifted rate "
             f"{mode.shifted_rate:g}; the solve proceeds but the decay "
             "estimates behind the moment asymptotics do not apply",
-            stacklevel=2,
+            stacklevel=3,
         )
     k = modal_rhs(mode, rt, xi, g)
-    z = mode_kernel(rt, mode.shifted_rate)
-    w = volterra_solve(z, k)
-    return ModalTrajectory(xi, w)
+    return mode_kernel(rt, mode.shifted_rate), k
+
+
+def solve_mode(
+    mode: Mode, rt: ResolventTriple, xi: float, g: SampledFunction
+) -> ModalTrajectory:
+    """Volterra solve of the mode equation w + z*w = k."""
+    z, k = mode_equation(mode, rt, xi, g)
+    return ModalTrajectory(xi, volterra_solve(z, k))
 
 
 def explicit_mode(

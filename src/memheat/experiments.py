@@ -8,9 +8,15 @@ file, the record itself for a `.json` file. The CLI hands that dict to
 fails leaves no output directory. All work happens on the calling thread.
 
 `simulate` solves a grid's modes in one place, `_solve_trajectories`, for
-the main grid and each refinement grid; one loop then checks every mode of
-the main grid against the resolvent representation and the series route,
-each of which builds its own data.
+the main grid and each refinement grid: the modes' kernels and right-hand
+sides are the rows of two stacks, and one stacked Volterra solve
+(`algebra.volterra_solve_stack`) returns every trajectory. One loop then
+checks every mode of the main grid against the resolvent representation
+and the series route, each of which builds its own data; the direct mode
+resolvents of that check are a second stacked solve, never mixed with the
+first. A stacked solve runs all its rows down one recursion, with as many
+rows per FFT call as fit in the widest single-row transform, and gives
+each row the bits of a solve of that row alone.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ import math
 
 import numpy as np
 
+from .algebra import volterra_solve_stack
 from .biorth import (
     cauchy_inverse_log_diag,
     control_norm_sweep,
@@ -39,11 +46,12 @@ from .moments import (
     scope_threshold,
 )
 from .resolvents import (
-    mode_resolvent_direct,
+    mode_resolvent_direct,  # noqa: F401  (the benchmark's tracer self-test calls it here)
     mode_resolvent_series,
+    mode_resolvent_stack,
     resolvent_of,
 )
-from .dynamics import explicit_mode, solve_mode
+from .dynamics import explicit_mode, mode_equation
 
 SCOPE_SEARCH_WIDTH = 64
 
@@ -97,26 +105,60 @@ def cmd_resolvent(config: ExperimentConfig) -> dict:
 def _solve_trajectories(config: ExperimentConfig, steps: int) -> tuple:
     """The resolvent triple, the modes and the Volterra-route free trajectory
     of every mode on a grid of `steps` cells: the one place a grid's modes
-    are solved, for the main grid and each refinement grid alike."""
+    are solved, for the main grid and each refinement grid alike.
+
+    The kernels z and right-hand sides k of all modes fill two (modes, size)
+    stacks row by row, and one stacked solve returns the trajectories as the
+    rows of a third.
+    """
     grid = TimeGrid(config.horizon, steps)
     rt = resolvent_of(config.kernel, grid)
     modes = dirichlet_modes_1d(config.modes, rt.gain)
     g = SampledFunction.zeros(grid)
     xis = config.initial.values(config.modes)
-    trajectories = _per_mode(lambda mx: solve_mode(mx[0], rt, mx[1], g), zip(modes, xis))
-    return rt, modes, trajectories
+    z = np.empty((len(modes), grid.size))
+    k = np.empty_like(z)
+
+    def fill(row):
+        z[row], k[row] = (f.values for f in mode_equation(modes[row], rt, xis[row], g))
+
+    _per_mode(fill, range(len(modes)))
+    return rt, modes, volterra_solve_stack(z, k, grid.dt)
 
 
-def cmd_simulate(config: ExperimentConfig, refine: bool = False) -> dict:
-    """Free modal trajectories, the dual-representation gap, and the
-    deficiency time series; optionally a grid-refinement table."""
-    rt, modes, trajectories = _solve_trajectories(config, config.steps)
+def _convergence_rows(config: ExperimentConfig, w: np.ndarray) -> list:
+    """Grid-refinement table of the trajectories `w` of the main grid.
+
+    The reference is the Richardson extrapolation of the two finest grids;
+    a plain finest-grid reference would leave its own O(dt^2) bias in the
+    error column and skew the ratios away from 4. The 1x row reuses the
+    trajectories the main path already solved.
+    """
+    w8, w4, w2 = (_solve_trajectories(config, m * config.steps)[2] for m in (8, 4, 2))
+    reference = (4.0 * w8[:, ::2] - w4) / 3.0  # lives on the 4x nodes
+    rows = []
+    prev_err = None
+    for mult, w_coarse in ((1, w), (2, w2), (4, w4)):
+        steps = mult * config.steps
+        err = float(np.max(np.abs(w_coarse - reference[:, :: 4 // mult])))
+        ratio = float("nan") if prev_err is None else prev_err / err
+        rows.append((steps, config.horizon / steps, err, ratio))
+        prev_err = err
+    return rows
+
+
+def _cross_check(config: ExperimentConfig, rt, modes, w: np.ndarray) -> dict:
+    """`discrepancy.json`: every mode's trajectory in `w` against the
+    resolvent representation, and its direct resolvent against the series
+    route. The direct resolvents of all modes are one stacked solve."""
     g = SampledFunction.zeros(rt.grid)
-
+    xis = config.initial.values(config.modes)
+    h = mode_resolvent_stack(rt, [mode.shifted_rate for mode in modes])
     gaps, series_gaps, skipped, failed = [], [], [], []
-    for mode, traj in zip(modes, trajectories):
-        h = mode_resolvent_direct(rt, mode.shifted_rate)
-        gaps.append((traj.w - explicit_mode(mode, rt, h, traj.initial, g).w).sup_norm())
+    for mode, xi, w_mode, h_mode in zip(modes, xis, w, h):
+        h_mode = SampledFunction(rt.grid, h_mode)
+        explicit = explicit_mode(mode, rt, h_mode, xi, g).w.values
+        gaps.append(float(np.max(np.abs(w_mode - explicit))))
         if mode.shifted_rate <= 0:
             skipped.append(mode.index)
             continue
@@ -124,17 +166,9 @@ def cmd_simulate(config: ExperimentConfig, refine: bool = False) -> dict:
         # cannot converge leaves this mode unchecked, not the run failed.
         try:
             h_series, _ = mode_resolvent_series(rt, mode.shifted_rate, config.series_tol)
-            series_gaps.append((h_series - h).sup_norm())
+            series_gaps.append((h_series - h_mode).sup_norm())
         except NumericalError as exc:
             failed.append({"mode": mode.index, "reason": str(exc)})
-
-    w = np.stack([t.w.values for t in trajectories])  # (N, size)
-    lam2 = np.array([m.eigenvalue for m in modes])
-    deficiency = np.sqrt(np.sum((w / lam2[:, None]) ** 2, axis=0))
-
-    traj_header = ["t"] + [f"w_{m.index}" for m in modes]
-    traj_rows = list(zip(rt.grid.nodes, *w))
-    defic_rows = list(zip(rt.grid.nodes, deficiency))
 
     discrepancy = {
         "solve_vs_explicit": float(max(gaps)),
@@ -143,30 +177,29 @@ def cmd_simulate(config: ExperimentConfig, refine: bool = False) -> dict:
     }
     if failed:  # only then, so runs whose series all converge keep their bytes
         discrepancy["series_modes_failed"] = failed
+    return discrepancy
 
+
+def cmd_simulate(config: ExperimentConfig, refine: bool = False) -> dict:
+    """Free modal trajectories, the dual-representation gap, and the
+    deficiency time series; optionally a grid-refinement table."""
+    rt, modes, w = _solve_trajectories(config, config.steps)  # w: (modes, size)
+    discrepancy = _cross_check(config, rt, modes, w)
+    conv_rows = _convergence_rows(config, w) if refine else None
+
+    # The row lists hold one Python object per sample, so they are built
+    # only after the refinement grids, whose solves set the peak memory.
+    lam2 = np.array([m.eigenvalue for m in modes])
+    deficiency = np.sqrt(np.sum((w / lam2[:, None]) ** 2, axis=0))
     files = {
-        "trajectories.csv": (traj_header, traj_rows),
-        "deficiency.csv": (["t", "deficiency"], defic_rows),
+        "trajectories.csv": (
+            ["t"] + [f"w_{m.index}" for m in modes],
+            list(zip(rt.grid.nodes, *w)),
+        ),
+        "deficiency.csv": (["t", "deficiency"], list(zip(rt.grid.nodes, deficiency))),
         "discrepancy.json": discrepancy,
     }
-    if refine:
-        # The reference is the Richardson extrapolation of the two finest
-        # grids; a plain finest-grid reference would leave its own O(dt^2)
-        # bias in the error column and skew the ratios away from 4. The 1x
-        # row reuses the trajectories the main path already solved.
-        w8, w4, w2 = (
-            np.stack([t.w.values for t in _solve_trajectories(config, m * config.steps)[2]])
-            for m in (8, 4, 2)
-        )
-        reference = (4.0 * w8[:, ::2] - w4) / 3.0  # lives on the 4x nodes
-        conv_rows = []
-        prev_err = None
-        for mult, w_coarse in ((1, w), (2, w2), (4, w4)):
-            steps = mult * config.steps
-            err = float(np.max(np.abs(w_coarse - reference[:, :: 4 // mult])))
-            ratio = float("nan") if prev_err is None else prev_err / err
-            conv_rows.append((steps, config.horizon / steps, err, ratio))
-            prev_err = err
+    if conv_rows is not None:
         files["convergence.csv"] = (["steps", "dt", "sup_error", "ratio"], conv_rows)
     return files
 

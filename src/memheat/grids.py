@@ -58,6 +58,18 @@ def require_same_grid(*fns: "SampledFunction") -> TimeGrid:
     return grid
 
 
+def check_finite(values: np.ndarray) -> None:
+    """Raise NumericalError unless every sample is finite.
+
+    Configs admit only finite numbers, so a non-finite sample is an overflow
+    of the computation: exit 3, not a traceback.
+    """
+    if not np.all(np.isfinite(values)):
+        raise NumericalError(
+            "samples must all be finite; a value overflowed double precision"
+        )
+
+
 @dataclass(frozen=True, eq=False)  # identity equality; ndarray == is elementwise
 class SampledFunction:
     """Real values on the nodes of a TimeGrid. Immutable."""
@@ -71,12 +83,7 @@ class SampledFunction:
             raise ValueError(
                 f"expected {self.grid.size} samples for {self.grid}, got shape {v.shape}"
             )
-        if not np.all(np.isfinite(v)):
-            # configs admit only finite numbers, so a non-finite sample is
-            # an overflow of the computation: exit 3, not a traceback
-            raise NumericalError(
-                "samples must all be finite; a value overflowed double precision"
-            )
+        check_finite(v)
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 

@@ -19,7 +19,9 @@ this leaves is measured in `biorth`.
 The per-mode functions build what they need from each mode and the
 resolvent triple. The one piece of per-mode work they share, the end-value
 bracket of d_n, is cached as a single float per rate on the triple
-(`free_end_value`).
+(`free_end_value`). The scope search fills it one mode at a time, since it
+stops at the first mode that passes; `build_moment_problem` fills it for the
+rest of the window with one stacked solve of their mode resolvents.
 """
 
 from __future__ import annotations
@@ -30,8 +32,9 @@ import numpy as np
 
 from .algebra import convolve_exp, end_pairing
 from .errors import NumericalError, read_list, read_number, read_tagged
+from .grids import SampledFunction
 from .modes import Mode
-from .resolvents import ResolventTriple, mode_resolvent_direct
+from .resolvents import ResolventTriple, mode_resolvent_direct, mode_resolvent_stack
 
 END_VALUE_GUARD = 1e-4  # relative floor on |resolvent(T)| before we refuse
 
@@ -121,14 +124,31 @@ def free_end_value(mode: Mode, rt: ResolventTriple, xi: float = 1.0) -> float:
     read it. Only that scalar is kept, never h or e0*q.
     """
     mu2 = mode.shifted_rate
-    brackets = rt.__dict__.setdefault("_end_brackets", {})
+    brackets = _end_brackets(rt)
     if mu2 not in brackets:
-        h = mode_resolvent_direct(rt, mu2)
-        q = convolve_exp(rt.resolvent, mu2)
-        e_end = float(np.exp(-mu2 * rt.grid.horizon))
-        he0_end = float(convolve_exp(h, mu2).values[-1])
-        brackets[mu2] = e_end - q.values[-1] - he0_end + end_pairing(h, q)
+        brackets[mu2] = _end_bracket(rt, mu2, mode_resolvent_direct(rt, mu2))
     return brackets[mu2] * xi
+
+
+def _end_brackets(rt: ResolventTriple) -> dict:
+    """The bracket of d_n per rate, cached on the triple."""
+    return rt.__dict__.setdefault("_end_brackets", {})
+
+
+def _end_bracket(rt: ResolventTriple, mu2: float, h: SampledFunction) -> float:
+    q = convolve_exp(rt.resolvent, mu2)
+    e_end = float(np.exp(-mu2 * rt.grid.horizon))
+    he0_end = float(convolve_exp(h, mu2).values[-1])
+    return e_end - q.values[-1] - he0_end + end_pairing(h, q)
+
+
+def _cache_end_brackets(modes, rt: ResolventTriple) -> None:
+    """Fill the bracket cache for every rate of `modes` it lacks, with one
+    stacked solve of their mode resolvents (the rates of a scope window)."""
+    brackets = _end_brackets(rt)
+    rates = [m.shifted_rate for m in modes if m.shifted_rate not in brackets]
+    for mu2, h in zip(rates, mode_resolvent_stack(rt, rates)):
+        brackets[mu2] = _end_bracket(rt, mu2, SampledFunction(rt.grid, h))
 
 
 @dataclass(frozen=True)
@@ -215,6 +235,7 @@ def build_moment_problem(modes, rt: ResolventTriple, initial: InitialData) -> di
             f"scope start {modes[0].index} admits a nonpositive shifted rate; "
             "raise the start index past the gain crossover"
         )
+    _cache_end_brackets(modes, rt)
     return {
         "T": rt.grid.horizon,
         "modes": [

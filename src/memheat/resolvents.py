@@ -23,6 +23,7 @@ from .algebra import (
     convolve_exp,
     convolve_exp_monomial,
     volterra_solve,
+    volterra_solve_stack,
 )
 from .errors import NumericalError
 from .grids import SampledFunction, TimeGrid
@@ -89,6 +90,18 @@ def mode_resolvent_direct(triple: ResolventTriple, mu2: float) -> SampledFunctio
     """Resolvent h of the mode kernel via the Volterra identity h = z - z*h."""
     z = mode_kernel(triple, mu2)
     return volterra_solve(z, z)
+
+
+def mode_resolvent_stack(triple: ResolventTriple, rates) -> np.ndarray:
+    """`mode_resolvent_direct` for every rate in one stacked solve.
+
+    Row i holds the samples of h for rates[i], bit for bit those of the
+    one-rate call; the kernels z fill one stack in place.
+    """
+    z = np.empty((len(rates), triple.grid.size))
+    for row, mu2 in zip(z, rates):
+        row[:] = mode_kernel(triple, mu2).values
+    return volterra_solve_stack(z, z, triple.grid.dt)
 
 
 def _series_terms(sup_deriv: float, horizon: float, tol: float) -> int:

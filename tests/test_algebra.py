@@ -4,13 +4,15 @@ exponential rules.
 Oracles here are hand-computed convolutions and ODE solutions, and a
 test-local per-step march of the trapezoid scheme for the blocked solve;
 the grid refinement checks pin the second-order accuracy that the dynamics
-tests rely on later.
+tests rely on later. A stack of rows must solve to the bits of one solve
+per row.
 """
 
 import gc
 import math
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import mpmath
@@ -35,7 +37,11 @@ from memheat.algebra import (
     convolve_exp_monomial,
     end_pairing,
     volterra_solve,
+    volterra_solve_stack,
 )
+from memheat.dynamics import modal_rhs
+from memheat.modes import dirichlet_modes_1d
+from memheat.resolvents import mode_kernel, resolvent_of
 
 GRID = TimeGrid(1.0, 1000)
 
@@ -256,6 +262,93 @@ def test_volterra_pivot_guard():
     k = SampledFunction(grid, np.full(grid.size, -2.0 / grid.dt))
     with pytest.raises(NumericalError):
         volterra_solve(k, SampledFunction.zeros(grid))
+
+
+def solve_rows(kernels, rhs, dt):
+    """One `volterra_solve` per row: what a stacked solve must equal."""
+    grid = TimeGrid(dt * (rhs.shape[1] - 1), rhs.shape[1] - 1)
+    return [
+        volterra_solve(SampledFunction(grid, K), SampledFunction(grid, f)).values
+        for K, f in zip(kernels, rhs)
+    ]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(min_value=1, max_value=9),
+    st.one_of(
+        st.sampled_from([2, 3, BLOCK, BLOCK + 1, BLOCK + 2]),
+        st.integers(min_value=2, max_value=3000),
+    ),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_volterra_stack_matches_one_solve_per_row(rows, nodes, seed):
+    # each row its own kernel scale and sign; one row has a zero kernel
+    rng = np.random.default_rng(seed)
+    scales = 10.0 ** rng.uniform(-2, 2, (rows, 1))
+    kernels = scales * rng.standard_normal((rows, nodes))
+    zero = rng.integers(rows)
+    kernels[zero] = 0.0
+    rhs = rng.standard_normal((rows, nodes))
+    dt = 1.0 / (nodes - 1)
+    y = volterra_solve_stack(kernels, rhs, dt)
+    for row, alone in zip(y, solve_rows(kernels, rhs, dt)):
+        assert row.tobytes() == alone.tobytes()
+    assert y[zero].tobytes() == rhs[zero].tobytes()
+
+
+@pytest.fixture(scope="module")
+def march_modes():
+    """Kernels z and right-hand sides k of 8 modes at 16,000 steps, for the
+    two-term exp_sum kernel of the benchmark's march workload."""
+    grid = TimeGrid(1.0, 16000)
+    rt = resolvent_of(ExpSumKernel([(1.0, 1.0), (0.5, 5.0)]), grid)
+    modes = dirichlet_modes_1d(8, rt.gain)
+    zero = SampledFunction.zeros(grid)
+    z = np.array([mode_kernel(rt, m.shifted_rate).values for m in modes])
+    k = np.array([modal_rhs(m, rt, 1.0 / m.index, zero).values for m in modes])
+    return grid, z, k
+
+
+def test_volterra_stack_matches_one_solve_per_row_at_march_size(march_modes):
+    # FFTs of several rows must give each row the bits of its own transform;
+    # a numpy whose batched pocketfft differs fails here, not only in a hash
+    grid, z, k = march_modes
+    y = volterra_solve_stack(z, k, grid.dt)
+    for row, alone in zip(y, solve_rows(z, k, grid.dt)):
+        assert row.tobytes() == alone.tobytes()
+
+
+def _traced_peak_mb(fn):
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_volterra_stack_memory_stays_near_one_output(march_modes):
+    # the output stack is 1 MB; an FFT call takes only as many rows as fit
+    # in the widest single-row transform, and the history lives in the output
+    grid, z, k = march_modes
+    assert _traced_peak_mb(lambda: volterra_solve_stack(z, k, grid.dt)) < 3.0
+    kernel, rhs = SampledFunction(grid, z[0]), SampledFunction(grid, k[0])
+    assert _traced_peak_mb(lambda: volterra_solve(kernel, rhs)) <= 1.25
+
+
+def test_volterra_stack_checks_every_row():
+    grid = TimeGrid(1.0, 1000)
+    rhs = np.ones((3, grid.size))
+    kernels = np.ones((3, grid.size))
+    kernels[1] = -2.0 / grid.dt  # this row's pivot 1 + dt*K(0)/2 vanishes
+    with pytest.raises(NumericalError, match="Volterra step is degenerate"):
+        volterra_solve_stack(kernels, rhs, grid.dt)
+    kernels[1] = -1000.0  # y' = 1000 y: e^1000 overflows in this row only
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError, match="samples must all be finite"):
+            volterra_solve_stack(kernels, rhs, grid.dt)
 
 
 # ---------------------------------------------------------------------------

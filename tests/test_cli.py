@@ -13,6 +13,7 @@ import os
 import stat
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -137,6 +138,21 @@ def test_simulate_reports_unconverged_series_modes(tmp_path):
     assert gaps["solve_vs_explicit"] < 1e-6
 
 
+def test_nonpositive_rate_warns_once_per_mode_and_grid(tmp_path):
+    # the stacked solve of a grid still warns for each such mode, once
+    cfg = write_config(
+        tmp_path, {"kernel": {"type": "constant", "value": 30}, "steps": 200, "modes": 6}
+    )
+    argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path / "run"), "--refine"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 0
+    messages = [str(w.message) for w in caught]
+    messages = [m for m in messages if "nonpositive shifted rate" in m]
+    assert len(messages) == 4  # the main grid and the three refinement grids
+    assert all(m.startswith("mode 1 has") for m in messages)
+
+
 def test_moment_command_schema(tmp_path):
     cfg = write_config(tmp_path, SMALL)
     out = tmp_path / "run"
@@ -154,20 +170,29 @@ def test_moment_command_schema(tmp_path):
 
 
 def test_moment_solves_each_mode_resolvent_once(tmp_path, monkeypatch):
-    # the scope search, the targets and the asymptotic table share h_n
+    # the scope search, the targets and the asymptotic table share h_n: the
+    # search solves one rate at a time, the window the rest in one stack
     from memheat import moments
 
-    rates = []
+    rates, stacks = [], []
     solve = moments.mode_resolvent_direct
+    solve_stack = moments.mode_resolvent_stack
 
     def counted(rt, mu2):
         rates.append(mu2)
         return solve(rt, mu2)
 
+    def counted_stack(rt, stacked):
+        rates.extend(stacked)
+        stacks.append(len(stacked))
+        return solve_stack(rt, stacked)
+
     monkeypatch.setattr(moments, "mode_resolvent_direct", counted)
+    monkeypatch.setattr(moments, "mode_resolvent_stack", counted_stack)
     cfg = write_config(tmp_path, SMALL)
     assert main(["moment", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
     assert len(rates) == len(set(rates)) == SMALL["modes"]
+    assert stacks == [SMALL["modes"] - 1]  # the search's passing mode is cached
 
 
 def test_moment_evaluates_each_end_bracket_once(tmp_path, monkeypatch):
