@@ -8,9 +8,11 @@ Everything downstream is built on three operations over sampled functions:
   and one right-hand side per row, the trapezoid scheme solved blockwise
   with FFT history in O(n log^2 n) per row; `volterra_solve` is its one-row
   case on sampled functions.
-* `convolve_exp` / `convolve_exp_monomial` - product quadrature against
-  exponential (times monomial) weights, exact on the weight factor, so the
-  accuracy is uniform in the decay rate instead of collapsing for stiff modes.
+* `convolve_exp_monomial_stack` - product quadrature against exponential
+  (times monomial) weights, exact on the weight factor, so the accuracy is
+  uniform in the decay rate instead of collapsing for stiff modes; one row
+  per (operand, rate, degree), and `convolve_exp_monomial` / `convolve_exp`
+  are its one-row cases on sampled functions.
 
 The product quadrature is the load-bearing piece: a plain trapezoid rule
 applied to f(s) e^{-mu2 (t-s)} loses all accuracy once mu2*dt is order one,
@@ -21,7 +23,6 @@ constant across the whole spectrum.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -32,19 +33,6 @@ from .grids import SampledFunction, TimeGrid, check_finite, require_same_grid
 def _fft_size(n: int) -> int:
     """Smallest power of two holding a linear convolution of n samples."""
     return 1 << (n - 1).bit_length()
-
-
-def _fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Full linear convolution along the last axis via a power-of-two rfft.
-
-    a and b are single rows or stacks of rows of equal count; each row of a
-    stack gets the same bits as the row alone.
-    """
-    n = a.shape[-1] + b.shape[-1] - 1
-    size = _fft_size(n)
-    fa = np.fft.rfft(a, size)
-    fa *= np.fft.rfft(b, size)
-    return np.fft.irfft(fa, size)[..., :n]
 
 
 def convolve(f: SampledFunction, g: SampledFunction) -> SampledFunction:
@@ -61,7 +49,10 @@ def convolve(f: SampledFunction, g: SampledFunction) -> SampledFunction:
     a, b = f.values, g.values
     if a.tobytes() > b.tobytes():
         a, b = b, a
-    raw = _fft_convolve(a, b)[: grid.size]
+    size = _fft_size(2 * grid.size - 1)
+    spectrum = np.fft.rfft(a, size)
+    spectrum *= np.fft.rfft(b, size)
+    raw = np.fft.irfft(spectrum, size)[: grid.size]
     out = grid.dt * (raw - 0.5 * (a[0] * b + b[0] * a))
     out[0] = 0.0
     return SampledFunction(grid, out)
@@ -89,19 +80,26 @@ def volterra_solve_stack(kernels: np.ndarray, rhs: np.ndarray, dt: float) -> np.
     pivot = 1 + dt*K(0)/2, which this solves by divide and conquer (Hairer,
     Lubich & Schlichte 1985): the unknowns are halved recursively, the
     history of a solved left half reaches the right half through one FFT
-    convolution, and blocks of at most BLOCK nodes are solved by convolving
-    with the first column of the inverse of the leading BLOCK x BLOCK
-    system matrix (itself lower-triangular Toeplitz). That costs
-    O(n log^2 n) per row instead of the O(n^2) of marching step by step,
-    and a zero kernel returns f bit for bit.
+    middle product, and blocks of at most BLOCK nodes are solved by
+    convolving with the first column of the inverse of the leading
+    BLOCK x BLOCK system matrix (itself lower-triangular Toeplitz). That
+    costs O(n log^2 n) per row instead of the O(n^2) of marching step by
+    step, and a zero kernel returns f bit for bit.
+
+    The middle product (Hanrot, Quercia & Zimmermann 2004): a span
+    [lo, hi) of m nodes split at mid needs only the outputs mid-lo .. m-1
+    of y[lo:mid] * K[:m], and a circular convolution of size
+    _fft_size(m) wraps nothing onto them, so each history step transforms
+    at the size of its span, not of the linear product (about twice that).
 
     All rows go down the recursion together, so a stack pays its Python
     overhead once, and each row gets the same bits as a solve of that row
     alone: its own pivot and inverse block, and the same operations on it.
     The history accumulates in the output stack, each node read once at its
     block before the solution overwrites it. One FFT call transforms
-    max(1, top // size) rows, top being the FFT size of the widest span, so
-    no call holds more than the widest transform of a single row.
+    max(1, top // size) rows, top = _fft_size(n - 1) being the FFT size of
+    the widest span, so no call holds more than the widest transform of a
+    single row.
 
     Raises NumericalError if a row's pivot is near zero (the scheme is
     degenerate there, and we refuse to amplify noise) or a row overflows.
@@ -125,7 +123,7 @@ def volterra_solve_stack(kernels: np.ndarray, rhs: np.ndarray, dt: float) -> np.
     y[:, 0] = rhs[:, 0]
     np.multiply(kernels[:, 1:], 0.5, out=y[:, 1:])  # the history of y_0
     y[:, 1:] *= y[:, :1]
-    top = _fft_size((n - 1) // 2 + n - 2)  # the span [1, n)
+    top = _fft_size(n - 1)  # the span [1, n)
     _solve_span(y, rhs, kernels, inv, dt, 1, n, top)
     check_finite(y)
     return y
@@ -141,11 +139,12 @@ def _solve_span(y, f, K, inv, dt, lo, hi, top):
         return
     mid = lo + m // 2
     _solve_span(y, f, K, inv, dt, lo, mid, top)
-    rows = max(1, top // _fft_size(mid - lo + m - 1))
+    size = _fft_size(m)  # the middle product: no wrap-around onto mid-lo .. m-1
+    rows = max(1, top // size)
     for r in range(0, len(y), rows):
-        y[r : r + rows, mid:hi] += _fft_convolve(
-            y[r : r + rows, lo:mid], K[r : r + rows, :m]
-        )[:, mid - lo : m]
+        spectrum = np.fft.rfft(y[r : r + rows, lo:mid], size)
+        spectrum *= np.fft.rfft(K[r : r + rows, :m], size)
+        y[r : r + rows, mid:hi] += np.fft.irfft(spectrum, size)[:, mid - lo : m]
     _solve_span(y, f, K, inv, dt, mid, hi, top)
 
 
@@ -172,8 +171,7 @@ def exp_profile(grid: TimeGrid, rate: float) -> SampledFunction:
 # higher degrees, which only the series route asks for, come from one table
 # per (mu2, grid) holding every degree: the incomplete gamma integral at the
 # top degree, stepped down by its positive recurrence, in numpy alone
-# (`_moment_table`). Both convolutions run through the same FFT
-# helper as `convolve`.
+# (`_moment_table`), built once per rate in each stacked call.
 
 
 def _cell_moments_01(mu2: float, grid: TimeGrid) -> tuple:
@@ -210,11 +208,14 @@ def _cell_moments_01(mu2: float, grid: TimeGrid) -> tuple:
 
 # Top degree of the cell-moment table. The series route of `resolvents` asks
 # for degrees k < SERIES_MAX_TERMS together with k + 1, so one table up to
-# SERIES_MAX_TERMS serves every call of a mode.
+# SERIES_MAX_TERMS serves every degree of a mode.
 MOMENT_TABLE_DEGREE = 60
 
+# Samples per batched FFT call of the product quadrature: as many rows go
+# through one rfft/irfft as fit in one transform of this size (at least one).
+FFT_BATCH = 1 << 15
 
-@lru_cache(maxsize=1)
+
 def _moment_table(mu2: float, grid: TimeGrid, top: int) -> np.ndarray:
     """Cell moments A_d(j) of every degree d = 0..top, one row per degree.
 
@@ -231,8 +232,8 @@ def _moment_table(mu2: float, grid: TimeGrid, top: int) -> np.ndarray:
     differences of the C_d. Needs mu2 > 0.
 
     A row depends only on (mu2, grid, top), so it is the same bits whichever
-    degree is asked for first; the cache only spares the rebuild across the
-    calls of one mode.
+    degree is asked for first. Nothing is cached across calls: a stacked
+    quadrature builds each rate's table once and drops it on return.
     """
     t = np.arange(grid.size, dtype=float) * grid.dt
     y = mu2 * t
@@ -263,66 +264,116 @@ def _moment_table(mu2: float, grid: TimeGrid, top: int) -> np.ndarray:
     for d in range(1, a):
         scale *= d / mu2
     c[~low] = scale * (1.0 - q)
-    table = np.empty((a, grid.steps))
+    # Row d of the table takes the place of w[d + 1], its last reader, so
+    # the table costs no second buffer.
     for d in range(top, -1, -1):
         if d < top:
             c = (mu2 * c + w[d + 1]) / (d + 1)
-        np.subtract(c[1:], c[:-1], out=table[d])
-    table.flags.writeable = False  # cached: callers share the rows
-    return table
+        np.subtract(c[1:], c[:-1], out=w[d + 1, :-1])
+    return w[1:, :-1]
 
 
-def _cell_moments_k(mu2: float, k: int, grid: TimeGrid) -> tuple:
+def _cell_moments_k(mu2: float, k: int, grid: TimeGrid, tables=None) -> tuple:
     """Exact cell moments A_k, A_{k+1} for k >= 1, rows of `_moment_table`.
 
     Requires mu2 > 0; only k = 0 (`_cell_moments_01`) takes nonpositive
     rates. Degrees past MOMENT_TABLE_DEGREE get a table topped at k + 1.
+    `tables` holds the tables built so far by the calling quadrature, keyed
+    by (mu2, top), so a rate's table is built once per call.
     """
-    table = _moment_table(float(mu2), grid, max(MOMENT_TABLE_DEGREE, k + 1))
-    return table[k], table[k + 1]
+    tables = {} if tables is None else tables
+    key = (float(mu2), max(MOMENT_TABLE_DEGREE, k + 1))
+    if key not in tables:
+        tables[key] = _moment_table(key[0], grid, key[1])
+    return tables[key][k], tables[key][k + 1]
+
+
+def convolve_exp_monomial_stack(
+    f: np.ndarray, grid: TimeGrid, rates, degrees
+) -> np.ndarray:
+    """Row r is (f_r * w_r)(t) for the weight w_r(u) = u^k e^{-mu2 u} / k!,
+    mu2 = rates[r] and k = degrees[r], exact in w_r.
+
+    f is one shared operand (nodes,) or one operand per row (rows, nodes),
+    each treated as piecewise linear between its samples; rates and degrees
+    broadcast against each other to one entry per row. Nonpositive rates
+    are supported for k = 0 only (the series-stabilized closed forms); every
+    k >= 1 goes through the incomplete-gamma table and needs mu2 > 0.
+
+    The convolutions are FFTs of size _fft_size(2 nodes - 1). A shared
+    operand's value and slope spectra are transformed once per call, a
+    per-row operand's once for its row; the weights of each row are
+    transformed once, max(1, FFT_BATCH // size) rows to a batched
+    rfft/irfft call, and each rate's moment table is built once per call.
+    Each row gets the bits of the one-row call `convolve_exp_monomial`.
+    Raises NumericalError if a row overflows.
+    """
+    rates, degrees = np.broadcast_arrays(
+        np.atleast_1d(np.asarray(rates, dtype=float)), np.atleast_1d(degrees)
+    )
+    if np.any(degrees < 0):
+        raise ValueError("monomial degree must be nonnegative")
+    if f.ndim == 2 and len(f) != len(rates):
+        raise ValueError("a stack of operands needs one operand per row")
+    if np.any((degrees > 0) & (rates <= 0)):
+        raise NumericalError(
+            "monomial-weight quadrature with k >= 1 requires a positive rate; "
+            "use the direct resolvent route for nonpositive rates"
+        )
+    n, dt = grid.size, grid.dt
+    size = _fft_size(2 * n - 1)
+    batch = max(1, FFT_BATCH // size)
+    lag = np.arange(1, n, dtype=float) * dt
+    tables = {}
+
+    def spectra(vals):
+        """Spectra of the node values and of the cell slopes of the rows."""
+        slopes = np.zeros(vals.shape)
+        slopes[..., :-1] = np.diff(vals) / dt
+        return np.fft.rfft(vals, size), np.fft.rfft(slopes, size)
+
+    def weights(mu2, k, wa, wb):
+        """Node-value and slope-correction weights of a row, one per cell."""
+        if k == 0:
+            Ak, Ak1 = _cell_moments_01(mu2, grid)
+        else:
+            Ak, Ak1 = _cell_moments_k(mu2, k, grid, tables)
+        wa[1:] = Ak
+        np.multiply(lag, Ak, out=wb[1:])
+        wb[1:] -= Ak1
+
+    def convolved(w, spectrum):
+        """First n samples of the rows of w convolved with the operands."""
+        product = np.fft.rfft(w, size)
+        product *= spectrum
+        return np.fft.irfft(product, size)[:, :n]
+
+    if f.ndim == 1:
+        f_values, f_slopes = spectra(f)
+    out = np.empty((len(rates), n))
+    for lo in range(0, len(rates), batch):
+        rows = slice(lo, lo + batch)
+        if f.ndim == 2:
+            f_values, f_slopes = spectra(f[rows])
+        WA = np.zeros((len(rates[rows]), n))
+        WB = np.zeros_like(WA)
+        for wa, wb, mu2, k in zip(WA, WB, rates[rows], degrees[rows]):
+            weights(mu2, k, wa, wb)
+        out[rows] = convolved(WA, f_values)
+        out[rows] += convolved(WB, f_slopes)
+    out /= np.array([float(math.factorial(k)) for k in degrees])[:, None]
+    out[:, 0] = 0.0
+    check_finite(out)
+    return out
 
 
 def convolve_exp_monomial(
     f: SampledFunction, mu2: float, k: int = 0
 ) -> SampledFunction:
-    """(f * w)(t) for the weight w(u) = u^k e^{-mu2 u} / k!, exact in w.
-
-    f is treated as piecewise linear between its samples. Nonpositive rates
-    are supported for k = 0 only (the series-stabilized closed forms); every
-    k >= 1 goes through the incomplete-gamma table and needs mu2 > 0.
-    """
-    grid = f.grid
-    dt = grid.dt
-    if k < 0:
-        raise ValueError("monomial degree must be nonnegative")
-    if k == 0:
-        Ak, Ak1 = _cell_moments_01(mu2, grid)
-    else:
-        if mu2 <= 0:
-            raise NumericalError(
-                "monomial-weight quadrature with k >= 1 requires a positive rate; "
-                "use the direct resolvent route for nonpositive rates"
-            )
-        Ak, Ak1 = _cell_moments_k(mu2, k, grid)
-
-    n = grid.size
-    # Node-value weights and slope-correction weights, one entry per cell.
-    WA = np.zeros(n)
-    WA[1:] = Ak
-    WB = np.zeros(n)
-    lag = np.arange(1, n, dtype=float) * dt
-    WB[1:] = lag * Ak - Ak1
-    del Ak, Ak1, lag  # not held through the FFTs, which set the peak memory
-
-    vals = f.values
-    slopes = np.empty(n)
-    slopes[:-1] = np.diff(vals) / dt
-    slopes[-1] = 0.0
-
-    out = _fft_convolve(WA, vals)[:n] + _fft_convolve(WB, slopes)[:n]
-    out /= float(math.factorial(k))
-    out[0] = 0.0
-    return SampledFunction(grid, out)
+    """(f * w)(t) for the weight w(u) = u^k e^{-mu2 u} / k!, exact in w:
+    `convolve_exp_monomial_stack` for one row."""
+    out = convolve_exp_monomial_stack(f.values, f.grid, mu2, k)
+    return SampledFunction(f.grid, out[0])
 
 
 def convolve_exp(f: SampledFunction, rate: float) -> SampledFunction:

@@ -19,7 +19,8 @@ Every dot product in the factor, the substitutions and the residual is
 exact with one rounding, the same as mpmath's fdot: the mpf entries become
 integer mantissas over one common power of two (a long accumulator in
 Python integers), the products are summed exactly, and the sum is rounded
-once at the working precision.
+once at the working precision. A control sweep's squared norms are one
+running exact sum, rounded once per sweep point.
 
 Two independent oracles keep the computation honest: the infinite-horizon
 Gram matrix is a Cauchy matrix with a classical closed-form inverse, and the
@@ -36,7 +37,7 @@ from operator import mul
 
 import numpy as np
 from mpmath import mp, mpf, workprec
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import from_man_exp, fzero, mpf_mul, mpf_pos, mpf_sum
 
 from .errors import NumericalError, PrecisionError
 from .grids import TimeGrid
@@ -492,6 +493,26 @@ class ControlSweep:
     residual: float
 
 
+def _control_norms2(b, cols, counts) -> list:
+    """norm^2(N) = sum_{i, j < N} b_i b_j X_ji, X_ji = cols[j][i], for every
+    N in counts, each rounded once at the working precision.
+
+    One running sum grows from N - 1 to N by the products of row and column
+    N - 1, so a sweep to N costs O(N^2) products, not O(N^3). A product of
+    three mpf is exact, and mpmath's mpf_sum at precision 0 keeps the sum
+    exact unless two terms lie over a million bits apart (then it drops the
+    smaller, far below any rounding).
+    """
+    b = [x._mpf_ for x in b]
+    totals = [fzero]
+    for k in range(max(counts)):
+        row = [mpf_mul(mpf_mul(b[k], b[j]), cols[j][k]._mpf_) for j in range(k + 1)]
+        column = [mpf_mul(mpf_mul(b[i], b[k]), cols[k][i]._mpf_) for i in range(k)]
+        totals.append(mpf_sum([totals[-1], *row, *column]))
+    prec, rnd = mp._prec_rounding
+    return [mp.make_mpf(mpf_pos(totals[n], prec, rnd)) for n in counts]
+
+
 def control_norm_sweep(
     family: int,
     active_counts,
@@ -526,11 +547,7 @@ def control_norm_sweep(
             / _trace_scale(n)
             for n in range(1, max(active_counts) + 1)
         ]
-        for count in active_counts:
-            n2 = mpf(0)
-            for i in range(count):
-                for j in range(count):
-                    n2 += b[i] * b[j] * cols[j][i]
+        for count, n2 in zip(active_counts, _control_norms2(b, cols, active_counts)):
             if n2 <= 0:
                 raise NumericalError(
                     "nonpositive squared control norm; the Gram solve "

@@ -12,7 +12,10 @@ and the explicit form w = k - h*k through the mode resolvent h. Their
 agreement is a genuine invertibility check, so the two routes are never
 collapsed: each builds its own k (and the solve its own z) from the mode and
 the triple. The mode resolvent h of the explicit route is the only per-mode
-array a caller passes in, and none is cached.
+array a caller passes in, and none is cached. The solve route builds the z
+and k of all a grid's modes as the rows of two stacks (`mode_equations`),
+each one product quadrature against a shared operand; a row holds the bits
+of the one-mode functions.
 
 With no memory kernel the Volterra route degenerates, step by step, into the
 plain heat semigroup formula; the tests pin that degeneration down to exact
@@ -24,10 +27,18 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from .algebra import convolve, convolve_exp, exp_profile, volterra_solve
+import numpy as np
+
+from .algebra import (
+    convolve,
+    convolve_exp,
+    convolve_exp_monomial_stack,
+    exp_profile,
+    volterra_solve,
+)
 from .grids import SampledFunction, require_same_grid
 from .modes import Mode
-from .resolvents import ResolventTriple, mode_kernel
+from .resolvents import ResolventTriple, mode_kernels
 
 
 @dataclass(frozen=True)
@@ -42,18 +53,23 @@ class ModalTrajectory:
             raise ValueError("trajectory does not start at its initial value")
 
 
+def _rhs_stack(rates, rt: ResolventTriple, xis, g: SampledFunction) -> np.ndarray:
+    """Right-hand sides k = (e0 - e0*q) xi - e0*g, one row per (rate, xi)."""
+    grid = require_same_grid(rt.resolvent, g)
+    k = convolve_exp_monomial_stack(rt.resolvent.values, grid, rates, 0)
+    for row, mu2, xi in zip(k, rates, xis):
+        row[:] = xi * np.exp(-mu2 * grid.nodes) - xi * row
+    if g.values.any():
+        # zero forcing (every CLI path) would subtract exact zeros: x - 0.0 == x
+        k -= convolve_exp_monomial_stack(g.values, grid, rates, 0)
+    return k
+
+
 def modal_rhs(
     mode: Mode, rt: ResolventTriple, xi: float, g: SampledFunction
 ) -> SampledFunction:
     """Right-hand side k = (e0 - e0*q) xi - e0*g of the mode equation."""
-    grid = require_same_grid(rt.resolvent, g)
-    mu2 = mode.shifted_rate
-    e0 = exp_profile(grid, mu2)
-    k = xi * e0 - xi * convolve_exp(rt.resolvent, mu2)
-    if g.values.any():
-        # zero forcing (every CLI path) would subtract exact zeros: x - 0.0 == x
-        k = k - convolve_exp(g, mu2)
-    return k
+    return SampledFunction(g.grid, _rhs_stack([mode.shifted_rate], rt, [xi], g)[0])
 
 
 def heat_mode(mode: Mode, xi: float, g: SampledFunction) -> ModalTrajectory:
@@ -64,31 +80,32 @@ def heat_mode(mode: Mode, xi: float, g: SampledFunction) -> ModalTrajectory:
     return ModalTrajectory(xi, w)
 
 
-def mode_equation(
-    mode: Mode, rt: ResolventTriple, xi: float, g: SampledFunction
-) -> tuple:
-    """Kernel z and right-hand side k of the mode equation w + z*w = k.
+def mode_equations(modes, rt: ResolventTriple, xis, g: SampledFunction) -> tuple:
+    """Kernels z and right-hand sides k of the mode equations w + z*w = k,
+    one row per mode of two (modes, nodes) stacks.
 
-    Warns once per call for a nonpositive rate: the equation is still
-    solved, but the decay estimates behind the moment asymptotics fail.
+    Warns once per nonpositive-rate mode: its equation is still solved, but
+    the decay estimates behind the moment asymptotics fail.
     """
-    if mode.shifted_rate <= 0:
-        warnings.warn(
-            f"mode {mode.index} has nonpositive shifted rate "
-            f"{mode.shifted_rate:g}; the solve proceeds but the decay "
-            "estimates behind the moment asymptotics do not apply",
-            stacklevel=3,
-        )
-    k = modal_rhs(mode, rt, xi, g)
-    return mode_kernel(rt, mode.shifted_rate), k
+    for mode in modes:
+        if mode.shifted_rate <= 0:
+            warnings.warn(
+                f"mode {mode.index} has nonpositive shifted rate "
+                f"{mode.shifted_rate:g}; the solve proceeds but the decay "
+                "estimates behind the moment asymptotics do not apply",
+                stacklevel=2,
+            )
+    rates = [mode.shifted_rate for mode in modes]
+    return mode_kernels(rt, rates), _rhs_stack(rates, rt, xis, g)
 
 
 def solve_mode(
     mode: Mode, rt: ResolventTriple, xi: float, g: SampledFunction
 ) -> ModalTrajectory:
     """Volterra solve of the mode equation w + z*w = k."""
-    z, k = mode_equation(mode, rt, xi, g)
-    return ModalTrajectory(xi, volterra_solve(z, k))
+    z, k = mode_equations([mode], rt, [xi], g)
+    w = volterra_solve(SampledFunction(g.grid, z[0]), SampledFunction(g.grid, k[0]))
+    return ModalTrajectory(xi, w)
 
 
 def explicit_mode(

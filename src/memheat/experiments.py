@@ -9,14 +9,15 @@ fails leaves no output directory. All work happens on the calling thread.
 
 `simulate` solves a grid's modes in one place, `_solve_trajectories`, for
 the main grid and each refinement grid: the modes' kernels and right-hand
-sides are the rows of two stacks, and one stacked Volterra solve
-(`algebra.volterra_solve_stack`) returns every trajectory. One loop then
-checks every mode of the main grid against the resolvent representation
-and the series route, each of which builds its own data; the direct mode
-resolvents of that check are a second stacked solve, never mixed with the
-first. A stacked solve runs all its rows down one recursion, with as many
-rows per FFT call as fit in the widest single-row transform, and gives
-each row the bits of a solve of that row alone.
+sides are the rows of two stacks, each filled by one stacked product
+quadrature, and one stacked Volterra solve (`algebra.volterra_solve_stack`)
+returns every trajectory. `_cross_check` then checks every mode of the main
+grid against the resolvent representation and the series route, each of
+which builds its own data; the direct mode resolvents of that check are a
+second stacked solve, never mixed with the first, and the series of all
+its modes one stacked series. A stacked call runs all its rows together,
+with as many rows per FFT call as fit in one bounded transform, and gives
+each row the bits of a call for that row alone.
 """
 
 from __future__ import annotations
@@ -47,11 +48,11 @@ from .moments import (
 )
 from .resolvents import (
     mode_resolvent_direct,  # noqa: F401  (the benchmark's tracer self-test calls it here)
-    mode_resolvent_series,
+    mode_resolvent_series_stack,
     mode_resolvent_stack,
     resolvent_of,
 )
-from .dynamics import explicit_mode, mode_equation
+from .dynamics import explicit_mode, mode_equations
 
 SCOPE_SEARCH_WIDTH = 64
 
@@ -107,22 +108,15 @@ def _solve_trajectories(config: ExperimentConfig, steps: int) -> tuple:
     of every mode on a grid of `steps` cells: the one place a grid's modes
     are solved, for the main grid and each refinement grid alike.
 
-    The kernels z and right-hand sides k of all modes fill two (modes, size)
-    stacks row by row, and one stacked solve returns the trajectories as the
-    rows of a third.
+    The kernels z and right-hand sides k of all modes are two (modes, size)
+    stacks, and one stacked solve returns the trajectories as the rows of a
+    third.
     """
     grid = TimeGrid(config.horizon, steps)
     rt = resolvent_of(config.kernel, grid)
     modes = dirichlet_modes_1d(config.modes, rt.gain)
-    g = SampledFunction.zeros(grid)
     xis = config.initial.values(config.modes)
-    z = np.empty((len(modes), grid.size))
-    k = np.empty_like(z)
-
-    def fill(row):
-        z[row], k[row] = (f.values for f in mode_equation(modes[row], rt, xis[row], g))
-
-    _per_mode(fill, range(len(modes)))
+    z, k = mode_equations(modes, rt, xis, SampledFunction.zeros(grid))
     return rt, modes, volterra_solve_stack(z, k, grid.dt)
 
 
@@ -150,25 +144,33 @@ def _convergence_rows(config: ExperimentConfig, w: np.ndarray) -> list:
 def _cross_check(config: ExperimentConfig, rt, modes, w: np.ndarray) -> dict:
     """`discrepancy.json`: every mode's trajectory in `w` against the
     resolvent representation, and its direct resolvent against the series
-    route. The direct resolvents of all modes are one stacked solve."""
+    route. The direct resolvents of all modes are one stacked solve, and
+    the series of all positive-rate modes one stacked series."""
     g = SampledFunction.zeros(rt.grid)
     xis = config.initial.values(config.modes)
     h = mode_resolvent_stack(rt, [mode.shifted_rate for mode in modes])
-    gaps, series_gaps, skipped, failed = [], [], [], []
-    for mode, xi, w_mode, h_mode in zip(modes, xis, w, h):
-        h_mode = SampledFunction(rt.grid, h_mode)
-        explicit = explicit_mode(mode, rt, h_mode, xi, g).w.values
-        gaps.append(float(np.max(np.abs(w_mode - explicit))))
-        if mode.shifted_rate <= 0:
-            skipped.append(mode.index)
-            continue
-        # The series route only cross-checks the direct one: a series that
-        # cannot converge leaves this mode unchecked, not the run failed.
+
+    def gap(row):
+        mode, xi, w_mode, h_mode = row
+        explicit = explicit_mode(mode, rt, SampledFunction(rt.grid, h_mode), xi, g)
+        return float(np.max(np.abs(w_mode - explicit.w.values)))
+
+    gaps = _per_mode(gap, zip(modes, xis, w, h))
+    checked = [i for i, mode in enumerate(modes) if mode.shifted_rate > 0]
+    skipped = [mode.index for mode in modes if mode.shifted_rate <= 0]
+    series_gaps, failed = [], []
+    # The series route only cross-checks the direct one: a series that
+    # cannot converge leaves its modes unchecked, not the run failed.
+    if checked:
         try:
-            h_series, _ = mode_resolvent_series(rt, mode.shifted_rate, config.series_tol)
-            series_gaps.append((h_series - h_mode).sup_norm())
+            h_series, _ = mode_resolvent_series_stack(
+                rt, [modes[i].shifted_rate for i in checked], config.series_tol
+            )
+            series_gaps = [
+                float(np.max(np.abs(hs - h[i]))) for i, hs in zip(checked, h_series)
+            ]
         except NumericalError as exc:
-            failed.append({"mode": mode.index, "reason": str(exc)})
+            failed = [{"mode": modes[i].index, "reason": str(exc)} for i in checked]
 
     discrepancy = {
         "solve_vs_explicit": float(max(gaps)),

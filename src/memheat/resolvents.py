@@ -10,6 +10,14 @@ per-mode machinery then builds, for a decay rate mu2, the kernel
 and its resolvent h, by two independent routes: a direct Volterra solve of
 h = z - z*h, and a truncated series of iterated convolutions. The two routes
 deliberately share no code path, so their agreement is a real check.
+
+Both routes take a stack of rates, and their one-rate functions are the
+one-row cases. The kernels z of a stack are one product quadrature against
+the shared operand q', whose value and slope spectra are transformed once.
+The series builds the powers q', q'*q', ... once per call, in one local
+(terms, nodes) array freed on return, and convolves them against each rate's
+monomial weights in one quadrature per rate, which builds that rate's
+moment table once. Nothing is cached on the triple.
 """
 
 from __future__ import annotations
@@ -20,8 +28,7 @@ import numpy as np
 
 from .algebra import (
     convolve,
-    convolve_exp,
-    convolve_exp_monomial,
+    convolve_exp_monomial_stack,
     volterra_solve,
     volterra_solve_stack,
 )
@@ -54,18 +61,6 @@ class ResolventTriple:
         """Resolvent value at the final time (drives the moment asymptotics)."""
         return self.resolvent.at_end()
 
-    def series_powers(self, terms: int) -> list:
-        """The convolution powers q', q'*q', ... (`terms` of them).
-
-        They do not depend on the mode, so the series route builds them once
-        per triple and extends the list when a later call needs more; each
-        power is the previous one convolved with q', whatever the call order.
-        """
-        powers = self.__dict__.setdefault("_series_powers", [self.resolvent_deriv])
-        while len(powers) < terms:
-            powers.append(convolve(powers[-1], self.resolvent_deriv))
-        return powers[:terms]
-
 
 def resolvent_of(kernel: MemoryKernel, grid: TimeGrid) -> ResolventTriple:
     """Compute the resolvent triple of a kernel on a grid."""
@@ -81,9 +76,18 @@ def resolvent_of(kernel: MemoryKernel, grid: TimeGrid) -> ResolventTriple:
     return ResolventTriple(kernel, grid, gain, q, dq)
 
 
+def mode_kernels(triple: ResolventTriple, rates) -> np.ndarray:
+    """z = -(q' * e) with e(u) = e^{-mu2 u} for every rate, one row each;
+    any sign of mu2 is accepted."""
+    z = convolve_exp_monomial_stack(
+        triple.resolvent_deriv.values, triple.grid, rates, 0
+    )
+    return np.negative(z, out=z)
+
+
 def mode_kernel(triple: ResolventTriple, mu2: float) -> SampledFunction:
-    """z = -(q' * e) with e(u) = e^{-mu2 u}; any sign of mu2 is accepted."""
-    return -convolve_exp(triple.resolvent_deriv, mu2)
+    """`mode_kernels` for one rate."""
+    return SampledFunction(triple.grid, mode_kernels(triple, mu2)[0])
 
 
 def mode_resolvent_direct(triple: ResolventTriple, mu2: float) -> SampledFunction:
@@ -96,11 +100,9 @@ def mode_resolvent_stack(triple: ResolventTriple, rates) -> np.ndarray:
     """`mode_resolvent_direct` for every rate in one stacked solve.
 
     Row i holds the samples of h for rates[i], bit for bit those of the
-    one-rate call; the kernels z fill one stack in place.
+    one-rate call.
     """
-    z = np.empty((len(rates), triple.grid.size))
-    for row, mu2 in zip(z, rates):
-        row[:] = mode_kernel(triple, mu2).values
+    z = mode_kernels(triple, rates)
     return volterra_solve_stack(z, z, triple.grid.dt)
 
 
@@ -126,24 +128,41 @@ def _series_terms(sup_deriv: float, horizon: float, tol: float) -> int:
     )
 
 
-def mode_resolvent_series(
-    triple: ResolventTriple, mu2: float, tol: float = 1e-14
+def mode_resolvent_series_stack(
+    triple: ResolventTriple, rates, tol: float = 1e-14
 ) -> tuple:
-    """Resolvent h of the mode kernel as a truncated iterated-convolution series.
+    """Resolvent h of the mode kernel for every rate, as a truncated
+    iterated-convolution series.
 
-    Returns (h, terms_used). Requires mu2 > 0 (the monomial-weight quadrature
-    is only stable there); the direct route has no such restriction.
+    Returns ((rates, nodes) stack of h, terms_used). The powers q', q'*q',
+    ... do not depend on the rate: `terms` - 1 convolutions build them once
+    in one local array. Row i holds the bits of the one-rate call for
+    rates[i]. Requires every rate > 0 (the monomial-weight quadrature is
+    only stable there); the direct route has no such restriction.
     """
-    if mu2 <= 0:
+    if any(mu2 <= 0 for mu2 in rates):
         raise NumericalError(
             "the series route requires a positive decay rate; use the direct route"
         )
     grid = triple.grid
-    sup_deriv = triple.resolvent_deriv.sup_norm()
+    dq = triple.resolvent_deriv
     # The majorant does not depend on the mode: settle the term count (or
     # fail) before the first convolution.
-    terms = _series_terms(sup_deriv, grid.horizon, tol)
-    out = np.zeros(grid.size)
-    for k, power in enumerate(triple.series_powers(terms)):
-        out -= convolve_exp_monomial(power, mu2, k).values
-    return SampledFunction(grid, out), terms
+    terms = _series_terms(dq.sup_norm(), grid.horizon, tol)
+    powers = np.empty((terms, grid.size))
+    powers[0] = dq.values
+    for k in range(1, terms):
+        powers[k] = convolve(SampledFunction(grid, powers[k - 1]), dq).values
+    h = np.zeros((len(rates), grid.size))
+    for row, mu2 in zip(h, rates):
+        for term in convolve_exp_monomial_stack(powers, grid, mu2, range(terms)):
+            row -= term
+    return h, terms
+
+
+def mode_resolvent_series(
+    triple: ResolventTriple, mu2: float, tol: float = 1e-14
+) -> tuple:
+    """`mode_resolvent_series_stack` for one rate: (h, terms_used)."""
+    h, terms = mode_resolvent_series_stack(triple, [mu2], tol)
+    return SampledFunction(triple.grid, h[0]), terms

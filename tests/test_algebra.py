@@ -4,8 +4,8 @@ exponential rules.
 Oracles here are hand-computed convolutions and ODE solutions, and a
 test-local per-step march of the trapezoid scheme for the blocked solve;
 the grid refinement checks pin the second-order accuracy that the dynamics
-tests rely on later. A stack of rows must solve to the bits of one solve
-per row.
+tests rely on later. A stack of rows, in the Volterra solve and in the
+product quadrature, must give the bits of one call per row.
 """
 
 import gc
@@ -30,16 +30,17 @@ from memheat import (
 )
 from memheat.algebra import (
     BLOCK,
+    FFT_BATCH,
     _cell_moments_k,
-    _moment_table,
     convolve,
     convolve_exp,
     convolve_exp_monomial,
+    convolve_exp_monomial_stack,
     end_pairing,
     volterra_solve,
     volterra_solve_stack,
 )
-from memheat.dynamics import modal_rhs
+from memheat.dynamics import modal_rhs, mode_equations
 from memheat.modes import dirichlet_modes_1d
 from memheat.resolvents import mode_kernel, resolvent_of
 
@@ -191,9 +192,17 @@ kernels = st.one_of(
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(
     kernels,
-    st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5, 1000]),
+    st.sampled_from(
+        [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5, 256, 257, 1000, 1024, 1025]
+    ),
     st.integers(min_value=0, max_value=2**32 - 1),
 )
+# the top span [1, n) has m = steps nodes: at 256 and 1024 the middle
+# product's circular size equals m, at 257 and 1025 it is 2m - 2
+@example(ExpSumKernel([(2.0, 1.0)]), 256, 1)
+@example(ExpSumKernel([(2.0, 1.0)]), 257, 2)
+@example(PolynomialKernel([1.0, -3.0]), 1024, 3)
+@example(PolynomialKernel([1.0, -3.0]), 1025, 4)
 def test_volterra_blocked_matches_march(kernel, steps, seed):
     grid = TimeGrid(1.0, steps)
     rhs = SampledFunction(grid, np.random.default_rng(seed).standard_normal(grid.size))
@@ -297,13 +306,19 @@ def test_volterra_stack_matches_one_solve_per_row(rows, nodes, seed):
     assert y[zero].tobytes() == rhs[zero].tobytes()
 
 
+def march_triple(grid):
+    """Resolvent triple and 8 modes of the two-term exp_sum kernel of the
+    benchmark's march workload."""
+    rt = resolvent_of(ExpSumKernel([(1.0, 1.0), (0.5, 5.0)]), grid)
+    return rt, dirichlet_modes_1d(8, rt.gain)
+
+
 @pytest.fixture(scope="module")
 def march_modes():
-    """Kernels z and right-hand sides k of 8 modes at 16,000 steps, for the
-    two-term exp_sum kernel of the benchmark's march workload."""
+    """Kernels z and right-hand sides k of those 8 modes at 16,000 steps,
+    one mode at a time."""
     grid = TimeGrid(1.0, 16000)
-    rt = resolvent_of(ExpSumKernel([(1.0, 1.0), (0.5, 5.0)]), grid)
-    modes = dirichlet_modes_1d(8, rt.gain)
+    rt, modes = march_triple(grid)
     zero = SampledFunction.zeros(grid)
     z = np.array([mode_kernel(rt, m.shifted_rate).values for m in modes])
     k = np.array([modal_rhs(m, rt, 1.0 / m.index, zero).values for m in modes])
@@ -317,6 +332,17 @@ def test_volterra_stack_matches_one_solve_per_row_at_march_size(march_modes):
     y = volterra_solve_stack(z, k, grid.dt)
     for row, alone in zip(y, solve_rows(z, k, grid.dt)):
         assert row.tobytes() == alone.tobytes()
+
+
+def test_quadrature_stack_matches_one_call_per_row_at_march_size(march_modes):
+    # the z and k stacks of 8 modes at 16,001 nodes, one quadrature each,
+    # against one quadrature per mode
+    grid, z, k = march_modes
+    rt, modes = march_triple(grid)
+    xis = [1.0 / m.index for m in modes]
+    z_stack, k_stack = mode_equations(modes, rt, xis, SampledFunction.zeros(grid))
+    assert z_stack.tobytes() == z.tobytes()
+    assert k_stack.tobytes() == k.tobytes()
 
 
 def _traced_peak_mb(fn):
@@ -336,6 +362,16 @@ def test_volterra_stack_memory_stays_near_one_output(march_modes):
     assert _traced_peak_mb(lambda: volterra_solve_stack(z, k, grid.dt)) < 3.0
     kernel, rhs = SampledFunction(grid, z[0]), SampledFunction(grid, k[0])
     assert _traced_peak_mb(lambda: volterra_solve(kernel, rhs)) <= 1.25
+
+
+def test_quadrature_stack_memory_stays_near_its_output(march_modes):
+    # the z and k stacks are 1 MB each; past them a fill holds the shared
+    # operand's two spectra and one batch (one row at 16,001 nodes)
+    grid, _, _ = march_modes
+    rt, modes = march_triple(grid)
+    xis = [1.0 / m.index for m in modes]
+    zero = SampledFunction.zeros(grid)
+    assert _traced_peak_mb(lambda: mode_equations(modes, rt, xis, zero)) < 3.75
 
 
 def test_volterra_stack_checks_every_row():
@@ -413,6 +449,52 @@ def test_convolve_exp_monomial_quadratic_weight():
         convolve_exp_monomial(one, -1.0, 2)  # k >= 1 requires decay
 
 
+def quadrature_rows(rng, rows):
+    """Rates and degrees of a stack: degree 0 at either sign of the rate,
+    degrees 1..60 at positive rates from 1e-3 to 1e4."""
+    degrees = np.where(rng.random(rows) < 0.4, 0, rng.integers(1, 61, rows))
+    rates = 10.0 ** rng.uniform(-3, 4, rows)
+    rates[degrees == 0] *= rng.choice([-1e-2, 1.0], int(np.sum(degrees == 0)))
+    return rates, degrees
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(min_value=1, max_value=3 * (FFT_BATCH // 4096) + 1),
+    st.one_of(
+        st.sampled_from([2, 3, 1025, 2048, 2049, 3000]),
+        st.integers(min_value=2, max_value=3000),
+    ),
+    st.booleans(),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_quadrature_stack_matches_one_call_per_row(rows, nodes, shared, seed):
+    # past 1,024 nodes a batched FFT call takes 8 or 4 rows, so the row
+    # counts fall on both sides of it; a rate repeats to share its table
+    rng = np.random.default_rng(seed)
+    grid = TimeGrid(float(rng.uniform(0.1, 2.0)), nodes - 1)
+    rates, degrees = quadrature_rows(rng, rows)
+    rates[rows // 2] = rates[0] = abs(rates[0])
+    f = rng.standard_normal(nodes if shared else (rows, nodes))
+    out = convolve_exp_monomial_stack(f, grid, rates, degrees)
+    assert out.shape == (rows, nodes)
+    for r, row in enumerate(out):
+        operand = SampledFunction(grid, f if shared else f[r])
+        alone = convolve_exp_monomial(operand, rates[r], degrees[r]).values
+        assert row.tobytes() == alone.tobytes()
+
+
+def test_quadrature_stack_checks_every_row():
+    one = np.ones(GRID.size)
+    with pytest.raises(NumericalError, match="requires a positive rate"):
+        convolve_exp_monomial_stack(one, GRID, [1.0, -1.0], [0, 2])
+    with pytest.raises(ValueError, match="nonnegative"):
+        convolve_exp_monomial_stack(one, GRID, 1.0, [1, -1])
+    with pytest.raises(ValueError, match="one operand per row"):
+        convolve_exp_monomial_stack(np.ones((3, GRID.size)), GRID, [1.0, 2.0], 0)
+    assert convolve_exp_monomial_stack(one, GRID, [], 0).shape == (0, GRID.size)
+
+
 def _reference_cell_moments(mu2, d, grid):
     """Cells of int_0^t u^d e^{-mu2 u} du at 200 bits, and the total at T.
 
@@ -441,7 +523,6 @@ def test_cell_moments_match_incomplete_gamma(log_mu2, k, steps, horizon):
     # k = 60 asks for degree 61, past the table's top: the taller table
     mu2 = math.exp(log_mu2)
     grid = TimeGrid(horizon, steps)
-    _moment_table.cache_clear()
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no overflow, not even in unused rows
         moments = _cell_moments_k(mu2, k, grid)
@@ -452,11 +533,13 @@ def test_cell_moments_match_incomplete_gamma(log_mu2, k, steps, horizon):
 
 def test_cell_moment_rows_ignore_request_order():
     # a row depends on (mu2, grid, degree) only, not on what was built first
+    # in the same call
     grid = TimeGrid(2.0, 300)
     rows = {}
     for order in ((3, 59), (59, 3)):
-        _moment_table.cache_clear()
-        rows[order] = {k: _cell_moments_k(7.5, k, grid) for k in order}
+        tables = {}
+        rows[order] = {k: _cell_moments_k(7.5, k, grid, tables) for k in order}
+        assert len(tables) == 1
     for k in (3, 59):
         for first, second in zip(rows[(3, 59)][k], rows[(59, 3)][k]):
             assert first.tobytes() == second.tobytes()

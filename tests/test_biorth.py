@@ -10,6 +10,7 @@ import math
 import random
 import tracemalloc
 import warnings
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf, workprec
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import from_man_exp, from_rational
 
 from memheat import NumericalError, PrecisionError, TimeGrid, biorth
 from memheat.biorth import (
@@ -700,3 +701,37 @@ def test_control_sweep_validation():
             memory_constant=0.0,
             initial=InitialData("zero"),
         )
+
+
+def _exact(x):
+    """An mpf as the exact rational it stands for."""
+    sign, man, exp, _ = x._mpf_
+    return Fraction(-man if sign else man) * Fraction(2) ** exp
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 9), st.integers(0, 2**32 - 1))
+def test_sweep_norms_are_exact_quadratic_forms_rounded_once(top, seed):
+    # the running sum of the sweep against the exact rational
+    # sum_{i,j<N} b_i b_j X_ji, rounded once: entries spread over 600
+    # binades, with zeros, and columns longer and more than the sweep reads
+    rng = random.Random(seed)
+
+    def draw():
+        if rng.random() < 0.1:
+            return mp.zero
+        return mpf(rng.getrandbits(300) - 2**299) * mpf(2) ** rng.randint(-300, 300)
+
+    with workprec(256):
+        b = [draw() for _ in range(top)]
+        cols = [[draw() for _ in range(top + 2)] for _ in range(top + 1)]
+        counts = sorted(rng.sample(range(1, top + 1), rng.randint(1, top)))
+        got = biorth._control_norms2(b, cols, counts)
+        for n, value in zip(counts, got):
+            exact = sum(
+                _exact(b[i]) * _exact(b[j]) * _exact(cols[j][i])
+                for i in range(n)
+                for j in range(n)
+            )
+            want = from_rational(exact.numerator, exact.denominator, mp.prec, "n")
+            assert value._mpf_ == want

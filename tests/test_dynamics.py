@@ -169,23 +169,24 @@ def test_plug_back_residual_converges_second_order():
 def test_zero_forcing_skips_its_convolution(monkeypatch):
     # every CLI path passes g = 0; its convolution would subtract exact zeros
     calls = []
+    quadrature = dynamics.convolve_exp_monomial_stack
 
-    def counted(f, rate):
+    def counted(f, grid, rates, degrees):
         calls.append(f)
-        return convolve_exp(f, rate)
+        return quadrature(f, grid, rates, degrees)
 
-    monkeypatch.setattr(dynamics, "convolve_exp", counted)
+    monkeypatch.setattr(dynamics, "convolve_exp_monomial_stack", counted)
     rt = resolvent_of(ConstantKernel(1.0), GRID)
     mode = dirichlet_modes_1d(2, gain=1.0)[1]
     zero = SampledFunction.zeros(GRID)
     k = modal_rhs(mode, rt, 0.7, zero)
-    assert [f is rt.resolvent for f in calls] == [True]
+    assert [f is rt.resolvent.values for f in calls] == [True]
     with_zero = k - convolve_exp(zero, mode.shifted_rate)
     assert k.values.tobytes() == with_zero.values.tobytes()
     calls.clear()
     g = const_forcing(GRID, 1.0)
     modal_rhs(mode, rt, 0.7, g)
-    assert [f is h for f, h in zip(calls, (rt.resolvent, g))] == [True, True]
+    assert [f is h.values for f, h in zip(calls, (rt.resolvent, g))] == [True, True]
 
 
 def test_free_memory_modes_decay():

@@ -29,6 +29,7 @@ from memheat.resolvents import (
     mode_kernel,
     mode_resolvent_direct,
     mode_resolvent_series,
+    mode_resolvent_series_stack,
     resolvent_of,
 )
 
@@ -189,23 +190,25 @@ def test_series_fails_before_convolving(monkeypatch):
 
         return wrapper
 
-    for name in ("convolve", "convolve_exp_monomial"):
+    for name in ("convolve", "convolve_exp_monomial_stack"):
         monkeypatch.setattr(resolvents, name, counted(getattr(resolvents, name)))
     with pytest.raises(NumericalError, match="did not reach tolerance"):
         mode_resolvent_series(rt_stiff, 1.0)
     assert calls == []
     _, terms = mode_resolvent_series(rt_mild, 1.0)
-    assert calls.count("convolve_exp_monomial") == terms
+    assert calls.count("convolve") == terms - 1
+    assert calls.count("convolve_exp_monomial_stack") == 1  # every degree at once
 
 
-def test_series_powers_are_shared_across_modes(monkeypatch):
-    # the powers q'^{*k} do not depend on the mode: a later mode convolves
-    # only the powers no earlier mode needed, and the bits do not depend on
-    # which mode came first
+def test_series_stack_convolves_the_powers_once_for_all_rates(monkeypatch):
+    # the powers q'^{*k} do not depend on the rate: a stack over several
+    # rates convolves them terms - 1 times in all, and each row holds the
+    # bits of the one-rate call
     from memheat import resolvents
 
-    alone, _ = mode_resolvent_series(resolvent_of(ConstantKernel(1.0), GRID), 2.0)
     rt = resolvent_of(ConstantKernel(1.0), GRID)
+    rates = [5.0, 2.0, 7.0]
+    alone = [mode_resolvent_series(rt, mu2) for mu2 in rates]
     calls = []
     convolve = resolvents.convolve
 
@@ -214,13 +217,15 @@ def test_series_powers_are_shared_across_modes(monkeypatch):
         return convolve(f, g)
 
     monkeypatch.setattr(resolvents, "convolve", counted)
-    _, few = mode_resolvent_series(rt, 5.0, tol=1e-6)
-    assert len(calls) == few - 1
-    shared, terms = mode_resolvent_series(rt, 2.0)
-    assert terms > few and len(calls) == terms - 1
-    assert np.array_equal(shared.values, alone.values)
-    mode_resolvent_series(rt, 7.0)
+    h, terms = mode_resolvent_series_stack(rt, rates)
     assert len(calls) == terms - 1
+    assert h.shape == (len(rates), GRID.size)
+    for row, (one, one_terms) in zip(h, alone):
+        assert one_terms == terms
+        assert row.tobytes() == one.values.tobytes()
+    with pytest.raises(NumericalError, match="positive decay rate"):
+        mode_resolvent_series_stack(rt, [2.0, 0.0])
+    assert len(calls) == terms - 1  # a nonpositive rate fails before any work
 
 
 def test_moment_table_covers_the_series():
