@@ -11,8 +11,9 @@ Everything downstream is built on three operations over sampled functions:
 * `convolve_exp_monomial_stack` - product quadrature against exponential
   (times monomial) weights, exact on the weight factor, so the accuracy is
   uniform in the decay rate instead of collapsing for stiff modes; one row
-  per (operand, rate, degree), and `convolve_exp_monomial` / `convolve_exp`
-  are its one-row cases on sampled functions.
+  per rate, the sum over a stack of operands, operand k against the weight
+  of degree k, summed in frequency space; `convolve_exp_monomial` /
+  `convolve_exp` are its one-row cases on sampled functions.
 
 The product quadrature is the load-bearing piece: a plain trapezoid rule
 applied to f(s) e^{-mu2 (t-s)} loses all accuracy once mu2*dt is order one,
@@ -169,9 +170,10 @@ def exp_profile(grid: TimeGrid, rate: float) -> SampledFunction:
 #
 # Degree 0 has closed forms for any sign of mu2 (`_cell_moments_01`). The
 # higher degrees, which only the series route asks for, come from one table
-# per (mu2, grid) holding every degree: the incomplete gamma integral at the
-# top degree, stepped down by its positive recurrence, in numpy alone
-# (`_moment_table`), built once per rate in each stacked call.
+# per (mu2, grid) holding every degree up to the stack's top: the incomplete
+# gamma integral at the top degree, stepped down by its positive
+# recurrence, in numpy alone (`_moment_table`), built once per rate in each
+# stacked call.
 
 
 def _cell_moments_01(mu2: float, grid: TimeGrid) -> tuple:
@@ -206,13 +208,8 @@ def _cell_moments_01(mu2: float, grid: TimeGrid) -> tuple:
     return A0, A1
 
 
-# Top degree of the cell-moment table. The series route of `resolvents` asks
-# for degrees k < SERIES_MAX_TERMS together with k + 1, so one table up to
-# SERIES_MAX_TERMS serves every degree of a mode.
-MOMENT_TABLE_DEGREE = 60
-
 # Samples per batched FFT call of the product quadrature: as many rows go
-# through one rfft/irfft as fit in one transform of this size (at least one).
+# through one rfft call as fit in one transform of this size (at least one).
 FFT_BATCH = 1 << 15
 
 
@@ -231,9 +228,9 @@ def _moment_table(mu2: float, grid: TimeGrid, top: int) -> np.ndarray:
     that could overflow for a small rate is formed. The cells are
     differences of the C_d. Needs mu2 > 0.
 
-    A row depends only on (mu2, grid, top), so it is the same bits whichever
-    degree is asked for first. Nothing is cached across calls: a stacked
-    quadrature builds each rate's table once and drops it on return.
+    A row depends only on (mu2, grid, top). Nothing is cached across calls:
+    a quadrature builds each rate's table once, up to the top degree it
+    asks for, and drops it on return.
     """
     t = np.arange(grid.size, dtype=float) * grid.dt
     y = mu2 * t
@@ -273,49 +270,29 @@ def _moment_table(mu2: float, grid: TimeGrid, top: int) -> np.ndarray:
     return w[1:, :-1]
 
 
-def _cell_moments_k(mu2: float, k: int, grid: TimeGrid, tables=None) -> tuple:
-    """Exact cell moments A_k, A_{k+1} for k >= 1, rows of `_moment_table`.
+def convolve_exp_monomial_stack(f: np.ndarray, grid: TimeGrid, rates) -> np.ndarray:
+    """Row r is sum_k (f_k * w_k)(t), w_k(u) = u^k e^{-mu2 u} / k! and
+    mu2 = rates[r], exact in every w_k.
 
-    Requires mu2 > 0; only k = 0 (`_cell_moments_01`) takes nonpositive
-    rates. Degrees past MOMENT_TABLE_DEGREE get a table topped at k + 1.
-    `tables` holds the tables built so far by the calling quadrature, keyed
-    by (mu2, top), so a rate's table is built once per call.
+    f is a stack of operands (degrees, nodes), operand k against the weight
+    of degree k, or one operand (nodes,); each is piecewise linear between
+    its samples. Degree 0 has closed forms for any sign of the rate; degrees
+    k >= 1 read the rate's `_moment_table`, so more than one operand needs
+    every rate positive.
+
+    The convolutions are FFTs of size _fft_size(2 nodes - 1), at most
+    max(1, FFT_BATCH // size) rows per rfft call. Each operand's value and
+    slope spectra are transformed once per call. For each rate, the
+    products of its weight spectra with them are summed in two
+    accumulators, values and slopes, each with one inverse FFT, and its
+    moment table goes up to the stack's top degree. A row depends on its
+    own rate only; for one operand nothing is summed. Raises
+    NumericalError if a row overflows.
     """
-    tables = {} if tables is None else tables
-    key = (float(mu2), max(MOMENT_TABLE_DEGREE, k + 1))
-    if key not in tables:
-        tables[key] = _moment_table(key[0], grid, key[1])
-    return tables[key][k], tables[key][k + 1]
-
-
-def convolve_exp_monomial_stack(
-    f: np.ndarray, grid: TimeGrid, rates, degrees
-) -> np.ndarray:
-    """Row r is (f_r * w_r)(t) for the weight w_r(u) = u^k e^{-mu2 u} / k!,
-    mu2 = rates[r] and k = degrees[r], exact in w_r.
-
-    f is one shared operand (nodes,) or one operand per row (rows, nodes),
-    each treated as piecewise linear between its samples; rates and degrees
-    broadcast against each other to one entry per row. Nonpositive rates
-    are supported for k = 0 only (the series-stabilized closed forms); every
-    k >= 1 goes through the incomplete-gamma table and needs mu2 > 0.
-
-    The convolutions are FFTs of size _fft_size(2 nodes - 1). A shared
-    operand's value and slope spectra are transformed once per call, a
-    per-row operand's once for its row; the weights of each row are
-    transformed once, max(1, FFT_BATCH // size) rows to a batched
-    rfft/irfft call, and each rate's moment table is built once per call.
-    Each row gets the bits of the one-row call `convolve_exp_monomial`.
-    Raises NumericalError if a row overflows.
-    """
-    rates, degrees = np.broadcast_arrays(
-        np.atleast_1d(np.asarray(rates, dtype=float)), np.atleast_1d(degrees)
-    )
-    if np.any(degrees < 0):
-        raise ValueError("monomial degree must be nonnegative")
-    if f.ndim == 2 and len(f) != len(rates):
-        raise ValueError("a stack of operands needs one operand per row")
-    if np.any((degrees > 0) & (rates <= 0)):
+    f = np.atleast_2d(f)
+    rates = np.atleast_1d(np.asarray(rates, dtype=float))
+    degrees = len(f)
+    if degrees > 1 and np.any(rates <= 0):
         raise NumericalError(
             "monomial-weight quadrature with k >= 1 requires a positive rate; "
             "use the direct resolvent route for nonpositive rates"
@@ -323,45 +300,60 @@ def convolve_exp_monomial_stack(
     n, dt = grid.size, grid.dt
     size = _fft_size(2 * n - 1)
     batch = max(1, FFT_BATCH // size)
+    blocks = [slice(lo, lo + batch) for lo in range(0, degrees, batch)]
     lag = np.arange(1, n, dtype=float) * dt
-    tables = {}
+    # Per block of operands, the spectra of their node values and of their
+    # cell slopes (0 past the last cell), each operand's scaled by 1/k!.
+    spectra = []
+    for rows in blocks:
+        pair = (
+            np.fft.rfft(f[rows], size),
+            np.fft.rfft(np.diff(f[rows], append=f[rows, -1:]) / dt, size),
+        )
+        for spectrum in pair:
+            spectrum /= [[float(math.factorial(k))] for k in range(degrees)[rows]]
+        spectra.append(pair)
 
-    def spectra(vals):
-        """Spectra of the node values and of the cell slopes of the rows."""
-        slopes = np.zeros(vals.shape)
-        slopes[..., :-1] = np.diff(vals) / dt
-        return np.fft.rfft(vals, size), np.fft.rfft(slopes, size)
+    def weights(mu2, table, ks):
+        """Node-value and slope-correction weights of each cell, one row per
+        degree in ks."""
+        wa = np.zeros((len(ks), n))
+        wb = np.zeros_like(wa)
+        for a, b, k in zip(wa, wb, ks):
+            Ak, Ak1 = table[k : k + 2] if k else _cell_moments_01(mu2, grid)
+            a[1:] = Ak
+            np.multiply(lag, Ak, out=b[1:])
+            b[1:] -= Ak1
+        return wa, wb
 
-    def weights(mu2, k, wa, wb):
-        """Node-value and slope-correction weights of a row, one per cell."""
-        if k == 0:
-            Ak, Ak1 = _cell_moments_01(mu2, grid)
-        else:
-            Ak, Ak1 = _cell_moments_k(mu2, k, grid, tables)
-        wa[1:] = Ak
-        np.multiply(lag, Ak, out=wb[1:])
-        wb[1:] -= Ak1
-
-    def convolved(w, spectrum):
-        """First n samples of the rows of w convolved with the operands."""
+    def summed(w, spectrum, total):
+        """total plus the spectra of the rows of w times `spectrum`, summed
+        over the rows (that sum alone when total is None)."""
         product = np.fft.rfft(w, size)
         product *= spectrum
-        return np.fft.irfft(product, size)[:, :n]
+        part = product[0] if len(product) == 1 else product.sum(axis=0)
+        if total is None:
+            return part
+        total += part
+        return total
 
-    if f.ndim == 1:
-        f_values, f_slopes = spectra(f)
+    def fill(row, mu2):
+        """Row of one rate: the value sum is inverted before the last slope
+        products form, and the table and sums are freed on return."""
+        table = _moment_table(mu2, grid, degrees) if degrees > 1 else None
+        value_sum = slope_sum = None
+        for rows, (values, slopes) in zip(blocks, spectra):
+            wa, wb = weights(mu2, table, range(degrees)[rows])
+            value_sum = summed(wa, values, value_sum)
+            if rows is blocks[-1]:
+                row[:] = np.fft.irfft(value_sum, size)[:n]
+                value_sum = None
+            slope_sum = summed(wb, slopes, slope_sum)
+        row += np.fft.irfft(slope_sum, size)[:n]
+
     out = np.empty((len(rates), n))
-    for lo in range(0, len(rates), batch):
-        rows = slice(lo, lo + batch)
-        if f.ndim == 2:
-            f_values, f_slopes = spectra(f[rows])
-        WA = np.zeros((len(rates[rows]), n))
-        WB = np.zeros_like(WA)
-        for wa, wb, mu2, k in zip(WA, WB, rates[rows], degrees[rows]):
-            weights(mu2, k, wa, wb)
-        out[rows] = convolved(WA, f_values)
-        out[rows] += convolved(WB, f_slopes)
-    out /= np.array([float(math.factorial(k)) for k in degrees])[:, None]
+    for row, mu2 in zip(out, rates):
+        fill(row, mu2)
     out[:, 0] = 0.0
     check_finite(out)
     return out
@@ -371,8 +363,13 @@ def convolve_exp_monomial(
     f: SampledFunction, mu2: float, k: int = 0
 ) -> SampledFunction:
     """(f * w)(t) for the weight w(u) = u^k e^{-mu2 u} / k!, exact in w:
-    `convolve_exp_monomial_stack` for one row."""
-    out = convolve_exp_monomial_stack(f.values, f.grid, mu2, k)
+    `convolve_exp_monomial_stack` for one rate, f the operand of degree k
+    in a stack whose other operands are zero."""
+    if k < 0:
+        raise ValueError("monomial degree must be nonnegative")
+    operands = np.zeros((k + 1, f.grid.size))
+    operands[k] = f.values
+    out = convolve_exp_monomial_stack(operands, f.grid, mu2)
     return SampledFunction(f.grid, out[0])
 
 

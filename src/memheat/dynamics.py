@@ -56,12 +56,12 @@ class ModalTrajectory:
 def _rhs_stack(rates, rt: ResolventTriple, xis, g: SampledFunction) -> np.ndarray:
     """Right-hand sides k = (e0 - e0*q) xi - e0*g, one row per (rate, xi)."""
     grid = require_same_grid(rt.resolvent, g)
-    k = convolve_exp_monomial_stack(rt.resolvent.values, grid, rates, 0)
+    k = convolve_exp_monomial_stack(rt.resolvent.values, grid, rates)
     for row, mu2, xi in zip(k, rates, xis):
         row[:] = xi * np.exp(-mu2 * grid.nodes) - xi * row
     if g.values.any():
         # zero forcing (every CLI path) would subtract exact zeros: x - 0.0 == x
-        k -= convolve_exp_monomial_stack(g.values, grid, rates, 0)
+        k -= convolve_exp_monomial_stack(g.values, grid, rates)
     return k
 
 

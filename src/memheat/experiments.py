@@ -15,9 +15,11 @@ returns every trajectory. `_cross_check` then checks every mode of the main
 grid against the resolvent representation and the series route, each of
 which builds its own data; the direct mode resolvents of that check are a
 second stacked solve, never mixed with the first, and the series of all
-its modes one stacked series. A stacked call runs all its rows together,
-with as many rows per FFT call as fit in one bounded transform, and gives
-each row the bits of a call for that row alone.
+its modes one stacked series: one product quadrature per mode over the
+shared powers of q', its terms summed in frequency space. A stacked call
+runs all its rows together, with as many rows per FFT call as fit in one
+bounded transform, and gives each row the bits of a call for that row
+alone.
 """
 
 from __future__ import annotations

@@ -15,9 +15,11 @@ Both routes take a stack of rates, and their one-rate functions are the
 one-row cases. The kernels z of a stack are one product quadrature against
 the shared operand q', whose value and slope spectra are transformed once.
 The series builds the powers q', q'*q', ... once per call, in one local
-(terms, nodes) array freed on return, and convolves them against each rate's
-monomial weights in one quadrature per rate, which builds that rate's
-moment table once. Nothing is cached on the triple.
+(terms, nodes) array freed on return, and sums them against the monomial
+weights of every rate in one product quadrature over that operand stack:
+the powers' spectra are transformed once for all rates, and each rate gets
+one quadrature, its terms summed in frequency space, and one moment table
+up to the top degree. Nothing is cached on the triple.
 """
 
 from __future__ import annotations
@@ -79,9 +81,7 @@ def resolvent_of(kernel: MemoryKernel, grid: TimeGrid) -> ResolventTriple:
 def mode_kernels(triple: ResolventTriple, rates) -> np.ndarray:
     """z = -(q' * e) with e(u) = e^{-mu2 u} for every rate, one row each;
     any sign of mu2 is accepted."""
-    z = convolve_exp_monomial_stack(
-        triple.resolvent_deriv.values, triple.grid, rates, 0
-    )
+    z = convolve_exp_monomial_stack(triple.resolvent_deriv.values, triple.grid, rates)
     return np.negative(z, out=z)
 
 
@@ -136,8 +136,9 @@ def mode_resolvent_series_stack(
 
     Returns ((rates, nodes) stack of h, terms_used). The powers q', q'*q',
     ... do not depend on the rate: `terms` - 1 convolutions build them once
-    in one local array. Row i holds the bits of the one-rate call for
-    rates[i]. Requires every rate > 0 (the monomial-weight quadrature is
+    in one local array, and h = -sum_k (q'^{*(k+1)} * u^k e^{-mu2 u} / k!)
+    is one product quadrature over that stack. Row i holds the bits of the
+    one-rate call for rates[i]. Requires every rate > 0 (the monomial-weight quadrature is
     only stable there); the direct route has no such restriction.
     """
     if any(mu2 <= 0 for mu2 in rates):
@@ -153,11 +154,8 @@ def mode_resolvent_series_stack(
     powers[0] = dq.values
     for k in range(1, terms):
         powers[k] = convolve(SampledFunction(grid, powers[k - 1]), dq).values
-    h = np.zeros((len(rates), grid.size))
-    for row, mu2 in zip(h, rates):
-        for term in convolve_exp_monomial_stack(powers, grid, mu2, range(terms)):
-            row -= term
-    return h, terms
+    h = convolve_exp_monomial_stack(powers, grid, rates)
+    return np.negative(h, out=h), terms
 
 
 def mode_resolvent_series(

@@ -1,5 +1,6 @@
 """`tools/bench_pairs.py`'s summary on synthetic runs: the pair count, the
-spread and the correctness flag every BENCH record reports."""
+spread, the correctness flag and the failed and attempted totals every
+BENCH record reports."""
 
 import sys
 from pathlib import Path
@@ -10,8 +11,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 from bench_pairs import WORKLOADS, iqr, summarize  # noqa: E402
 
 
-def side(wall, correct=True):
-    return {"correct": correct, "metrics": {"wall_ref_s": {"value": wall}}}
+def side(wall, correct=True, failed=0, attempted=10):
+    return {
+        "correct": correct,
+        "failed": failed,
+        "attempted": attempted,
+        "metrics": {"wall_ref_s": {"value": wall}},
+    }
 
 
 def runs(pairs, broken=None):
@@ -54,3 +60,19 @@ def test_one_incorrect_run_on_either_side_clears_all_correct(broken):
     summary = summarize(runs([(1.0, 0.9)] * 3, broken=broken))
     assert summary[WORKLOADS[-1]]["all_correct"] is False
     assert all(summary[w]["all_correct"] for w in WORKLOADS[:-1])
+
+
+def test_failed_and_attempted_are_summed_per_side_and_workload():
+    # the share of failed operations, not only the flag: 1 of 30 on the base
+    # side of the last workload, 3 of 33 on its change side, none elsewhere
+    records = runs([(1.0, 0.9)] * 3)
+    last = [r for r in records if r["workload"] == WORKLOADS[-1]]
+    last[0]["base"].update(correct=False, failed=1)
+    last[1]["change"].update(correct=False, failed=2, attempted=12)
+    last[2]["change"].update(correct=False, failed=1, attempted=11)
+    summary = summarize(records)
+    assert summary[WORKLOADS[-1]]["failed"] == {"base": 1, "change": 3}
+    assert summary[WORKLOADS[-1]]["attempted"] == {"base": 30, "change": 33}
+    for workload in WORKLOADS[:-1]:
+        assert summary[workload]["failed"] == {"base": 0, "change": 0}
+        assert summary[workload]["attempted"] == {"base": 30, "change": 30}

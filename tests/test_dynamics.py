@@ -6,14 +6,22 @@ the second-order ODE
     w'' + lam2 w' + c lam2 w = -c g,   w(0) = xi, w'(0) = -lam2 xi - g(0),
 
 (differentiate the integrated equation once), solvable by hand for constant
-boundary forcing g. The dynamics never use this reduction, so agreement is a
-genuine cross-check of the whole Volterra pipeline.
+boundary forcing g. For an exp_sum kernel m = sum c_k e^{-b_k t} the states
+v_k = int_0^t e^{-b_k (t-s)} w(s) ds make the free mode the linear ODE
+
+    w' = -lam2 (w + sum_k c_k v_k),   v_k' = w - b_k v_k,
+
+whose end value comes from mp.expm. The dynamics never use these
+reductions, so agreement is a genuine cross-check of the whole Volterra
+pipeline, up to the `simulate` command.
 """
 
 import cmath
+import math
 
 import numpy as np
 import pytest
+import mpmath
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,6 +33,8 @@ from memheat import (
 )
 from memheat import dynamics
 from memheat.algebra import convolve, convolve_exp
+from memheat.config import config_from_dict
+from memheat.experiments import cmd_simulate
 from memheat.dynamics import (
     ModalTrajectory,
     heat_mode,
@@ -122,6 +132,57 @@ def test_ode_oracle_second_order_convergence():
     assert 3.5 < ratio < 4.5
 
 
+def exp_sum_end_value(terms, lam2, horizon, xi):
+    """w(T) of the free mode for m = sum c e^{-b t}: the first entry of
+    expm(A T) (xi, 0, ..., 0) for the (1 + K) system above, at 30 digits."""
+    A = mpmath.zeros(len(terms) + 1)
+    A[0, 0] = -lam2
+    for i, (c, b) in enumerate(terms, 1):
+        A[0, i] = -lam2 * c
+        A[i, 0] = 1
+        A[i, i] = -b
+    with mpmath.workdps(30):
+        return float(mpmath.expm(A * horizon)[0, 0] * xi)
+
+
+EXP_SUM_STEPS = 1000
+EXP_SUM_MODES = 6
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(
+        st.tuples(st.floats(0.0, 4.0, exclude_min=True), st.floats(0.0, 10.0)),
+        min_size=1,
+        max_size=2,
+    ),
+    st.floats(0.1, 3.0),
+)
+def test_simulate_matches_the_exp_sum_ode(terms, horizon):
+    # c <= 4 per term keeps pi^2 - sum c > 0, so every mode's shifted rate is
+    # positive. simulate's w_n(T) is within C dt^2 lam_n |xi_n| of the ODE,
+    # lam_n = n pi the mode frequency: gap / (dt^2 lam_n |xi_n|) measured at
+    # most 4.9 (two terms c = 4, b = 10, T = 0.1, mode 1) over the corners
+    # of this domain at 100, 200 and 1,000 steps and 0.9 over 100 random
+    # draws at 1,000, steady under step doubling (an O(dt^2) gap), so
+    # C = 10. At 1,000 steps a 1% error in the kernel's rates fails.
+    config = config_from_dict(
+        {
+            "kernel": {"type": "exp_sum", "terms": [{"c": c, "b": b} for c, b in terms]},
+            "horizon": horizon,
+            "steps": EXP_SUM_STEPS,
+            "modes": EXP_SUM_MODES,
+        }
+    )
+    _, rows = cmd_simulate(config)["trajectories.csv"]
+    dt = horizon / EXP_SUM_STEPS
+    xis = config.initial.values(EXP_SUM_MODES)
+    for n, (xi, w_end) in enumerate(zip(xis, rows[-1][1:]), 1):
+        lam2 = (n * math.pi) ** 2
+        exact = exp_sum_end_value(terms, lam2, horizon, xi)
+        assert abs(w_end - exact) <= 10.0 * dt**2 * math.sqrt(lam2) * abs(xi)
+
+
 def test_solve_vs_explicit_direct_route():
     rt = resolvent_of(ConstantKernel(1.0), GRID)
     g = const_forcing(GRID, 1.0)
@@ -171,9 +232,9 @@ def test_zero_forcing_skips_its_convolution(monkeypatch):
     calls = []
     quadrature = dynamics.convolve_exp_monomial_stack
 
-    def counted(f, grid, rates, degrees):
+    def counted(f, grid, rates):
         calls.append(f)
-        return quadrature(f, grid, rates, degrees)
+        return quadrature(f, grid, rates)
 
     monkeypatch.setattr(dynamics, "convolve_exp_monomial_stack", counted)
     rt = resolvent_of(ConstantKernel(1.0), GRID)

@@ -23,9 +23,8 @@ from memheat import (
     TimeGrid,
     ZeroKernel,
 )
-from memheat.algebra import MOMENT_TABLE_DEGREE, volterra_solve
+from memheat.algebra import volterra_solve
 from memheat.resolvents import (
-    SERIES_MAX_TERMS,
     mode_kernel,
     mode_resolvent_direct,
     mode_resolvent_series,
@@ -227,8 +226,3 @@ def test_series_stack_convolves_the_powers_once_for_all_rates(monkeypatch):
         mode_resolvent_series_stack(rt, [2.0, 0.0])
     assert len(calls) == terms - 1  # a nonpositive rate fails before any work
 
-
-def test_moment_table_covers_the_series():
-    # every degree the series asks for (up to SERIES_MAX_TERMS) comes from
-    # the one shared table
-    assert MOMENT_TABLE_DEGREE >= SERIES_MAX_TERMS

@@ -17,7 +17,9 @@ even pairs and the change first on odd ones, so a drift in the host's speed
 falls on both sides alike. Every run's result JSON (the last line perfbench
 prints) is kept as it is, and the record also gives, per workload and
 metric, both medians, both interquartile ranges (q3 - q1, the spread a gain
-must exceed) and the number of pairs in which the change was better. The
+must exceed) and the number of pairs in which the change was better, and
+per workload and side the totals of the runs' ``failed`` and ``attempted``
+operations, from which the share of failed operations follows. The
 record goes to ``BENCH_<short base sha>.json`` at the repo root. A run that
 exits nonzero ends the comparison with exit status 1, after printing its
 side, workload, seed and stderr. Both exports are removed in every case.
@@ -92,7 +94,8 @@ def iqr(values: list):
 
 def summarize(runs: list) -> dict:
     """Medians and spreads per side and the pairs the change won, per
-    workload and metric."""
+    workload and metric; per workload, whether every run was correct and
+    each side's failed and attempted operations summed over its runs."""
     out = {}
     for workload in WORKLOADS:
         pairs = [r for r in runs if r["workload"] == workload]
@@ -111,6 +114,10 @@ def summarize(runs: list) -> dict:
         metrics["all_correct"] = all(
             p[side]["correct"] for p in pairs for side in ("base", "change")
         )
+        for total in ("failed", "attempted"):
+            metrics[total] = {
+                side: sum(p[side][total] for p in pairs) for side in ("base", "change")
+            }
         out[workload] = metrics
     return out
 
