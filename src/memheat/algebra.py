@@ -12,8 +12,13 @@ Everything downstream is built on three operations over sampled functions:
   (times monomial) weights, exact on the weight factor, so the accuracy is
   uniform in the decay rate instead of collapsing for stiff modes; one row
   per rate, the sum over a stack of operands, operand k against the weight
-  of degree k, summed in frequency space; `convolve_exp_monomial` /
-  `convolve_exp` are its one-row cases on sampled functions.
+  of degree k, summed in frequency space; `convolve_exp_monomial` is its
+  one-operand, one-rate case on sampled functions.
+
+These two one-row functions are the only ones kept: the benchmark's tracer
+times both by name, and the routes that work one row at a time (the kernel
+resolvent, the direct mode resolvent, the heat baseline and the end
+brackets of the moment targets) call them.
 
 The product quadrature is the load-bearing piece: a plain trapezoid rule
 applied to f(s) e^{-mu2 (t-s)} loses all accuracy once mu2*dt is order one,
@@ -147,11 +152,6 @@ def _solve_span(y, f, K, inv, dt, lo, hi, top):
         spectrum *= np.fft.rfft(K[r : r + rows, :m], size)
         y[r : r + rows, mid:hi] += np.fft.irfft(spectrum, size)[:, mid - lo : m]
     _solve_span(y, f, K, inv, dt, mid, hi, top)
-
-
-def exp_profile(grid: TimeGrid, rate: float) -> SampledFunction:
-    """Samples of e^{-rate * t} on the grid."""
-    return SampledFunction(grid, np.exp(-float(rate) * grid.nodes))
 
 
 # ---------------------------------------------------------------------------
@@ -359,23 +359,12 @@ def convolve_exp_monomial_stack(f: np.ndarray, grid: TimeGrid, rates) -> np.ndar
     return out
 
 
-def convolve_exp_monomial(
-    f: SampledFunction, mu2: float, k: int = 0
-) -> SampledFunction:
-    """(f * w)(t) for the weight w(u) = u^k e^{-mu2 u} / k!, exact in w:
-    `convolve_exp_monomial_stack` for one rate, f the operand of degree k
-    in a stack whose other operands are zero."""
-    if k < 0:
-        raise ValueError("monomial degree must be nonnegative")
-    operands = np.zeros((k + 1, f.grid.size))
-    operands[k] = f.values
-    out = convolve_exp_monomial_stack(operands, f.grid, mu2)
+def convolve_exp_monomial(f: SampledFunction, rate: float) -> SampledFunction:
+    """(f * e)(t) with e(u) = e^{-rate u}, exact in the exponential factor,
+    for any sign of the rate: `convolve_exp_monomial_stack` for one operand
+    and one rate."""
+    out = convolve_exp_monomial_stack(f.values, f.grid, rate)
     return SampledFunction(f.grid, out[0])
-
-
-def convolve_exp(f: SampledFunction, rate: float) -> SampledFunction:
-    """(f * e)(t) with e(u) = e^{-rate u}, exact in the exponential factor."""
-    return convolve_exp_monomial(f, rate, k=0)
 
 
 def end_pairing(f: SampledFunction, g: SampledFunction) -> float:

@@ -15,7 +15,10 @@ the triple. The mode resolvent h of the explicit route is the only per-mode
 array a caller passes in, and none is cached. The solve route builds the z
 and k of all a grid's modes as the rows of two stacks (`mode_equations`),
 each one product quadrature against a shared operand; a row holds the bits
-of the one-mode functions.
+of the one-mode routes. Those routes, `solve_mode`, `explicit_mode` and
+`heat_mode`, are the only one-mode functions kept, because the acceptance
+tests compare them; each reads row 0 of a stack (`mode_equations`,
+`_rhs_stack`) or calls the one-rate product quadrature.
 
 With no memory kernel the Volterra route degenerates, step by step, into the
 plain heat semigroup formula; the tests pin that degeneration down to exact
@@ -31,9 +34,8 @@ import numpy as np
 
 from .algebra import (
     convolve,
-    convolve_exp,
+    convolve_exp_monomial,
     convolve_exp_monomial_stack,
-    exp_profile,
     volterra_solve,
 )
 from .grids import SampledFunction, require_same_grid
@@ -65,18 +67,12 @@ def _rhs_stack(rates, rt: ResolventTriple, xis, g: SampledFunction) -> np.ndarra
     return k
 
 
-def modal_rhs(
-    mode: Mode, rt: ResolventTriple, xi: float, g: SampledFunction
-) -> SampledFunction:
-    """Right-hand side k = (e0 - e0*q) xi - e0*g of the mode equation."""
-    return SampledFunction(g.grid, _rhs_stack([mode.shifted_rate], rt, [xi], g)[0])
-
-
 def heat_mode(mode: Mode, xi: float, g: SampledFunction) -> ModalTrajectory:
     """Memoryless baseline: w(t) = e^{-lam2 t} xi - int e^{-lam2 (t-s)} g(s) ds."""
     grid = g.grid
     lam2 = mode.eigenvalue
-    w = xi * exp_profile(grid, lam2) - convolve_exp(g, lam2)
+    decay = SampledFunction(grid, np.exp(-lam2 * grid.nodes))
+    w = xi * decay - convolve_exp_monomial(g, lam2)
     return ModalTrajectory(xi, w)
 
 
@@ -116,6 +112,6 @@ def explicit_mode(
     g: SampledFunction,
 ) -> ModalTrajectory:
     """Closed-form route w = k - h*k through a precomputed mode resolvent h."""
-    k = modal_rhs(mode, rt, xi, g)
+    k = SampledFunction(g.grid, _rhs_stack([mode.shifted_rate], rt, [xi], g)[0])
     w = k - convolve(h, k)
     return ModalTrajectory(xi, w)

@@ -38,6 +38,7 @@ class MemoryKernel(ABC):
 
     @property
     def is_zero(self) -> bool:
+        """True when the kernel vanishes identically: no memory at all."""
         return False
 
     def sample(self, grid: TimeGrid) -> SampledFunction:
@@ -92,6 +93,10 @@ class ConstantKernel(MemoryKernel):
     def derivative(self, t):
         return np.zeros_like(np.asarray(t, dtype=float))
 
+    @property
+    def is_zero(self) -> bool:
+        return self.value == 0
+
     def closed_form_resolvent(self, t):
         c = float(self.value)
         return c * np.exp(-c * np.asarray(t, dtype=float))
@@ -135,6 +140,10 @@ class ExpSumKernel(MemoryKernel):
             out += -b * c * np.exp(-b * t)
         return out
 
+    @property
+    def is_zero(self) -> bool:
+        return all(c == 0 for c, _ in self.terms)
+
     def closed_form_resolvent(self, t):
         if len(self.terms) != 1:
             return None
@@ -167,6 +176,10 @@ class PolynomialKernel(MemoryKernel):
         t = np.asarray(t, dtype=float)
         dcoef = [k * c for k, c in enumerate(self.coeffs)][1:] or [0.0]
         return np.polynomial.polynomial.polyval(t, dcoef)
+
+    @property
+    def is_zero(self) -> bool:
+        return all(c == 0 for c in self.coeffs)
 
     def to_config(self) -> dict:
         return {"type": "polynomial", "coeffs": list(self.coeffs)}

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import convolve_exp, end_pairing
+from .algebra import convolve_exp_monomial, end_pairing
 from .errors import NumericalError, read_list, read_number, read_tagged
 from .grids import SampledFunction
 from .modes import Mode
@@ -136,9 +136,9 @@ def _end_brackets(rt: ResolventTriple) -> dict:
 
 
 def _end_bracket(rt: ResolventTriple, mu2: float, h: SampledFunction) -> float:
-    q = convolve_exp(rt.resolvent, mu2)
+    q = convolve_exp_monomial(rt.resolvent, mu2)
     e_end = float(np.exp(-mu2 * rt.grid.horizon))
-    he0_end = float(convolve_exp(h, mu2).values[-1])
+    he0_end = float(convolve_exp_monomial(h, mu2).values[-1])
     return e_end - q.values[-1] - he0_end + end_pairing(h, q)
 
 
@@ -214,8 +214,9 @@ def scope_threshold(modes, rt: ResolventTriple) -> int:
         if abs(resid) < 0.5 * abs(end):
             return mode.index
     raise NumericalError(
-        "no mode in the given range satisfies the nondegeneracy margin; "
-        "extend the mode range or adjust the horizon"
+        f"no mode n = {modes[0].index}..{modes[-1].index} satisfies the "
+        "nondegeneracy margin; pin \"scope\" in the config to an index past "
+        f"{modes[-1].index}, or adjust the horizon"
     )
 
 

@@ -36,16 +36,15 @@ from memheat.algebra import (
     _cell_moments_01,
     _moment_table,
     convolve,
-    convolve_exp,
     convolve_exp_monomial,
     convolve_exp_monomial_stack,
     end_pairing,
     volterra_solve,
     volterra_solve_stack,
 )
-from memheat.dynamics import modal_rhs, mode_equations
+from memheat.dynamics import mode_equations
 from memheat.modes import dirichlet_modes_1d
-from memheat.resolvents import mode_kernel, resolvent_of
+from memheat.resolvents import mode_kernels, resolvent_of
 
 GRID = TimeGrid(1.0, 1000)
 
@@ -323,8 +322,8 @@ def march_modes():
     grid = TimeGrid(1.0, 16000)
     rt, modes = march_triple(grid)
     zero = SampledFunction.zeros(grid)
-    z = np.array([mode_kernel(rt, m.shifted_rate).values for m in modes])
-    k = np.array([modal_rhs(m, rt, 1.0 / m.index, zero).values for m in modes])
+    z = np.array([mode_kernels(rt, m.shifted_rate)[0] for m in modes])
+    k = np.array([mode_equations([m], rt, [1.0 / m.index], zero)[1][0] for m in modes])
     return grid, z, k
 
 
@@ -400,7 +399,7 @@ def test_convolve_exp_linear_exactness(mu2):
     # the fitted rule integrates (affine f) x e^{-mu2 s} exactly per cell,
     # so f(t) = 2 + 3t has a closed-form convolution against the exponential
     f = sampled(lambda s: 2.0 + 3.0 * s)
-    out = convolve_exp(f, mu2)
+    out = convolve_exp_monomial(f, mu2)
     t = GRID.nodes
     if mu2 == 0.0:
         exact = 2.0 * t + 1.5 * t**2
@@ -418,7 +417,7 @@ def test_convolve_exp_linear_exactness(mu2):
 def test_convolve_exp_matches_plain_convolve_for_smooth_data():
     f = sampled(lambda s: np.sin(s))
     e = sampled(lambda s: np.exp(-0.7 * s))
-    fitted = convolve_exp(f, 0.7)
+    fitted = convolve_exp_monomial(f, 0.7)
     plain = convolve(f, e)
     assert (fitted - plain).sup_norm() < 1e-6
 
@@ -428,7 +427,7 @@ def test_convolve_exp_stiff_rate_stays_accurate():
     # the fitted rule keeps the O(dt^2) error of the smooth factor
     mu2 = 1e4
     f = sampled(lambda s: np.cos(s))
-    out = convolve_exp(f, mu2)
+    out = convolve_exp_monomial(f, mu2)
     t = GRID.nodes
     # oracle: int cos(t-u) e^{-mu2 u} du = [mu2 cos t ... ] exact form
     exact = (
@@ -440,16 +439,16 @@ def test_convolve_exp_stiff_rate_stays_accurate():
 def test_convolve_exp_monomial_quadratic_weight():
     # weight s^2/2! e^{-mu2 s} against f = 1:
     # int_0^t (s^2/2) e^{-mu2 s} ds = (2 - e^{-mu2 t}(mu2^2 t^2 + 2 mu2 t + 2)) / (2 mu2^3)
+    # (f = 1 as the operand of degree 2 in a stack whose other operands are 0)
     mu2 = 3.0
-    one = sampled(np.ones_like)
-    out = convolve_exp_monomial(one, mu2, 2)
+    operands = np.zeros((3, GRID.size))
+    operands[2] = 1.0
+    out = convolve_exp_monomial_stack(operands, GRID, mu2)[0]
     t = GRID.nodes
     exact = (2.0 - np.exp(-mu2 * t) * (mu2**2 * t**2 + 2 * mu2 * t + 2)) / (
         2.0 * mu2**3
     )
-    assert np.max(np.abs(out.values - exact)) < 1e-8
-    with pytest.raises(NumericalError):
-        convolve_exp_monomial(one, -1.0, 2)  # k >= 1 requires decay
+    assert np.max(np.abs(out - exact)) < 1e-8
 
 
 def quadrature_rates(rng, rows, positive):
@@ -566,8 +565,6 @@ def test_quadrature_stack_checks_every_row(monkeypatch):
     with pytest.raises(NumericalError, match="requires a positive rate"):
         convolve_exp_monomial_stack(np.ones((2, GRID.size)), GRID, [2.0, 0.0, 1.0])
     assert transforms == []  # refused before any FFT
-    with pytest.raises(ValueError, match="nonnegative"):
-        convolve_exp_monomial(SampledFunction(GRID, one), 1.0, -1)
     assert convolve_exp_monomial_stack(one, GRID, [-1.0, 0.0]).shape == (2, GRID.size)
     assert convolve_exp_monomial_stack(one, GRID, []).shape == (0, GRID.size)
 
@@ -623,7 +620,7 @@ def test_cell_moment_rows_ignore_request_order():
 
 def test_convolve_exp_negative_rate():
     # growing exponential, k = 0 path: 1 * e^{3s} = (e^{3t} - 1)/3
-    out = convolve_exp(sampled(np.ones_like), -3.0)
+    out = convolve_exp_monomial(sampled(np.ones_like), -3.0)
     exact = (np.exp(3.0 * GRID.nodes) - 1.0) / 3.0
     assert np.max(np.abs(out.values - exact)) / np.max(exact) < 1e-12
 

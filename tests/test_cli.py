@@ -20,6 +20,7 @@ import pytest
 from memheat import biorth
 from memheat.cli import main
 from memheat.config import MAX_BIORTH_FAMILY, MAX_CONTROL_FAMILY, MAX_MODES, MAX_SCOPE
+from memheat.experiments import SCOPE_SEARCH_WIDTH
 
 SMALL = {
     "kernel": {"type": "constant", "value": 1.0},
@@ -201,13 +202,13 @@ def test_moment_evaluates_each_end_bracket_once(tmp_path, monkeypatch):
     from memheat import moments
 
     rates = []
-    convolve_exp = moments.convolve_exp
+    convolve_exp_monomial = moments.convolve_exp_monomial
 
     def counted(f, rate):
         rates.append(rate)
-        return convolve_exp(f, rate)
+        return convolve_exp_monomial(f, rate)
 
-    monkeypatch.setattr(moments, "convolve_exp", counted)
+    monkeypatch.setattr(moments, "convolve_exp_monomial", counted)
     cfg = write_config(tmp_path, SMALL)
     assert main(["moment", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
     assert len(set(rates)) == SMALL["modes"]
@@ -222,6 +223,47 @@ def test_moment_at_a_far_scope_builds_only_its_window(tmp_path):
     assert read_json(out / "moment_summary.json")["scope_start"] == 100_000_000
     modes = read_json(out / "moments.json")["modes"]
     assert [m["n"] for m in modes] == [100_000_000, 100_000_001]
+
+
+ZERO_SPELLINGS = [
+    {"type": "constant", "value": 0},
+    {"type": "polynomial", "coeffs": [0.0, 0.0]},
+    {"type": "exp_sum", "terms": [{"c": 0, "b": 2}]},
+]
+MOMENT_FILES = ("moments.json", "asymptotics.csv", "moment_summary.json")
+
+
+@pytest.mark.parametrize("kernel", ZERO_SPELLINGS, ids=lambda k: k["type"])
+def test_zero_valued_kernel_moment_is_memoryless(tmp_path, kernel):
+    # a kernel that vanishes identically has no resolvent to guard: its
+    # moment files are those of the zero kernel, not a horizon refusal
+    runs = {}
+    for name, spelling in (("zero", {"type": "zero"}), ("spelled", kernel)):
+        data = {"kernel": spelling, "steps": 200, "modes": 4}
+        cfg = write_config(tmp_path, data, f"{name}.json")
+        runs[name] = tmp_path / name
+        assert main(["moment", "--config", str(cfg), "--out", str(runs[name])]) == 0
+    for file in MOMENT_FILES:
+        assert (runs["spelled"] / file).read_bytes() == (runs["zero"] / file).read_bytes()
+    assert read_json(runs["spelled"] / "moment_summary.json")["regime"] == "memoryless"
+
+
+def test_scope_search_failure_names_the_scope_key(tmp_path, capsys):
+    # no mode of the searched range passes the margin; pinning "scope" past
+    # it is the config's way out, so the message must say so
+    data = {
+        "kernel": {"type": "polynomial", "coeffs": [1.0, 40000.0]},
+        "horizon": 1.0,
+        "steps": 100,
+        "modes": 2,
+    }
+    cfg = write_config(tmp_path, data)
+    out = tmp_path / "run"
+    assert main(["moment", "--config", str(cfg), "--out", str(out)]) == 3
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert f"n = 1..{SCOPE_SEARCH_WIDTH}" in err
+    assert f'pin "scope" in the config to an index past {SCOPE_SEARCH_WIDTH}' in err
 
 
 def test_biorth_command(tmp_path):

@@ -32,14 +32,14 @@ from memheat import (
     ZeroKernel,
 )
 from memheat import dynamics
-from memheat.algebra import convolve, convolve_exp
+from memheat.algebra import convolve, convolve_exp_monomial
 from memheat.config import config_from_dict
 from memheat.experiments import cmd_simulate
 from memheat.dynamics import (
     ModalTrajectory,
     heat_mode,
     explicit_mode,
-    modal_rhs,
+    mode_equations,
     solve_mode,
 )
 from memheat.modes import dirichlet_modes_1d
@@ -63,6 +63,11 @@ def exact_const_memory(lam2, xi, g_const, t, c=1.0):
 
 def const_forcing(grid, value):
     return SampledFunction(grid, np.full(grid.size, float(value)))
+
+
+def rhs(mode, rt, xi, g):
+    """Right-hand side k of one mode's equation: row 0 of its stack."""
+    return SampledFunction(g.grid, mode_equations([mode], rt, [xi], g)[1][0])
 
 
 def test_heat_mode_free():
@@ -218,8 +223,8 @@ def test_plug_back_residual_converges_second_order():
         rt = resolvent_of(ConstantKernel(1.0), grid)
         g = SampledFunction.zeros(grid)
         w = solve_mode(mode, rt, 1.0, g).w
-        iterated = convolve_exp(convolve(rt.resolvent_deriv, w), mode.shifted_rate)
-        return (w - iterated - modal_rhs(mode, rt, 1.0, g)).sup_norm()
+        iterated = convolve_exp_monomial(convolve(rt.resolvent_deriv, w), mode.shifted_rate)
+        return (w - iterated - rhs(mode, rt, 1.0, g)).sup_norm()
 
     coarse = resid_at(GRID)
     fine = resid_at(TimeGrid(GRID.horizon, 2 * GRID.steps))
@@ -240,13 +245,13 @@ def test_zero_forcing_skips_its_convolution(monkeypatch):
     rt = resolvent_of(ConstantKernel(1.0), GRID)
     mode = dirichlet_modes_1d(2, gain=1.0)[1]
     zero = SampledFunction.zeros(GRID)
-    k = modal_rhs(mode, rt, 0.7, zero)
+    k = rhs(mode, rt, 0.7, zero)
     assert [f is rt.resolvent.values for f in calls] == [True]
-    with_zero = k - convolve_exp(zero, mode.shifted_rate)
+    with_zero = k - convolve_exp_monomial(zero, mode.shifted_rate)
     assert k.values.tobytes() == with_zero.values.tobytes()
     calls.clear()
     g = const_forcing(GRID, 1.0)
-    modal_rhs(mode, rt, 0.7, g)
+    rhs(mode, rt, 0.7, g)
     assert [f is h.values for f, h in zip(calls, (rt.resolvent, g))] == [True, True]
 
 

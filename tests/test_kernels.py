@@ -34,6 +34,15 @@ def test_constant_kernel():
     assert np.allclose(k.closed_form_resolvent(T), 2.5 * np.exp(-2.5 * T))
 
 
+def test_zero_valued_kernels_are_zero():
+    # every family's spelling of m = 0 is memoryless, and only that one
+    assert ConstantKernel(0.0).is_zero
+    assert ExpSumKernel(((0.0, 2.0), (0.0, 0.0))).is_zero
+    assert PolynomialKernel((0.0, 0.0)).is_zero
+    assert not ExpSumKernel(((0.0, 2.0), (1e-300, 1.0))).is_zero
+    assert not PolynomialKernel((0.0, 0.0, -1.0)).is_zero
+
+
 def test_exp_sum_kernel():
     k = ExpSumKernel(((1.5, 2.0),))
     assert np.allclose(k(T), 1.5 * np.exp(-2.0 * T))

@@ -22,7 +22,7 @@ from memheat import (
     TimeGrid,
     ZeroKernel,
 )
-from memheat.algebra import convolve, convolve_exp
+from memheat.algebra import convolve, convolve_exp_monomial
 from memheat.dynamics import solve_mode
 from memheat.modes import BoundaryControl, dirichlet_modes_1d, trace_pairing
 from memheat.moments import (
@@ -186,8 +186,8 @@ def test_pairing_matches_dynamics(n):
     f = SampledFunction.from_callable(grid, lambda t: np.sin(3.0 * t) + 0.25)
     control = BoundaryControl.at_right(f)
     h = mode_resolvent_direct(rt, mu2)
-    direct = convolve_exp(f, mu2).values[-1]
-    smoothed = convolve_exp(convolve(f, h), mu2).values[-1]
+    direct = convolve_exp_monomial(f, mu2).values[-1]
+    smoothed = convolve_exp_monomial(convolve(f, h), mu2).values[-1]
     via_kernel = mu2 * mode.trace_right * (direct - smoothed)
     traj = solve_mode(mode, rt, 0.0, trace_pairing(mode, control))
     via_dynamics = -mu2 * traj.w.values[-1]
