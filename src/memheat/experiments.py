@@ -83,20 +83,21 @@ def cmd_resolvent(config: ExperimentConfig) -> dict:
 
     header = ["t", "kernel", "resolvent", "resolvent_deriv"]
     columns = [grid.nodes, kernel_vals, rt.resolvent.values, rt.resolvent_deriv.values]
-    oracle_sup_error = None
-    if oracle is not None:
-        err = np.abs(rt.resolvent.values - oracle)
-        oracle_sup_error = float(err.max())
-        header += ["oracle", "abs_error"]
-        columns += [oracle, err]
-    rows = list(zip(*columns))
-
     summary = {
         "gain": rt.gain,
         "identity_residual": rt.identity_residual(),
         "end_value": rt.end_value(),
-        "oracle_sup_error": oracle_sup_error,
+        "oracle_sup_error": None,
     }
+    # an overflowing closed form is an oracle not run; only then is the reason written
+    if oracle is not None and not np.all(np.isfinite(oracle)):
+        summary["oracle_not_run"] = "the closed form is not finite on this grid"
+    elif oracle is not None:
+        err = np.abs(rt.resolvent.values - oracle)
+        summary["oracle_sup_error"] = float(err.max())
+        header += ["oracle", "abs_error"]
+        columns += [oracle, err]
+    rows = list(zip(*columns))
     return {"resolvent.csv": (header, rows), "resolvent_summary.json": summary}
 
 
@@ -226,8 +227,8 @@ def cmd_moment(config: ExperimentConfig) -> dict:
         start = int(config.scope)
     window = dirichlet_modes_1d(config.modes, rt.gain, first=start)
 
-    record = build_moment_problem(window, rt, config.initial)
     report = asymptotic_table(window, rt)
+    record = build_moment_problem(window, rt, config.initial, report.brackets)
 
     rows = [
         (m["n"], m["mu2"], m["d_n"], ratio, resid, abs(resid) * m["mu2"])
@@ -260,14 +261,14 @@ def cmd_biorth(config: ExperimentConfig) -> dict:
     sanity control, and the finite-horizon domination check."""
     gain = config.kernel.value_at_zero
     first = first_positive_index(gain)
-    ns = np.arange(first, config.biorth_family + 1)
-    mu2 = (ns * math.pi) ** 2 - gain
-    if not ns.size:
+    if first > config.biorth_family:  # before np.arange, which a huge first overflows
         raise ConfigError(
             "biorth.family",
             f"no mode up to {config.biorth_family} has a positive rate for this "
             f"kernel (first usable mode is {first})",
         )
+    ns = np.arange(first, config.biorth_family + 1)
+    mu2 = (ns * math.pi) ** 2 - gain
     lo, hi = config.fit_window
     if lo < first:
         raise ConfigError(

@@ -16,12 +16,14 @@ two-time kernel independent of n, the profiles psi_n are plain
 exponentials; the biorthogonality problem against {mu2_n e^{-mu2_n r}} that
 this leaves is measured in `biorth`.
 
-The per-mode functions build what they need from each mode and the
-resolvent triple. The one piece of per-mode work they share, the end-value
-bracket of d_n, is cached as a single float per rate on the triple
-(`free_end_value`). The scope search fills it one mode at a time, since it
-stops at the first mode that passes; `build_moment_problem` fills it for the
-rest of the window with one stacked solve of their mode resolvents.
+The bracket of d_n per unit initial value depends only on the mode's rate.
+`end_brackets` computes it for a stack of rates in one pass: one stacked
+solve of their mode resolvents h and one stacked product quadrature for
+e0*q. The scope search reads one rate at a time (`free_end_value`), since
+it stops at the first mode that passes; `asymptotic_table` computes the
+brackets of the whole window in one call and carries them in its report,
+and `build_moment_problem` scales those by the initial data. Nothing is
+cached on the triple.
 """
 
 from __future__ import annotations
@@ -30,13 +32,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import convolve_exp_monomial, end_pairing
+from .algebra import convolve_exp_monomial, convolve_exp_monomial_stack, end_pairing
 from .errors import NumericalError, read_list, read_number, read_tagged
 from .grids import SampledFunction
 from .modes import Mode
-from .resolvents import ResolventTriple, mode_resolvent_direct, mode_resolvent_stack
+from .resolvents import ResolventTriple, mode_resolvent_stack
+# the benchmark's tracer self-test (perfbench/test_checks.py) reads this binding
+from .resolvents import mode_resolvent_direct  # noqa: F401
 
-END_VALUE_GUARD = 1e-4  # relative floor on |resolvent(T)| before we refuse
+END_VALUE_GUARD = 1e-4  # floor on |resolvent(T)| / sup |resolvent| before we refuse
 
 
 @dataclass(frozen=True)
@@ -98,13 +102,14 @@ def check_end_value(rt: ResolventTriple) -> float:
     vanishes the whole construction degenerates at this horizon. The
     resolvent of a nonzero analytic kernel is analytic and not identically
     zero, so its zeros are isolated: nearby horizons work. The error message
-    says so instead of pretending the method failed globally.
+    says so instead of pretending the method failed globally. The guard is
+    relative to the resolvent's own size, which scales with the kernel: a
+    weak kernel has a small resolvent everywhere, not a zero at T.
     """
     end = rt.end_value()
     if rt.kernel.is_zero:
         return end
-    scale = max(1.0, rt.resolvent.sup_norm())
-    if abs(end) < END_VALUE_GUARD * scale:
+    if abs(end) < END_VALUE_GUARD * rt.resolvent.sup_norm():
         raise NumericalError(
             f"the kernel resolvent vanishes at the horizon T = "
             f"{rt.grid.horizon:g} (value {end:.3e}); the rescaled targets "
@@ -114,41 +119,31 @@ def check_end_value(rt: ResolventTriple) -> float:
     return end
 
 
-def free_end_value(mode: Mode, rt: ResolventTriple, xi: float = 1.0) -> float:
-    """Value at T of the uncontrolled mode started at xi (the target d_n).
+def end_brackets(rt: ResolventTriple, rates) -> np.ndarray:
+    """The bracket of the target d_n per unit initial value, for every rate.
 
     Evaluated directly from the explicit representation at the final node:
-    d = [e^{-mu2 T} - (e0*q)(T) - (h*e0)(T) + (h*(e0*q))(T)] xi. The bracket
-    depends only on the rate, so it is computed once per rate and kept on
-    the triple; the scope search, the targets and the asymptotic table all
-    read it. Only that scalar is kept, never h or e0*q.
+    d = [e^{-mu2 T} - (e0*q)(T) - (h*e0)(T) + (h*(e0*q))(T)] xi. The mode
+    resolvents h of all rates are one stacked solve and their e0*q one
+    stacked product quadrature; entry i has the bits of a call for rates[i]
+    alone.
     """
-    mu2 = mode.shifted_rate
-    brackets = _end_brackets(rt)
-    if mu2 not in brackets:
-        brackets[mu2] = _end_bracket(rt, mu2, mode_resolvent_direct(rt, mu2))
-    return brackets[mu2] * xi
+    grid = rt.grid
+    h = mode_resolvent_stack(rt, rates)
+    e0q = convolve_exp_monomial_stack(rt.resolvent.values, grid, rates)
+    out = np.empty(len(rates))
+    for i, mu2 in enumerate(rates):
+        h_i, q_i = SampledFunction(grid, h[i]), SampledFunction(grid, e0q[i])
+        e_end = float(np.exp(-mu2 * grid.horizon))
+        he0_end = float(convolve_exp_monomial(h_i, mu2).values[-1])
+        out[i] = e_end - q_i.values[-1] - he0_end + end_pairing(h_i, q_i)
+    return out
 
 
-def _end_brackets(rt: ResolventTriple) -> dict:
-    """The bracket of d_n per rate, cached on the triple."""
-    return rt.__dict__.setdefault("_end_brackets", {})
-
-
-def _end_bracket(rt: ResolventTriple, mu2: float, h: SampledFunction) -> float:
-    q = convolve_exp_monomial(rt.resolvent, mu2)
-    e_end = float(np.exp(-mu2 * rt.grid.horizon))
-    he0_end = float(convolve_exp_monomial(h, mu2).values[-1])
-    return e_end - q.values[-1] - he0_end + end_pairing(h, q)
-
-
-def _cache_end_brackets(modes, rt: ResolventTriple) -> None:
-    """Fill the bracket cache for every rate of `modes` it lacks, with one
-    stacked solve of their mode resolvents (the rates of a scope window)."""
-    brackets = _end_brackets(rt)
-    rates = [m.shifted_rate for m in modes if m.shifted_rate not in brackets]
-    for mu2, h in zip(rates, mode_resolvent_stack(rt, rates)):
-        brackets[mu2] = _end_bracket(rt, mu2, SampledFunction(rt.grid, h))
+def free_end_value(mode: Mode, rt: ResolventTriple, xi: float = 1.0) -> float:
+    """Value at T of the uncontrolled mode started at xi (the target d_n):
+    the mode's row of `end_brackets` times xi."""
+    return end_brackets(rt, [mode.shifted_rate])[0] * xi
 
 
 @dataclass(frozen=True)
@@ -160,35 +155,40 @@ class AsymptoticReport:
     sup_weighted_residual: float  # sup over n of |residual_n| mu2_n
     regime: str  # "memory" or "memoryless"
     end_value: float
+    brackets: tuple  # d_n per unit initial value (`end_brackets`)
 
 
 def asymptotic_table(modes, rt: ResolventTriple) -> AsymptoticReport:
     """Tabulate mu2_n d_n (per unit initial value) and the law residuals.
 
-    For a zero kernel the ratios decay to zero and the report is flagged
-    memoryless; for a genuine kernel the horizon guard applies.
+    The brackets of all modes are one `end_brackets` call, kept in the
+    report. Every mode needs a positive shifted rate. For a zero kernel the
+    ratios decay to zero and the report is flagged memoryless; for a
+    genuine kernel the horizon guard applies.
     """
+    if any(m.shifted_rate <= 0 for m in modes):
+        raise NumericalError(
+            f"scope start {modes[0].index} admits a nonpositive shifted rate; "
+            "raise the start index past the gain crossover"
+        )
     if rt.kernel.is_zero:
         end = 0.0
         regime = "memoryless"
     else:
         end = check_end_value(rt)
         regime = "memory"
+    rates = [m.shifted_rate for m in modes]
+    brackets = end_brackets(rt, rates)
     ratios, residuals = [], []
     sup_weighted = 0.0
-    for mode in modes:
-        if mode.shifted_rate <= 0:
-            raise ValueError(
-                "asymptotic table needs modes with positive shifted rates"
-            )
-        d = free_end_value(mode, rt)
-        ratio = mode.shifted_rate * d
+    for mu2, bracket in zip(rates, brackets):
+        ratio = mu2 * bracket
         resid = ratio + end
         ratios.append(ratio)
         residuals.append(resid)
-        sup_weighted = max(sup_weighted, abs(resid) * mode.shifted_rate)
+        sup_weighted = max(sup_weighted, abs(resid) * mu2)
     return AsymptoticReport(
-        tuple(ratios), tuple(residuals), sup_weighted, regime, end
+        tuple(ratios), tuple(residuals), sup_weighted, regime, end, tuple(brackets)
     )
 
 
@@ -225,28 +225,26 @@ def scope_threshold(modes, rt: ResolventTriple) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_moment_problem(modes, rt: ResolventTriple, initial: InitialData) -> dict:
+def build_moment_problem(
+    modes, rt: ResolventTriple, initial: InitialData, brackets
+) -> dict:
     """JSON record (stable external schema) of the targets d_n of `modes`.
 
     `modes` is the scope window: it starts at the `scope_threshold` of a
-    search or at an index pinned by hand.
+    search or at an index pinned by hand. `brackets` holds their rows of
+    `end_brackets` (the `asymptotic_table` report carries them), each scaled
+    here by the mode's initial value.
     """
-    if any(m.shifted_rate <= 0 for m in modes):
-        raise NumericalError(
-            f"scope start {modes[0].index} admits a nonpositive shifted rate; "
-            "raise the start index past the gain crossover"
-        )
-    _cache_end_brackets(modes, rt)
     return {
         "T": rt.grid.horizon,
         "modes": [
             {
                 "n": mode.index,
                 "mu2": mode.shifted_rate,
-                "d_n": free_end_value(mode, rt, xi=initial.value(mode.index)),
+                "d_n": bracket * initial.value(mode.index),
                 "trace_factors": [mode.trace_left, mode.trace_right],
             }
-            for mode in modes
+            for mode, bracket in zip(modes, brackets)
         ],
         "grid": {"horizon": rt.grid.horizon, "steps": rt.grid.steps},
     }

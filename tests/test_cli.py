@@ -170,49 +170,83 @@ def test_moment_command_schema(tmp_path):
     assert header == ["n", "mu2", "d_n", "ratio", "residual", "weighted_residual"]
 
 
-def test_moment_solves_each_mode_resolvent_once(tmp_path, monkeypatch):
-    # the scope search, the targets and the asymptotic table share h_n: the
-    # search solves one rate at a time, the window the rest in one stack
+@pytest.mark.parametrize("scope", ["auto", 3])
+def test_moment_window_brackets_are_one_stacked_call(tmp_path, monkeypatch, scope):
+    # the scope search reads one rate at a time and stops at mode 1; the
+    # window's brackets are then one end_brackets call over exactly its
+    # rates, whose h and e0*q are each one stacked call over the same rates,
+    # and whose (h*e0)(T) is one one-row quadrature per rate
     from memheat import moments
 
-    rates, stacks = [], []
-    solve = moments.mode_resolvent_direct
-    solve_stack = moments.mode_resolvent_stack
+    calls = {"brackets": [], "h": [], "e0q": [], "he0": []}
 
-    def counted(rt, mu2):
-        rates.append(mu2)
-        return solve(rt, mu2)
+    def counted(name, fn, rates_at):
+        def wrapper(*args):
+            calls[name].append(list(args[rates_at]))
+            return fn(*args)
 
-    def counted_stack(rt, stacked):
-        rates.extend(stacked)
-        stacks.append(len(stacked))
-        return solve_stack(rt, stacked)
+        return wrapper
 
-    monkeypatch.setattr(moments, "mode_resolvent_direct", counted)
-    monkeypatch.setattr(moments, "mode_resolvent_stack", counted_stack)
+    monkeypatch.setattr(moments, "end_brackets", counted("brackets", moments.end_brackets, 1))
+    monkeypatch.setattr(
+        moments, "mode_resolvent_stack", counted("h", moments.mode_resolvent_stack, 1)
+    )
+    monkeypatch.setattr(
+        moments,
+        "convolve_exp_monomial_stack",
+        counted("e0q", moments.convolve_exp_monomial_stack, 2),
+    )
+    monkeypatch.setattr(
+        moments,
+        "convolve_exp_monomial",
+        counted("he0", moments.convolve_exp_monomial, slice(1, 2)),
+    )
+    cfg = write_config(tmp_path, {**SMALL, "scope": scope})
+    out = tmp_path / "run"
+    assert main(["moment", "--config", str(cfg), "--out", str(out)]) == 0
+    window = [m["mu2"] for m in read_json(out / "moments.json")["modes"]]
+    assert len(window) == SMALL["modes"]
+    search = [window[:1]] if scope == "auto" else []
+    assert calls["brackets"] == search + [window]
+    assert calls["h"] == calls["e0q"] == calls["brackets"]
+    assert calls["he0"] == [[rate] for rates in calls["brackets"] for rate in rates]
+
+
+def test_moment_leaves_the_resolvent_triple_unchanged(tmp_path, monkeypatch):
+    # the triple is frozen: the scope search, the table and the record
+    # store nothing on it
+    from memheat import experiments
+
+    triples = []
+    resolvent_of = experiments.resolvent_of
+
+    def recorded(kernel, grid):
+        rt = resolvent_of(kernel, grid)
+        triples.append((rt, dict(vars(rt))))
+        return rt
+
+    monkeypatch.setattr(experiments, "resolvent_of", recorded)
     cfg = write_config(tmp_path, SMALL)
     assert main(["moment", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
-    assert len(rates) == len(set(rates)) == SMALL["modes"]
-    assert stacks == [SMALL["modes"] - 1]  # the search's passing mode is cached
+    assert len(triples) == 1
+    rt, before = triples[0]
+    assert vars(rt).keys() == before.keys()
+    assert all(vars(rt)[key] is value for key, value in before.items())
 
 
-def test_moment_evaluates_each_end_bracket_once(tmp_path, monkeypatch):
-    # free_end_value convolves twice per rate; the scope search, the targets
-    # and the asymptotic table read the bracket cached on the triple
-    from memheat import moments
-
-    rates = []
-    convolve_exp_monomial = moments.convolve_exp_monomial
-
-    def counted(f, rate):
-        rates.append(rate)
-        return convolve_exp_monomial(f, rate)
-
-    monkeypatch.setattr(moments, "convolve_exp_monomial", counted)
-    cfg = write_config(tmp_path, SMALL)
-    assert main(["moment", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
-    assert len(set(rates)) == SMALL["modes"]
-    assert all(rates.count(rate) == 2 for rate in rates)
+def test_weak_kernel_moment_runs_as_memory(tmp_path):
+    # the resolvent of m = 1e-5 stays near 1e-5 everywhere: small, not
+    # vanishing at T, so the horizon guard (relative to sup |R|) passes it
+    data = {"kernel": {"type": "constant", "value": 1e-5}, "steps": 200, "modes": 4}
+    cfg = write_config(tmp_path, data)
+    out = tmp_path / "run"
+    assert main(["moment", "--config", str(cfg), "--out", str(out)]) == 0
+    summary = read_json(out / "moment_summary.json")
+    assert summary["regime"] == "memory"
+    assert summary["limit"] == pytest.approx(-1e-5 * math.exp(-1e-5), rel=1e-6)
+    # mode 1's memoryless part, mu2 e^{-mu2} ~ 5e-4, outweighs half the limit
+    assert summary["scope_start"] == 2
+    assert summary["sup_weighted_residual"] < 1e-9
 
 
 def test_moment_at_a_far_scope_builds_only_its_window(tmp_path):
@@ -491,6 +525,50 @@ def test_biorth_without_usable_modes_exits_2(tmp_path, capsys, biorth_record, ke
     assert not out.exists()
     err = capsys.readouterr().err
     assert key in err and "first usable mode is 11" in err
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        {"type": "constant", "value": 1e40},
+        {"type": "exp_sum", "terms": [{"c": 1e200, "b": 1}]},
+        {"type": "polynomial", "coeffs": [1e200, 30]},
+    ],
+    ids=lambda k: k["type"],
+)
+def test_biorth_at_a_huge_gain_exits_2(tmp_path, capsys, kernel):
+    # the first usable mode is past 2^63, so no family member is usable and
+    # the family must be refused before any array of indices is built
+    cfg = write_config(tmp_path, {"kernel": kernel})
+    out = tmp_path / "run"
+    assert main(["biorth", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "biorth.family" in err and "first usable mode is" in err
+
+
+def test_resolvent_with_an_overflowing_oracle_writes_finite_data(tmp_path):
+    # m = -50: the closed form -50 e^{50 t} overflows past t ~ 14 while the
+    # solved resolvent stays finite; the oracle is then not run, as for a
+    # kernel without a closed form, and says why
+    data = {"kernel": {"type": "constant", "value": -50}, "horizon": 50, "steps": 400}
+    cfg = write_config(tmp_path, data)
+    out = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the closed form's overflow
+        assert main(["resolvent", "--config", str(cfg), "--out", str(out)]) == 0
+    for path in out.glob("*.json"):
+        read_json(path)
+    for path in out.glob("*.csv"):
+        lines = path.read_text().splitlines()
+        cells = [float(cell) for line in lines[1:] for cell in line.split(",")]
+        assert all(math.isfinite(cell) for cell in cells), path.name
+    assert read_csv_header(out / "resolvent.csv") == [
+        "t", "kernel", "resolvent", "resolvent_deriv"
+    ]
+    summary = read_json(out / "resolvent_summary.json")
+    assert summary["oracle_sup_error"] is None
+    assert "not finite" in summary["oracle_not_run"]
 
 
 def test_degenerate_horizon_exits_3_without_output(tmp_path):

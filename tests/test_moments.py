@@ -13,6 +13,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memheat import (
     ConstantKernel,
@@ -30,6 +32,7 @@ from memheat.moments import (
     asymptotic_table,
     build_moment_problem,
     check_end_value,
+    end_brackets,
     free_end_value,
     scope_threshold,
 )
@@ -69,7 +72,7 @@ def test_memoryless_targets_are_exact():
 
 @pytest.mark.parametrize("xi", [0.0, -0.7, 3.0])
 def test_cached_end_bracket_gives_the_same_bits(xi):
-    # the bracket cached by an xi = 1 call scales to the uncached value
+    # an earlier xi = 1 call on the same triple leaves the value unchanged
     mode = dirichlet_modes_1d(2, gain=1.0)[1]
     grid = TimeGrid(1.0, 200)
     fresh = free_end_value(mode, resolvent_of(ConstantKernel(1.0), grid), xi=xi)
@@ -77,6 +80,26 @@ def test_cached_end_bracket_gives_the_same_bits(xi):
     free_end_value(mode, rt)
     cached = free_end_value(mode, rt, xi=xi)
     assert np.float64(cached).tobytes() == np.float64(fresh).tobytes()
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    st.floats(min_value=-2.0, max_value=30.0),
+    st.floats(min_value=0.05, max_value=2.0),
+    st.integers(min_value=2, max_value=400),
+    st.integers(min_value=1, max_value=8),
+    st.floats(min_value=-3.0, max_value=3.0),
+)
+def test_free_end_value_is_its_row_of_end_brackets(gain, horizon, steps, count, xi):
+    # the one-rate target is the stacked bracket times xi, bit for bit, at
+    # either rate sign and wherever the rate sits in the stack
+    rt = resolvent_of(ConstantKernel(gain), TimeGrid(horizon, steps))
+    modes = dirichlet_modes_1d(count, gain=gain)
+    brackets = end_brackets(rt, [m.shifted_rate for m in modes])
+    for mode, bracket in zip(modes, brackets):
+        for x in (1.0, xi):
+            d = free_end_value(mode, rt, xi=x)
+            assert np.float64(d).tobytes() == np.float64(bracket * x).tobytes()
 
 
 def test_asymptotic_law_memory():
@@ -144,8 +167,12 @@ def test_build_moment_problem_and_record():
     modes = dirichlet_modes_1d(5, gain=1.0)
     start = scope_threshold(modes, rt)
     assert start == 1
-    record = build_moment_problem(modes, rt, InitialData.inverse_index())
+    report = asymptotic_table(modes, rt)
+    record = build_moment_problem(modes, rt, InitialData.inverse_index(), report.brackets)
     assert [m["n"] for m in record["modes"]] == [1, 2, 3, 4, 5]
+    assert [m["d_n"] for m in record["modes"]] == [
+        b * (1.0 / m.index) for b, m in zip(report.brackets, modes)
+    ]
     assert record["T"] == 1.0
     # rescaled targets track the law times the initial data
     for m in record["modes"]:
@@ -168,9 +195,12 @@ def test_build_moment_problem_start_validation():
     grid = TimeGrid(0.1, 500)
     rt = resolvent_of(ConstantKernel(20.0), grid)
     modes = dirichlet_modes_1d(5, gain=20.0)
+    # the window's brackets come from the asymptotic table, which refuses a
+    # nonpositive rate before solving anything
     with pytest.raises(NumericalError, match="scope start 1 admits"):
-        build_moment_problem(modes, rt, InitialData("zero"))
-    record = build_moment_problem(modes[1:], rt, InitialData("zero"))
+        asymptotic_table(modes, rt)
+    report = asymptotic_table(modes[1:], rt)
+    record = build_moment_problem(modes[1:], rt, InitialData("zero"), report.brackets)
     assert [m["n"] for m in record["modes"]] == [2, 3, 4, 5]
 
 
