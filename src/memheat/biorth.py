@@ -22,6 +22,13 @@ Python integers), the products are summed exactly, and the sum is rounded
 once at the working precision. A control sweep's squared norms are one
 running exact sum, rounded once per sweep point.
 
+Both Gram builders form their entries on mpmath's libmp/libmpc tuples, one
+libmp call for each operation of the mpf/mpc expression, in its order and
+with its rounding, so every entry has the bits that expression gives. The
+control Gram takes one exact shortcut: where a real product e f of two
+exponentials lies below 2^(-prec-4), e f - 1 is taken as exactly -1, which
+is what it rounds to at round-to-nearest.
+
 Two independent oracles keep the computation honest: the infinite-horizon
 Gram matrix is a Cauchy matrix with a classical closed-form inverse, and the
 constant-kernel control sweeps use exact two-exponential mode profiles
@@ -37,7 +44,27 @@ from operator import mul
 
 import numpy as np
 from mpmath import mp, mpf, workprec
-from mpmath.libmp import from_man_exp, fzero, mpf_mul, mpf_pos, mpf_sum
+from mpmath.libmp import (
+    fnone,
+    fone,
+    from_man_exp,
+    fzero,
+    mpc_add,
+    mpc_add_mpf,
+    mpc_div,
+    mpc_mul,
+    mpc_mul_mpf,
+    mpc_sub_mpf,
+    mpf_add,
+    mpf_div,
+    mpf_exp,
+    mpf_mul,
+    mpf_neg,
+    mpf_pos,
+    mpf_rdiv_int,
+    mpf_sub,
+    mpf_sum,
+)
 
 from .errors import NumericalError, PrecisionError
 from .grids import TimeGrid
@@ -85,14 +112,25 @@ def gram(exponents, horizon, precision: int = 256) -> GramSystem:
 
 
 def _gram_matrix(exps, horizon):
-    """Rows of entries at the current working precision (callers set workprec)."""
+    """Rows of entries at the current working precision (callers set workprec).
+
+    Each exponent is converted once; an entry is 1/s or (1 - e^{-sT})/s on
+    libmp tuples, with the roundings of that mpf expression.
+    """
+    prec, rnd = mp._prec_rounding
     n = len(exps)
     G = [[None] * n for _ in range(n)]
-    T = None if horizon is None else mpf(horizon)
+    xs = [mpf(x)._mpf_ for x in exps]
+    T = None if horizon is None else mpf(horizon)._mpf_
     for i in range(n):
         for j in range(i, n):
-            s = mpf(exps[i]) + mpf(exps[j])
-            G[i][j] = G[j][i] = 1 / s if T is None else (1 - mp.exp(-s * T)) / s
+            s = mpf_add(xs[i], xs[j], prec, rnd)
+            if T is None:
+                entry = mpf_rdiv_int(1, s, prec, rnd)
+            else:
+                decay = mpf_exp(mpf_mul(mpf_neg(s), T, prec, rnd), prec, rnd)
+                entry = mpf_div(mpf_sub(fone, decay, prec, rnd), s, prec, rnd)
+            G[i][j] = G[j][i] = mp.make_mpf(entry)
     return G
 
 
@@ -445,6 +483,20 @@ def _trace_scale(n):
     return mp.sqrt(2) * n * mp.pi * (-1) ** n
 
 
+def _add(x, y, prec, rnd):
+    """x + y on _mpf_ or _mpc_ tuples, as mpf's and mpc's `+` dispatch."""
+    if len(x) == 2:
+        return mpc_add(x, y, prec, rnd) if len(y) == 2 else mpc_add_mpf(x, y, prec, rnd)
+    return mpc_add_mpf(y, x, prec, rnd) if len(y) == 2 else mpf_add(x, y, prec, rnd)
+
+
+def _mul(x, y, prec, rnd):
+    """x * y on _mpf_ or _mpc_ tuples, as mpf's and mpc's `*` dispatch."""
+    if len(x) == 2:
+        return mpc_mul(x, y, prec, rnd) if len(y) == 2 else mpc_mul_mpf(x, y, prec, rnd)
+    return mpc_mul_mpf(y, x, prec, rnd) if len(y) == 2 else mpf_mul(x, y, prec, rnd)
+
+
 def _control_gram(family, horizon, c_value):
     """Gram matrix of the normalized influence kernels.
 
@@ -452,31 +504,69 @@ def _control_gram(family, horizon, c_value):
     normalized by its trace factor; scaling an equation and its target
     together leaves the minimal-norm control unchanged, and the smaller
     dynamic range helps the conditioning diagnostics.
+
+    Entry (i, j) is re(sum a b (e f - 1)/s) / (gamma_i gamma_j) over the
+    terms (a, r, e = e^{rT}) of rows i and j, s = r + q, with T in place of
+    (e f - 1)/s where s = 0. It is formed on libmp/libmpc tuples, operation
+    for operation and rounding for rounding as the mpf/mpc expression would
+    be (mpc arithmetic wherever a row's roots are complex), so every entry
+    keeps the bits of that expression. Two shortcuts change no bit: a term
+    whose coefficient is exactly zero adds an exact zero, so it is left out
+    (in the memoryless case A = 0, so 3 of the 4 terms per entry go); and
+    where a real |e f| < 2^(-prec-4), read off the tuples' exponents and
+    bit counts (|x| < 2^(exp + bc)), e f - 1 rounds to exactly -1 at
+    round-to-nearest, so the product is not formed.
     """
+    prec, rnd = mp._prec_rounding
     T = mpf(horizon)
     c = mpf(c_value)
-    terms, gammas = [], []
+    rows, real, gammas = [], [], []
     for n in range(1, family + 1):
         lam2 = (mpf(n) * mp.pi) ** 2
         rp, rm, A, B = _influence_profile(lam2, c)
-        # e^{(r + r')T} = e^{rT} e^{r'T}: one exponential per root, not per
-        # pair. A term with an exactly zero coefficient adds an exact zero, so
-        # it is left out: in the memoryless case A = 0, so 3 of the 4 terms per
-        # entry go.
-        terms.append([(a, r, mp.exp(r * T)) for a, r in ((A, rp), (B, rm)) if a])
-        gammas.append(_trace_scale(n))
+        # e^{(r + q)T} = e^{rT} e^{qT}: one exponential per root, not per pair
+        terms = [(a, r, mp.exp(r * T)) for a, r in ((A, rp), (B, rm)) if a]
+        real.append(hasattr(rp, "_mpf_"))
+        key = "_mpf_" if real[-1] else "_mpc_"
+        rows.append([tuple(getattr(x, key) for x in term) for term in terms])
+        gammas.append(_trace_scale(n)._mpf_)
+    T = T._mpf_
+    tiny = -prec - 4
     G = [[None] * family for _ in range(family)]
     for i in range(family):
         for j in range(i, family):
-            entry = 0
-            for a, r, e in terms[i]:
-                for b, q, f in terms[j]:
-                    # int_0^T e^{(r+q)u} du, with the exact limit at r + q = 0
-                    s = r + q
-                    entry += a * b * (T if s == 0 else (e * f - 1) / s)
-            # Complex-root cases recombine to real entries; re() drops the
-            # conjugate-cancellation residue.
-            G[i][j] = G[j][i] = mp.re(entry) / (gammas[i] * gammas[j])
+            entry = None
+            if real[i] and real[j]:
+                for a, r, e in rows[i]:
+                    for b, q, f in rows[j]:
+                        # int_0^T e^{(r+q)u} du, with the exact limit at r + q = 0
+                        s = mpf_add(r, q, prec, rnd)
+                        if s == fzero:
+                            x = T
+                        elif e[2] + e[3] + f[2] + f[3] <= tiny:  # |e f| < 2^tiny
+                            x = mpf_div(fnone, s, prec, rnd)
+                        else:
+                            x = mpf_sub(mpf_mul(e, f, prec, rnd), fone, prec, rnd)
+                            x = mpf_div(x, s, prec, rnd)
+                        term = mpf_mul(mpf_mul(a, b, prec, rnd), x, prec, rnd)
+                        # 0 + term would round term, already at prec, to itself
+                        entry = term if entry is None else mpf_add(entry, term, prec, rnd)
+            else:
+                # complex roots recombine to real entries; re() drops the
+                # conjugate-cancellation residue
+                for a, r, e in rows[i]:
+                    for b, q, f in rows[j]:
+                        s = _add(r, q, prec, rnd)
+                        if s == (fzero, fzero):
+                            x = T
+                        else:
+                            x = mpc_sub_mpf(_mul(e, f, prec, rnd), fone, prec, rnd)
+                            x = mpc_div(x, s, prec, rnd)
+                        term = _mul(_mul(a, b, prec, rnd), x, prec, rnd)
+                        entry = term if entry is None else mpc_add(entry, term, prec, rnd)
+                entry = entry[0]
+            scale = mpf_mul(gammas[i], gammas[j], prec, rnd)
+            G[i][j] = G[j][i] = mp.make_mpf(mpf_div(entry, scale, prec, rnd))
     return G
 
 

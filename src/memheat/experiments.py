@@ -195,7 +195,13 @@ def cmd_simulate(config: ExperimentConfig, refine: bool = False) -> dict:
     # The row lists hold one Python object per sample, so they are built
     # only after the refinement grids, whose solves set the peak memory.
     lam2 = np.array([m.eigenvalue for m in modes])
-    deficiency = np.sqrt(np.sum((w / lam2[:, None]) ** 2, axis=0))
+    scaled = w / lam2[:, None]
+    # sqrt(sum scaled^2) per sample, each column scaled by a power of two so
+    # its largest entry lies in [1/2, 1): the squares cannot overflow where
+    # the trajectories are finite, and the scaling is exact, so the result
+    # keeps its bits wherever the plain formula neither overflows nor underflows
+    _, k = np.frexp(np.max(np.abs(scaled), axis=0))
+    deficiency = np.ldexp(np.sqrt(np.sum(np.ldexp(scaled, -k) ** 2, axis=0)), k)
     files = {
         "trajectories.csv": (
             ["t"] + [f"w_{m.index}" for m in modes],

@@ -15,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf, workprec
 from mpmath.libmp import from_man_exp, from_rational
@@ -76,6 +76,28 @@ def test_finite_horizon_entries_grow_to_cauchy():
     for i in range(2):
         for j in range(2):
             assert float(g_short[i][j]) < float(g_long[i][j]) < float(g_inf[i][j])
+
+
+def _gram_matrix_reference(exps, horizon):
+    """The Gram entries as the mpf expression, each exponent converted per entry."""
+    T = None if horizon is None else mpf(horizon)
+    return [
+        [
+            1 / s if T is None else (1 - mp.exp(-s * T)) / s
+            for s in (mpf(x) + mpf(y) for y in exps)
+        ]
+        for x in exps
+    ]
+
+
+@pytest.mark.parametrize("bits", [53, 64, 256, 512])
+@pytest.mark.parametrize("horizon", [None, 1.0, 0.37], ids=["infinite", "T=1", "T=0.37"])
+def test_gram_entries_keep_the_bits_of_the_mpf_expression(horizon, bits):
+    exps = [(n * math.pi) ** 2 - 1.0 for n in range(1, 13)] + [0.01, 7.5, 1e3 / 3]
+    with workprec(bits):
+        got = gram(exps, horizon).build()
+        want = _gram_matrix_reference(exps, horizon)
+    assert [[x._mpf_ for x in row] for row in got] == [[x._mpf_ for x in row] for row in want]
 
 
 def test_finite_horizon_norms_dominate():
@@ -616,6 +638,27 @@ def test_control_gram_skips_only_exact_zero_terms(c, bits):
                 assert rp == 0 and A == 0
         got = _control_gram(60, 1.0, c)
         want = _control_gram_reference(60, 1.0, c)
+    assert [x._mpf_ for row in got for x in row] == [x._mpf_ for x in want]
+
+
+@settings(max_examples=70, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(1, 20),
+    st.floats(0.0, 12.0),  # mode 1's roots are complex once c > pi^2/4
+    st.floats(0.1, 3.0),
+    st.sampled_from([53, 64, 256, 512]),
+)
+@example(20, 10.0, 1.0, 512)
+def test_control_gram_keeps_the_bits_of_the_reference(family, c, horizon, bits):
+    # every entry, formed on libmp/libmpc tuples with shortcuts, keeps the
+    # bits of the object-arithmetic reference that forms all four terms
+    with workprec(bits):
+        if c == 0.0:  # the slow root and its coefficient vanish exactly
+            for n in (1, family):
+                rp, _, A, _ = biorth._influence_profile((mpf(n) * mp.pi) ** 2, mpf(0))
+                assert rp == 0 and A == 0
+        got = _control_gram(family, horizon, c)
+        want = _control_gram_reference(family, horizon, c)
     assert [x._mpf_ for row in got for x in row] == [x._mpf_ for x in want]
 
 

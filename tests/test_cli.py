@@ -571,6 +571,28 @@ def test_resolvent_with_an_overflowing_oracle_writes_finite_data(tmp_path):
     assert "not finite" in summary["oracle_not_run"]
 
 
+def test_simulate_past_the_square_overflow_writes_finite_deficiency(tmp_path):
+    # m = 31 makes mode 1 grow to about 1.4e178 by T = 2: its square
+    # overflows a double, yet the deficiency sqrt(sum (w_n/lam_n^2)^2) of one
+    # mode is |w_1|/lam_1^2, which is finite
+    data = {"kernel": {"type": "constant", "value": 31.0}, "horizon": 2.0, "steps": 200, "modes": 1}
+    cfg = write_config(tmp_path, data)
+    out = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # mode 1's nonpositive shifted rate
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = [line.split(",") for line in (out / "trajectories.csv").read_text().splitlines()[1:]]
+    w1 = [float(w) for _, w in rows]
+    assert max(map(abs, w1)) > 1e170
+    lines = (out / "deficiency.csv").read_text().splitlines()[1:]
+    deficiency = [float(line.split(",")[1]) for line in lines]
+    assert len(deficiency) == len(w1)
+    lam2 = math.pi**2
+    for d, w in zip(deficiency, w1):
+        assert math.isfinite(d)
+        assert abs(d - abs(w) / lam2) <= 1e-15 * abs(w) / lam2
+
+
 def test_degenerate_horizon_exits_3_without_output(tmp_path):
     # M(t) = 1 - t: the resolvent transform crosses zero at t* = 0.86081...,
     # and running the constraint assembly right at the crossing must refuse
