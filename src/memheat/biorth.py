@@ -22,12 +22,14 @@ Python integers), the products are summed exactly, and the sum is rounded
 once at the working precision. A control sweep's squared norms are one
 running exact sum, rounded once per sweep point.
 
-Both Gram builders form their entries on mpmath's libmp/libmpc tuples, one
-libmp call for each operation of the mpf/mpc expression, in its order and
-with its rounding, so every entry has the bits that expression gives. The
-control Gram takes one exact shortcut: where a real product e f of two
+Both Gram builders form their real entries on mpmath's libmp tuples, one
+libmp call for each operation of the mpf expression, in its order and with
+its rounding, so every entry has the bits that expression gives. The
+control Gram takes one exact shortcut there: where a product e f of two
 exponentials lies below 2^(-prec-4), e f - 1 is taken as exactly -1, which
-is what it rounds to at round-to-nearest.
+is what it rounds to at round-to-nearest. A control-Gram entry that pairs a
+row of complex roots (lam2 < 4c) is the mpf/mpc expression itself; no
+benchmark workload builds such a row.
 
 Two independent oracles keep the computation honest: the infinite-horizon
 Gram matrix is a Cauchy matrix with a classical closed-form inverse, and the
@@ -49,12 +51,6 @@ from mpmath.libmp import (
     fone,
     from_man_exp,
     fzero,
-    mpc_add,
-    mpc_add_mpf,
-    mpc_div,
-    mpc_mul,
-    mpc_mul_mpf,
-    mpc_sub_mpf,
     mpf_add,
     mpf_div,
     mpf_exp,
@@ -483,20 +479,6 @@ def _trace_scale(n):
     return mp.sqrt(2) * n * mp.pi * (-1) ** n
 
 
-def _add(x, y, prec, rnd):
-    """x + y on _mpf_ or _mpc_ tuples, as mpf's and mpc's `+` dispatch."""
-    if len(x) == 2:
-        return mpc_add(x, y, prec, rnd) if len(y) == 2 else mpc_add_mpf(x, y, prec, rnd)
-    return mpc_add_mpf(y, x, prec, rnd) if len(y) == 2 else mpf_add(x, y, prec, rnd)
-
-
-def _mul(x, y, prec, rnd):
-    """x * y on _mpf_ or _mpc_ tuples, as mpf's and mpc's `*` dispatch."""
-    if len(x) == 2:
-        return mpc_mul(x, y, prec, rnd) if len(y) == 2 else mpc_mul_mpf(x, y, prec, rnd)
-    return mpc_mul_mpf(y, x, prec, rnd) if len(y) == 2 else mpf_mul(x, y, prec, rnd)
-
-
 def _control_gram(family, horizon, c_value):
     """Gram matrix of the normalized influence kernels.
 
@@ -507,36 +489,39 @@ def _control_gram(family, horizon, c_value):
 
     Entry (i, j) is re(sum a b (e f - 1)/s) / (gamma_i gamma_j) over the
     terms (a, r, e = e^{rT}) of rows i and j, s = r + q, with T in place of
-    (e f - 1)/s where s = 0. It is formed on libmp/libmpc tuples, operation
-    for operation and rounding for rounding as the mpf/mpc expression would
-    be (mpc arithmetic wherever a row's roots are complex), so every entry
-    keeps the bits of that expression. Two shortcuts change no bit: a term
-    whose coefficient is exactly zero adds an exact zero, so it is left out
-    (in the memoryless case A = 0, so 3 of the 4 terms per entry go); and
-    where a real |e f| < 2^(-prec-4), read off the tuples' exponents and
-    bit counts (|x| < 2^(exp + bc)), e f - 1 rounds to exactly -1 at
-    round-to-nearest, so the product is not formed.
+    (e f - 1)/s where s = 0. A term whose coefficient is exactly zero adds an
+    exact zero, so it is left out (in the memoryless case A = 0, so 3 of the
+    4 terms per entry go).
+
+    A pair of rows whose roots are both real is formed on libmp tuples,
+    operation for operation and rounding for rounding as the mpf expression
+    would be, so it keeps that expression's bits. Where |e f| < 2^(-prec-4),
+    read off the tuples' exponents and bit counts (|x| < 2^(exp + bc)),
+    e f - 1 rounds to exactly -1 at round-to-nearest, so the product is not
+    formed. A pair with a row of complex roots (lam2 < 4c) is the mpf/mpc
+    expression itself. No benchmark workload builds such a row: their control
+    runs have c = 1 < pi^2/4, as has `control_contrast.json`; of the shipped
+    configs only `control_complex.json` (c = 10) does.
     """
     prec, rnd = mp._prec_rounding
-    T = mpf(horizon)
-    c = mpf(c_value)
-    rows, real, gammas = [], [], []
+    horizon, c = mpf(horizon), mpf(c_value)
+    terms, rows, gammas = [], [], []
     for n in range(1, family + 1):
         lam2 = (mpf(n) * mp.pi) ** 2
         rp, rm, A, B = _influence_profile(lam2, c)
         # e^{(r + q)T} = e^{rT} e^{qT}: one exponential per root, not per pair
-        terms = [(a, r, mp.exp(r * T)) for a, r in ((A, rp), (B, rm)) if a]
-        real.append(hasattr(rp, "_mpf_"))
-        key = "_mpf_" if real[-1] else "_mpc_"
-        rows.append([tuple(getattr(x, key) for x in term) for term in terms])
+        terms.append([(a, r, mp.exp(r * horizon)) for a, r in ((A, rp), (B, rm)) if a])
+        # the same terms as libmp tuples; None marks a row of complex roots
+        real = hasattr(rp, "_mpf_")
+        rows.append([tuple(x._mpf_ for x in t) for t in terms[-1]] if real else None)
         gammas.append(_trace_scale(n)._mpf_)
-    T = T._mpf_
+    T = horizon._mpf_
     tiny = -prec - 4
     G = [[None] * family for _ in range(family)]
     for i in range(family):
         for j in range(i, family):
             entry = None
-            if real[i] and real[j]:
+            if rows[i] is not None and rows[j] is not None:
                 for a, r, e in rows[i]:
                     for b, q, f in rows[j]:
                         # int_0^T e^{(r+q)u} du, with the exact limit at r + q = 0
@@ -552,19 +537,14 @@ def _control_gram(family, horizon, c_value):
                         # 0 + term would round term, already at prec, to itself
                         entry = term if entry is None else mpf_add(entry, term, prec, rnd)
             else:
+                entry = 0
+                for a, r, e in terms[i]:
+                    for b, q, f in terms[j]:
+                        s = r + q
+                        entry += a * b * (horizon if s == 0 else (e * f - 1) / s)
                 # complex roots recombine to real entries; re() drops the
                 # conjugate-cancellation residue
-                for a, r, e in rows[i]:
-                    for b, q, f in rows[j]:
-                        s = _add(r, q, prec, rnd)
-                        if s == (fzero, fzero):
-                            x = T
-                        else:
-                            x = mpc_sub_mpf(_mul(e, f, prec, rnd), fone, prec, rnd)
-                            x = mpc_div(x, s, prec, rnd)
-                        term = _mul(_mul(a, b, prec, rnd), x, prec, rnd)
-                        entry = term if entry is None else mpc_add(entry, term, prec, rnd)
-                entry = entry[0]
+                entry = mp.re(entry)._mpf_
             scale = mpf_mul(gammas[i], gammas[j], prec, rnd)
             G[i][j] = G[j][i] = mp.make_mpf(mpf_div(entry, scale, prec, rnd))
     return G

@@ -56,8 +56,6 @@ from .resolvents import (
 )
 from .dynamics import explicit_mode, mode_equations
 
-SCOPE_SEARCH_WIDTH = 64
-
 
 def _per_mode(fn, items):
     """Map fn over per-mode work items, in order, on the calling thread.
@@ -225,12 +223,7 @@ def cmd_moment(config: ExperimentConfig) -> dict:
     of the assembled end-state constraint family."""
     rt = resolvent_of(config.kernel, TimeGrid(config.horizon, config.steps))
 
-    if config.scope == "auto":
-        lowest = first_positive_index(rt.gain)
-        search = dirichlet_modes_1d(SCOPE_SEARCH_WIDTH, rt.gain, first=lowest)
-        start = scope_threshold(search, rt)
-    else:
-        start = int(config.scope)
+    start = scope_threshold(rt) if config.scope == "auto" else int(config.scope)
     window = dirichlet_modes_1d(config.modes, rt.gain, first=start)
 
     report = asymptotic_table(window, rt)

@@ -35,12 +35,13 @@ import numpy as np
 from .algebra import convolve_exp_monomial, convolve_exp_monomial_stack, end_pairing
 from .errors import NumericalError, read_list, read_number, read_tagged
 from .grids import SampledFunction
-from .modes import Mode
+from .modes import Mode, dirichlet_modes_1d, first_positive_index
 from .resolvents import ResolventTriple, mode_resolvent_stack
 # the benchmark's tracer self-test (perfbench/test_checks.py) reads this binding
 from .resolvents import mode_resolvent_direct  # noqa: F401
 
 END_VALUE_GUARD = 1e-4  # floor on |resolvent(T)| / sup |resolvent| before we refuse
+SCOPE_SEARCH_WIDTH = 64  # modes the scope search tries before it gives up
 
 
 @dataclass(frozen=True)
@@ -192,23 +193,21 @@ def asymptotic_table(modes, rt: ResolventTriple) -> AsymptoticReport:
     )
 
 
-def scope_threshold(modes, rt: ResolventTriple) -> int:
+def scope_threshold(rt: ResolventTriple) -> int:
     """Smallest mode index from which the constraint family is nondegenerate.
 
-    Requires a positive shifted rate and a law residual below half the
-    resolvent end value, so the rescaled targets stay bounded away from zero
-    for every mode in scope. Without memory the law degenerates (the limit
-    is zero) and the threshold is simply the first positive rate.
+    The search runs over SCOPE_SEARCH_WIDTH modes from the first positive
+    shifted rate and requires a law residual below half the resolvent end
+    value, so the rescaled targets stay bounded away from zero for every mode
+    in scope. Without memory the law degenerates (the limit is zero) and the
+    threshold is simply the first positive rate.
     """
+    first = first_positive_index(rt.gain)
     if rt.kernel.is_zero:
-        for mode in modes:
-            if mode.shifted_rate > 0:
-                return mode.index
-        raise NumericalError("no mode with a positive rate in the given range")
+        return first
     end = check_end_value(rt)
+    modes = dirichlet_modes_1d(SCOPE_SEARCH_WIDTH, rt.gain, first=first)
     for mode in modes:
-        if mode.shifted_rate <= 0:
-            continue
         d = free_end_value(mode, rt)
         resid = mode.shifted_rate * d + end
         if abs(resid) < 0.5 * abs(end):

@@ -650,8 +650,10 @@ def test_control_gram_skips_only_exact_zero_terms(c, bits):
 )
 @example(20, 10.0, 1.0, 512)
 def test_control_gram_keeps_the_bits_of_the_reference(family, c, horizon, bits):
-    # every entry, formed on libmp/libmpc tuples with shortcuts, keeps the
-    # bits of the object-arithmetic reference that forms all four terms
+    # every entry keeps the bits of the object-arithmetic reference that
+    # forms all four terms: the real pairs, formed on libmp tuples with
+    # shortcuts, and the pairs with a complex-root row (c > pi^2/4), formed
+    # by the mpf/mpc expression over the nonzero terms
     with workprec(bits):
         if c == 0.0:  # the slow root and its coefficient vanish exactly
             for n in (1, family):

@@ -20,7 +20,7 @@ import pytest
 from memheat import biorth
 from memheat.cli import main
 from memheat.config import MAX_BIORTH_FAMILY, MAX_CONTROL_FAMILY, MAX_MODES, MAX_SCOPE
-from memheat.experiments import SCOPE_SEARCH_WIDTH
+from memheat.moments import SCOPE_SEARCH_WIDTH
 
 SMALL = {
     "kernel": {"type": "constant", "value": 1.0},

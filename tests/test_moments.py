@@ -148,16 +148,15 @@ def test_end_value_guard_at_resolvent_root():
 
 def test_scope_threshold():
     rt = resolvent_of(ConstantKernel(1.0), GRID)
-    modes = dirichlet_modes_1d(8, gain=1.0)
-    assert scope_threshold(modes, rt) == 1
+    assert scope_threshold(rt) == 1
     # memoryless: first positive rate
     rt0 = resolvent_of(ZeroKernel(), GRID)
-    assert scope_threshold(dirichlet_modes_1d(4, gain=0.0), rt0) == 1
+    assert scope_threshold(rt0) == 1
     # a large kernel value pushes the first usable mode past n = 1
     grid = TimeGrid(0.1, 1000)
     rt20 = resolvent_of(ConstantKernel(20.0), grid)
     modes20 = dirichlet_modes_1d(8, gain=20.0)
-    start = scope_threshold(modes20, rt20)
+    start = scope_threshold(rt20)
     assert start >= 2
     assert all(m.shifted_rate > 0 for m in modes20 if m.index >= start)
 
@@ -165,7 +164,7 @@ def test_scope_threshold():
 def test_build_moment_problem_and_record():
     rt = resolvent_of(ConstantKernel(1.0), GRID)
     modes = dirichlet_modes_1d(5, gain=1.0)
-    start = scope_threshold(modes, rt)
+    start = scope_threshold(rt)
     assert start == 1
     report = asymptotic_table(modes, rt)
     record = build_moment_problem(modes, rt, InitialData.inverse_index(), report.brackets)

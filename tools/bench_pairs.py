@@ -11,10 +11,10 @@ a temporary index (its tracked and untracked files with their edits and
 deletions, not the ignored ones), so that neither side starts with caches,
 leftovers or file times the other lacks. The exports are ``tree_a`` (base) and
 ``tree_b`` (change), names of one length that do not encode the role, so
-their paths differ in one letter only. For each seed and workload both
-sides run ``perfbench/run.py --trace 0`` back to back, the base first on
-even pairs and the change first on odd ones, so a drift in the host's speed
-falls on both sides alike. Every run's result JSON (the last line perfbench
+their paths differ in one letter only. For each seed and each workload
+that ``BENCHMARK.json`` declares, both sides run ``perfbench/run.py --trace
+0`` back to back, the base first on even pairs and the change first on odd
+ones, so a drift in the host's speed falls on both sides alike. Every run's result JSON (the last line perfbench
 prints) is kept as it is, and the record also gives, per workload and
 metric, both medians, both interquartile ranges (q3 - q1, the spread a gain
 must exceed) and the number of pairs in which the change was better, and
@@ -39,7 +39,10 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("march", "gram")
+# the workloads BENCHMARK.json declares, in its order
+WORKLOADS = tuple(
+    w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]
+)
 
 
 class RunFailed(Exception):
