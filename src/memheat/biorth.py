@@ -15,12 +15,19 @@ Cholesky backward-error bound kappa * 2^-bits, so a miss steps up by the
 bits it was short plus a margin, rounded up to a multiple of 32 and never
 more than doubling, up to 1024 bits; past that the ladder fails loudly.
 
-Every dot product in the factor, the substitutions and the residual is
-exact with one rounding, the same as mpmath's fdot: the mpf entries become
+The factor, the substitutions and the gate run on mpmath's libmp tuples;
+the ladder converts the built rows once and the returned columns back to
+mpf once. Every subtraction, division, square root and comparison there is
+the libmp call that mpmath's mpf operator makes, at the working precision
+and rounding, so every entry keeps mpmath's bits. Every dot product is
+exact with one rounding, the same as mpmath's fdot: the entries become
 integer mantissas over one common power of two (a long accumulator in
 Python integers), the products are summed exactly, and the sum is rounded
-once at the working precision. A control sweep's squared norms are one
-running exact sum, rounded once per sweep point.
+once at the working precision. A vector known whole (a row of G, a column
+of L below the diagonal, a returned column) is aligned once at its lowest
+exponent; one that grows entry by entry re-aligns only when an entry lies
+lower. A control sweep's squared norms are one running exact sum, rounded
+once per sweep point.
 
 Both Gram builders form their real entries on mpmath's libmp tuples, one
 libmp call for each operation of the mpf expression, in its order and with
@@ -42,24 +49,32 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cmp_to_key
 from operator import mul
 
 import numpy as np
 from mpmath import mp, mpf, workprec
 from mpmath.libmp import (
+    finf,
     fnone,
     fone,
+    from_float,
     from_man_exp,
     fzero,
+    mpf_abs,
     mpf_add,
+    mpf_cmp,
     mpf_div,
     mpf_exp,
+    mpf_lt,
     mpf_mul,
     mpf_neg,
     mpf_pos,
     mpf_rdiv_int,
+    mpf_sqrt,
     mpf_sub,
     mpf_sum,
+    to_float,
 )
 
 from .errors import NumericalError, PrecisionError
@@ -75,6 +90,8 @@ MAX_PRECISION_BITS = 1024
 # 300 random Cauchy Grams of up to 12 members. So a step of the miss plus 8
 # bits lands at least 2^6 below the gate even before the rounding to 32.
 MARGIN = 8
+# libmp tuples ordered by value, for max()
+_BY_VALUE = cmp_to_key(mpf_cmp)
 
 
 @dataclass(frozen=True)
@@ -179,24 +196,29 @@ class BiorthReport:
 
 
 class _ExactVector:
-    """mpf values held exactly as integer mantissas times one power of two.
+    """libmp values held exactly as integer mantissas times one power of two.
 
-    Entry k is mans[k] * 2**exp, with exp the lowest exponent appended so far;
-    appending a value below it shifts the earlier mantissas up. An infinity
-    or a nan (mantissa 0, nonzero exponent) raises ValueError: read as 0 it
-    would silently drop out of a dot product.
+    Entry k is mans[k] * 2**exp. A vector given whole is aligned once, at
+    its lowest exponent; `append` shifts the earlier mantissas up only when
+    the value it adds lies below that exponent. An infinity or a nan
+    (mantissa 0, nonzero exponent) raises ValueError: read as 0 it would
+    silently drop out of a dot product.
     """
 
     __slots__ = ("mans", "exp")
 
     def __init__(self, values=()):
-        self.mans = []
-        self.exp = None
-        for value in values:
-            self.append(value)
+        values = list(values)
+        if any(exp and not man for _, man, exp, _ in values):
+            raise ValueError("an infinity or a nan has no integer mantissa")
+        self.exp = min((exp for _, man, exp, _ in values if man), default=None)
+        self.mans = [
+            (-man if sign else man) << (exp - self.exp) if man else 0
+            for sign, man, exp, _ in values
+        ]
 
     def append(self, value):
-        sign, man, exp, _ = value._mpf_
+        sign, man, exp, _ = value
         if not man:
             if exp:
                 raise ValueError("an infinity or a nan has no integer mantissa")
@@ -212,42 +234,47 @@ class _ExactVector:
             self.exp = exp
         self.mans.append(man << (exp - self.exp))
 
-    def dot(self, other):
-        """sum_k self[k] * other[k], exact, rounded once at the working precision.
+    def dot(self, other, start=0):
+        """sum_k self[start + k] * other[k], exact, rounded once at the
+        working precision.
 
         This is mpmath's fdot bit for bit while the products lie within
         2 prec bits of each other; past that fdot's mpf_sum drops terms and
         this sum is the more accurate one.
         """
-        total = sum(map(mul, self.mans, other.mans))
+        total = sum(map(mul, self.mans[start:] if start else self.mans, other.mans))
         if not total:
-            return mp.zero
+            return fzero
         prec, rnd = mp._prec_rounding
-        return mp.make_mpf(from_man_exp(total, self.exp + other.exp, prec, rnd))
+        return from_man_exp(total, self.exp + other.exp, prec, rnd)
 
 
 def _cholesky(A):
-    """mpmath's Cholesky factor of the rows A, entry for entry.
+    """mpmath's Cholesky factor of the rows A of libmp tuples, entry for entry.
 
-    Returns the rows of L below the diagonal (as mpf lists and as exact
+    Returns the rows of L below the diagonal (as tuple lists and as exact
     vectors) and its diagonal. L_ij = (A_ij - sum_k L_ik L_jk) / L_jj, each
-    sum exact and rounded once, as mpmath's fdot does. The diagonal is
-    s / sqrt(s) for s = A_jj - sum_k L_jk^2, not sqrt(s): mpmath's inner loop
-    starts at i = j, so it overwrites sqrt(s) with (A_jj - t) / sqrt(s), and
-    every later entry of the column divides by that. Raises ValueError when
-    s < eps, as mpmath does.
+    sum exact and rounded once, as mpmath's fdot does, and each subtraction,
+    division and square root the libmp call of mpmath's mpf operator at the
+    working precision. The diagonal is s / sqrt(s) for s = A_jj - sum_k
+    L_jk^2, not sqrt(s): mpmath's inner loop starts at i = j, so it
+    overwrites sqrt(s) with (A_jj - t) / sqrt(s), and every later entry of
+    the column divides by that. Raises ValueError when s < eps, as mpmath
+    does.
     """
+    prec, rnd = mp._prec_rounding
+    eps = mp.eps._mpf_
     lower, exact, diag = [], [], []
     for i, a in enumerate(A):
         row = []
         vec = _ExactVector()
         for j in range(i):
-            row.append((a[j] - vec.dot(exact[j])) / diag[j])
+            row.append(mpf_div(mpf_sub(a[j], vec.dot(exact[j]), prec, rnd), diag[j], prec, rnd))
             vec.append(row[j])
-        s = a[i] - vec.dot(vec)
-        if s < mp.eps:
+        s = mpf_sub(a[i], vec.dot(vec), prec, rnd)
+        if mpf_lt(s, eps):
             raise ValueError("matrix is not positive-definite")
-        diag.append(s / mp.sqrt(s))
+        diag.append(mpf_div(s, mpf_sqrt(s, prec, rnd), prec, rnd))
         lower.append(row)
         exact.append(vec)
     return lower, exact, diag
@@ -256,35 +283,41 @@ def _cholesky(A):
 def _spd_inverse(G, count: int | None = None):
     """The first `count` columns of G^{-1} by Cholesky; None asks for all n.
 
-    The factor is the whole of G's, with the 10 guard bits of mp.inverse;
-    each returned column takes one forward and one back substitution over
-    all n rows. The factor and both substitutions take their dot products
-    exactly with one rounding, the same as mpmath's fdot, so the columns are
-    those of mpmath's cholesky followed by fdot substitutions, and a column
-    does not depend on how many are asked for. The columns stay at the
-    guarded precision: rounding them to the working precision raises the
-    residual about a thousandfold. Raises ValueError if G is not positive
-    definite at this precision.
+    G is a list of rows of libmp tuples, and so is each returned column. The
+    factor is the whole of G's, with the 10 guard bits of mp.inverse; each
+    returned column j takes one forward substitution from row j down (the
+    rows above are zero) and one back substitution over all n rows. The
+    factor and both substitutions take their dot products exactly with one
+    rounding, the same as mpmath's fdot, and their other operations are the
+    libmp calls of mpmath's operators, so the columns are those of mpmath's
+    cholesky followed by fdot substitutions, and a column does not depend on
+    how many are asked for. The columns stay at the guarded precision:
+    rounding them to the working precision raises the residual about a
+    thousandfold. Raises ValueError if G is not positive definite at this
+    precision.
     """
     n = len(G)
     cols = []
     with mp.extraprec(10):
+        prec, rnd = mp._prec_rounding
         lower, exact, diag = _cholesky(G)
         # column i of L below the diagonal, bottom entry first
         below = [
-            _ExactVector(lower[k][i] for k in reversed(range(i + 1, n)))
+            _ExactVector([lower[k][i] for k in reversed(range(i + 1, n))])
             for i in range(n)
         ]
         for j in range(n if count is None else count):
-            y = [mp.zero] * n
-            ys = _ExactVector(y[:j])  # zeros above row j
+            y = [fzero] * n
+            ys = _ExactVector()  # y[j], y[j+1], ... as they are solved
             for i in range(j, n):
-                y[i] = ((1 if i == j else 0) - exact[i].dot(ys)) / diag[i]
+                # L_i[j:i] . y[j:i]; the rows above j add only exact zeros
+                rhs = mpf_sub(fone if i == j else fzero, exact[i].dot(ys, j), prec, rnd)
+                y[i] = mpf_div(rhs, diag[i], prec, rnd)
                 ys.append(y[i])
-            x = [mp.zero] * n
+            x = [fzero] * n
             xs = _ExactVector()  # x[n-1], x[n-2], ... as they are solved
             for i in reversed(range(n)):
-                x[i] = (y[i] - below[i].dot(xs)) / diag[i]
+                x[i] = mpf_div(mpf_sub(y[i], below[i].dot(xs), prec, rnd), diag[i], prec, rnd)
                 xs.append(x[i])
             cols.append(x)
     return cols
@@ -313,40 +346,49 @@ def _ladder_solve(build, bits: int, count: int | None = None):
     defect of row i is max_j |(G x_j)_i - delta_ij| over the returned
     columns, taken exactly at the working precision on every rung, and a rung
     passes when the largest defect is below RESIDUAL_GATE, read at call time.
+    The solve and the gate run on libmp tuples (mpf_sub, mpf_abs and mpf_cmp
+    for the defects, mpf_lt for the gate), with the bits of the mpf operators.
     So the gate covers every column the caller gets, and with it every number
     an output depends on; columns past `count` (None asks for all n) are
     neither solved nor gated. A miss steps to `_next_bits`. A matrix that is
     not positive definite or holds an infinity or a nan (ValueError), or mode
     roots that coincide at the working precision in the build
-    (ZeroDivisionError), count as an infinite residual. Returns the columns,
-    the per-row defects, the passing bits and every (bits, residual) attempt.
+    (ZeroDivisionError), count as an infinite residual. Returns the columns
+    as lists of mpf, the per-row defects as floats, the passing bits and
+    every (bits, residual) attempt.
     """
     attempts = []
     while True:
         with workprec(bits):
+            prec, rnd = mp._prec_rounding
             try:
-                G = build()
+                G = [[x._mpf_ for x in row] for row in build()]
                 cols = _spd_inverse(G, count)
                 exact_cols = [_ExactVector(x) for x in cols]
-                row_resid = [
-                    max(abs(g.dot(x) - int(i == j)) for j, x in enumerate(exact_cols))
-                    for i, g in enumerate(map(_ExactVector, G))
-                ]
+                row_resid = []
+                for i, g in enumerate(map(_ExactVector, G)):
+                    defects = [g.dot(x) for x in exact_cols]  # row i of G X
+                    if i < len(cols):
+                        defects[i] = mpf_sub(defects[i], fone, prec, rnd)
+                    # each defect is rounded already, so its exact abs keeps its bits
+                    row_resid.append(max(map(mpf_abs, defects), key=_BY_VALUE))
             except (ValueError, ZeroDivisionError):
-                resid = mp.inf
+                resid = finf
             else:
-                resid = max(row_resid)
-        attempts.append((bits, float(resid)))
-        if resid < RESIDUAL_GATE:
-            return cols, tuple(float(r) for r in row_resid), bits, tuple(attempts)
+                resid = max(row_resid, key=_BY_VALUE)
+        attempts.append((bits, to_float(resid, rnd=rnd)))
+        if mpf_lt(resid, from_float(RESIDUAL_GATE)):
+            cols = [[mp.make_mpf(x) for x in col] for col in cols]
+            row_resid = tuple(to_float(r, rnd=rnd) for r in row_resid)
+            return cols, row_resid, bits, tuple(attempts)
         if bits >= MAX_PRECISION_BITS:
             tried = ", ".join(str(b) for b, _ in attempts)
             raise PrecisionError(
-                f"Gram residual {float(resid):.3e} still above the gate "
+                f"Gram residual {attempts[-1][1]:.3e} still above the gate "
                 f"{RESIDUAL_GATE:g} after {tried} bits; the system is too ill "
                 "conditioned for the precision ladder"
             )
-        bits = _next_bits(bits, float(resid))
+        bits = _next_bits(bits, attempts[-1][1])
 
 
 def min_norm_biorth(gs: GramSystem) -> BiorthReport:

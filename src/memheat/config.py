@@ -49,14 +49,16 @@ MAX_STEPS = 100_000
 # modes and 1,000 steps: `simulate` 11.7 s and 158 MB, `moment` 2.1 s and
 # 36 MB (`moment` with 10 modes at 100,000 steps: 4.3 s).
 MAX_MODES = 1000
-# The Cauchy closed form runs one row at a time. Measured `biorth` (2-core
-# Xeon): 41 MB, 0.10 s at 1,000; 42 MB, 0.13 s at 2,000; 42 MB, 0.23 s at 4,000.
+# The Cauchy closed form runs one row at a time. Measured `biorth` with 20
+# verified modes (Python 3.11, a 2-core Intel Xeon VM whose speed drifts up
+# to 2x): 41-42 MB and 0.07-0.10 s at 1,000 and at 2,000; 42 MB, 0.21 s at
+# 4,000.
 MAX_BIORTH_FAMILY = 4000
 # Two mpmath Gram solves: an O(family^3) factor, then only the `active`
 # inverse columns a sweep reads. Measured `control` at horizon 1, constant 1
-# (2-core Xeon): 0.4 s at 60, active 12 (both sweeps at 256 bits); at 150,
-# 7.3 s with active 12 (512 bits) and 56-64 s with active 150 (608 bits); at
-# 200, 27 s with active 12 and 181 s with active 200, where 512 bits cannot
+# (the same host): 0.3 s at 60, active 12 (both sweeps at 256 bits); at 150,
+# 4.6 s with active 12 (512 bits) and 30 s with active 150 (608 bits); at
+# 200, 23 s with active 12 and 69 s with active 200, where 512 bits cannot
 # factor the Gram and both sweeps double to the top rung (1024 bits). At 1024
 # bits the residual of all family columns rises about a decade per member
 # (6e-158 at 150, 1e-105 at 200): near 280 it would miss the gate.

@@ -408,6 +408,15 @@ def test_gram_solve_matches_cauchy_closed_form(exps):
 # ---------------------------------------------------------------------------
 
 
+def _tuples(values):
+    return [x._mpf_ for x in values]
+
+
+def _exact_dot(xs, ys):
+    """The exact kernel's dot of two mpf lists, as an mpf."""
+    return mp.make_mpf(_ExactVector(_tuples(xs)).dot(_ExactVector(_tuples(ys))))
+
+
 @st.composite
 def fdot_case(draw):
     """A working precision and two mpf vectors whose products span <= 2 prec.
@@ -440,7 +449,7 @@ def fdot_case(draw):
 def test_exact_dot_equals_fdot_bit_for_bit(case):
     prec, xs, ys = case
     with workprec(prec):
-        got = _ExactVector(xs).dot(_ExactVector(ys))
+        got = _exact_dot(xs, ys)
         assert got._mpf_ == mp.fdot(xs, ys)._mpf_
 
 
@@ -448,7 +457,7 @@ def test_exact_dot_cancels_to_exact_zero():
     with workprec(53):
         a, b = mpf(3) / 7, mpf(2) ** -90
         xs, ys = [a, b, a], [b, a, -2 * b]
-        assert _ExactVector(xs).dot(_ExactVector(ys))._mpf_ == mp.zero._mpf_
+        assert _exact_dot(xs, ys)._mpf_ == mp.zero._mpf_
         assert mp.fdot(xs, ys) == 0
 
 
@@ -457,11 +466,21 @@ def test_exact_vector_refuses_special_values(special):
     # mpf infinities and nan have mantissa 0; read as 0 they would vanish
     # from a dot product that mpmath's fdot makes infinite or nan
     with pytest.raises(ValueError, match="infinity or a nan"):
-        _ExactVector([mpf(1), mpf(special), mpf(2)])
+        _ExactVector(_tuples([mpf(1), mpf(special), mpf(2)]))
+    # a vector that grows entry by entry refuses them too
+    vec = _ExactVector(_tuples([mpf(1)]))
+    with pytest.raises(ValueError, match="infinity or a nan"):
+        vec.append(mpf(special)._mpf_)
     # the ladder takes the refusal as an infinite residual on every rung
     gs = empirical_gram(np.array([[1.0, float(special)], [float(special), 1.0]]))
     with pytest.raises(PrecisionError, match="inf still above"):
         min_norm_biorth(gs)
+
+
+def _inverse(G, count=None):
+    """`_spd_inverse` of mpf rows, as mpf columns."""
+    cols = _spd_inverse([_tuples(row) for row in G], count)
+    return [[mp.make_mpf(x) for x in col] for col in cols]
 
 
 def _spd_inverse_reference(G):
@@ -488,17 +507,29 @@ def _spd_inverse_reference(G):
         lambda: _control_gram(60, 1.0, 0.0),
         lambda: _control_gram(60, 1.0, 1.0),
         lambda: gram([(n * math.pi) ** 2 - 1.0 for n in range(1, 13)], None).build(),
+        # biorth's 60-member verification Gram at constant 1: the largest
+        # solve the benchmark runs
+        lambda: gram([(n * math.pi) ** 2 - 1.0 for n in range(1, 61)], None).build(),
     ],
-    ids=["control-60-memoryless", "control-60-memory", "cauchy-12"],
+    ids=["control-60-memoryless", "control-60-memory", "cauchy-12", "cauchy-60"],
 )
 def test_spd_inverse_matches_mpmath_entry_for_entry(build):
     with workprec(256):
         G = build()
-        got = _spd_inverse(G)
+        got = _inverse(G)
         want = _spd_inverse_reference(G)
+        read = _residual_by_fdot(G, want)
     assert [[x._mpf_ for x in col] for col in got] == [
         [x._mpf_ for x in col] for col in want
     ]
+    # the gate's per-row defects are those of fdot on the same columns; a
+    # gate nothing can miss stops the ladder at its first rung
+    with mock.patch.object(biorth, "RESIDUAL_GATE", math.inf):
+        cols, residuals, bits, _ = biorth._ladder_solve(lambda: G, 256)
+    assert bits == 256 and [[x._mpf_ for x in col] for col in cols] == [
+        [x._mpf_ for x in col] for col in want
+    ]
+    assert residuals == tuple(float(max(row)) for row in read)
 
 
 def _residual_by_fdot(G, cols):
@@ -541,10 +572,71 @@ def test_leading_columns_are_those_of_the_full_solve(build, counts):
     # is the oracle for every column-limited solve
     with workprec(256):
         G = build()
-        full = [[x._mpf_ for x in col] for col in _spd_inverse(G)]
+        full = [[x._mpf_ for x in col] for col in _inverse(G)]
         for count in counts:
-            got = _spd_inverse(G, count)
+            got = _inverse(G, count)
             assert [[x._mpf_ for x in col] for col in got] == full[:count]
+
+
+@st.composite
+def scaled_spd(draw):
+    """A working precision, an SPD matrix D A D of mpf rows and a column count.
+
+    A is strictly diagonally dominant (a_ii = 1 + sum_j |a_ij|), with a drawn
+    share of exact zeros off the diagonal, so every Cholesky pivot of A is at
+    least 1. D = diag(2^e_i (1 + u_i)) spreads the rows over 100 to 128
+    binades (e_i >= -8 keeps every pivot above eps even at 53 bits), so the
+    exact vectors of the factor and of the columns must re-align as they grow,
+    while each dot product's terms keep the narrow spread of A's. Hypothesis
+    draws the shape; a drawn seed fills in the entries.
+    """
+    bits = draw(st.sampled_from((53, 64, 256, 512)))
+    n = draw(st.integers(1, 10))
+    count = draw(st.integers(1, n))
+    zeros = draw(st.sampled_from((0.0, 0.3, 0.7)))
+    spread = draw(st.integers(100, 128))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    exps = [-8 + spread * k // max(n - 1, 1) for k in range(n)]
+    rng.shuffle(exps)
+    with workprec(bits):
+
+        def uniform():  # in [0, 1), with a full mantissa
+            return mp.make_mpf(from_man_exp(rng.getrandbits(bits), -bits, bits))
+
+        A = [[mp.zero] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() >= zeros:
+                    A[i][j] = A[j][i] = 2 * uniform() - 1
+        d = [mp.ldexp(1 + uniform(), e) for e in exps]
+        G = [[None] * n for _ in range(n)]
+        for i in range(n):
+            G[i][i] = d[i] * (1 + sum(abs(a) for a in A[i])) * d[i]
+            for j in range(i + 1, n):
+                G[i][j] = G[j][i] = d[i] * A[i][j] * d[j]
+    return bits, G, count
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(scaled_spd())
+def test_solve_equals_mpmath_on_scaled_matrices(case):
+    # the columns are mpmath's cholesky and fdot substitutions, and the
+    # gate's per-row defects are fdot's on them, bit for bit
+    bits, G, count = case
+    with workprec(bits):
+        want = _spd_inverse_reference(G)[:count]
+        read = _residual_by_fdot(G, want)
+        got = _inverse(G, count)
+    assert [[x._mpf_ for x in col] for col in got] == [
+        [x._mpf_ for x in col] for col in want
+    ]
+    with mock.patch.object(biorth, "RESIDUAL_GATE", math.inf):
+        cols, residuals, used, _ = biorth._ladder_solve(lambda: G, bits, count)
+    assert used == bits
+    assert [[x._mpf_ for x in col] for col in cols] == [
+        [x._mpf_ for x in col] for col in want
+    ]
+    assert residuals == tuple(float(max(row)) for row in read)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
