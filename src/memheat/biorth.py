@@ -15,19 +15,19 @@ Cholesky backward-error bound kappa * 2^-bits, so a miss steps up by the
 bits it was short plus a margin, rounded up to a multiple of 32 and never
 more than doubling, up to 1024 bits; past that the ladder fails loudly.
 
-The factor, the substitutions and the gate run on mpmath's libmp tuples;
-the ladder converts the built rows once and the returned columns back to
-mpf once. Every subtraction, division, square root and comparison there is
-the libmp call that mpmath's mpf operator makes, at the working precision
-and rounding, so every entry keeps mpmath's bits. Every dot product is
-exact with one rounding, the same as mpmath's fdot: the entries become
-integer mantissas over one common power of two (a long accumulator in
-Python integers), the products are summed exactly, and the sum is rounded
-once at the working precision. A vector known whole (a row of G, a column
-of L below the diagonal, a returned column) is aligned once at its lowest
-exponent; one that grows entry by entry re-aligns only when an entry lies
-lower. A control sweep's squared norms are one running exact sum, rounded
-once per sweep point.
+A Gram is a list of rows of mpmath's libmp tuples from its builder to the
+sweep: the factor, the substitutions and the gate take the built rows as
+they are and return tuple columns. Every subtraction, division, square
+root and comparison there is the libmp call that mpmath's mpf operator
+makes, at the working precision and rounding, so every entry keeps
+mpmath's bits. Every dot product is exact with one rounding, the same as
+mpmath's fdot: the entries become integer mantissas over one common power
+of two (a long accumulator in Python integers), the products are summed
+exactly, and the sum is rounded once at the working precision. A vector
+known whole (a row of G, a column of L below the diagonal, a returned
+column) is aligned once at its lowest exponent; one that grows entry by
+entry re-aligns only when an entry lies lower. A control sweep's squared
+norms are one running exact sum, rounded once per sweep point.
 
 Both Gram builders form their real entries on mpmath's libmp tuples, one
 libmp call for each operation of the mpf expression, in its order and with
@@ -99,10 +99,10 @@ class GramSystem:
     """A symmetric positive-definite Gram matrix, given by its builder.
 
     The ladder calls `build()` once per rung from `precision` bits on; it
-    returns a list of rows of mpf at the current working precision.
+    returns a list of rows of libmp tuples at the current working precision.
     """
 
-    build: object  # () -> list of rows of mpf at the working precision
+    build: object  # () -> list of rows of libmp tuples at the working precision
     precision: int
 
 
@@ -125,7 +125,7 @@ def gram(exponents, horizon, precision: int = 256) -> GramSystem:
 
 
 def _gram_matrix(exps, horizon):
-    """Rows of entries at the current working precision (callers set workprec).
+    """Rows of libmp tuples at the current working precision (callers set workprec).
 
     Each exponent is converted once; an entry is 1/s or (1 - e^{-sT})/s on
     libmp tuples, with the roundings of that mpf expression.
@@ -143,7 +143,7 @@ def _gram_matrix(exps, horizon):
             else:
                 decay = mpf_exp(mpf_mul(mpf_neg(s), T, prec, rnd), prec, rnd)
                 entry = mpf_div(mpf_sub(fone, decay, prec, rnd), s, prec, rnd)
-            G[i][j] = G[j][i] = mp.make_mpf(entry)
+            G[i][j] = G[j][i] = entry
     return G
 
 
@@ -153,9 +153,9 @@ def empirical_gram(matrix: np.ndarray, precision: int = 256) -> GramSystem:
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError("expected a square matrix")
     # A float product such as (rows * w) @ rows.T is symmetric only to
-    # round-off, and the Cholesky solve reads one triangle; mp.convert keeps
+    # round-off, and the Cholesky solve reads one triangle; from_float keeps
     # every double exact.
-    G = [[mp.convert(v) for v in row] for row in 0.5 * (matrix + matrix.T)]
+    G = [[from_float(v) for v in row] for row in 0.5 * (matrix + matrix.T)]
     return GramSystem(lambda: G, precision)
 
 
@@ -354,15 +354,15 @@ def _ladder_solve(build, bits: int, count: int | None = None):
     not positive definite or holds an infinity or a nan (ValueError), or mode
     roots that coincide at the working precision in the build
     (ZeroDivisionError), count as an infinite residual. Returns the columns
-    as lists of mpf, the per-row defects as floats, the passing bits and
-    every (bits, residual) attempt.
+    as lists of libmp tuples, the per-row defects as floats, the passing
+    bits and every (bits, residual) attempt.
     """
     attempts = []
     while True:
         with workprec(bits):
             prec, rnd = mp._prec_rounding
             try:
-                G = [[x._mpf_ for x in row] for row in build()]
+                G = build()
                 cols = _spd_inverse(G, count)
                 exact_cols = [_ExactVector(x) for x in cols]
                 row_resid = []
@@ -378,7 +378,6 @@ def _ladder_solve(build, bits: int, count: int | None = None):
                 resid = max(row_resid, key=_BY_VALUE)
         attempts.append((bits, to_float(resid, rnd=rnd)))
         if mpf_lt(resid, from_float(RESIDUAL_GATE)):
-            cols = [[mp.make_mpf(x) for x in col] for col in cols]
             row_resid = tuple(to_float(r, rnd=rnd) for r in row_resid)
             return cols, row_resid, bits, tuple(attempts)
         if bits >= MAX_PRECISION_BITS:
@@ -402,7 +401,7 @@ def min_norm_biorth(gs: GramSystem) -> BiorthReport:
     """
     cols, residuals, bits, attempts = _ladder_solve(gs.build, gs.precision)
     with workprec(bits):
-        diag = tuple(col[i] for i, col in enumerate(cols))
+        diag = tuple(mp.make_mpf(col[i]) for i, col in enumerate(cols))
         log_norms = tuple(float(mp.log(d) / 2) for d in diag)
         norms = tuple(float(mp.sqrt(d)) for d in diag)
     if len(attempts) > 1:
@@ -588,7 +587,7 @@ def _control_gram(family, horizon, c_value):
                 # conjugate-cancellation residue
                 entry = mp.re(entry)._mpf_
             scale = mpf_mul(gammas[i], gammas[j], prec, rnd)
-            G[i][j] = G[j][i] = mp.make_mpf(mpf_div(entry, scale, prec, rnd))
+            G[i][j] = G[j][i] = mpf_div(entry, scale, prec, rnd)
     return G
 
 
@@ -607,19 +606,20 @@ class ControlSweep:
 
 def _control_norms2(b, cols, counts) -> list:
     """norm^2(N) = sum_{i, j < N} b_i b_j X_ji, X_ji = cols[j][i], for every
-    N in counts, each rounded once at the working precision.
+    N in counts, each rounded once at the working precision; the columns
+    are libmp tuples, the targets b and the returned totals mpf.
 
     One running sum grows from N - 1 to N by the products of row and column
     N - 1, so a sweep to N costs O(N^2) products, not O(N^3). A product of
-    three mpf is exact, and mpmath's mpf_sum at precision 0 keeps the sum
+    three tuples is exact, and mpmath's mpf_sum at precision 0 keeps the sum
     exact unless two terms lie over a million bits apart (then it drops the
     smaller, far below any rounding).
     """
     b = [x._mpf_ for x in b]
     totals = [fzero]
     for k in range(max(counts)):
-        row = [mpf_mul(mpf_mul(b[k], b[j]), cols[j][k]._mpf_) for j in range(k + 1)]
-        column = [mpf_mul(mpf_mul(b[i], b[k]), cols[k][i]._mpf_) for i in range(k)]
+        row = [mpf_mul(mpf_mul(b[k], b[j]), cols[j][k]) for j in range(k + 1)]
+        column = [mpf_mul(mpf_mul(b[i], b[k]), cols[k][i]) for i in range(k)]
         totals.append(mpf_sum([totals[-1], *row, *column]))
     prec, rnd = mp._prec_rounding
     return [mp.make_mpf(mpf_pos(totals[n], prec, rnd)) for n in counts]

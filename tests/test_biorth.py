@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf, workprec
-from mpmath.libmp import from_man_exp, from_rational
+from mpmath.libmp import from_float, from_man_exp, from_rational, to_float
 
 from memheat import NumericalError, PrecisionError, TimeGrid, biorth
 from memheat.biorth import (
@@ -75,7 +75,7 @@ def test_finite_horizon_entries_grow_to_cauchy():
         g_inf = gram(exps, None).build()
     for i in range(2):
         for j in range(2):
-            assert float(g_short[i][j]) < float(g_long[i][j]) < float(g_inf[i][j])
+            assert to_float(g_short[i][j]) < to_float(g_long[i][j]) < to_float(g_inf[i][j])
 
 
 def _gram_matrix_reference(exps, horizon):
@@ -97,7 +97,7 @@ def test_gram_entries_keep_the_bits_of_the_mpf_expression(horizon, bits):
     with workprec(bits):
         got = gram(exps, horizon).build()
         want = _gram_matrix_reference(exps, horizon)
-    assert [[x._mpf_ for x in row] for row in got] == [[x._mpf_ for x in row] for row in want]
+    assert got == [[x._mpf_ for x in row] for row in want]
 
 
 def test_finite_horizon_norms_dominate():
@@ -384,6 +384,37 @@ def test_sanity_gram_is_exactly_symmetric():
     assert G == [list(col) for col in zip(*G)]
 
 
+# signed zeros, the smallest subnormal, a subnormal with a full spread of
+# bits, the smallest normal and the largest magnitude drawn
+EDGE_DOUBLES = (0.0, -0.0, 5e-324, -1.2345e-310, 2.2250738585072014e-308, -1e300)
+
+
+@st.composite
+def symmetric_doubles(draw):
+    n = draw(st.integers(1, 5))
+    entry = st.one_of(st.sampled_from(EDGE_DOUBLES), st.floats(-1e300, 1e300))
+    M = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i, n):
+            M[i, j] = M[j, i] = draw(entry)
+    return M
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(symmetric_doubles())
+def test_empirical_gram_converts_every_double_exactly(M):
+    gs = empirical_gram(M)
+    want = [[from_float(v) for v in row] for row in 0.5 * (M + M.T)]
+    for bits in (53, 1024):
+        with workprec(bits):
+            G = gs.build()
+        assert G == want
+        # each entry is the double itself, not a rounding of it
+        assert [[_exact(mp.make_mpf(x)) for x in row] for row in G] == [
+            [Fraction(v) for v in row] for row in M
+        ]
+
+
 @st.composite
 def distinct_exponents(draw):
     # geometric spacing of at least 5% keeps the Cauchy matrix within reach
@@ -410,6 +441,10 @@ def test_gram_solve_matches_cauchy_closed_form(exps):
 
 def _tuples(values):
     return [x._mpf_ for x in values]
+
+
+def _mpfs(values):
+    return [mp.make_mpf(x) for x in values]
 
 
 def _exact_dot(xs, ys):
@@ -477,17 +512,12 @@ def test_exact_vector_refuses_special_values(special):
         min_norm_biorth(gs)
 
 
-def _inverse(G, count=None):
-    """`_spd_inverse` of mpf rows, as mpf columns."""
-    cols = _spd_inverse([_tuples(row) for row in G], count)
-    return [[mp.make_mpf(x) for x in col] for col in cols]
-
-
 def _spd_inverse_reference(G):
-    """The inverse as mpmath computes it: cholesky, then fdot substitutions."""
+    """The inverse of the rows G of libmp tuples as mpmath computes it:
+    cholesky, then fdot substitutions, in mpf columns."""
     n = len(G)
     with mp.extraprec(10):
-        L = mp.cholesky(mp.matrix(G)).tolist()
+        L = mp.cholesky(mp.matrix([_mpfs(row) for row in G])).tolist()
         Lt = [list(col) for col in zip(*L)]
         cols = []
         for j in range(n):
@@ -516,27 +546,24 @@ def _spd_inverse_reference(G):
 def test_spd_inverse_matches_mpmath_entry_for_entry(build):
     with workprec(256):
         G = build()
-        got = _inverse(G)
+        got = _spd_inverse(G)
         want = _spd_inverse_reference(G)
         read = _residual_by_fdot(G, want)
-    assert [[x._mpf_ for x in col] for col in got] == [
-        [x._mpf_ for x in col] for col in want
-    ]
+    assert got == [[x._mpf_ for x in col] for col in want]
     # the gate's per-row defects are those of fdot on the same columns; a
     # gate nothing can miss stops the ladder at its first rung
     with mock.patch.object(biorth, "RESIDUAL_GATE", math.inf):
         cols, residuals, bits, _ = biorth._ladder_solve(lambda: G, 256)
-    assert bits == 256 and [[x._mpf_ for x in col] for col in cols] == [
-        [x._mpf_ for x in col] for col in want
-    ]
+    assert bits == 256 and cols == [[x._mpf_ for x in col] for col in want]
     assert residuals == tuple(float(max(row)) for row in read)
 
 
 def _residual_by_fdot(G, cols):
-    """|G X - I| as mpmath computes it, entry [i][j] for row i and column j."""
+    """|G X - I| as mpmath computes it, entry [i][j] for row i and column j,
+    for the rows G of libmp tuples and mpf columns X."""
     return [
         [abs(mp.fdot(g, x) - int(i == j)) for j, x in enumerate(cols)]
-        for i, g in enumerate(G)
+        for i, g in enumerate(map(_mpfs, G))
     ]
 
 
@@ -572,15 +599,16 @@ def test_leading_columns_are_those_of_the_full_solve(build, counts):
     # is the oracle for every column-limited solve
     with workprec(256):
         G = build()
-        full = [[x._mpf_ for x in col] for col in _inverse(G)]
+        full = _spd_inverse(G)
         for count in counts:
-            got = _inverse(G, count)
-            assert [[x._mpf_ for x in col] for col in got] == full[:count]
+            got = _spd_inverse(G, count)
+            assert got == full[:count]
 
 
 @st.composite
 def scaled_spd(draw):
-    """A working precision, an SPD matrix D A D of mpf rows and a column count.
+    """A working precision, an SPD matrix D A D of libmp tuple rows and a
+    column count.
 
     A is strictly diagonally dominant (a_ii = 1 + sum_j |a_ij|), with a drawn
     share of exact zeros off the diagonal, so every Cholesky pivot of A is at
@@ -614,7 +642,7 @@ def scaled_spd(draw):
             G[i][i] = d[i] * (1 + sum(abs(a) for a in A[i])) * d[i]
             for j in range(i + 1, n):
                 G[i][j] = G[j][i] = d[i] * A[i][j] * d[j]
-    return bits, G, count
+    return bits, [_tuples(row) for row in G], count
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
@@ -626,16 +654,12 @@ def test_solve_equals_mpmath_on_scaled_matrices(case):
     with workprec(bits):
         want = _spd_inverse_reference(G)[:count]
         read = _residual_by_fdot(G, want)
-        got = _inverse(G, count)
-    assert [[x._mpf_ for x in col] for col in got] == [
-        [x._mpf_ for x in col] for col in want
-    ]
+        got = _spd_inverse(G, count)
+    assert got == [[x._mpf_ for x in col] for col in want]
     with mock.patch.object(biorth, "RESIDUAL_GATE", math.inf):
         cols, residuals, used, _ = biorth._ladder_solve(lambda: G, bits, count)
     assert used == bits
-    assert [[x._mpf_ for x in col] for col in cols] == [
-        [x._mpf_ for x in col] for col in want
-    ]
+    assert cols == [[x._mpf_ for x in col] for col in want]
     assert residuals == tuple(float(max(row)) for row in read)
 
 
@@ -653,7 +677,7 @@ def test_sweep_equals_the_one_formed_from_full_inverse_columns(size, c):
     def full_inverse(build, bits, count):
         assert count == active
         with workprec(sweep.precision_used):
-            cols = _spd_inverse_reference(build())
+            cols = [_tuples(col) for col in _spd_inverse_reference(build())]
         return cols, None, sweep.precision_used, ((sweep.precision_used, 0.0),)
 
     with mock.patch.object(biorth, "_ladder_solve", full_inverse):
@@ -730,7 +754,7 @@ def test_control_gram_skips_only_exact_zero_terms(c, bits):
                 assert rp == 0 and A == 0
         got = _control_gram(60, 1.0, c)
         want = _control_gram_reference(60, 1.0, c)
-    assert [x._mpf_ for row in got for x in row] == [x._mpf_ for x in want]
+    assert [x for row in got for x in row] == [x._mpf_ for x in want]
 
 
 @settings(max_examples=70, deadline=None, derandomize=True, database=None)
@@ -753,7 +777,7 @@ def test_control_gram_keeps_the_bits_of_the_reference(family, c, horizon, bits):
                 assert rp == 0 and A == 0
         got = _control_gram(family, horizon, c)
         want = _control_gram_reference(family, horizon, c)
-    assert [x._mpf_ for row in got for x in row] == [x._mpf_ for x in want]
+    assert [x for row in got for x in row] == [x._mpf_ for x in want]
 
 
 def test_growth_fit_validation():
@@ -863,7 +887,7 @@ def test_sweep_norms_are_exact_quadratic_forms_rounded_once(top, seed):
         b = [draw() for _ in range(top)]
         cols = [[draw() for _ in range(top + 2)] for _ in range(top + 1)]
         counts = sorted(rng.sample(range(1, top + 1), rng.randint(1, top)))
-        got = biorth._control_norms2(b, cols, counts)
+        got = biorth._control_norms2(b, [_tuples(col) for col in cols], counts)
         for n, value in zip(counts, got):
             exact = sum(
                 _exact(b[i]) * _exact(b[j]) * _exact(cols[j][i])

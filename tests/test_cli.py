@@ -16,6 +16,7 @@ import sys
 import warnings
 
 import pytest
+from mpmath.libmp import mpf_neg
 
 from memheat import biorth
 from memheat.cli import main
@@ -396,7 +397,7 @@ def test_nonpositive_control_norm_exits_3_without_output(tmp_path, monkeypatch, 
 
     def negated(*args):
         cols, residuals, bits, attempts = ladder(*args)
-        return [[-x for x in col] for col in cols], residuals, bits, attempts
+        return [[mpf_neg(x) for x in col] for col in cols], residuals, bits, attempts
 
     monkeypatch.setattr(biorth, "_ladder_solve", negated)
     cfg = write_config(tmp_path, SMALL)
