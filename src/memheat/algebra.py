@@ -1,6 +1,6 @@
 """Convolution algebra on uniform time grids.
 
-Everything downstream is built on three operations over sampled functions:
+Everything downstream is built on four operations over sampled functions:
 
 * `convolve` - trapezoid-rule convolution, FFT-accelerated, with a canonical
   operand ordering so that f*g and g*f are bitwise identical.
@@ -8,14 +8,18 @@ Everything downstream is built on three operations over sampled functions:
   and one right-hand side per row, the trapezoid scheme solved blockwise
   with FFT history in O(n log^2 n) per row; `volterra_solve` is its one-row
   case on sampled functions.
-* `convolve_exp_monomial_stack` - product quadrature against exponential
-  (times monomial) weights, exact on the weight factor, so the accuracy is
-  uniform in the decay rate instead of collapsing for stiff modes; one row
-  per rate, the sum over a stack of operands, operand k against the weight
-  of degree k, summed in frequency space; `convolve_exp_monomial` is its
-  one-operand, one-rate case on sampled functions.
+* `convolve_exp_stack` - product quadrature of one operand against the
+  exponential weight e^{-mu2 u}, one row per rate, for any sign of the
+  rate: the exact recursion of the cell weights, evaluated as tilted
+  prefix sums in O(n) per row with no FFT; `convolve_exp_monomial` is its
+  one-rate case on sampled functions.
+* `convolve_exp_monomial_stack` - product quadrature of a stack of operands,
+  operand k against the weight u^k e^{-mu2 u}/k!, one row per positive
+  rate, the degrees summed in frequency space. Only the series route of the
+  mode resolvents asks for it, so the series and the direct route share no
+  quadrature code.
 
-These two one-row functions are the only ones kept: the benchmark's tracer
+The two one-row functions are the only ones kept: the benchmark's tracer
 times both by name, and the routes that work one row at a time (the kernel
 resolvent, the direct mode resolvent, the heat baseline and the end
 brackets of the moment targets) call them.
@@ -168,44 +172,121 @@ def _solve_span(y, f, K, inv, dt, lo, hi, top):
 #
 #     A_k(j) = int_{(j-1) dt}^{j dt} u^k e^{-mu2 u} du.
 #
-# Degree 0 has closed forms for any sign of mu2 (`_cell_moments_01`). The
-# higher degrees, which only the series route asks for, come from one table
-# per (mu2, grid) holding every degree up to the stack's top: the incomplete
+# Degree 0 has closed forms for any sign of mu2, and every cell's weights
+# are those of the first cell times e^{-mu2 (j-1) dt}, so one operand's
+# quadrature is a first-order recursion (`convolve_exp_stack`). The higher
+# degrees, which only the series route asks for, come from one table per
+# (mu2, grid) holding every degree up to the stack's top: the incomplete
 # gamma integral at the top degree, stepped down by its positive
 # recurrence, in numpy alone (`_moment_table`), built once per rate in each
 # stacked call.
 
 
-def _cell_moments_01(mu2: float, grid: TimeGrid) -> tuple:
-    """Exact cell moments A_0, A_1 for any sign of the rate.
+def _first_cell_weights(mu2: float, dt: float) -> tuple:
+    """a0 = int_0^dt e^{-mu2 v} dv and b0 = int_0^dt (dt - v) e^{-mu2 v} dv,
+    the weights of the nearest cell's left value and slope, for any sign of
+    the rate.
 
-    For |mu2*dt| >= 1/2 the usual closed forms are stable; below that the
+    For |mu2*dt| >= 1/2 the closed forms are stable; below that the
     subtractions cancel, so a short series in x = mu2*dt takes over.
     """
-    dt = grid.dt
-    n = grid.size
-    j = np.arange(1, n, dtype=float)
     x = mu2 * dt
     if abs(x) >= 0.5:
-        e_left = np.exp(-mu2 * (j - 1.0) * dt)
-        e_right = np.exp(-mu2 * j * dt)
-        A0 = (e_left - e_right) / mu2
-        A1 = ((j - 1.0) * dt + 1.0 / mu2) * e_left / mu2 - (j * dt + 1.0 / mu2) * e_right / mu2
-    else:
-        # p1 = int_0^1 e^{-x v} dv, p2 = int_0^1 v e^{-x v} dv as power series.
-        p1 = 0.0
-        p2 = 0.0
-        term = 1.0
-        for m in range(30):
-            p1 += term / (m + 1.0)
-            p2 += term / (m + 2.0)
-            term *= -x / (m + 1.0)
-            if abs(term) < 1e-20:
+        a0 = -np.expm1(-x) / mu2
+        return a0, (dt - a0) / mu2
+    # p1 = int_0^1 e^{-x v} dv and p2 = int_0^1 v e^{-x v} dv
+    p1 = 0.0
+    p2 = 0.0
+    term = 1.0
+    for m in range(30):
+        p1 += term / (m + 1.0)
+        p2 += term / (m + 2.0)
+        term *= -x / (m + 1.0)
+        if abs(term) < 1e-20:
+            break
+    return dt * p1, dt * dt * (p1 - p2)
+
+
+def _cell_moments_01(mu2: float, grid: TimeGrid) -> tuple:
+    """Exact cell moments A_0, A_1 for any sign of the rate: cell j holds the
+    first cell's weights shifted by e_j = e^{-mu2 (j-1) dt}, so A_0(j) =
+    a0 e_j and A_1(j) = (j dt a0 - b0) e_j, (a0, b0) from
+    `_first_cell_weights`.
+    """
+    a0, b0 = _first_cell_weights(mu2, grid.dt)
+    j = np.arange(1, grid.size, dtype=float)
+    e_left = np.exp(-mu2 * (j - 1.0) * grid.dt)
+    return a0 * e_left, (j * grid.dt * a0 - b0) * e_left
+
+
+# Largest |mu2| L dt of a block of L cells in `convolve_exp_stack`: its tilt
+# factors e^{+-mu2 l dt}, l < L, lie within e^{+-TILT_SPAN}, normal doubles,
+# and the rounding of a factor's argument costs it at most about
+# TILT_SPAN * eps / 2 of relative accuracy.
+TILT_SPAN = 30.0
+
+
+def convolve_exp_stack(f: np.ndarray, grid: TimeGrid, rates) -> np.ndarray:
+    """Row r is (f * e)(t), e(u) = e^{-mu2 u} and mu2 = rates[r], exact in
+    the exponential factor for any sign of the rate; f (nodes,) is one
+    operand, piecewise linear between its samples.
+
+    At node i, the cell of f starting at node j < i (its left value f_j
+    and slope s_j) has the weights (a0, b0) of `_first_cell_weights` times
+    e^{-mu2 (i-1-j) dt}, so the quadrature is exactly the recursion
+
+        out_i = e^{-mu2 dt} out_{i-1} + a0 f_{i-1} + b0 s_{i-1},  out_0 = 0,
+
+    evaluated in O(nodes) per row with no FFT. The cells are cut into
+    blocks of L, |mu2| L dt <= TILT_SPAN. Inside a block the recursion is a
+    prefix sum of the terms tilted by e^{mu2 l dt}, untilted afterwards. The
+    value at each block's first node (its carry) follows the same recursion
+    one level up, c_{b+1} = e^{-mu2 L dt} c_b + (block b's end value from
+    zero), summed by recursive doubling until the ratio's power underflows.
+    The round-off of a row is thus relative to its running size for either
+    sign of the rate, where an FFT's is absolute: about eps times the
+    largest weight, e^{|mu2| T} for a negative rate. Each rate allocates
+    three buffers of about one row (the lags, one tilt and the blocks) and
+    uses its output row as scratch. Raises NumericalError if a row
+    overflows.
+    """
+    rates = np.atleast_1d(np.asarray(rates, dtype=float))
+    n, dt = grid.size, grid.dt
+    cells = n - 1
+    slopes = np.diff(f)
+    slopes /= dt
+    out = np.zeros((len(rates), n))
+    for row, mu2 in zip(out, rates):
+        a0, b0 = _first_cell_weights(mu2, dt)
+        x = abs(mu2) * dt
+        blocks = 1 if x * cells <= TILT_SPAN else -(-cells // max(1, int(TILT_SPAN / x)))
+        size = -(-cells // blocks)  # L, cells per block
+        lags = np.arange(size, dtype=float)
+        lags *= dt
+        tilt = np.multiply(lags, mu2)
+        work = np.zeros((blocks, size))  # the tail of the last block stays 0
+        terms = work.reshape(-1)[:cells]
+        np.multiply(f[:-1], a0, out=terms)
+        terms += np.multiply(slopes, b0, out=row[1:])  # row[1:] is scratch until the end
+        work *= np.exp(tilt, out=tilt)
+        np.cumsum(work, axis=1, out=work)
+        untilt = np.exp(np.multiply(lags, -mu2, out=tilt), out=tilt)
+        # carry[b] is out at node b L: first each block's end value from
+        # zero, then the sum of the older ones, each decayed to node b L
+        carry = np.zeros(blocks)
+        np.multiply(work[:-1, -1], untilt[-1], out=carry[1:])
+        shift = 1
+        while shift < blocks:
+            power = np.exp(-mu2 * (dt * size * shift))  # e^{-mu2 L dt}^shift
+            if power == 0.0:
                 break
-        e_left = np.exp(-mu2 * (j - 1.0) * dt)
-        A0 = dt * p1 * e_left
-        A1 = dt * ((j - 1.0) * dt * p1 + dt * p2) * e_left
-    return A0, A1
+            carry[shift:] += power * carry[:-shift]
+            shift *= 2
+        work += np.exp(-mu2 * dt) * carry[:, None]
+        work *= untilt
+        row[1:] = terms
+    check_finite(out)
+    return out
 
 
 # Samples per batched FFT call of the product quadrature: as many rows go
@@ -274,11 +355,11 @@ def convolve_exp_monomial_stack(f: np.ndarray, grid: TimeGrid, rates) -> np.ndar
     """Row r is sum_k (f_k * w_k)(t), w_k(u) = u^k e^{-mu2 u} / k! and
     mu2 = rates[r], exact in every w_k.
 
-    f is a stack of operands (degrees, nodes), operand k against the weight
-    of degree k, or one operand (nodes,); each is piecewise linear between
-    its samples. Degree 0 has closed forms for any sign of the rate; degrees
-    k >= 1 read the rate's `_moment_table`, so more than one operand needs
-    every rate positive.
+    f is a stack of two or more operands (degrees, nodes), operand k
+    against the weight of degree k, each piecewise linear between its
+    samples; one operand alone is `convolve_exp_stack`. Degree 0 has closed
+    forms for any sign of the rate; degrees k >= 1 read the rate's
+    `_moment_table`, so every rate must be positive.
 
     The convolutions are FFTs of size _fft_size(2 nodes - 1), at most
     max(1, FFT_BATCH // size) rows per rfft call. Each operand's value and
@@ -286,13 +367,13 @@ def convolve_exp_monomial_stack(f: np.ndarray, grid: TimeGrid, rates) -> np.ndar
     products of its weight spectra with them are summed in two
     accumulators, values and slopes, each with one inverse FFT, and its
     moment table goes up to the stack's top degree. A row depends on its
-    own rate only; for one operand nothing is summed. Raises
-    NumericalError if a row overflows.
+    own rate only. Raises NumericalError if a row overflows.
     """
-    f = np.atleast_2d(f)
+    if np.ndim(f) != 2 or len(f) < 2:
+        raise ValueError("an operand stack has shape (degrees >= 2, nodes)")
     rates = np.atleast_1d(np.asarray(rates, dtype=float))
     degrees = len(f)
-    if degrees > 1 and np.any(rates <= 0):
+    if np.any(rates <= 0):
         raise NumericalError(
             "monomial-weight quadrature with k >= 1 requires a positive rate; "
             "use the direct resolvent route for nonpositive rates"
@@ -340,7 +421,7 @@ def convolve_exp_monomial_stack(f: np.ndarray, grid: TimeGrid, rates) -> np.ndar
     def fill(row, mu2):
         """Row of one rate: the value sum is inverted before the last slope
         products form, and the table and sums are freed on return."""
-        table = _moment_table(mu2, grid, degrees) if degrees > 1 else None
+        table = _moment_table(mu2, grid, degrees)
         value_sum = slope_sum = None
         for rows, (values, slopes) in zip(blocks, spectra):
             wa, wb = weights(mu2, table, range(degrees)[rows])
@@ -361,9 +442,8 @@ def convolve_exp_monomial_stack(f: np.ndarray, grid: TimeGrid, rates) -> np.ndar
 
 def convolve_exp_monomial(f: SampledFunction, rate: float) -> SampledFunction:
     """(f * e)(t) with e(u) = e^{-rate u}, exact in the exponential factor,
-    for any sign of the rate: `convolve_exp_monomial_stack` for one operand
-    and one rate."""
-    out = convolve_exp_monomial_stack(f.values, f.grid, rate)
+    for any sign of the rate: `convolve_exp_stack` for one rate."""
+    out = convolve_exp_stack(f.values, f.grid, rate)
     return SampledFunction(f.grid, out[0])
 
 

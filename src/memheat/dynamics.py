@@ -14,8 +14,9 @@ collapsed: each builds its own k (and the solve its own z) from the mode and
 the triple. The mode resolvent h of the explicit route is the only per-mode
 array a caller passes in, and none is cached. The solve route builds the z
 and k of all a grid's modes as the rows of two stacks (`mode_equations`),
-each one product quadrature against a shared operand; a row holds the bits
-of the one-mode routes. Those routes, `solve_mode`, `explicit_mode` and
+each one product quadrature against a shared operand (an O(nodes)
+exponential recursion per rate, no FFT); a row holds the bits of the
+one-mode routes. Those routes, `solve_mode`, `explicit_mode` and
 `heat_mode`, are the only one-mode functions kept, because the acceptance
 tests compare them; each reads row 0 of a stack (`mode_equations`,
 `_rhs_stack`) or calls the one-rate product quadrature.
@@ -35,7 +36,7 @@ import numpy as np
 from .algebra import (
     convolve,
     convolve_exp_monomial,
-    convolve_exp_monomial_stack,
+    convolve_exp_stack,
     volterra_solve,
 )
 from .grids import SampledFunction, require_same_grid
@@ -58,12 +59,12 @@ class ModalTrajectory:
 def _rhs_stack(rates, rt: ResolventTriple, xis, g: SampledFunction) -> np.ndarray:
     """Right-hand sides k = (e0 - e0*q) xi - e0*g, one row per (rate, xi)."""
     grid = require_same_grid(rt.resolvent, g)
-    k = convolve_exp_monomial_stack(rt.resolvent.values, grid, rates)
+    k = convolve_exp_stack(rt.resolvent.values, grid, rates)
     for row, mu2, xi in zip(k, rates, xis):
         row[:] = xi * np.exp(-mu2 * grid.nodes) - xi * row
     if g.values.any():
         # zero forcing (every CLI path) would subtract exact zeros: x - 0.0 == x
-        k -= convolve_exp_monomial_stack(g.values, grid, rates)
+        k -= convolve_exp_stack(g.values, grid, rates)
     return k
 
 
@@ -111,7 +112,19 @@ def explicit_mode(
     xi: float,
     g: SampledFunction,
 ) -> ModalTrajectory:
-    """Closed-form route w = k - h*k through a precomputed mode resolvent h."""
-    k = SampledFunction(g.grid, _rhs_stack([mode.shifted_rate], rt, [xi], g)[0])
-    w = k - convolve(h, k)
+    """Closed-form route w = k - h*k through a precomputed mode resolvent h.
+
+    A nonpositive rate mu2 makes h and k grow like e^{sigma t}, sigma = -mu2,
+    and an FFT convolution's round-off is absolute, about eps times the
+    largest operands. So h*k is formed as e^{sigma t} ((h e^{-sigma .}) *
+    (k e^{-sigma .}))(t), an identity of the trapezoid sums, with
+    sigma = max(0, -mu2): for a positive rate the factors are exact ones and
+    this is `convolve(h, k)` bit for bit.
+    """
+    grid = g.grid
+    k = SampledFunction(grid, _rhs_stack([mode.shifted_rate], rt, [xi], g)[0])
+    sigma = max(0.0, -mode.shifted_rate)
+    tilt = np.exp(-sigma * grid.nodes)
+    hk = convolve(SampledFunction(grid, h.values * tilt), SampledFunction(grid, k.values * tilt))
+    w = k - SampledFunction(grid, hk.values * np.exp(sigma * grid.nodes))
     return ModalTrajectory(xi, w)

@@ -19,11 +19,11 @@ this leaves is measured in `biorth`.
 The bracket of d_n per unit initial value depends only on the mode's rate.
 `end_brackets` computes it for a stack of rates in one pass: one stacked
 solve of their mode resolvents h and one stacked product quadrature for
-e0*q. The scope search reads one rate at a time (`free_end_value`), since
-it stops at the first mode that passes; `asymptotic_table` computes the
-brackets of the whole window in one call and carries them in its report,
-and `build_moment_problem` scales those by the initial data. Nothing is
-cached on the triple.
+e0*q (an O(nodes) exponential recursion per rate). The scope search reads
+one rate at a time (`free_end_value`), since it stops at the first mode
+that passes; `asymptotic_table` computes the brackets of the whole window
+in one call and carries them in its report, and `build_moment_problem`
+scales those by the initial data. Nothing is cached on the triple.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import convolve_exp_monomial, convolve_exp_monomial_stack, end_pairing
+from .algebra import convolve_exp_monomial, convolve_exp_stack, end_pairing
 from .errors import NumericalError, read_list, read_number, read_tagged
 from .grids import SampledFunction
 from .modes import Mode, dirichlet_modes_1d, first_positive_index
@@ -131,7 +131,7 @@ def end_brackets(rt: ResolventTriple, rates) -> np.ndarray:
     """
     grid = rt.grid
     h = mode_resolvent_stack(rt, rates)
-    e0q = convolve_exp_monomial_stack(rt.resolvent.values, grid, rates)
+    e0q = convolve_exp_stack(rt.resolvent.values, grid, rates)
     out = np.empty(len(rates))
     for i, mu2 in enumerate(rates):
         h_i, q_i = SampledFunction(grid, h[i]), SampledFunction(grid, e0q[i])

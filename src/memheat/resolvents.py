@@ -16,7 +16,8 @@ Both routes take a stack of rates. Their one-rate functions,
 kept because the acceptance tests compare them and the benchmark's tracer
 counts the direct one by name; `mode_kernels` has no one-rate twin. The
 kernels z of a stack are one product quadrature against the shared operand
-q', whose value and slope spectra are transformed once.
+q', an O(nodes) exponential recursion per rate with no FFT
+(`algebra.convolve_exp_stack`), which the series route does not use.
 The series builds the powers q', q'*q', ... once per call, in one local
 (terms, nodes) array freed on return, and sums them against the monomial
 weights of every rate in one product quadrature over that operand stack:
@@ -34,6 +35,7 @@ import numpy as np
 from .algebra import (
     convolve,
     convolve_exp_monomial_stack,
+    convolve_exp_stack,
     volterra_solve,
     volterra_solve_stack,
 )
@@ -84,7 +86,7 @@ def resolvent_of(kernel: MemoryKernel, grid: TimeGrid) -> ResolventTriple:
 def mode_kernels(triple: ResolventTriple, rates) -> np.ndarray:
     """z = -(q' * e) with e(u) = e^{-mu2 u} for every rate, one row each;
     any sign of mu2 is accepted."""
-    z = convolve_exp_monomial_stack(triple.resolvent_deriv.values, triple.grid, rates)
+    z = convolve_exp_stack(triple.resolvent_deriv.values, triple.grid, rates)
     return np.negative(z, out=z)
 
 

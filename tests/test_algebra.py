@@ -38,6 +38,7 @@ from memheat.algebra import (
     convolve,
     convolve_exp_monomial,
     convolve_exp_monomial_stack,
+    convolve_exp_stack,
     end_pairing,
     volterra_solve,
     volterra_solve_stack,
@@ -467,19 +468,21 @@ def quadrature_rates(rng, rows, positive):
         st.sampled_from([2, 3, 1025, 2048, 2049, 3000]),
         st.integers(min_value=2, max_value=3000),
     ),
-    st.integers(min_value=0, max_value=2 * (FFT_BATCH // 4096) + 1),
+    st.one_of(st.just(0), st.integers(min_value=2, max_value=2 * (FFT_BATCH // 4096) + 1)),
     st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_quadrature_stack_matches_one_call_per_row(rows, nodes, degrees, seed):
     # past 1,024 nodes a batched FFT call takes 8 or 4 rows, so the operand
     # counts fall on both sides of it; a rate repeats. Degrees 0 means one
-    # operand of shape (nodes,), any other count a stack of that many.
+    # operand of shape (nodes,), the exponential recursion, any other count
+    # a stack of that many.
     rng = np.random.default_rng(seed)
     grid = TimeGrid(float(rng.uniform(0.1, 2.0)), nodes - 1)
     rates = quadrature_rates(rng, rows, positive=degrees > 1)
     rates[rows // 2] = rates[0]
     f = rng.standard_normal((degrees, nodes) if degrees else nodes)
-    out = convolve_exp_monomial_stack(f, grid, rates)
+    quadrature = convolve_exp_monomial_stack if degrees else convolve_exp_stack
+    out = quadrature(f, grid, rates)
     assert out.shape == (rows, nodes)
     for row, mu2 in zip(out, rates):
         if f.ndim == 1:  # the bits of the one-row call
@@ -498,7 +501,7 @@ def series_by_degree(f, grid, mu2):
     n, dt = grid.size, grid.dt
     size = 1 << (2 * n - 2).bit_length()
     lag = np.arange(1, n, dtype=float) * dt
-    table = _moment_table(mu2, grid, len(f)) if len(f) > 1 else None
+    table = _moment_table(mu2, grid, len(f))
     total = np.zeros(n)
     scale = 0.0
     for k, operand in enumerate(f):
@@ -522,7 +525,7 @@ def series_by_degree(f, grid, mu2):
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(
-    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=2, max_value=40),
     st.integers(min_value=2, max_value=3000),
     st.integers(min_value=1, max_value=9),
     st.integers(min_value=0, max_value=2**32 - 1),
@@ -533,7 +536,7 @@ def test_quadrature_stack_matches_the_series_by_degree(degrees, nodes, rows, see
     # them in the time domain, one inverse FFT per degree and term. With
     # the same moment table, the gap relative to the sum of the terms' sup
     # norms measured at most 1.3e-15 over 1,500 draws of this domain (every
-    # row checked), so C = 1e-14. One operand gives the same bits.
+    # row checked), so C = 1e-14.
     rng = np.random.default_rng(seed)
     grid = TimeGrid(float(rng.uniform(0.1, 2.0)), nodes - 1)
     rates = quadrature_rates(rng, rows, positive=True)
@@ -548,8 +551,6 @@ def test_quadrature_stack_matches_the_series_by_degree(degrees, nodes, rows, see
     f = rng.standard_normal((degrees, nodes)) * np.exp(-log_mass)[:, None]
     out = convolve_exp_monomial_stack(f, grid, rates)
     reference, scale = series_by_degree(f, grid, rates[r])
-    if degrees == 1:
-        assert out[r].tobytes() == reference.tobytes()
     assert np.max(np.abs(out[r] - reference)) <= 1e-14 * scale
 
 
@@ -564,9 +565,13 @@ def test_quadrature_stack_checks_every_row(monkeypatch):
         convolve_exp_monomial_stack(np.ones((3, GRID.size)), GRID, [1.0, -1.0])
     with pytest.raises(NumericalError, match="requires a positive rate"):
         convolve_exp_monomial_stack(np.ones((2, GRID.size)), GRID, [2.0, 0.0, 1.0])
+    for single in (one, one[None]):  # one operand is `convolve_exp_stack`
+        with pytest.raises(ValueError, match="operand stack"):
+            convolve_exp_monomial_stack(single, GRID, [1.0])
     assert transforms == []  # refused before any FFT
-    assert convolve_exp_monomial_stack(one, GRID, [-1.0, 0.0]).shape == (2, GRID.size)
-    assert convolve_exp_monomial_stack(one, GRID, []).shape == (0, GRID.size)
+    assert convolve_exp_stack(one, GRID, [-1.0, 0.0]).shape == (2, GRID.size)
+    assert convolve_exp_stack(one, GRID, []).shape == (0, GRID.size)
+    assert transforms == []  # one operand is a recursion, not an FFT
 
 
 def _reference_cell_moments(mu2, d, grid):
@@ -623,6 +628,58 @@ def test_convolve_exp_negative_rate():
     out = convolve_exp_monomial(sampled(np.ones_like), -3.0)
     exact = (np.exp(3.0 * GRID.nodes) - 1.0) / 3.0
     assert np.max(np.abs(out.values - exact)) / np.max(exact) < 1e-12
+
+
+def _exp_recursion_reference(f, grid, mu2):
+    """out_i = e^{-mu2 dt} out_{i-1} + a0 f_{i-1} + b0 s_{i-1} at 113 bits.
+
+    The samples, the rate and dt are the same doubles the quadrature sees,
+    so only its own arithmetic is measured.
+    """
+    with mpmath.workprec(113):
+        dt, mu = mpmath.mpf(grid.dt), mpmath.mpf(mu2)
+        a0 = -mpmath.expm1(-mu * dt) / mu if mu2 else dt
+        b0 = (dt - a0) / mu if mu2 else dt * dt / 2
+        ratio = mpmath.exp(-mu * dt)
+        values = [mpmath.mpf(float(v)) for v in f]
+        out = [mpmath.mpf(0)]
+        for left, right in zip(values, values[1:]):
+            out.append(ratio * out[-1] + a0 * left + b0 * (right - left) / dt)
+        return np.array([float(v) for v in out])
+
+
+@pytest.mark.parametrize(
+    "horizon, steps, mu2",
+    [
+        (2.0, 2000, math.pi**2 - 30.0),  # mode 1 of constant 30: e^{40} at T
+        (2.0, 2000, 4 * math.pi**2 - 30.0),
+        (1.0, 16000, 64 * math.pi**2 - 1.5),  # the march workload's top rate
+        (0.3, 3000, -2000.0),  # e^{600} at T, 20 blocks
+        (1.0, 1000, 1e6),  # one cell per block, the carry's ratio underflows
+        (1.0, 1000, 0.0),
+        (1.0, 1000, 1e-9),
+        (1.0, 1000, -1e-9),
+    ],
+)
+def test_exp_recursion_matches_extended_precision(horizon, steps, mu2):
+    # Every node against the running sup of the 113-bit recursion up to it.
+    # Each tilt factor is exact to about TILT_SPAN * eps / 2 = 3.3e-15, the
+    # rounding of its argument, and a growing row's carries are powers of
+    # e^{-mu2 dt} whose arguments, up to |mu2| t, round the same way: the
+    # loss of any double evaluation of e^{|mu2| t}. The gaps measured at
+    # most 3.8e-15 for the cases whose carries are bounded, and 0.37 eps
+    # |mu2| t at rate -2000, so the bound is 2e-14 + eps max(0, -mu2) t.
+    # The FFT quadrature fails it in six of these eight cases: by 284 times
+    # the running sup at node 1 for mu2 = pi^2 - 30, by 1.3e-13 at rate 0.
+    grid = TimeGrid(horizon, steps)
+    f = np.random.default_rng(steps).standard_normal(grid.size)
+    out = convolve_exp_stack(f, grid, [mu2])[0]
+    reference = _exp_recursion_reference(f, grid, mu2)
+    sup = np.maximum.accumulate(np.abs(reference))
+    eps = np.finfo(float).eps
+    bound = 2e-14 + eps * max(0.0, -mu2) * grid.nodes
+    assert out[0] == 0.0
+    assert np.all(np.abs(out - reference)[1:] <= bound[1:] * sup[1:])
 
 
 def test_end_pairing_oracle():

@@ -6,6 +6,7 @@ identity of the whole output directory. One subprocess test confirms the
 module really is runnable as `python3 -m memheat.cli`.
 """
 
+import cmath
 import filecmp
 import json
 import math
@@ -193,9 +194,7 @@ def test_moment_window_brackets_are_one_stacked_call(tmp_path, monkeypatch, scop
         moments, "mode_resolvent_stack", counted("h", moments.mode_resolvent_stack, 1)
     )
     monkeypatch.setattr(
-        moments,
-        "convolve_exp_monomial_stack",
-        counted("e0q", moments.convolve_exp_monomial_stack, 2),
+        moments, "convolve_exp_stack", counted("e0q", moments.convolve_exp_stack, 2)
     )
     monkeypatch.setattr(
         moments,
@@ -572,26 +571,68 @@ def test_resolvent_with_an_overflowing_oracle_writes_finite_data(tmp_path):
     assert "not finite" in summary["oracle_not_run"]
 
 
+def free_mode_of_constant_kernel(lam2, c, t):
+    """Exact free mode w(t) of w'' + lam2 w' + c lam2 w = 0, w(0) = 1,
+    w'(0) = -lam2: the mode equation of the constant kernel c."""
+    disc = cmath.sqrt(lam2 * lam2 - 4.0 * c * lam2)
+    rp, rm = (-lam2 + disc) / 2.0, (-lam2 - disc) / 2.0
+    a = (-lam2 - rm) / (rp - rm)
+    return [(a * cmath.exp(rp * s) + (1.0 - a) * cmath.exp(rm * s)).real for s in t]
+
+
+def read_trajectories(out):
+    rows = [line.split(",") for line in (out / "trajectories.csv").read_text().splitlines()[1:]]
+    return [[float(cell) for cell in row] for row in rows]
+
+
 def test_simulate_past_the_square_overflow_writes_finite_deficiency(tmp_path):
-    # m = 31 makes mode 1 grow to about 1.4e178 by T = 2: its square
-    # overflows a double, yet the deficiency sqrt(sum (w_n/lam_n^2)^2) of one
-    # mode is |w_1|/lam_1^2, which is finite
-    data = {"kernel": {"type": "constant", "value": 31.0}, "horizon": 2.0, "steps": 200, "modes": 1}
+    # m = -5 makes mode 1 grow by a factor 315 over T = 2, as the exact mode
+    # does (6.1e-4 apart, relatively, at 200 steps: O(dt^2)), and
+    # xi_1 = 1e160 puts w_1 past 1.3e155, where the square of w_1/lam_1^2
+    # overflows a double; yet the deficiency sqrt(sum (w_n/lam_n^2)^2) of
+    # one mode is |w_1|/lam_1^2, which is finite
+    data = {
+        "kernel": {"type": "constant", "value": -5.0},
+        "horizon": 2.0,
+        "steps": 200,
+        "modes": 1,
+        "initial": {"rule": "explicit", "values": [1e160]},
+    }
     cfg = write_config(tmp_path, data)
     out = tmp_path / "run"
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # mode 1's nonpositive shifted rate
-        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
-    rows = [line.split(",") for line in (out / "trajectories.csv").read_text().splitlines()[1:]]
-    w1 = [float(w) for _, w in rows]
-    assert max(map(abs, w1)) > 1e170
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    t, w1 = zip(*read_trajectories(out))
+    lam2 = math.pi**2
+    exact = free_mode_of_constant_kernel(lam2, -5.0, t)
+    assert exact[-1] > 300.0  # growth, not only large data
+    assert all(abs(w - 1e160 * e) <= 1e-3 * 1e160 * abs(e) for w, e in zip(w1, exact))
+    assert max(map(abs, w1)) > 1.4e154 * lam2
     lines = (out / "deficiency.csv").read_text().splitlines()[1:]
     deficiency = [float(line.split(",")[1]) for line in lines]
     assert len(deficiency) == len(w1)
-    lam2 = math.pi**2
     for d, w in zip(deficiency, w1):
         assert math.isfinite(d)
         assert abs(d - abs(w) / lam2) <= 1e-15 * abs(w) / lam2
+
+
+def test_simulate_keeps_a_growing_mode_on_its_ode(tmp_path):
+    # m = 30: mode 1's shifted rate pi^2 - 30 = -20.13 makes its z and k grow
+    # like e^{20.13 t}, to e^{40} at T = 2. Their product quadrature is a
+    # recursion whose round-off is relative to the row, so w_1 follows the
+    # exact mode through t = 1: 2.2e-4 apart at most, O(dt^2) (5.4e-5 at
+    # 4,000 steps). An FFT quadrature's absolute round-off, about eps e^{40},
+    # put w_1(dt) at 5.02 against 0.990 and w_1(1) at 3.0e12. Past t = 1 the
+    # solve's own FFT history and the representation's cancellation take over.
+    data = {"kernel": {"type": "constant", "value": 30}, "horizon": 2.0, "steps": 2000, "modes": 6}
+    cfg = write_config(tmp_path, data)
+    out = tmp_path / "run"
+    with pytest.warns(UserWarning, match="mode 1 has nonpositive shifted rate"):
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = [row for row in read_trajectories(out) if row[0] <= 1.0]
+    t = [row[0] for row in rows]
+    exact = free_mode_of_constant_kernel(math.pi**2, 30.0, t)
+    assert rows[1][1] == pytest.approx(0.990, abs=1e-3)
+    assert max(abs(row[1] - e) for row, e in zip(rows, exact)) <= 1e-3
 
 
 def test_degenerate_horizon_exits_3_without_output(tmp_path):
@@ -649,6 +690,25 @@ def test_degenerate_horizon_exits_3_without_output(tmp_path):
             "control",
             {"horizon": 1e300, "control": {"family": 8, "active": 4}},
             "outside double range",
+        ),
+        # m = -100: every shifted rate n^2 pi^2 + 100 is positive, so nothing
+        # warns, but the kernel resolvent -100 e^{100 t} reaches 5e21 at
+        # T = 0.5 and 7e86 at T = 2, and w + z*w = k cancels terms of that
+        # size: the solve's w_1(T) reads -2.2e10 and 1.1e166 against 2.9e5
+        # and 9.2e22 exact. Mode 1's explicit route parts from it by 1.4e-5
+        # and 2.4e72 of max(|k|, |w|), where sound runs stay below 1e-13
+        *(
+            (
+                "simulate",
+                {
+                    "kernel": {"type": "constant", "value": -100},
+                    "horizon": horizon,
+                    "steps": 2000,
+                    "modes": 6,
+                },
+                "mode 1: the Volterra solve and the explicit route differ",
+            )
+            for horizon in (0.5, 2.0)
         ),
     ],
 )
