@@ -15,9 +15,10 @@ Everything downstream is built on four operations over sampled functions:
   one-rate case on sampled functions.
 * `convolve_exp_monomial_stack` - product quadrature of a stack of operands,
   operand k against the weight u^k e^{-mu2 u}/k!, one row per positive
-  rate, the degrees summed in frequency space. Only the series route of the
-  mode resolvents asks for it, so the series and the direct route share no
-  quadrature code.
+  rate: each node value weighted by the moment of its hat function, one
+  spectrum per operand and one weight row per degree, the degrees summed in
+  frequency space. Only the series route of the mode resolvents asks for
+  it, so the series and the direct route share no quadrature code.
 
 The two one-row functions are the only ones kept: the benchmark's tracer
 times both by name, and the routes that work one row at a time (the kernel
@@ -166,20 +167,21 @@ def _solve_span(y, f, K, inv, dt, lo, hi, top):
 #
 #     (f * w_k)(t) = int_0^t f(s) (t-s)^k e^{-mu2 (t-s)} / k! ds
 #
-# with f piecewise linear on the grid. Writing f on each cell as its value
-# plus slope correction, the integral becomes a discrete convolution of the
-# node values (and the cell slopes) against exact per-cell moments
+# with f piecewise linear on the grid. Every weight is a combination of the
+# exact per-cell moments
 #
 #     A_k(j) = int_{(j-1) dt}^{j dt} u^k e^{-mu2 u} du.
 #
 # Degree 0 has closed forms for any sign of mu2, and every cell's weights
 # are those of the first cell times e^{-mu2 (j-1) dt}, so one operand's
-# quadrature is a first-order recursion (`convolve_exp_stack`). The higher
-# degrees, which only the series route asks for, come from one table per
-# (mu2, grid) holding every degree up to the stack's top: the incomplete
-# gamma integral at the top degree, stepped down by its positive
-# recurrence, in numpy alone (`_moment_table`), built once per rate in each
-# stacked call.
+# quadrature is a first-order recursion in its cells' left values and
+# slopes (`convolve_exp_stack`). The higher degrees, which only the series
+# route asks for, weight each node value by the moment of its hat function
+# (product integration in its single-weight form), a discrete convolution
+# per degree. Their moments come from one table per (mu2, grid) holding
+# every degree up to the stack's top: the incomplete gamma integral at the
+# top degree, stepped down by its positive recurrence, in numpy alone
+# (`_moment_table`), built once per rate in each stacked call.
 
 
 def _first_cell_weights(mu2: float, dt: float) -> tuple:
@@ -361,13 +363,22 @@ def convolve_exp_monomial_stack(f: np.ndarray, grid: TimeGrid, rates) -> np.ndar
     forms for any sign of the rate; degrees k >= 1 read the rate's
     `_moment_table`, so every rate must be positive.
 
+    Each node value is weighted by the moment of its hat function: cell j
+    (lags t_{j-1} to t_j) gives its node at lag t_{j-1} the weight
+    left_k(j) = (t_j A_k(j) - A_{k+1}(j)) / dt and its node at lag t_j the
+    weight right_k(j) = A_k(j) - left_k(j), so the node at lag m carries
+    omega_k(m) = right_k(m) + left_k(m+1) (omega_k(0) = left_k(1)). The
+    convolution f_k * omega_k also gives node 0 the weight left_k(i+1) of
+    the cell past the horizon t_i, which is subtracted:
+
+        out_i = sum_k [(f_k * omega_k)_i - f_k(0) left_k(i+1)] / k!,  out_0 = 0.
+
     The convolutions are FFTs of size _fft_size(2 nodes - 1), at most
-    max(1, FFT_BATCH // size) rows per rfft call. Each operand's value and
-    slope spectra are transformed once per call. For each rate, the
-    products of its weight spectra with them are summed in two
-    accumulators, values and slopes, each with one inverse FFT, and its
-    moment table goes up to the stack's top degree. A row depends on its
-    own rate only. Raises NumericalError if a row overflows.
+    max(1, FFT_BATCH // size) rows per rfft call. Each operand's spectrum is
+    transformed once per call. For each rate, the products of its weight
+    spectra with them are summed in one accumulator with one inverse FFT,
+    and its moment table goes up to the stack's top degree. A row depends
+    on its own rate only. Raises NumericalError if a row overflows.
     """
     if np.ndim(f) != 2 or len(f) < 2:
         raise ValueError("an operand stack has shape (degrees >= 2, nodes)")
@@ -382,59 +393,38 @@ def convolve_exp_monomial_stack(f: np.ndarray, grid: TimeGrid, rates) -> np.ndar
     size = _fft_size(2 * n - 1)
     batch = max(1, FFT_BATCH // size)
     blocks = [slice(lo, lo + batch) for lo in range(0, degrees, batch)]
-    lag = np.arange(1, n, dtype=float) * dt
-    # Per block of operands, the spectra of their node values and of their
-    # cell slopes (0 past the last cell), each operand's scaled by 1/k!.
+    factorials = np.array([float(math.factorial(k)) for k in range(degrees)])
+    # Per block of operands, the spectra of their node values, each scaled by 1/k!.
     spectra = []
     for rows in blocks:
-        pair = (
-            np.fft.rfft(f[rows], size),
-            np.fft.rfft(np.diff(f[rows], append=f[rows, -1:]) / dt, size),
-        )
-        for spectrum in pair:
-            spectrum /= [[float(math.factorial(k))] for k in range(degrees)[rows]]
-        spectra.append(pair)
-
-    def weights(mu2, table, ks):
-        """Node-value and slope-correction weights of each cell, one row per
-        degree in ks."""
-        wa = np.zeros((len(ks), n))
-        wb = np.zeros_like(wa)
-        for a, b, k in zip(wa, wb, ks):
-            Ak, Ak1 = table[k : k + 2] if k else _cell_moments_01(mu2, grid)
-            a[1:] = Ak
-            np.multiply(lag, Ak, out=b[1:])
-            b[1:] -= Ak1
-        return wa, wb
-
-    def summed(w, spectrum, total):
-        """total plus the spectra of the rows of w times `spectrum`, summed
-        over the rows (that sum alone when total is None)."""
-        product = np.fft.rfft(w, size)
-        product *= spectrum
-        part = product[0] if len(product) == 1 else product.sum(axis=0)
-        if total is None:
-            return part
-        total += part
-        return total
-
-    def fill(row, mu2):
-        """Row of one rate: the value sum is inverted before the last slope
-        products form, and the table and sums are freed on return."""
-        table = _moment_table(mu2, grid, degrees)
-        value_sum = slope_sum = None
-        for rows, (values, slopes) in zip(blocks, spectra):
-            wa, wb = weights(mu2, table, range(degrees)[rows])
-            value_sum = summed(wa, values, value_sum)
-            if rows is blocks[-1]:
-                row[:] = np.fft.irfft(value_sum, size)[:n]
-                value_sum = None
-            slope_sum = summed(wb, slopes, slope_sum)
-        row += np.fft.irfft(slope_sum, size)[:n]
-
+        spectrum = np.fft.rfft(f[rows], size)
+        spectrum /= factorials[rows, None]
+        spectra.append(spectrum)
+    f0 = f[:, 0] / factorials  # f_k(0) / k!
+    lag = np.arange(1, n, dtype=float) * dt
     out = np.empty((len(rates), n))
     for row, mu2 in zip(out, rates):
-        fill(row, mu2)
+        table = _moment_table(mu2, grid, degrees)
+        # left_k(n), past the table, would enter omega_k(n-1) and edge[n-1]
+        # alike and cancel, so both leave it out
+        edge = np.zeros(n)  # sum_k f_k(0) left_k(i+1) / k!
+        total = np.zeros(size // 2 + 1, dtype=complex)
+        for rows, spectrum in zip(blocks, spectra):
+            ks = range(degrees)[rows]
+            omega = np.zeros((len(ks), n))
+            for w, k in zip(omega, ks):
+                Ak, Ak1 = table[k : k + 2] if k else _cell_moments_01(mu2, grid)
+                left = lag * Ak
+                left -= Ak1
+                left /= dt
+                np.subtract(Ak, left, out=w[1:])
+                w[:-1] += left
+                edge[:-1] += f0[k] * left
+            product = np.fft.rfft(omega, size)
+            product *= spectrum
+            total += product.sum(axis=0)
+        row[:] = np.fft.irfft(total, size)[:n]
+        row -= edge
     out[:, 0] = 0.0
     check_finite(out)
     return out

@@ -193,19 +193,19 @@ _KERNEL_KEYS = {
 }
 
 
-def kernel_from_config(record, path: str = "kernel") -> MemoryKernel:
+def kernel_from_config(record) -> MemoryKernel:
     """Build a kernel from its tagged config record.
 
     Raises ConfigError with the offending key path on any malformed input.
     """
-    tag, record = read_tagged(record, path, "type", _KERNEL_KEYS)
+    tag, record = read_tagged(record, "kernel", "type", _KERNEL_KEYS)
     if tag == "zero":
         return ZeroKernel()
     if tag == "constant":
-        return ConstantKernel(read_number(record, "value", path))
+        return ConstantKernel(read_number(record, "value", "kernel"))
     if tag == "exp_sum":
-        return ExpSumKernel(tuple(read_list(record, "terms", path, _read_term)))
-    return PolynomialKernel(tuple(read_list(record, "coeffs", path, read_number)))
+        return ExpSumKernel(tuple(read_list(record, "terms", "kernel", _read_term)))
+    return PolynomialKernel(tuple(read_list(record, "coeffs", "kernel", read_number)))
 
 
 def _read_term(terms: list, i: int, path: str) -> tuple:

@@ -84,10 +84,10 @@ class InitialData:
 _INITIAL_KEYS = {"explicit": ("values",), "inverse_index": (), "zero": ()}
 
 
-def initial_data_from_config(record, path: str = "initial") -> InitialData:
-    rule, record = read_tagged(record, path, "rule", _INITIAL_KEYS)
+def initial_data_from_config(record) -> InitialData:
+    rule, record = read_tagged(record, "initial", "rule", _INITIAL_KEYS)
     if rule == "explicit":
-        return InitialData.from_values(read_list(record, "values", path, read_number))
+        return InitialData.from_values(read_list(record, "values", "initial", read_number))
     return InitialData(rule)
 
 

@@ -74,12 +74,8 @@ def resolvent_of(kernel: MemoryKernel, grid: TimeGrid) -> ResolventTriple:
     m = kernel.sample(grid)
     mp = kernel.sample_derivative(grid)
     gain = kernel.value_at_zero
-    if kernel.is_zero:
-        q = SampledFunction.zeros(grid)
-        dq = SampledFunction.zeros(grid)
-    else:
-        q = volterra_solve(m, m)
-        dq = mp - gain * q - convolve(mp, q)
+    q = volterra_solve(m, m)
+    dq = mp - gain * q - convolve(mp, q)
     return ResolventTriple(kernel, grid, gain, q, dq)
 
 
@@ -158,9 +154,7 @@ def mode_resolvent_series_stack(
     return np.negative(h, out=h), terms
 
 
-def mode_resolvent_series(
-    triple: ResolventTriple, mu2: float, tol: float = 1e-14
-) -> tuple:
+def mode_resolvent_series(triple: ResolventTriple, mu2: float) -> tuple:
     """`mode_resolvent_series_stack` for one rate: (h, terms_used)."""
-    h, terms = mode_resolvent_series_stack(triple, [mu2], tol)
+    h, terms = mode_resolvent_series_stack(triple, [mu2])
     return SampledFunction(triple.grid, h[0]), terms

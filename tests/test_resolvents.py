@@ -166,7 +166,7 @@ def test_series_route_validation():
     with pytest.raises(NumericalError):
         mode_resolvent_series(rt, -1.0)  # negative rate: direct route only
     with pytest.raises(ValueError):
-        mode_resolvent_series(rt, 1.0, tol=0.0)
+        mode_resolvent_series_stack(rt, [1.0], tol=0.0)
     # a huge kernel derivative exhausts the 60-term budget
     rt_stiff = resolvent_of(ConstantKernel(40.0), GRID)
     with pytest.raises(NumericalError):
