@@ -6,8 +6,9 @@ Everything downstream is built on four operations over sampled functions:
   operand ordering so that f*g and g*f are bitwise identical.
 * `volterra_solve_stack` - solve y + K*y = f for a stack of rows, one kernel
   and one right-hand side per row, the trapezoid scheme solved blockwise
-  with FFT history in O(n log^2 n) per row; `volterra_solve` is its one-row
-  case on sampled functions.
+  with FFT history in O(n log^2 n) per row, each span length's kernel
+  spectrum transformed once per call where the bound allows;
+  `volterra_solve` is its one-row case on sampled functions.
 * `convolve_exp_stack` - product quadrature of one operand against the
   exponential weight e^{-mu2 u}, one row per rate, for any sign of the
   rate: the exact recursion of the cell weights, evaluated as tilted
@@ -15,10 +16,11 @@ Everything downstream is built on four operations over sampled functions:
   one-rate case on sampled functions.
 * `convolve_exp_monomial_stack` - product quadrature of a stack of operands,
   operand k against the weight u^k e^{-mu2 u}/k!, one row per positive
-  rate: each node value weighted by the moment of its hat function, one
-  spectrum per operand and one weight row per degree, the degrees summed in
-  frequency space. Only the series route of the mode resolvents asks for
-  it, so the series and the direct route share no quadrature code.
+  rate, each rate summing its own number of leading operands: each node
+  value weighted by the moment of its hat function, one spectrum per
+  operand and one weight row per degree, the degrees summed in frequency
+  space. Only the series route of the mode resolvents asks for it, so the
+  series and the direct route share no quadrature code.
 
 The two one-row functions are the only ones kept: the benchmark's tracer
 times both by name, and the routes that work one row at a time (the kernel
@@ -112,6 +114,17 @@ def volterra_solve_stack(kernels: np.ndarray, rhs: np.ndarray, dt: float) -> np.
     the widest span, so no call holds more than the widest transform of a
     single row.
 
+    Every span of m nodes transforms the same kernel prefix K[:, :m] at
+    _fft_size(m). Where the spectra of all rows fit in one such call
+    (rows * size <= top), the first span of length m transforms them and
+    the later ones reuse them, bit for bit the same products; the other
+    lengths transform per span. The kept spectra are dropped on return.
+    A level of the recursion has spans of at most two lengths, and level L
+    transforms at size <= top / 2^L, so the kept spectra hold at most
+    1.5 top + 2 rows log2(top) complex samples, about three widest
+    single-row transforms (measured: 1.0 top at 16,001 and 800,001 nodes,
+    1.25 top at 2^19 + 2).
+
     Raises NumericalError if a row's pivot is near zero (the scheme is
     degenerate there, and we refuse to amplify noise) or a row overflows.
     """
@@ -135,13 +148,17 @@ def volterra_solve_stack(kernels: np.ndarray, rhs: np.ndarray, dt: float) -> np.
     np.multiply(kernels[:, 1:], 0.5, out=y[:, 1:])  # the history of y_0
     y[:, 1:] *= y[:, :1]
     top = _fft_size(n - 1)  # the span [1, n)
-    _solve_span(y, rhs, kernels, inv, dt, 1, n, top)
+    _solve_span(y, rhs, kernels, inv, dt, 1, n, top, {})
     check_finite(y)
     return y
 
 
-def _solve_span(y, f, K, inv, dt, lo, hi, top):
-    """Fill y[:, lo:hi], given that it holds the history from y[:, :lo]."""
+def _solve_span(y, f, K, inv, dt, lo, hi, top, kernel_spectra):
+    """Fill y[:, lo:hi], given that it holds the history from y[:, :lo].
+
+    kernel_spectra maps a span length m to the spectra of K[:, :m], for the
+    lengths whose spectra of all rows fit in one transform of size top.
+    """
     m = hi - lo
     if m <= BLOCK:
         b = f[:, lo:hi] - dt * y[:, lo:hi]
@@ -149,14 +166,20 @@ def _solve_span(y, f, K, inv, dt, lo, hi, top):
             row[lo:hi] = np.convolve(inv_row[:m], b_row)[:m]
         return
     mid = lo + m // 2
-    _solve_span(y, f, K, inv, dt, lo, mid, top)
+    _solve_span(y, f, K, inv, dt, lo, mid, top, kernel_spectra)
     size = _fft_size(m)  # the middle product: no wrap-around onto mid-lo .. m-1
     rows = max(1, top // size)
+    kernel = kernel_spectra.get(m)
+    if kernel is None and len(y) * size <= top:  # one batch holds every row
+        kernel = kernel_spectra[m] = np.fft.rfft(K[:, :m], size)
     for r in range(0, len(y), rows):
         spectrum = np.fft.rfft(y[r : r + rows, lo:mid], size)
-        spectrum *= np.fft.rfft(K[r : r + rows, :m], size)
+        if kernel is None:
+            spectrum *= np.fft.rfft(K[r : r + rows, :m], size)
+        else:
+            spectrum *= kernel
         y[r : r + rows, mid:hi] += np.fft.irfft(spectrum, size)[:, mid - lo : m]
-    _solve_span(y, f, K, inv, dt, mid, hi, top)
+    _solve_span(y, f, K, inv, dt, mid, hi, top, kernel_spectra)
 
 
 # ---------------------------------------------------------------------------
@@ -353,15 +376,19 @@ def _moment_table(mu2: float, grid: TimeGrid, top: int) -> np.ndarray:
     return w[1:, :-1]
 
 
-def convolve_exp_monomial_stack(f: np.ndarray, grid: TimeGrid, rates) -> np.ndarray:
-    """Row r is sum_k (f_k * w_k)(t), w_k(u) = u^k e^{-mu2 u} / k! and
-    mu2 = rates[r], exact in every w_k.
+def convolve_exp_monomial_stack(
+    f: np.ndarray, grid: TimeGrid, rates, terms
+) -> np.ndarray:
+    """Row r is sum_{k < terms[r]} (f_k * w_k)(t), w_k(u) = u^k e^{-mu2 u} / k!
+    and mu2 = rates[r], exact in every w_k.
 
     f is a stack of two or more operands (degrees, nodes), operand k
     against the weight of degree k, each piecewise linear between its
-    samples; one operand alone is `convolve_exp_stack`. Degree 0 has closed
-    forms for any sign of the rate; degrees k >= 1 read the rate's
-    `_moment_table`, so every rate must be positive.
+    samples; one operand alone is `convolve_exp_stack`. Each rate has its
+    own term count, from 1 to the number of operands, and its row sums
+    that many leading operands. Degree 0 has closed forms for any sign of
+    the rate; degrees k >= 1 read the rate's `_moment_table`, so every rate
+    must be positive.
 
     Each node value is weighted by the moment of its hat function: cell j
     (lags t_{j-1} to t_j) gives its node at lag t_{j-1} the weight
@@ -376,14 +403,17 @@ def convolve_exp_monomial_stack(f: np.ndarray, grid: TimeGrid, rates) -> np.ndar
     The convolutions are FFTs of size _fft_size(2 nodes - 1), at most
     max(1, FFT_BATCH // size) rows per rfft call. Each operand's spectrum is
     transformed once per call. For each rate, the products of its weight
-    spectra with them are summed in one accumulator with one inverse FFT,
-    and its moment table goes up to the stack's top degree. A row depends
-    on its own rate only. Raises NumericalError if a row overflows.
+    spectra with its leading operands' are summed in one accumulator with
+    one inverse FFT, and its moment table goes up to its term count. A row
+    depends on its own rate and count only. Raises NumericalError if a row
+    overflows.
     """
     if np.ndim(f) != 2 or len(f) < 2:
         raise ValueError("an operand stack has shape (degrees >= 2, nodes)")
     rates = np.atleast_1d(np.asarray(rates, dtype=float))
     degrees = len(f)
+    if len(terms) != len(rates) or not all(1 <= t <= degrees for t in terms):
+        raise ValueError("one term count per rate, each from 1 to the operand count")
     if np.any(rates <= 0):
         raise NumericalError(
             "monomial-weight quadrature with k >= 1 requires a positive rate; "
@@ -403,14 +433,16 @@ def convolve_exp_monomial_stack(f: np.ndarray, grid: TimeGrid, rates) -> np.ndar
     f0 = f[:, 0] / factorials  # f_k(0) / k!
     lag = np.arange(1, n, dtype=float) * dt
     out = np.empty((len(rates), n))
-    for row, mu2 in zip(out, rates):
-        table = _moment_table(mu2, grid, degrees)
+    for row, mu2, count in zip(out, rates, terms):
+        table = _moment_table(mu2, grid, count)
         # left_k(n), past the table, would enter omega_k(n-1) and edge[n-1]
         # alike and cancel, so both leave it out
         edge = np.zeros(n)  # sum_k f_k(0) left_k(i+1) / k!
         total = np.zeros(size // 2 + 1, dtype=complex)
         for rows, spectrum in zip(blocks, spectra):
-            ks = range(degrees)[rows]
+            ks = range(count)[rows]
+            if not ks:
+                break
             omega = np.zeros((len(ks), n))
             for w, k in zip(omega, ks):
                 Ak, Ak1 = table[k : k + 2] if k else _cell_moments_01(mu2, grid)
@@ -421,7 +453,7 @@ def convolve_exp_monomial_stack(f: np.ndarray, grid: TimeGrid, rates) -> np.ndar
                 w[:-1] += left
                 edge[:-1] += f0[k] * left
             product = np.fft.rfft(omega, size)
-            product *= spectrum
+            product *= spectrum[: len(ks)]
             total += product.sum(axis=0)
         row[:] = np.fft.irfft(total, size)[:n]
         row -= edge

@@ -41,13 +41,16 @@ _DEFAULT_KERNEL = {"type": "constant", "value": 1.0}
 MIN_STEPS = 100
 # The grid, the blocked Volterra solves and the trajectories take memory
 # linear in steps, and `simulate --refine` solves 8 * steps too. Measured
-# peaks at 100,000 steps (Python 3.11, numpy, 2-core Xeon): `resolvent`
-# 105 MB, `moment` 57 MB, `simulate --refine` 322 MB with 2 modes, plus
-# about 17 MB per further mode. A larger value fails in the allocation.
+# process peaks (maximum resident set) at 100,000 steps (Python 3.11,
+# numpy 2.4, 2-core Xeon): `resolvent` 103 MB, `moment` with 10 modes
+# 62 MB, `simulate --refine` 157 MB with 2 modes, plus about 15 MB per
+# further mode; of that, the kernel spectra the 800,001-node solve shares
+# between spans of one length take about 16 MB. A larger value fails in
+# the allocation.
 MAX_STEPS = 100_000
-# Time grows linearly in modes, one Volterra solve each. Measured at 1,000
-# modes and 1,000 steps: `simulate` 11.7 s and 158 MB, `moment` 2.1 s and
-# 36 MB (`moment` with 10 modes at 100,000 steps: 4.3 s).
+# Time grows linearly in modes, one Volterra solve each. Measured on the
+# same host at 1,000 modes and 1,000 steps: `simulate` 3.3 s and 142 MB,
+# `moment` 0.5 s and 52 MB (`moment` with 10 modes at 100,000 steps: 0.7 s).
 MAX_MODES = 1000
 # The Cauchy closed form runs one row at a time. Measured `biorth` with 20
 # verified modes (Python 3.11, a 2-core Intel Xeon VM whose speed drifts up

@@ -17,10 +17,12 @@ which builds its own data, and refuses the run (NumericalError) where the
 solve and the representation part by more than the round-off of the data;
 the direct mode resolvents of that check are a second stacked solve, never
 mixed with the first, and the series of all its modes one stacked series:
-one product quadrature per mode over the shared powers of q', its terms
-summed in frequency space. A stacked call runs all its rows together, with
-as many rows per FFT call as fit in one bounded transform, and gives each
-row the bits of a call for that row alone.
+one product quadrature per mode over the shared powers of q', each mode
+stopping at its own term count, its terms summed in frequency space. A mode
+whose series cannot converge within SERIES_MAX_TERMS is listed with its
+reason, and the other modes are still checked. A stacked call runs all its
+rows together, with as many rows per FFT call as fit in one bounded
+transform, and gives each row the bits of a call for that row alone.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ from .resolvents import (
     mode_resolvent_series_stack,
     mode_resolvent_stack,
     resolvent_of,
+    series_terms,
 )
 from .dynamics import explicit_mode, mode_equations
 
@@ -185,11 +188,19 @@ def _cross_check(config: ExperimentConfig, rt, modes, k_size, w: np.ndarray) -> 
                 f"the {ROUTE_GAP_TOL:g} share that round-off reaches; the "
                 "trajectories are not trusted"
             )
-    checked = [i for i, mode in enumerate(modes) if mode.shifted_rate > 0]
+    positive = [i for i, mode in enumerate(modes) if mode.shifted_rate > 0]
     skipped = [mode.index for mode in modes if mode.shifted_rate <= 0]
-    series_gaps, failed = [], []
-    # The series route only cross-checks the direct one: a series that
-    # cannot converge leaves its modes unchecked, not the run failed.
+    # The series route only cross-checks the direct one: a mode whose series
+    # cannot converge, or whose stack fails, is listed unchecked, not the
+    # run failed.
+    reasons = {}
+    for i in positive:
+        try:
+            series_terms(rt, modes[i].shifted_rate, config.series_tol)
+        except NumericalError as exc:
+            reasons[i] = str(exc)
+    checked = [i for i in positive if i not in reasons]
+    series_gaps = []
     if checked:
         try:
             h_series, _ = mode_resolvent_series_stack(
@@ -199,7 +210,10 @@ def _cross_check(config: ExperimentConfig, rt, modes, k_size, w: np.ndarray) -> 
                 float(np.max(np.abs(hs - h[i]))) for i, hs in zip(checked, h_series)
             ]
         except NumericalError as exc:
-            failed = [{"mode": modes[i].index, "reason": str(exc)} for i in checked]
+            reasons.update((i, str(exc)) for i in checked)
+    failed = [
+        {"mode": modes[i].index, "reason": reasons[i]} for i in positive if i in reasons
+    ]
 
     discrepancy = {
         "solve_vs_explicit": float(max(gaps)),

@@ -18,16 +18,19 @@ counts the direct one by name; `mode_kernels` has no one-rate twin. The
 kernels z of a stack are one product quadrature against the shared operand
 q', an O(nodes) exponential recursion per rate with no FFT
 (`algebra.convolve_exp_stack`), which the series route does not use.
-The series builds the powers q', q'*q', ... once per call, in one local
-(terms, nodes) array freed on return, and sums them against the monomial
-weights of every rate in one product quadrature over that operand stack:
-the powers' spectra are transformed once for all rates, and each rate gets
-one quadrature, its terms summed in frequency space, and one moment table
-up to the top degree. Nothing is cached on the triple.
+The series stops each rate at its own term count (`series_terms`, a
+rate-aware bound on the whole tail), builds the powers q', q'*q', ... once
+per call up to the largest count, in one local (terms, nodes) array freed
+on return, and sums them against the monomial weights of every rate in one
+product quadrature over that operand stack: the powers' spectra are
+transformed once for all rates, and each rate gets one quadrature over its
+own leading powers, its terms summed in frequency space, and one moment
+table up to its own count. Nothing is cached on the triple.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,25 +105,46 @@ def mode_resolvent_stack(triple: ResolventTriple, rates) -> np.ndarray:
     return volterra_solve_stack(z, z, triple.grid.dt)
 
 
-def _series_terms(sup_deriv: float, horizon: float, tol: float) -> int:
-    """Number of terms k = 1, 2, ... after which the analytic majorant
+def series_terms(triple: ResolventTriple, mu2: float, tol: float) -> int:
+    """Number of terms of the series of h at rate mu2 > 0 whose tail stays
+    below tol (at least SERIES_MIN_TERMS).
 
-        (sup|q'| * T)^k / k!
+    With S = sup|q'|, |q'^{*(k+1)}(s)| <= S^{k+1} s^k / k!, so term k of
+    h = -sum_k q'^{*(k+1)} * u^k e^{-mu2 u} / k! is at most
 
-    drops below tol (at least SERIES_MIN_TERMS). Raises if SERIES_MAX_TERMS
-    terms do not suffice.
+        B_k = S^{k+1} T^k / k! * min(mu2^{-(k+1)}, T^{k+1} / (k+1)!),
+
+    the weight's mass being at most both. log B_k is concave in k (linear
+    terms, -log k! and the smaller of two concave sequences), so the ratio
+    r_k = B_{k+1} / B_k does not grow with k, and once it is below 1 the
+    tail from term t on is at most B_t / (1 - r_t). The bounds are summed
+    in log space, so no power of S overflows. Raises ValueError for tol <= 0
+    and NumericalError if SERIES_MAX_TERMS terms do not suffice.
     """
     if tol <= 0:
         raise ValueError("series tolerance must be positive")
-    bound = 1.0
-    for k in range(1, SERIES_MAX_TERMS + 1):
-        bound *= sup_deriv * horizon / k
-        if bound < tol and k >= SERIES_MIN_TERMS:
-            return k
+    sup = triple.resolvent_deriv.sup_norm()
+    if sup == 0.0:  # q' = 0: every term vanishes
+        return SERIES_MIN_TERMS
+    log_s, log_t, log_mu = math.log(sup), math.log(triple.grid.horizon), math.log(mu2)
+
+    def log_bound(k):
+        mass = min(-(k + 1) * log_mu, (k + 1) * log_t - math.lgamma(k + 2))
+        return (k + 1) * log_s + k * log_t - math.lgamma(k + 1) + mass
+
+    log_tol = math.log(tol)
+    for t in range(SERIES_MIN_TERMS, SERIES_MAX_TERMS + 1):
+        ratio = math.exp(min(log_bound(t + 1) - log_bound(t), 0.0))
+        if ratio < 1.0 and log_bound(t) - math.log1p(-ratio) < log_tol:
+            return t
+    # the majorant B_60 as mantissa and exponent: it may exceed a double
+    exponent = math.floor(log_bound(SERIES_MAX_TERMS) / math.log(10.0))
+    mantissa = math.exp(log_bound(SERIES_MAX_TERMS) - exponent * math.log(10.0))
     raise NumericalError(
         f"mode-resolvent series did not reach tolerance {tol:g} within "
-        f"{SERIES_MAX_TERMS} terms (majorant {bound:g}); the kernel derivative "
-        "is too large for this horizon, use the direct route"
+        f"{SERIES_MAX_TERMS} terms at rate {mu2:g} "
+        f"(majorant {mantissa:.3g}e{exponent:+03d}); the kernel derivative is "
+        "too large for this rate and horizon, use the direct route"
     )
 
 
@@ -130,12 +154,15 @@ def mode_resolvent_series_stack(
     """Resolvent h of the mode kernel for every rate, as a truncated
     iterated-convolution series.
 
-    Returns ((rates, nodes) stack of h, terms_used). The powers q', q'*q',
-    ... do not depend on the rate: `terms` - 1 convolutions build them once
-    in one local array, and h = -sum_k (q'^{*(k+1)} * u^k e^{-mu2 u} / k!)
-    is one product quadrature over that stack. Row i holds the bits of the
-    one-rate call for rates[i]. Requires every rate > 0 (the monomial-weight quadrature is
-    only stable there); the direct route has no such restriction.
+    Returns ((rates, nodes) stack of h, per-rate term counts). Rate r
+    stops at its own count t_r (`series_terms`). The powers q', q'*q', ...
+    do not depend on the rate: max t_r - 1 convolutions build them once in
+    one local array, and h = -sum_{k < t_r} (q'^{*(k+1)} * u^k e^{-mu2 u} / k!)
+    is one product quadrature over that stack, row r summing its first t_r
+    operands. Row i holds the bits of the one-rate call for rates[i].
+    Requires every rate > 0 (the monomial-weight quadrature is only stable
+    there); the direct route has no such restriction. Every count is
+    settled, or the call fails, before the first convolution.
     """
     if any(mu2 <= 0 for mu2 in rates):
         raise NumericalError(
@@ -143,18 +170,16 @@ def mode_resolvent_series_stack(
         )
     grid = triple.grid
     dq = triple.resolvent_deriv
-    # The majorant does not depend on the mode: settle the term count (or
-    # fail) before the first convolution.
-    terms = _series_terms(dq.sup_norm(), grid.horizon, tol)
-    powers = np.empty((terms, grid.size))
+    terms = [series_terms(triple, mu2, tol) for mu2 in rates]
+    powers = np.empty((max(terms), grid.size))
     powers[0] = dq.values
-    for k in range(1, terms):
+    for k in range(1, len(powers)):
         powers[k] = convolve(SampledFunction(grid, powers[k - 1]), dq).values
-    h = convolve_exp_monomial_stack(powers, grid, rates)
+    h = convolve_exp_monomial_stack(powers, grid, rates, terms)
     return np.negative(h, out=h), terms
 
 
 def mode_resolvent_series(triple: ResolventTriple, mu2: float) -> tuple:
     """`mode_resolvent_series_stack` for one rate: (h, terms_used)."""
     h, terms = mode_resolvent_series_stack(triple, [mu2])
-    return SampledFunction(triple.grid, h[0]), terms
+    return SampledFunction(triple.grid, h[0]), terms[0]

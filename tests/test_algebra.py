@@ -309,6 +309,74 @@ def test_volterra_stack_matches_one_solve_per_row(rows, nodes, seed):
     assert y[zero].tobytes() == rhs[zero].tobytes()
 
 
+def solve_per_span(kernels, rhs, dt):
+    """The blocked solve with every span transforming its own kernel prefix
+    K[:, :m], no spectrum shared between spans of one length: the recursion
+    `volterra_solve_stack` must reproduce bit for bit."""
+    n = rhs.shape[1]
+    pivots = 1.0 + 0.5 * dt * kernels[:, 0]
+    inv = np.zeros((len(rhs), min(BLOCK, n - 1)))
+    for K, row, pivot in zip(kernels, inv, pivots):
+        row[0] = 1.0 / pivot
+        for i in range(1, len(row)):
+            row[i] = -dt * np.dot(K[i:0:-1], row[:i]) / pivot
+    y = np.empty(rhs.shape)
+    y[:, 0] = rhs[:, 0]
+    np.multiply(kernels[:, 1:], 0.5, out=y[:, 1:])
+    y[:, 1:] *= y[:, :1]
+    _span_per_span(y, rhs, kernels, inv, dt, 1, n, 1 << (n - 2).bit_length())
+    return y
+
+
+def _span_per_span(y, f, K, inv, dt, lo, hi, top):
+    m = hi - lo
+    if m <= BLOCK:
+        b = f[:, lo:hi] - dt * y[:, lo:hi]
+        for row, inv_row, b_row in zip(y, inv, b):
+            row[lo:hi] = np.convolve(inv_row[:m], b_row)[:m]
+        return
+    mid = lo + m // 2
+    _span_per_span(y, f, K, inv, dt, lo, mid, top)
+    size = 1 << (m - 1).bit_length()
+    rows = max(1, top // size)
+    for r in range(0, len(y), rows):
+        spectrum = np.fft.rfft(y[r : r + rows, lo:mid], size)
+        spectrum *= np.fft.rfft(K[r : r + rows, :m], size)
+        y[r : r + rows, mid:hi] += np.fft.irfft(spectrum, size)[:, mid - lo : m]
+    _span_per_span(y, f, K, inv, dt, mid, hi, top)
+
+
+@pytest.mark.parametrize("rows", [1, 3, 12])
+@pytest.mark.parametrize("nodes", [1000, 3 * BLOCK + 6, 16000])
+def test_volterra_kernel_spectra_shared_per_span_length(rows, nodes, monkeypatch):
+    # every span of one length transforms the same kernel prefix, so the
+    # solve transforms it once where all rows fit in one widest transform;
+    # n - 1 odd (999, 3 BLOCK + 5 and 15,999) splits a level into spans of
+    # two lengths
+    rng = np.random.default_rng(nodes + rows)
+    kernels = 10.0 ** rng.uniform(-2, 1, (rows, 1)) * rng.standard_normal((rows, nodes))
+    rhs = rng.standard_normal((rows, nodes))
+    dt = 1.0 / (nodes - 1)
+    transforms = []
+    rfft = np.fft.rfft
+
+    def counted(a, n=None, *args, **kwargs):
+        transforms.append(len(np.atleast_2d(a)))
+        return rfft(a, n, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counted)
+    reference = solve_per_span(kernels, rhs, dt)
+    per_span = sum(transforms)
+    transforms.clear()
+    y = volterra_solve_stack(kernels, rhs, dt)
+    assert y.tobytes() == reference.tobytes()
+    # at 390 nodes no length recurs among the spans whose spectra fit, and
+    # 12 rows at 1,000 nodes outgrow the widest transform at every level
+    shared = nodes == 16000 or (nodes == 1000 and rows < 12)
+    assert (sum(transforms) < per_span) == shared
+    assert sum(transforms) <= per_span
+
+
 def march_triple(grid):
     """Resolvent triple and 8 modes of the two-term exp_sum kernel of the
     benchmark's march workload."""
@@ -451,7 +519,7 @@ def test_convolve_exp_monomial_quadratic_weight():
     a = [1.5, -2.0, 0.75, 3.0]
     b = [0.5, 2.5, -1.25, 4.0]
     operands = np.array([ak + bk * grid.nodes for ak, bk in zip(a, b)])
-    out = convolve_exp_monomial_stack(operands, grid, rates)
+    out = convolve_exp_monomial_stack(operands, grid, rates, [len(a)] * len(rates))
     for row, mu2 in zip(out, rates):
         exact = []
         with mpmath.workdps(50):
@@ -491,21 +559,32 @@ def test_quadrature_stack_matches_one_call_per_row(rows, nodes, degrees, seed):
     # past 1,024 nodes a batched FFT call takes 8 or 4 rows, so the operand
     # counts fall on both sides of it; a rate repeats. Degrees 0 means one
     # operand of shape (nodes,), the exponential recursion, any other count
-    # a stack of that many.
+    # a stack of that many, each rate with its own term count.
     rng = np.random.default_rng(seed)
     grid = TimeGrid(float(rng.uniform(0.1, 2.0)), nodes - 1)
     rates = quadrature_rates(rng, rows, positive=degrees > 1)
     rates[rows // 2] = rates[0]
     f = rng.standard_normal((degrees, nodes) if degrees else nodes)
-    quadrature = convolve_exp_monomial_stack if degrees else convolve_exp_stack
-    out = quadrature(f, grid, rates)
+    if degrees:
+        terms = rng.integers(1, degrees + 1, rows)
+        terms[0] = degrees
+        out = convolve_exp_monomial_stack(f, grid, rates, terms)
+    else:
+        out = convolve_exp_stack(f, grid, rates)
     assert out.shape == (rows, nodes)
-    for row, mu2 in zip(out, rates):
+    for r, (row, mu2) in enumerate(zip(out, rates)):
         if f.ndim == 1:  # the bits of the one-row call
             alone = convolve_exp_monomial(SampledFunction(grid, f), mu2).values
-        else:  # a row depends on its own rate only
-            alone = convolve_exp_monomial_stack(f, grid, mu2)[0]
+            assert row.tobytes() == alone.tobytes()
+            continue
+        # a row depends on its own rate and count only: the operands past
+        # its count, in its last FFT batch or later ones, change no bit
+        count = terms[r]
+        alone = convolve_exp_monomial_stack(f, grid, [mu2], [count])[0]
         assert row.tobytes() == alone.tobytes()
+        if count >= 2:
+            leading = convolve_exp_monomial_stack(f[:count], grid, [mu2], [count])[0]
+            assert row.tobytes() == leading.tobytes()
 
 
 def series_by_degree(f, grid, mu2):
@@ -567,7 +646,7 @@ def test_quadrature_stack_matches_the_series_by_degree(degrees, nodes, rows, see
         -(k + 1) * math.log(rates[r]),
     )
     f = rng.standard_normal((degrees, nodes)) * np.exp(-log_mass)[:, None]
-    out = convolve_exp_monomial_stack(f, grid, rates)
+    out = convolve_exp_monomial_stack(f, grid, rates, [degrees] * rows)
     reference, scale = series_by_degree(f, grid, rates[r])
     assert np.max(np.abs(out[r] - reference)) <= 1e-14 * scale
 
@@ -580,12 +659,17 @@ def test_quadrature_stack_checks_every_row(monkeypatch):
         np.fft, "rfft", lambda *a, **k: transforms.append(1) or rfft(*a, **k)
     )
     with pytest.raises(NumericalError, match="requires a positive rate"):
-        convolve_exp_monomial_stack(np.ones((3, GRID.size)), GRID, [1.0, -1.0])
+        convolve_exp_monomial_stack(np.ones((3, GRID.size)), GRID, [1.0, -1.0], [3, 3])
     with pytest.raises(NumericalError, match="requires a positive rate"):
-        convolve_exp_monomial_stack(np.ones((2, GRID.size)), GRID, [2.0, 0.0, 1.0])
+        convolve_exp_monomial_stack(
+            np.ones((2, GRID.size)), GRID, [2.0, 0.0, 1.0], [2, 2, 2]
+        )
     for single in (one, one[None]):  # one operand is `convolve_exp_stack`
         with pytest.raises(ValueError, match="operand stack"):
-            convolve_exp_monomial_stack(single, GRID, [1.0])
+            convolve_exp_monomial_stack(single, GRID, [1.0], [1])
+    for terms in ([3], [3, 0], [3, 4]):  # one count per rate, 1 to 3 operands
+        with pytest.raises(ValueError, match="term count"):
+            convolve_exp_monomial_stack(np.ones((3, GRID.size)), GRID, [1.0, 2.0], terms)
     assert transforms == []  # refused before any FFT
     assert convolve_exp_stack(one, GRID, [-1.0, 0.0]).shape == (2, GRID.size)
     assert convolve_exp_stack(one, GRID, []).shape == (0, GRID.size)
@@ -631,13 +715,13 @@ def test_cell_moments_match_incomplete_gamma(log_mu2, k, steps, horizon):
 
 
 def test_cell_moment_rows_ignore_request_order():
-    # a row of an operand stack depends on its own rate only, not on the
-    # rates whose tables the same call built before it
+    # a row of an operand stack depends on its own rate and count only, not
+    # on the rates whose tables the same call built before it
     grid = TimeGrid(2.0, 300)
     f = np.random.default_rng(3).standard_normal((40, grid.size))
     rates = [7.5, 0.3, 120.0]
-    forward = convolve_exp_monomial_stack(f, grid, rates)
-    backward = convolve_exp_monomial_stack(f, grid, rates[::-1])
+    forward = convolve_exp_monomial_stack(f, grid, rates, [40, 3, 25])
+    backward = convolve_exp_monomial_stack(f, grid, rates[::-1], [25, 3, 40])
     assert forward.tobytes() == backward[::-1].tobytes()
 
 

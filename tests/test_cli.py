@@ -15,6 +15,7 @@ import stat
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 from mpmath.libmp import mpf_neg
@@ -23,6 +24,8 @@ from memheat import biorth
 from memheat.cli import main
 from memheat.config import MAX_BIORTH_FAMILY, MAX_CONTROL_FAMILY, MAX_MODES, MAX_SCOPE
 from memheat.moments import SCOPE_SEARCH_WIDTH
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 SMALL = {
     "kernel": {"type": "constant", "value": 1.0},
@@ -122,9 +125,10 @@ def test_simulate_memoryless_routes_coincide_exactly(tmp_path):
 
 
 def test_simulate_reports_unconverged_series_modes(tmp_path):
-    # m = 30: the series cross-check cannot converge (majorant ~2e95 after
-    # 60 terms) although the direct route solves every mode, so the run
-    # succeeds and names each unchecked mode with the reason
+    # m = 30: the series cross-check of modes 2 and 3 cannot converge
+    # (majorants 3.8e14 and 2.2e-10 after 60 terms) although the direct
+    # route solves every mode, so the run succeeds and names each unchecked
+    # mode with its own reason; modes 4-6 converge and are checked
     cfg = write_config(
         tmp_path, {"kernel": {"type": "constant", "value": 30}, "modes": 6}
     )
@@ -135,10 +139,68 @@ def test_simulate_reports_unconverged_series_modes(tmp_path):
     gaps = read_json(out / "discrepancy.json")
     assert gaps["series_modes_skipped"] == [1]  # pi^2 - 30 < 0: never attempted
     failed = gaps["series_modes_failed"]
-    assert [f["mode"] for f in failed] == [2, 3, 4, 5, 6]
+    assert [f["mode"] for f in failed] == [2, 3]
     assert all("did not reach tolerance" in f["reason"] for f in failed)
-    assert gaps["series_vs_direct"] is None
+    assert failed[0]["reason"] != failed[1]["reason"]  # each its own rate and majorant
+    assert 0.0 < gaps["series_vs_direct"] < 1e-3
     assert gaps["solve_vs_explicit"] < 1e-6
+
+
+def _series_counts(monkeypatch):
+    """Record the rates and per-rate term counts of every stacked series
+    that `simulate`'s cross-check runs."""
+    from memheat import experiments
+
+    calls = []
+    series = experiments.mode_resolvent_series_stack
+
+    def recorded(rt, rates, tol):
+        h, terms = series(rt, rates, tol)
+        calls.append((list(rates), terms))
+        return h, terms
+
+    monkeypatch.setattr(experiments, "mode_resolvent_series_stack", recorded)
+    return calls
+
+
+def test_simulate_const30_checks_the_modes_whose_series_converge(tmp_path, monkeypatch):
+    # each rate stops at its own term count: modes 4-6 converge in 42, 31
+    # and 26 terms and are checked, only modes 2 and 3 are listed as failed
+    calls = _series_counts(monkeypatch)
+    out = tmp_path / "run"
+    cfg = CONFIGS / "simulate_const30.json"
+    argv = ["simulate", "--config", str(cfg), "--out", str(out)]
+    with pytest.warns(UserWarning, match="nonpositive shifted rate"):
+        assert main(argv) == 0
+    gaps = read_json(out / "discrepancy.json")
+    assert gaps["series_modes_skipped"] == [1]
+    assert [f["mode"] for f in gaps["series_modes_failed"]] == [2, 3]
+    [(rates, terms)] = calls
+    assert rates == [n * n * math.pi**2 - 30.0 for n in (4, 5, 6)]
+    assert terms == [42, 31, 26]
+    assert 0.0 < gaps["series_vs_direct"] < 1e-2
+
+
+def test_control_complex_series_gap_is_the_routes_discretization(tmp_path, monkeypatch):
+    # constant 10: mode 1 has a negative rate, modes 2-4 converge in 28, 19
+    # and 15 terms. Their series-vs-direct gap is the two routes' O(dt^2)
+    # quadrature gap, not truncation: it quarters when the steps double
+    # (5.9e-4 at 200 steps, 1.5e-4 at 400)
+    calls = _series_counts(monkeypatch)
+    config = json.loads((CONFIGS / "control_complex.json").read_text())
+    series_gaps = []
+    for steps in (200, 400):
+        cfg = write_config(tmp_path, dict(config, steps=steps), name=f"{steps}.json")
+        out = tmp_path / f"run{steps}"
+        with pytest.warns(UserWarning, match="nonpositive shifted rate"):
+            assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        gaps = read_json(out / "discrepancy.json")
+        assert gaps["series_modes_skipped"] == [1]
+        assert "series_modes_failed" not in gaps
+        series_gaps.append(gaps["series_vs_direct"])
+    assert [terms for _, terms in calls] == [[28, 19, 15]] * 2
+    assert 1e-4 < series_gaps[0] < 1e-3
+    assert 3.5 <= series_gaps[0] / series_gaps[1] <= 4.5
 
 
 def test_nonpositive_rate_warns_once_per_mode_and_grid(tmp_path):

@@ -9,10 +9,11 @@ For M = 1 the mode resolvent at rate mu2 = 1 is e^{-t} sin t.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from memheat import (
@@ -20,16 +21,19 @@ from memheat import (
     ExpSumKernel,
     NumericalError,
     PolynomialKernel,
+    SampledFunction,
     TimeGrid,
     ZeroKernel,
 )
-from memheat.algebra import volterra_solve
+from memheat.algebra import convolve, convolve_exp_monomial_stack, volterra_solve
 from memheat.resolvents import (
+    SERIES_MAX_TERMS,
     mode_kernels,
     mode_resolvent_direct,
     mode_resolvent_series,
     mode_resolvent_series_stack,
     resolvent_of,
+    series_terms,
 )
 
 GRID = TimeGrid(1.0, 1000)
@@ -201,12 +205,12 @@ def test_series_fails_before_convolving(monkeypatch):
 
 def test_series_stack_convolves_the_powers_once_for_all_rates(monkeypatch):
     # the powers q'^{*k} do not depend on the rate: a stack over several
-    # rates convolves them terms - 1 times in all, and each row holds the
-    # bits of the one-rate call
+    # rates convolves them max(terms) - 1 times in all, each rate stops at
+    # its own count, and each row holds the bits of the one-rate call
     from memheat import resolvents
 
     rt = resolvent_of(ConstantKernel(1.0), GRID)
-    rates = [5.0, 2.0, 7.0]
+    rates = [5.0, 2.0, 7.0, 100.0]
     alone = [mode_resolvent_series(rt, mu2) for mu2 in rates]
     calls = []
     convolve = resolvents.convolve
@@ -217,12 +221,84 @@ def test_series_stack_convolves_the_powers_once_for_all_rates(monkeypatch):
 
     monkeypatch.setattr(resolvents, "convolve", counted)
     h, terms = mode_resolvent_series_stack(rt, rates)
-    assert len(calls) == terms - 1
+    assert len(calls) == max(terms) - 1
+    assert terms == [10, 10, 9, 5]  # a faster rate needs fewer terms
     assert h.shape == (len(rates), GRID.size)
-    for row, (one, one_terms) in zip(h, alone):
-        assert one_terms == terms
+    for row, count, (one, one_terms) in zip(h, terms, alone):
+        assert one_terms == count
         assert row.tobytes() == one.values.tobytes()
     with pytest.raises(NumericalError, match="positive decay rate"):
         mode_resolvent_series_stack(rt, [2.0, 0.0])
-    assert len(calls) == terms - 1  # a nonpositive rate fails before any work
+    assert len(calls) == max(terms) - 1  # a nonpositive rate fails before any work
 
+
+
+def full_series(rt, rates):
+    """Every row summed over SERIES_MAX_TERMS terms, whatever its own count,
+    and the round-off scale of each row: sum_k sup|q'^{*(k+1)}| times the
+    mass of u^k e^{-mu2 u} / k! on [0, T], the size of what the row adds."""
+    grid, dq = rt.grid, rt.resolvent_deriv
+    powers = np.empty((SERIES_MAX_TERMS, grid.size))
+    powers[0] = dq.values
+    for k in range(1, SERIES_MAX_TERMS):
+        powers[k] = convolve(SampledFunction(grid, powers[k - 1]), dq).values
+    h = convolve_exp_monomial_stack(powers, grid, rates, [SERIES_MAX_TERMS] * len(rates))
+    k = np.arange(SERIES_MAX_TERMS)
+    log_factorial = np.array([math.lgamma(d + 1) for d in k])
+    sups = np.max(np.abs(powers), axis=1)
+    scales = []
+    for mu2 in rates:
+        log_mass = np.minimum(
+            -(k + 1) * math.log(mu2),
+            (k + 1) * math.log(grid.horizon) - log_factorial - np.log(k + 1),
+        )
+        scales.append(float(np.sum(sups * np.exp(log_mass - log_factorial))))
+    return -h, scales
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    st.one_of(
+        st.floats(min_value=-5.0, max_value=50.0).map(ConstantKernel),
+        st.lists(
+            st.tuples(st.floats(0.1, 5.0), st.floats(0.0, 20.0)), min_size=1, max_size=2
+        ).map(ExpSumKernel),
+    ),
+    st.floats(min_value=0.1, max_value=2.0),
+    st.lists(
+        st.floats(min_value=math.log(1e-2), max_value=math.log(1e4)), min_size=1, max_size=4
+    ),
+    st.floats(min_value=math.log(1e-14), max_value=math.log(1e-6)),
+)
+# sup|q'| = 25 e^10 = 5.5e5: no rate up to 1e4 converges in 60 terms, and
+# S^{k+1} overflows a double long before k = 60
+@example(ConstantKernel(-5.0), 2.0, [0.0, math.log(1e4)], math.log(1e-14))
+def test_series_rows_stop_within_tolerance_of_the_full_series(
+    kernel, horizon, log_rates, log_tol
+):
+    # each rate stops at its own term count; its row is within tol of the
+    # SERIES_MAX_TERMS-term row, plus round-off: measured at most 61 eps
+    # times the row's scale over 1,000 random draws of this domain (2,094
+    # rows), so C = 500.
+    # A rate that cannot converge fails the stack cleanly, before any work.
+    grid = TimeGrid(horizon, 200)
+    rt = resolvent_of(kernel, grid)
+    rates = [math.exp(x) for x in log_rates]
+    tol = math.exp(log_tol)
+    converged = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow, in the bounds or the powers
+        for mu2 in rates:
+            try:
+                series_terms(rt, mu2, tol)
+                converged.append(mu2)
+            except NumericalError:
+                with pytest.raises(NumericalError, match="did not reach tolerance"):
+                    mode_resolvent_series_stack(rt, rates, tol)
+        if not converged:
+            return
+        h, terms = mode_resolvent_series_stack(rt, converged, tol)
+        full, scales = full_series(rt, converged)
+    assert all(t <= SERIES_MAX_TERMS for t in terms)
+    for row, full_row, scale in zip(h, full, scales):
+        assert np.max(np.abs(row - full_row)) <= tol + 500 * np.finfo(float).eps * scale
