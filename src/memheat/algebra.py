@@ -118,12 +118,15 @@ def volterra_solve_stack(kernels: np.ndarray, rhs: np.ndarray, dt: float) -> np.
     _fft_size(m). Where the spectra of all rows fit in one such call
     (rows * size <= top), the first span of length m transforms them and
     the later ones reuse them, bit for bit the same products; the other
-    lengths transform per span. The kept spectra are dropped on return.
-    A level of the recursion has spans of at most two lengths, and level L
-    transforms at size <= top / 2^L, so the kept spectra hold at most
-    1.5 top + 2 rows log2(top) complex samples, about three widest
-    single-row transforms (measured: 1.0 top at 16,001 and 800,001 nodes,
-    1.25 top at 2^19 + 2).
+    lengths transform per span, and so does the root span [1, n), the only
+    span of its length. The kept spectra are dropped on return. A level of
+    the recursion has spans of at most two lengths, the FFT size halves
+    from one level to the next, and a kept length holds
+    rows (size/2 + 1) <= top/2 + rows complex samples, so the kept spectra
+    hold at most 2 top + 2 rows log2(top) of them, and top + 2 log2(top)
+    for one row, whose first kept level is the root's children (measured
+    for one row: 0.49 top at 16,001 nodes, 0.50 top at 800,001 and
+    0.75 top at 2^19 + 2; for 2 to 12 rows at most 1.0 top).
 
     Raises NumericalError if a row's pivot is near zero (the scheme is
     degenerate there, and we refuse to amplify noise) or a row overflows.
@@ -170,7 +173,8 @@ def _solve_span(y, f, K, inv, dt, lo, hi, top, kernel_spectra):
     size = _fft_size(m)  # the middle product: no wrap-around onto mid-lo .. m-1
     rows = max(1, top // size)
     kernel = kernel_spectra.get(m)
-    if kernel is None and len(y) * size <= top:  # one batch holds every row
+    # one batch holds every row, and a later span reads it (not the root's)
+    if kernel is None and len(y) * size <= top and m < y.shape[1] - 1:
         kernel = kernel_spectra[m] = np.fft.rfft(K[:, :m], size)
     for r in range(0, len(y), rows):
         spectrum = np.fft.rfft(y[r : r + rows, lo:mid], size)

@@ -43,9 +43,10 @@ MIN_STEPS = 100
 # linear in steps, and `simulate --refine` solves 8 * steps too. Measured
 # process peaks (maximum resident set) at 100,000 steps (Python 3.11,
 # numpy 2.4, 2-core Xeon): `resolvent` 103 MB, `moment` with 10 modes
-# 62 MB, `simulate --refine` 157 MB with 2 modes, plus about 15 MB per
-# further mode; of that, the kernel spectra the 800,001-node solve shares
-# between spans of one length take about 16 MB. A larger value fails in
+# 61 MB, `simulate --refine` 147 MB with 1 mode, 157 MB with 2 modes,
+# plus about 15 MB per further mode; of that, the kernel spectra a
+# 2-row 800,001-node solve shares between spans of one length take about
+# 17 MB, and those of a one-row solve about 8 MB. A larger value fails in
 # the allocation.
 MAX_STEPS = 100_000
 # Time grows linearly in modes, one Volterra solve each. Measured on the

@@ -142,7 +142,8 @@ def _convergence_rows(config: ExperimentConfig, w: np.ndarray) -> list:
     for mult, w_coarse in ((1, w), (2, w2), (4, w4)):
         steps = mult * config.steps
         err = float(np.max(np.abs(w_coarse - reference[:, :: 4 // mult])))
-        ratio = float("nan") if prev_err is None else prev_err / err
+        # nan where there is no coarser row, or no error to divide by
+        ratio = float("nan") if prev_err is None or err == 0.0 else prev_err / err
         rows.append((steps, config.horizon / steps, err, ratio))
         prev_err = err
     return rows
@@ -383,6 +384,12 @@ def cmd_control(config: ExperimentConfig) -> dict:
             "kernel",
             "the control contrast needs a constant kernel with a positive "
             'value (type "constant"); the memoryless side is built in',
+        )
+    if config.initial.value(1) == 0.0:
+        raise ConfigError(
+            "initial",
+            "mode 1 starts at 0, so steering it alone takes no control (its "
+            "squared norm is exactly 0); give mode 1 a nonzero initial value",
         )
     counts = tuple(range(1, config.control_active + 1))
     memory, baseline = (

@@ -1,9 +1,13 @@
 """Analytic memory-kernel families.
 
 Four families cover the experiments: zero, constant, sums of decaying
-exponentials, and polynomials. All are smooth, have analytic derivatives
-(required by the solver contracts), and two of them come with closed-form
-resolvents used as oracles in the tests.
+exponentials, and polynomials. A family supplies four members: its values
+(`__call__`), its analytic derivative (`derivative`, required by the solver
+contracts), its config echo (`to_config`) and, where one exists, a
+closed-form resolvent (`closed_form_resolvent`). Three families have one,
+used as oracles: zero, constant and a one-term exp_sum. Whether a kernel has
+memory at all is not declared here: it is read off its samples on the grid
+(`moments.check_end_value`).
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, read_list, read_number, read_record, read_tagged
-from .grids import SampledFunction, TimeGrid
 
 
 class MemoryKernel(ABC):
@@ -36,17 +39,6 @@ class MemoryKernel(ABC):
     def value_at_zero(self) -> float:
         return float(self(np.zeros(1))[0])
 
-    @property
-    def is_zero(self) -> bool:
-        """True when the kernel vanishes identically: no memory at all."""
-        return False
-
-    def sample(self, grid: TimeGrid) -> SampledFunction:
-        return SampledFunction(grid, self(grid.nodes))
-
-    def sample_derivative(self, grid: TimeGrid) -> SampledFunction:
-        return SampledFunction(grid, self.derivative(grid.nodes))
-
     def closed_form_resolvent(self, t: np.ndarray):
         """Exact resolvent samples when the family admits one, else None.
 
@@ -65,10 +57,6 @@ class ZeroKernel(MemoryKernel):
 
     def derivative(self, t):
         return np.zeros_like(np.asarray(t, dtype=float))
-
-    @property
-    def is_zero(self) -> bool:
-        return True
 
     def closed_form_resolvent(self, t):
         return np.zeros_like(np.asarray(t, dtype=float))
@@ -92,10 +80,6 @@ class ConstantKernel(MemoryKernel):
 
     def derivative(self, t):
         return np.zeros_like(np.asarray(t, dtype=float))
-
-    @property
-    def is_zero(self) -> bool:
-        return self.value == 0
 
     def closed_form_resolvent(self, t):
         c = float(self.value)
@@ -140,10 +124,6 @@ class ExpSumKernel(MemoryKernel):
             out += -b * c * np.exp(-b * t)
         return out
 
-    @property
-    def is_zero(self) -> bool:
-        return all(c == 0 for c, _ in self.terms)
-
     def closed_form_resolvent(self, t):
         if len(self.terms) != 1:
             return None
@@ -176,10 +156,6 @@ class PolynomialKernel(MemoryKernel):
         t = np.asarray(t, dtype=float)
         dcoef = [k * c for k, c in enumerate(self.coeffs)][1:] or [0.0]
         return np.polynomial.polynomial.polyval(t, dcoef)
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
 
     def to_config(self) -> dict:
         return {"type": "polynomial", "coeffs": list(self.coeffs)}

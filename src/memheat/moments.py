@@ -24,6 +24,8 @@ one rate at a time (`free_end_value`), since it stops at the first mode
 that passes; `asymptotic_table` computes the brackets of the whole window
 in one call and carries them in its report, and `build_moment_problem`
 scales those by the initial data. Nothing is cached on the triple.
+Whether the kernel has memory is read in one place, `check_end_value`,
+off the computed resolvent; the kernel families declare nothing about it.
 """
 
 from __future__ import annotations
@@ -106,10 +108,13 @@ def check_end_value(rt: ResolventTriple) -> float:
     says so instead of pretending the method failed globally. The guard is
     relative to the resolvent's own size, which scales with the kernel: a
     weak kernel has a small resolvent everywhere, not a zero at T.
+
+    The only zero end the guard lets through is that of a resolvent that
+    vanishes identically, which happens exactly when every kernel sample on
+    the grid is 0 (a zero kernel in any spelling, or samples that all
+    underflow): a returned 0.0 means memoryless.
     """
     end = rt.end_value()
-    if rt.kernel.is_zero:
-        return end
     if abs(end) < END_VALUE_GUARD * rt.resolvent.sup_norm():
         raise NumericalError(
             f"the kernel resolvent vanishes at the horizon T = "
@@ -163,21 +168,17 @@ def asymptotic_table(modes, rt: ResolventTriple) -> AsymptoticReport:
     """Tabulate mu2_n d_n (per unit initial value) and the law residuals.
 
     The brackets of all modes are one `end_brackets` call, kept in the
-    report. Every mode needs a positive shifted rate. For a zero kernel the
-    ratios decay to zero and the report is flagged memoryless; for a
-    genuine kernel the horizon guard applies.
+    report. Every mode needs a positive shifted rate. The horizon guard
+    applies; where it returns 0.0 the ratios decay to zero and the report
+    is flagged memoryless.
     """
     if any(m.shifted_rate <= 0 for m in modes):
         raise NumericalError(
             f"scope start {modes[0].index} admits a nonpositive shifted rate; "
             "raise the start index past the gain crossover"
         )
-    if rt.kernel.is_zero:
-        end = 0.0
-        regime = "memoryless"
-    else:
-        end = check_end_value(rt)
-        regime = "memory"
+    end = check_end_value(rt)
+    regime = "memory" if end else "memoryless"
     rates = [m.shifted_rate for m in modes]
     brackets = end_brackets(rt, rates)
     ratios, residuals = [], []
@@ -199,13 +200,13 @@ def scope_threshold(rt: ResolventTriple) -> int:
     The search runs over SCOPE_SEARCH_WIDTH modes from the first positive
     shifted rate and requires a law residual below half the resolvent end
     value, so the rescaled targets stay bounded away from zero for every mode
-    in scope. Without memory the law degenerates (the limit is zero) and the
-    threshold is simply the first positive rate.
+    in scope. Without memory (an end value of 0.0) the law degenerates and
+    the threshold is simply the first positive rate.
     """
     first = first_positive_index(rt.gain)
-    if rt.kernel.is_zero:
-        return first
     end = check_end_value(rt)
+    if end == 0.0:
+        return first
     modes = dirichlet_modes_1d(SCOPE_SEARCH_WIDTH, rt.gain, first=first)
     for mode in modes:
         d = free_end_value(mode, rt)

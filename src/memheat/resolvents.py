@@ -63,7 +63,7 @@ class ResolventTriple:
     def identity_residual(self) -> float:
         """sup |q + m*q - m| with the trapezoid rule the solve enforces: round-off,
         not discretization error (`oracle_sup_error` is the accuracy figure)."""
-        m = self.kernel.sample(self.grid)
+        m = SampledFunction(self.grid, self.kernel(self.grid.nodes))
         lhs = self.resolvent + convolve(m, self.resolvent)
         return (lhs - m).sup_norm()
 
@@ -74,8 +74,8 @@ class ResolventTriple:
 
 def resolvent_of(kernel: MemoryKernel, grid: TimeGrid) -> ResolventTriple:
     """Compute the resolvent triple of a kernel on a grid."""
-    m = kernel.sample(grid)
-    mp = kernel.sample_derivative(grid)
+    m = SampledFunction(grid, kernel(grid.nodes))
+    mp = SampledFunction(grid, kernel.derivative(grid.nodes))
     gain = kernel.value_at_zero
     q = volterra_solve(m, m)
     dq = mp - gain * q - convolve(mp, q)

@@ -34,6 +34,7 @@ from memheat.algebra import (
     BLOCK,
     FFT_BATCH,
     _cell_moments_01,
+    _fft_size,
     _moment_table,
     convolve,
     convolve_exp_monomial,
@@ -209,8 +210,9 @@ kernels = st.one_of(
 def test_volterra_blocked_matches_march(kernel, steps, seed):
     grid = TimeGrid(1.0, steps)
     rhs = SampledFunction(grid, np.random.default_rng(seed).standard_normal(grid.size))
-    y = volterra_solve(kernel.sample(grid), rhs).values
-    ref = march(kernel.sample(grid), rhs)
+    m = SampledFunction(grid, kernel(grid.nodes))
+    y = volterra_solve(m, rhs).values
+    ref = march(m, rhs)
     assert np.max(np.abs(y - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
 
 
@@ -433,6 +435,21 @@ def test_volterra_stack_memory_stays_near_one_output(march_modes):
     assert _traced_peak_mb(lambda: volterra_solve_stack(z, k, grid.dt)) < 3.0
     kernel, rhs = SampledFunction(grid, z[0]), SampledFunction(grid, k[0])
     assert _traced_peak_mb(lambda: volterra_solve(kernel, rhs)) <= 1.25
+
+
+def test_volterra_one_row_keeps_no_root_spectrum(march_modes):
+    # the root span [1, n) is the only span of its length, so its kernel
+    # spectrum is not kept through the right half: past the output, the peak
+    # is the root's own transforms, about three widest spectra (four if
+    # kept). The first solve warms the FFT plans, which a cold call adds.
+    grid, z, k = march_modes
+    spectrum = (_fft_size(grid.size - 1) // 2 + 1) * 16 / 2**20
+
+    def solve():
+        return volterra_solve_stack(z[:1], k[:1], grid.dt)
+
+    solve()
+    assert _traced_peak_mb(solve) <= z[0].nbytes / 2**20 + 3.5 * spectrum
 
 
 def test_quadrature_stack_memory_stays_near_its_output(march_modes):

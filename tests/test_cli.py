@@ -92,6 +92,22 @@ def test_simulate_command_with_refinement(tmp_path):
     assert all(3.8 < r < 4.2 for r in ratios)
 
 
+@pytest.mark.parametrize(
+    "modes, initial",
+    [(2, {"rule": "zero"}), (1, {"rule": "explicit", "values": [0.0, 2.0]})],
+)
+def test_refinement_of_zero_data_writes_nan_ratios(tmp_path, modes, initial):
+    # modes at rest stay at rest on every grid: a sup error of exactly 0 has
+    # no ratio to the coarser one, so its row reads nan like the first row
+    data = {**SMALL, "steps": 100, "modes": modes, "initial": initial}
+    cfg = write_config(tmp_path, data)
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out), "--refine"]) == 0
+    rows = [r.split(",") for r in (out / "convergence.csv").read_text().splitlines()[1:]]
+    assert [r[0] for r in rows] == ["100", "200", "400"]
+    assert all(float(r[2]) == 0.0 and r[3] == "nan" for r in rows)
+
+
 def test_refinement_reuses_the_base_grid(tmp_path, monkeypatch):
     # the main path and every refinement grid go through one solve each: the
     # 1x row of the convergence table is the trajectory the main path solved
@@ -344,6 +360,26 @@ def test_zero_valued_kernel_moment_is_memoryless(tmp_path, kernel):
     assert read_json(runs["spelled"] / "moment_summary.json")["regime"] == "memoryless"
 
 
+def test_underflowing_kernel_moment_is_memoryless(tmp_path):
+    # 5e-324 t underflows to 0 at every node up to T = 0.25: no kernel
+    # sample carries memory, so the run is the zero kernel's, not a search
+    # of 64 modes that exits 3
+    runs = {}
+    for name, kernel in (
+        ("zero", {"type": "zero"}),
+        ("underflow", {"type": "polynomial", "coeffs": [0.0, 5e-324]}),
+    ):
+        data = {"kernel": kernel, "horizon": 0.25, "steps": 200, "modes": 4}
+        cfg = write_config(tmp_path, data, f"{name}.json")
+        runs[name] = tmp_path / name
+        assert main(["moment", "--config", str(cfg), "--out", str(runs[name])]) == 0
+    for file in MOMENT_FILES:
+        assert (runs["underflow"] / file).read_bytes() == (runs["zero"] / file).read_bytes()
+    summary = read_json(runs["underflow"] / "moment_summary.json")
+    assert summary["regime"] == "memoryless"
+    assert summary["end_value"] == 0.0
+
+
 def test_scope_search_failure_names_the_scope_key(tmp_path, capsys):
     # no mode of the searched range passes the margin; pinning "scope" past
     # it is the config's way out, so the message must say so
@@ -409,6 +445,21 @@ def test_control_with_one_active_mode_writes_null_slopes(tmp_path):
     assert verdict["memory_blowup_slope"] is None
     assert verdict["memoryless_slope"] is None
     assert verdict["memoryless_tail_ratio"] == 1.0
+
+
+@pytest.mark.parametrize(
+    "initial", [{"rule": "zero"}, {"rule": "explicit", "values": [0.0, 1.0]}]
+)
+def test_control_with_mode_1_at_rest_exits_2(tmp_path, capsys, initial):
+    # the sweep starts by steering mode 1 alone; at rest it needs no control,
+    # a squared norm of exactly 0 that is the config's doing, not the solve's
+    cfg = write_config(tmp_path, {**SMALL, "initial": initial})
+    out = tmp_path / "run"
+    assert main(["control", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "initial" in err
+    assert "positive definiteness" not in err
 
 
 def test_control_rejects_non_constant_kernel(tmp_path):

@@ -17,7 +17,6 @@ T = np.linspace(0.0, 2.0, 9)
 
 def test_zero_kernel():
     k = ZeroKernel()
-    assert k.is_zero
     assert np.all(k(T) == 0.0)
     assert np.all(k.derivative(T) == 0.0)
     assert k.value_at_zero == 0.0
@@ -26,21 +25,11 @@ def test_zero_kernel():
 
 def test_constant_kernel():
     k = ConstantKernel(2.5)
-    assert not k.is_zero
     assert np.all(k(T) == 2.5)
     assert np.all(k.derivative(T) == 0.0)
     assert k.value_at_zero == 2.5
     # resolvent of a constant c is c e^{-c t} (Laplace: c/(s + c))
     assert np.allclose(k.closed_form_resolvent(T), 2.5 * np.exp(-2.5 * T))
-
-
-def test_zero_valued_kernels_are_zero():
-    # every family's spelling of m = 0 is memoryless, and only that one
-    assert ConstantKernel(0.0).is_zero
-    assert ExpSumKernel(((0.0, 2.0), (0.0, 0.0))).is_zero
-    assert PolynomialKernel((0.0, 0.0)).is_zero
-    assert not ExpSumKernel(((0.0, 2.0), (1e-300, 1.0))).is_zero
-    assert not PolynomialKernel((0.0, 0.0, -1.0)).is_zero
 
 
 def test_exp_sum_kernel():

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from memheat import (
     ConstantKernel,
+    ExpSumKernel,
     NumericalError,
     PolynomialKernel,
     SampledFunction,
@@ -128,6 +129,26 @@ def test_asymptotic_law_memoryless():
     # all the limits are zero: mu2 d_n = mu2 e^{-mu2} sinks fast
     assert all(abs(r) < 1e-3 for r in report.ratios)
     assert abs(report.ratios[-1]) < 1e-100
+
+
+def test_zero_valued_kernels_are_memoryless():
+    cases = [
+        # every family's spelling of m = 0 is memoryless: scope starts at the
+        # first positive rate ...
+        (ConstantKernel(0.0), "memoryless", 1),
+        (ExpSumKernel(((0.0, 2.0), (0.0, 0.0))), "memoryless", 1),
+        (PolynomialKernel((0.0, 0.0)), "memoryless", 1),
+        # ... and a kernel that is merely small, or zero at t = 0, is not: the
+        # search runs, and e^{-mu2} swamps a 1e-300 end value up to mode 8
+        (ExpSumKernel(((0.0, 2.0), (1e-300, 1.0))), "memory", 9),
+        (PolynomialKernel((0.0, 0.0, -1.0)), "memory", 1),
+    ]
+    for kernel, regime, scope in cases:
+        rt = resolvent_of(kernel, GRID)
+        report = asymptotic_table(dirichlet_modes_1d(4, rt.gain), rt)
+        assert report.regime == regime, kernel
+        assert (report.end_value == 0.0) == (regime == "memoryless"), kernel
+        assert scope_threshold(rt) == scope, kernel
 
 
 def test_end_value_guard_at_resolvent_root():

@@ -18,6 +18,11 @@ the top-level definitions, so an unreached method's body reaches nothing.
 
 A definition or member that only a unit test uses fails the check: it is
 shipped code that produces no output and guards no gate criterion.
+
+The same parse checks imports: every module-level import of a module is read
+in that module. `__init__` is exempt, since its imports are the package
+namespace, and so is a line marked `# noqa: F401`, a re-export that the
+benchmark's tracer self-test reads from the importing module.
 """
 
 import ast
@@ -185,3 +190,35 @@ def test_every_class_member_is_reached_from_cli_or_gate():
         if (module, name, member) not in members
     )
     assert not unreached, f"reached only from unit tests: {unreached}"
+
+
+def _unread_imports(path):
+    """`module: name` for each name a module imports at top level and never
+    reads, past `from __future__` and lines marked `# noqa: F401`."""
+    source = path.read_text()
+    tree = ast.parse(source, filename=str(path))
+    lines = source.splitlines()
+    read = {
+        n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+    }
+    unread = []
+    for node in tree.body:
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+            isinstance(node, ast.ImportFrom) and node.module == "__future__"
+        ):
+            continue
+        for alias in node.names:
+            bound = (alias.asname or alias.name).partition(".")[0]
+            if bound not in read and "# noqa: F401" not in lines[alias.lineno - 1]:
+                unread.append(f"{path.stem}: {bound}")
+    return unread
+
+
+def test_every_import_is_read_in_its_module():
+    unread = [
+        entry
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem != "__init__"
+        for entry in _unread_imports(path)
+    ]
+    assert not unread, f"imported but never read: {unread}"

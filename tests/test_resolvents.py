@@ -114,7 +114,7 @@ def test_resolvent_is_second_order_and_solves_its_identity(kernel, horizon, step
 
 def test_reciprocity():
     # if q is the resolvent of m then -m is the resolvent of -q
-    m = ConstantKernel(1.0).sample(GRID)
+    m = SampledFunction(GRID, ConstantKernel(1.0)(GRID.nodes))
     q = volterra_solve(m, m)
     back = volterra_solve(-q, -q)
     assert (back + m).sup_norm() < 1e-6
