@@ -22,12 +22,17 @@ root and comparison there is the libmp call that mpmath's mpf operator
 makes, at the working precision and rounding, so every entry keeps
 mpmath's bits. Every dot product is exact with one rounding, the same as
 mpmath's fdot: the entries become integer mantissas over one common power
-of two (a long accumulator in Python integers), the products are summed
-exactly, and the sum is rounded once at the working precision. A vector
-known whole (a row of G, a column of L below the diagonal, a returned
-column) is aligned once at its lowest exponent; one that grows entry by
-entry re-aligns only when an entry lies lower. A control sweep's squared
-norms are one running exact sum, rounded once per sweep point.
+of two, the products are summed exactly, and the sum is rounded once at
+the working precision. The factor and the substitutions are sequential and
+sum in Python integers (a long accumulator). The gate's sums, every row of
+G against every returned column, are one dense product: they run through
+BLAS on 16-bit slices of the mantissas, whose products sum to exact
+doubles for up to 2^21 terms (a Gram here has at most 200 rows), and are
+recombined in int64 into the same integer totals. A vector known whole (a
+row of G, a column of L below the diagonal, a returned column) is aligned
+once at its lowest exponent; one that grows entry by entry re-aligns only
+when an entry lies lower. A control sweep's squared norms are one running
+exact sum, rounded once per sweep point.
 
 Both Gram builders form their real entries on mpmath's libmp tuples, one
 libmp call for each operation of the mpf expression, in its order and with
@@ -50,6 +55,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cmp_to_key
+from itertools import islice
 from operator import mul
 
 import numpy as np
@@ -249,6 +255,94 @@ class _ExactVector:
         return from_man_exp(total, self.exp + other.exp, prec, rnd)
 
 
+# Bits per slice of the BLAS products. A product of two slices has magnitude
+# at most (2^16 - 1)^2 < 2^32, so every partial sum of n of them, in any order
+# BLAS adds them, is an integer of magnitude below n 2^32: a double holds it
+# exactly while that is at most 2^53, that is for n <= 2^21.
+_SLICE_BITS = 16
+_MAX_EXACT_TERMS = 2**21
+# Row slices between carry passes: a pass leaves every slot but the top
+# below 2^16, and each row slice adds at most one sum below 2^53 to a slot,
+# so an int64 slot stays below 2^63 over 2^9 of them.
+_CARRY_EVERY = 2**9
+# Rows sliced at a time: the totals are yielded block by block, so the big
+# integers of only one block are alive at once.
+_ROW_BLOCK = 8
+
+
+def _slice_width(vectors) -> int:
+    """16-bit slices enough for the magnitude of every integer in vectors."""
+    bits = max((max(map(int.bit_length, v), default=0) for v in vectors), default=0)
+    return max(1, -(-bits // _SLICE_BITS))
+
+
+def _signed_slices(mans, width: int) -> np.ndarray:
+    """The 16-bit slices of each integer's magnitude, least significant
+    first, each carrying the integer's sign, as doubles: shape
+    (len(mans), width)."""
+    size = 2 * width
+    # written in place, so no bytes object per integer piles up in the heap
+    raw = bytearray(size * len(mans))
+    for start, m in zip(range(0, len(raw), size), mans):
+        raw[start : start + size] = abs(m).to_bytes(size, "little")
+    out = np.frombuffer(raw, dtype="<u2").reshape(len(mans), width).astype(float)
+    np.negative(out, out=out, where=np.array([m < 0 for m in mans], dtype=bool)[:, None])
+    return out
+
+
+def _carry(acc: np.ndarray) -> None:
+    """Leave every slot acc[s] but the last in [0, 2^16), with the weighted
+    sum sum_s acc[s] 2^(16 s) unchanged."""
+    for s in range(len(acc) - 1):
+        acc[s + 1] += acc[s] >> _SLICE_BITS
+        acc[s] &= (1 << _SLICE_BITS) - 1
+
+
+def _exact_dots(rows, cols):
+    """Yield each exact vector of rows with its exact integer totals
+    sum_k row.mans[k] * col.mans[k], one per vector of cols.
+
+    rows is an iterable and cols a nonempty list of _ExactVector of one
+    length n. Every mantissa is cut into 16-bit slices of its magnitude
+    that carry its sign: the columns' once, laid out (n, count * width), and
+    the rows' _ROW_BLOCK rows at a time. For each slice of a block's rows,
+    one BLAS product against all the column slices gives sums that are
+    exact doubles (see _SLICE_BITS). They are summed by weight in int64
+    slots, the carries are propagated, and each total is read from its
+    slots as 16-bit digits, the top one signed. The slots reach 16 bits
+    past the bound n 2^(16 (wr + wc)) on a total of rows wr and columns wc
+    slices wide, so the top one lies in [-32, 32). Raises ValueError past
+    n = 2^21, where the double sums could round.
+    """
+    n, count = len(cols[0].mans), len(cols)
+    if n > _MAX_EXACT_TERMS:
+        raise ValueError(f"{n} terms per sum; sums of 16-bit slice products are exact to 2^21")
+    wc = _slice_width(x.mans for x in cols)
+    col_slices = _signed_slices([x.mans[k] for k in range(n) for x in cols], wc)
+    col_slices = col_slices.reshape(n, count * wc)
+    rows = iter(rows)
+    while block := list(islice(rows, _ROW_BLOCK)):
+        wr = _slice_width(g.mans for g in block)
+        row_slices = _signed_slices([m for g in block for m in g.mans], wr)
+        row_slices = row_slices.reshape(len(block), n, wr)
+        # acc[s, r, c]: the weight-2^(16 s) part of the total of row r and column c
+        acc = np.zeros((wr + wc + 2, len(block), count), dtype=np.int64)
+        for p in range(wr):
+            part = (row_slices[:, :, p] @ col_slices).reshape(len(block), count, wc)
+            acc[p : p + wc] += np.moveaxis(part, -1, 0).astype(np.int64)
+            if p % _CARRY_EVERY == _CARRY_EVERY - 1:
+                _carry(acc)
+        _carry(acc)
+        digits = np.moveaxis(acc, 0, -1).astype("<u2", order="C").tobytes()
+        size = 2 * len(acc)
+        for r, g in enumerate(block):
+            start = r * count * size
+            yield g, [
+                int.from_bytes(digits[o : o + size], "little", signed=True)
+                for o in range(start, start + count * size, size)
+            ]
+
+
 def _cholesky(A):
     """mpmath's Cholesky factor of the rows A of libmp tuples, entry for entry.
 
@@ -346,8 +440,11 @@ def _ladder_solve(build, bits: int, count: int | None = None):
     defect of row i is max_j |(G x_j)_i - delta_ij| over the returned
     columns, taken exactly at the working precision on every rung, and a rung
     passes when the largest defect is below RESIDUAL_GATE, read at call time.
-    The solve and the gate run on libmp tuples (mpf_sub, mpf_abs and mpf_cmp
-    for the defects, mpf_lt for the gate), with the bits of the mpf operators.
+    The entries of G X are exact integer sums (`_exact_dots`: BLAS products
+    of 16-bit slices, exact for n <= 2^21), each rounded once as
+    `_ExactVector.dot` rounds. The solve and the gate run on libmp tuples
+    (mpf_sub, mpf_abs and mpf_cmp for the defects, mpf_lt for the gate),
+    with the bits of the mpf operators.
     So the gate covers every column the caller gets, and with it every number
     an output depends on; columns past `count` (None asks for all n) are
     neither solved nor gated. A miss steps to `_next_bits`. A matrix that is
@@ -366,8 +463,13 @@ def _ladder_solve(build, bits: int, count: int | None = None):
                 cols = _spd_inverse(G, count)
                 exact_cols = [_ExactVector(x) for x in cols]
                 row_resid = []
-                for i, g in enumerate(map(_ExactVector, G)):
-                    defects = [g.dot(x) for x in exact_cols]  # row i of G X
+                # the rows of G are made exact as the products draw them
+                for i, (g, row) in enumerate(_exact_dots(map(_ExactVector, G), exact_cols)):
+                    # row i of G X, each entry rounded once, as _ExactVector.dot does
+                    defects = [
+                        from_man_exp(t, g.exp + x.exp, prec, rnd) if t else fzero
+                        for t, x in zip(row, exact_cols)
+                    ]
                     if i < len(cols):
                         defects[i] = mpf_sub(defects[i], fone, prec, rnd)
                     # each defect is rounded already, so its exact abs keeps its bits

@@ -112,10 +112,21 @@ def check_end_value(rt: ResolventTriple) -> float:
     The only zero end the guard lets through is that of a resolvent that
     vanishes identically, which happens exactly when every kernel sample on
     the grid is 0 (a zero kernel in any spelling, or samples that all
-    underflow): a returned 0.0 means memoryless.
+    underflow): a returned 0.0 means memoryless. A resolvent that is not
+    zero but lies wholly below the smallest normal double is refused too:
+    its values are subnormal, with too few significant bits for any law
+    read off them to hold.
     """
     end = rt.end_value()
-    if abs(end) < END_VALUE_GUARD * rt.resolvent.sup_norm():
+    sup, tiny = rt.resolvent.sup_norm(), np.finfo(float).tiny
+    if 0.0 < sup < tiny:
+        raise NumericalError(
+            f"the kernel resolvent is subnormal on the whole grid (sup "
+            f"{sup:.3e} < {tiny:.3e}); its values have no "
+            "significant digits, so no targets can be read from them. Scale "
+            "the kernel up or set it to zero."
+        )
+    if abs(end) < END_VALUE_GUARD * sup:
         raise NumericalError(
             f"the kernel resolvent vanishes at the horizon T = "
             f"{rt.grid.horizon:g} (value {end:.3e}); the rescaled targets "

@@ -11,6 +11,7 @@ import random
 import tracemalloc
 import warnings
 from fractions import Fraction
+from operator import mul
 from unittest import mock
 
 import numpy as np
@@ -20,11 +21,12 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf, workprec
 from mpmath.libmp import from_float, from_man_exp, from_rational, to_float
 
-from memheat import NumericalError, PrecisionError, TimeGrid, biorth
+from memheat import ConfigError, NumericalError, PrecisionError, TimeGrid, biorth
 from memheat.biorth import (
     RESIDUAL_GATE,
     BiorthReport,
     _control_gram,
+    _exact_dots,
     _ExactVector,
     _spd_inverse,
     cauchy_inverse_log_diag,
@@ -36,6 +38,7 @@ from memheat.biorth import (
     min_norm_biorth,
     orthonormal_family_gram,
 )
+from memheat.config import MAX_CONTROL_FAMILY, config_from_dict
 from memheat.moments import InitialData
 
 
@@ -494,6 +497,91 @@ def test_exact_dot_cancels_to_exact_zero():
         xs, ys = [a, b, a], [b, a, -2 * b]
         assert _exact_dot(xs, ys)._mpf_ == mp.zero._mpf_
         assert mp.fdot(xs, ys) == 0
+
+
+def _int_vector(mans):
+    """An exact vector of the integers mans, each as a libmp tuple at exponent 0."""
+    return _ExactVector([from_man_exp(m, 0) for m in mans])
+
+
+@st.composite
+def sliced_case(draw):
+    """Rows and columns of signed integers for the sliced products.
+
+    Each side draws its own bit cap (0 to 1,400: the 1024-bit ladder top and
+    the range its alignment adds) and each vector a width up to that cap, so
+    rows and columns are sliced to different widths. A share of the entries
+    is zero, all of them in some vectors, and one column may be all zero.
+    Hypothesis draws the shape; a drawn seed fills in the entries.
+    """
+    n = draw(st.integers(1, 40))
+    count = draw(st.integers(1, 6))
+    rows = draw(st.integers(1, 2 * biorth._ROW_BLOCK + 1))
+    row_cap, col_cap = draw(st.integers(0, 1400)), draw(st.integers(0, 1400))
+    zeros = draw(st.sampled_from((0.0, 0.3, 1.0)))
+    zero_column = draw(st.booleans())
+    rng = random.Random(draw(st.integers(0, 2**32)))
+
+    def vector(cap):
+        bits = rng.randint(0, cap)
+        return [
+            0 if rng.random() < zeros else rng.randrange(-(2**bits) + 1, 2**bits)
+            for _ in range(n)
+        ]
+
+    cols = [vector(col_cap) for _ in range(count)]
+    if zero_column:
+        cols[rng.randrange(count)] = [0] * n
+    return [vector(row_cap) for _ in range(rows)], cols
+
+
+# every slice 0xFFFF at the control family's cap: each BLAS sum is the
+# largest a configured Gram can give, 200 (2^16 - 1)^2, positive and
+# negative, over two row blocks
+_FULL = 2**1408 - 1
+_FULL_CASE = (
+    [[_FULL] * MAX_CONTROL_FAMILY] * (biorth._ROW_BLOCK + 1),
+    [[_FULL] * MAX_CONTROL_FAMILY, [-_FULL] * MAX_CONTROL_FAMILY],
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(sliced_case())
+@example(_FULL_CASE)
+# rows wider than the slices between carry passes
+@example(([[2**9600 - 1, -(2**9000), 1]], [[3, 2**9600 - 1, -(2**700)]]))
+def test_sliced_products_are_exact(case):
+    rows = [_int_vector(v) for v in case[0]]
+    cols = [_int_vector(v) for v in case[1]]
+    got = list(_exact_dots(iter(rows), cols))
+    assert [g for g, _ in got] == rows
+    assert [totals for _, totals in got] == [
+        [sum(map(mul, g.mans, x.mans)) for x in cols] for g in rows
+    ]
+
+
+def test_sliced_products_refuse_sums_past_the_exact_limit():
+    # n products of two 16-bit slices sum exactly in a double while
+    # n (2^16 - 1)^2 <= 2^53; past 2^21 terms the products are refused
+    # before any work
+    assert biorth._MAX_EXACT_TERMS == 2**21
+    assert biorth._MAX_EXACT_TERMS * (2**16 - 1) ** 2 <= 2**53
+    wide = _ExactVector()
+    wide.mans, wide.exp = [0] * (2**21 + 1), 0
+    with pytest.raises(ValueError, match="exact to 2\\^21"):
+        next(_exact_dots(iter([wide]), [wide]))
+
+
+def test_configured_grams_stay_within_the_exact_limit():
+    # the largest Grams a config can ask for: a control family and a biorth
+    # verification block at their caps, and the 16-member sanity family
+    top = config_from_dict(
+        {"control": {"family": MAX_CONTROL_FAMILY, "active": 1}, "biorth": {"verify_modes": 64}}
+    )
+    for past in ({"control": {"family": MAX_CONTROL_FAMILY + 1}}, {"biorth": {"verify_modes": 65}}):
+        with pytest.raises(ConfigError):
+            config_from_dict(past)
+    assert max(top.control_family, top.verify_modes, 16) <= biorth._MAX_EXACT_TERMS
 
 
 @pytest.mark.parametrize("special", ["inf", "-inf", "nan"])

@@ -380,6 +380,29 @@ def test_underflowing_kernel_moment_is_memoryless(tmp_path):
     assert summary["end_value"] == 0.0
 
 
+@pytest.mark.parametrize("scope", [None, 100], ids=["auto", "pinned"])
+def test_subnormal_kernel_moment_exits_3(tmp_path, capsys, scope):
+    # up to T = 1 the samples 5e-324 t are 0 or 5e-324: a resolvent with no
+    # significant digits, whose rescaled targets all underflow to 0. It is
+    # refused before the scope search, and before a pinned scope reports a
+    # law that does not hold.
+    data = {
+        "kernel": {"type": "polynomial", "coeffs": [0.0, 5e-324]},
+        "horizon": 1.0,
+        "steps": 200,
+        "modes": 4,
+    }
+    if scope is not None:
+        data["scope"] = scope
+    cfg = write_config(tmp_path, data)
+    out = tmp_path / "run"
+    assert main(["moment", "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "subnormal on the whole grid" in err
+    assert "nondegeneracy margin" not in err
+    assert not (out / "moment_summary.json").exists()
+
+
 def test_scope_search_failure_names_the_scope_key(tmp_path, capsys):
     # no mode of the searched range passes the margin; pinning "scope" past
     # it is the config's way out, so the message must say so
