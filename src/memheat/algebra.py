@@ -19,8 +19,9 @@ Everything downstream is built on four operations over sampled functions:
   rate, each rate summing its own number of leading operands: each node
   value weighted by the moment of its hat function, one spectrum per
   operand and one weight row per degree, the degrees summed in frequency
-  space. Only the series route of the mode resolvents asks for it, so the
-  series and the direct route share no quadrature code.
+  space, every degree's moments read from one table per rate. Only the
+  series route of the mode resolvents asks for it, so the series and the
+  direct route share no quadrature code.
 
 The two one-row functions are the only ones kept: the benchmark's tracer
 times both by name, and the routes that work one row at a time (the kernel
@@ -199,16 +200,17 @@ def _solve_span(y, f, K, inv, dt, lo, hi, top, kernel_spectra):
 #
 #     A_k(j) = int_{(j-1) dt}^{j dt} u^k e^{-mu2 u} du.
 #
-# Degree 0 has closed forms for any sign of mu2, and every cell's weights
-# are those of the first cell times e^{-mu2 (j-1) dt}, so one operand's
-# quadrature is a first-order recursion in its cells' left values and
-# slopes (`convolve_exp_stack`). The higher degrees, which only the series
-# route asks for, weight each node value by the moment of its hat function
-# (product integration in its single-weight form), a discrete convolution
-# per degree. Their moments come from one table per (mu2, grid) holding
-# every degree up to the stack's top: the incomplete gamma integral at the
-# top degree, stepped down by its positive recurrence, in numpy alone
-# (`_moment_table`), built once per rate in each stacked call.
+# One operand against the degree-0 weight, for any sign of mu2, has closed
+# forms: every cell's weights are those of the first cell times
+# e^{-mu2 (j-1) dt}, so its quadrature is a first-order recursion in its
+# cells' left values and slopes (`convolve_exp_stack`). The series route
+# asks instead for a stack of operands, degree 0 included, and weights each
+# node value by the moment of its hat function (product integration in its
+# single-weight form), a discrete convolution per degree. All its moments
+# come from one table per (mu2, grid) holding every degree up to the
+# stack's top: the incomplete gamma integral at the top degree, stepped
+# down by its positive recurrence, in numpy alone (`_moment_table`), built
+# once per rate in each stacked call. The two share no weights.
 
 
 def _first_cell_weights(mu2: float, dt: float) -> tuple:
@@ -234,18 +236,6 @@ def _first_cell_weights(mu2: float, dt: float) -> tuple:
         if abs(term) < 1e-20:
             break
     return dt * p1, dt * dt * (p1 - p2)
-
-
-def _cell_moments_01(mu2: float, grid: TimeGrid) -> tuple:
-    """Exact cell moments A_0, A_1 for any sign of the rate: cell j holds the
-    first cell's weights shifted by e_j = e^{-mu2 (j-1) dt}, so A_0(j) =
-    a0 e_j and A_1(j) = (j dt a0 - b0) e_j, (a0, b0) from
-    `_first_cell_weights`.
-    """
-    a0, b0 = _first_cell_weights(mu2, grid.dt)
-    j = np.arange(1, grid.size, dtype=float)
-    e_left = np.exp(-mu2 * (j - 1.0) * grid.dt)
-    return a0 * e_left, (j * grid.dt * a0 - b0) * e_left
 
 
 # Largest |mu2| L dt of a block of L cells in `convolve_exp_stack`: its tilt
@@ -390,9 +380,8 @@ def convolve_exp_monomial_stack(
     against the weight of degree k, each piecewise linear between its
     samples; one operand alone is `convolve_exp_stack`. Each rate has its
     own term count, from 1 to the number of operands, and its row sums
-    that many leading operands. Degree 0 has closed forms for any sign of
-    the rate; degrees k >= 1 read the rate's `_moment_table`, so every rate
-    must be positive.
+    that many leading operands. Every degree reads the rate's
+    `_moment_table`, so every rate must be positive.
 
     Each node value is weighted by the moment of its hat function: cell j
     (lags t_{j-1} to t_j) gives its node at lag t_{j-1} the weight
@@ -449,7 +438,7 @@ def convolve_exp_monomial_stack(
                 break
             omega = np.zeros((len(ks), n))
             for w, k in zip(omega, ks):
-                Ak, Ak1 = table[k : k + 2] if k else _cell_moments_01(mu2, grid)
+                Ak, Ak1 = table[k : k + 2]
                 left = lag * Ak
                 left -= Ak1
                 left /= dt

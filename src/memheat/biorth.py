@@ -52,6 +52,7 @@ instead of sampled dynamics.
 from __future__ import annotations
 
 import math
+import random
 import warnings
 from dataclasses import dataclass
 from functools import cmp_to_key
@@ -174,10 +175,12 @@ def orthonormal_family_gram(
     orthonormal family are all 1, so any fitted growth slope should vanish.
     The orthonormalization runs through the same trapezoid inner product as
     the rest of the pipeline (this is an honest end-to-end exercise, not a
-    hardcoded identity matrix).
+    hardcoded identity matrix). The family is uniform on [-1, 1), row by
+    row from the standard library's generator, whose sequence for a seed
+    is stable across Python versions.
     """
-    rng = np.random.default_rng(seed)
-    rows = rng.standard_normal((count, grid.size))
+    draw = random.Random(seed).random
+    rows = np.array([[2.0 * draw() - 1.0 for _ in range(grid.size)] for _ in range(count)])
     weights = np.full(grid.size, grid.dt)
     weights[0] *= 0.5
     weights[-1] *= 0.5

@@ -7,11 +7,13 @@ by the initial value and the boundary trace pairing:
 
 where e0(t) = e^{-mu2 t}, q is the kernel resolvent, z the mode kernel built
 from the resolvent derivative, and g the boundary forcing. Two independent
-solution routes are kept side by side: a Volterra solve of w + z*w = k,
-and the explicit form w = k - h*k through the mode resolvent h. Their
-agreement is a genuine invertibility check, so the two routes are never
-collapsed: each builds its own k (and the solve its own z) from the mode and
-the triple. The mode resolvent h of the explicit route is the only per-mode
+solution routes are kept side by side: a Volterra solve of w + z*w = k, and
+the explicit form w = k - h*k through the mode resolvent h. Their agreement
+is a genuine invertibility check, so the two routes are never collapsed.
+They share the z and k builders (`mode_kernels`, `_rhs_stack`): the pair
+checks the Volterra solve against the resolvent identity on the same z and
+k, and `tests/test_route_independence.py` fails on any further shared
+definition. The mode resolvent h of the explicit route is the only per-mode
 array a caller passes in, and none is cached. The solve route builds the z
 and k of all a grid's modes as the rows of two stacks (`mode_equations`),
 each one product quadrature against a shared operand (an O(nodes)

@@ -9,7 +9,8 @@ per-mode machinery then builds, for a decay rate mu2, the kernel
 
 and its resolvent h, by two independent routes: a direct Volterra solve of
 h = z - z*h, and a truncated series of iterated convolutions. The two routes
-deliberately share no code path, so their agreement is a real check.
+deliberately share no code path past the FFT size, so their agreement is a
+real check (`tests/test_route_independence.py` keeps them apart).
 
 Both routes take a stack of rates. Their one-rate functions,
 `mode_resolvent_direct` and `mode_resolvent_series`, are the one-row cases,
@@ -17,7 +18,8 @@ kept because the acceptance tests compare them and the benchmark's tracer
 counts the direct one by name; `mode_kernels` has no one-rate twin. The
 kernels z of a stack are one product quadrature against the shared operand
 q', an O(nodes) exponential recursion per rate with no FFT
-(`algebra.convolve_exp_stack`), which the series route does not use.
+(`algebra.convolve_exp_stack`); the series route reads every degree's
+weights, degree 0 included, from its own moment table.
 The series stops each rate at its own term count (`series_terms`, a
 rate-aware bound on the whole tail), builds the powers q', q'*q', ... once
 per call up to the largest count, in one local (terms, nodes) array freed

@@ -33,7 +33,6 @@ from memheat import (
 from memheat.algebra import (
     BLOCK,
     FFT_BATCH,
-    _cell_moments_01,
     _fft_size,
     _moment_table,
     convolve,
@@ -606,10 +605,10 @@ def test_quadrature_stack_matches_one_call_per_row(rows, nodes, degrees, seed):
 
 def series_by_degree(f, grid, mu2):
     """The series term by term: each degree's quadrature (f_k * w_k) at mu2
-    through its own FFTs and inverse FFTs, the weights read from the rate's
-    moment table topped at the stack's top degree (closed forms at degree
-    0), added in the time domain in degree order. Returns the sum and the
-    sum of the terms' sup norms."""
+    through its own FFTs and inverse FFTs, the weights of every degree read
+    from the rate's moment table topped at the stack's top degree, added in
+    the time domain in degree order. Returns the sum and the sum of the
+    terms' sup norms."""
     n, dt = grid.size, grid.dt
     size = 1 << (2 * n - 2).bit_length()
     lag = np.arange(1, n, dtype=float) * dt
@@ -617,7 +616,7 @@ def series_by_degree(f, grid, mu2):
     total = np.zeros(n)
     scale = 0.0
     for k, operand in enumerate(f):
-        Ak, Ak1 = table[k : k + 2] if k else _cell_moments_01(mu2, grid)
+        Ak, Ak1 = table[k : k + 2]
         wa, wb, slopes = np.zeros((3, n))
         wa[1:] = Ak
         np.multiply(lag, Ak, out=wb[1:])
@@ -712,11 +711,12 @@ def _reference_cell_moments(mu2, d, grid):
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(
     st.floats(min_value=math.log(1e-6), max_value=math.log(1e4)),
-    st.integers(min_value=1, max_value=60),
+    st.integers(min_value=0, max_value=60),
     st.integers(min_value=1, max_value=60),
     st.floats(min_value=0.01, max_value=5.0),
 )
 @example(math.log(4.4e-6), 2, 60, 0.01)  # d!/mu2^{d+1} overflows at d = 60
+@example(math.log(8.87), 0, 60, 1.0)  # degree 0, which the series reads too
 def test_cell_moments_match_incomplete_gamma(log_mu2, k, steps, horizon):
     # rows k and k + 1 of the table a one-degree call builds (topped at
     # k + 1) and of a table topped at 61, past the series' tallest (60)

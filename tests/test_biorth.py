@@ -6,8 +6,11 @@ is [[1/2, 1/3], [1/3, 1/4]] with determinant 1/72, so the inverse diagonal is
 inverse or against resampled trapezoid arithmetic.
 """
 
+import json
 import math
 import random
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -385,6 +388,28 @@ def test_sanity_gram_is_exactly_symmetric():
     with workprec(gs.precision):
         G = gs.build()
     assert G == [list(col) for col in zip(*G)]
+
+
+def test_biorth_command_loads_no_numpy_random(tmp_path):
+    # the sanity family draws from the standard library's generator, so the
+    # command never pays for loading numpy.random
+    small = {
+        "kernel": {"type": "constant", "value": 1.0},
+        "steps": 200,
+        "biorth": {"family": 64, "fit_window": [10, 30], "verify_modes": 10},
+    }
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(small))
+    code = (
+        "import sys; from memheat.cli import main; "
+        f"assert main(['biorth', '--config', {str(config)!r}, '--out', "
+        f"{str(tmp_path / 'run')!r}]) == 0; "
+        "print('numpy.random' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 # signed zeros, the smallest subnormal, a subnormal with a full spread of

@@ -25,6 +25,7 @@ from memheat import (
     TimeGrid,
     ZeroKernel,
 )
+from memheat import algebra
 from memheat.algebra import convolve, convolve_exp_monomial_stack, volterra_solve
 from memheat.resolvents import (
     SERIES_MAX_TERMS,
@@ -32,6 +33,7 @@ from memheat.resolvents import (
     mode_resolvent_direct,
     mode_resolvent_series,
     mode_resolvent_series_stack,
+    mode_resolvent_stack,
     resolvent_of,
     series_terms,
 )
@@ -154,6 +156,32 @@ def test_series_vs_direct(mu2):
     hs, _ = mode_resolvent_series(rt, mu2)
     scale = max(hd.sup_norm(), 1e-30)
     assert (hs - hd).sup_norm() / scale < 1e-8
+
+
+@pytest.mark.parametrize("kernel", [ConstantKernel(1.0), ExpSumKernel(((1.0, 1.0),))])
+@pytest.mark.parametrize("factor", [1.0 + 1e-6, 1.0 - 1e-6])
+def test_series_vs_direct_sees_a_fault_in_the_direct_cell_weights(
+    monkeypatch, kernel, factor
+):
+    # A relative fault of 1e-6 in the direct route's closed-form weight a0
+    # must show in the series-vs-direct gap at every rate of criterion C2.
+    # Unfaulted, the gap is discretization error, 3.7e-8 to 8.2e-8 at 2,000
+    # steps; faulted, it read 9.2e-7 to 1.1e-6. A series route that took
+    # its degree-0 weights from the same function would move with the fault
+    # and read 3.9e-8 to 1.3e-7.
+    closed_forms = algebra._first_cell_weights
+
+    def faulted(mu2, dt):
+        a0, b0 = closed_forms(mu2, dt)
+        return a0 * factor, b0
+
+    monkeypatch.setattr(algebra, "_first_cell_weights", faulted)
+    rates = [math.pi**2 - 1.0, 4.0 * math.pi**2 - 1.0, 100.0]
+    rt = resolvent_of(kernel, TimeGrid(1.0, 2000))
+    direct = mode_resolvent_stack(rt, rates)
+    series, _ = mode_resolvent_series_stack(rt, rates)
+    gaps = np.max(np.abs(direct - series), axis=1) / np.max(np.abs(direct), axis=1)
+    assert np.all(gaps > 5e-7)
 
 
 def test_mode_resolvent_bounded_in_rate():
