@@ -18,6 +18,7 @@ from .biorth import MAX_PRECISION_BITS
 from .errors import ConfigError, read_int, read_list, read_number, read_record
 from .kernels import MemoryKernel, kernel_from_config
 from .moments import InitialData, initial_data_from_config
+from .resolvents import SERIES_TOL
 
 _TOP_LEVEL_KEYS = {
     "kernel",
@@ -86,7 +87,7 @@ class ExperimentConfig:
     modes: int = 12
     precision: int = 256
     seed: int = 0
-    series_tol: float = 1e-14
+    series_tol: float = SERIES_TOL
     initial: InitialData = InitialData.inverse_index()
     scope: object = "auto"  # "auto" or an explicit first mode index
     control_family: int = 40

@@ -12,13 +12,12 @@ the main grid and each refinement grid: the modes' kernels and right-hand
 sides are the rows of two stacks, each filled by one stacked product
 quadrature, and one stacked Volterra solve (`algebra.volterra_solve_stack`)
 returns every trajectory. `_cross_check` then checks every mode of the main
-grid against the resolvent representation and the series route, each of
-which builds its own data, and refuses the run (NumericalError) where the
-solve and the representation part by more than the round-off of the data;
-the direct mode resolvents of that check are a second stacked solve, never
-mixed with the first, and the series of all its modes one stacked series:
-one product quadrature per mode over the shared powers of q', each mode
-stopping at its own term count, its terms summed in frequency space. A mode
+grid against the resolvent representation and the series route, and
+refuses the run (NumericalError) where the solve and the representation
+part by more than the round-off of the data. Its direct mode resolvents
+are a second stacked solve, h = z - z*h on the first solve's z, never mixed
+with it; it settles each positive-rate mode's series term count once and
+hands the counts to one stacked series over the shared powers of q'. A mode
 whose series cannot converge within SERIES_MAX_TERMS is listed with its
 reason, and the other modes are still checked. A stacked call runs all its
 rows together, with as many rows per FFT call as fit in one bounded
@@ -54,7 +53,6 @@ from .moments import (
 from .resolvents import (
     mode_resolvent_direct,  # noqa: F401  (the benchmark's tracer self-test calls it here)
     mode_resolvent_series_stack,
-    mode_resolvent_stack,
     resolvent_of,
     series_terms,
 )
@@ -109,10 +107,10 @@ def cmd_resolvent(config: ExperimentConfig) -> dict:
 
 
 def _solve_trajectories(config: ExperimentConfig, steps: int) -> tuple:
-    """The resolvent triple, the modes, the size max|k| of each mode's
-    right-hand side and the Volterra-route free trajectory of every mode on
-    a grid of `steps` cells: the one place a grid's modes are solved, for
-    the main grid and each refinement grid alike.
+    """The resolvent triple, the modes, their kernels z, each right-hand
+    side's size max|k| and every mode's Volterra-route free trajectory on a
+    grid of `steps` cells: the one place a grid's modes are solved, for the
+    main grid and each refinement grid alike.
 
     The kernels z and right-hand sides k of all modes are two (modes, size)
     stacks, and one stacked solve returns the trajectories as the rows of a
@@ -124,7 +122,7 @@ def _solve_trajectories(config: ExperimentConfig, steps: int) -> tuple:
     xis = config.initial.values(config.modes)
     z, k = mode_equations(modes, rt, xis, SampledFunction.zeros(grid))
     w = volterra_solve_stack(z, k, grid.dt)
-    return rt, modes, np.maximum(k.max(axis=1), -k.min(axis=1)), w  # max|k|, no |k| array
+    return rt, modes, z, np.maximum(k.max(axis=1), -k.min(axis=1)), w  # max|k|, no |k| array
 
 
 def _convergence_rows(config: ExperimentConfig, w: np.ndarray) -> list:
@@ -135,7 +133,7 @@ def _convergence_rows(config: ExperimentConfig, w: np.ndarray) -> list:
     error column and skew the ratios away from 4. The 1x row reuses the
     trajectories the main path already solved.
     """
-    w8, w4, w2 = (_solve_trajectories(config, m * config.steps)[3] for m in (8, 4, 2))
+    w8, w4, w2 = (_solve_trajectories(config, m * config.steps)[4] for m in (8, 4, 2))
     reference = (4.0 * w8[:, ::2] - w4) / 3.0  # lives on the 4x nodes
     rows = []
     prev_err = None
@@ -160,11 +158,12 @@ def _convergence_rows(config: ExperimentConfig, w: np.ndarray) -> list:
 ROUTE_GAP_TOL = 1e-10
 
 
-def _cross_check(config: ExperimentConfig, rt, modes, k_size, w: np.ndarray) -> dict:
+def _cross_check(config: ExperimentConfig, rt, modes, z, k_size, w) -> dict:
     """`discrepancy.json`: every mode's trajectory in `w` against the
     resolvent representation, and its direct resolvent against the series
-    route. The direct resolvents of all modes are one stacked solve, and
-    the series of all positive-rate modes one stacked series.
+    route. The direct resolvents h = z - z*h are one stacked solve on the
+    solve's kernels `z`, and the series of all positive-rate modes one
+    stacked series, at the term counts settled here.
 
     Raises NumericalError if a mode's two routes part by more than
     ROUTE_GAP_TOL of max(|k|, |w|), the larger of its right-hand side's
@@ -172,7 +171,7 @@ def _cross_check(config: ExperimentConfig, rt, modes, k_size, w: np.ndarray) -> 
     """
     g = SampledFunction.zeros(rt.grid)
     xis = config.initial.values(config.modes)
-    h = mode_resolvent_stack(rt, [mode.shifted_rate for mode in modes])
+    h = volterra_solve_stack(z, z, rt.grid.dt)
 
     def gap(row):
         mode, xi, w_mode, h_mode = row
@@ -189,48 +188,46 @@ def _cross_check(config: ExperimentConfig, rt, modes, k_size, w: np.ndarray) -> 
                 f"the {ROUTE_GAP_TOL:g} share that round-off reaches; the "
                 "trajectories are not trusted"
             )
-    positive = [i for i, mode in enumerate(modes) if mode.shifted_rate > 0]
-    skipped = [mode.index for mode in modes if mode.shifted_rate <= 0]
     # The series route only cross-checks the direct one: a mode whose series
     # cannot converge, or whose stack fails, is listed unchecked, not the
     # run failed.
-    reasons = {}
-    for i in positive:
+    skipped, reasons, terms = [], {}, {}  # terms: mode position -> its count
+    for i, mode in enumerate(modes):
+        if mode.shifted_rate <= 0:
+            skipped.append(mode.index)
+            continue
         try:
-            series_terms(rt, modes[i].shifted_rate, config.series_tol)
+            terms[i] = series_terms(rt, mode.shifted_rate, config.series_tol)
         except NumericalError as exc:
-            reasons[i] = str(exc)
-    checked = [i for i in positive if i not in reasons]
+            reasons[mode.index] = str(exc)
     series_gaps = []
-    if checked:
+    if terms:
         try:
-            h_series, _ = mode_resolvent_series_stack(
-                rt, [modes[i].shifted_rate for i in checked], config.series_tol
+            h_series = mode_resolvent_series_stack(
+                rt, [modes[i].shifted_rate for i in terms], list(terms.values())
             )
-            series_gaps = [
-                float(np.max(np.abs(hs - h[i]))) for i, hs in zip(checked, h_series)
-            ]
+            series_gaps = [float(np.max(np.abs(hs - h[i]))) for i, hs in zip(terms, h_series)]
         except NumericalError as exc:
-            reasons.update((i, str(exc)) for i in checked)
-    failed = [
-        {"mode": modes[i].index, "reason": reasons[i]} for i in positive if i in reasons
-    ]
+            reasons.update((modes[i].index, str(exc)) for i in terms)
 
     discrepancy = {
         "solve_vs_explicit": float(max(gaps)),
         "series_vs_direct": float(max(series_gaps)) if series_gaps else None,
         "series_modes_skipped": skipped,
     }
-    if failed:  # only then, so runs whose series all converge keep their bytes
-        discrepancy["series_modes_failed"] = failed
+    if reasons:  # only then, so runs whose series all converge keep their bytes
+        discrepancy["series_modes_failed"] = [
+            {"mode": n, "reason": reason} for n, reason in sorted(reasons.items())
+        ]
     return discrepancy
 
 
 def cmd_simulate(config: ExperimentConfig, refine: bool = False) -> dict:
     """Free modal trajectories, the dual-representation gap, and the
     deficiency time series; optionally a grid-refinement table."""
-    rt, modes, k_size, w = _solve_trajectories(config, config.steps)  # w: (modes, size)
-    discrepancy = _cross_check(config, rt, modes, k_size, w)
+    rt, modes, z, k_size, w = _solve_trajectories(config, config.steps)  # w: (modes, size)
+    discrepancy = _cross_check(config, rt, modes, z, k_size, w)
+    del z  # not held through the refinement solves, which set the peak memory
     conv_rows = _convergence_rows(config, w) if refine else None
 
     # The row lists hold one Python object per sample, so they are built
@@ -264,6 +261,13 @@ def cmd_simulate(config: ExperimentConfig, refine: bool = False) -> dict:
 def cmd_moment(config: ExperimentConfig) -> dict:
     """Constraint targets d_n, their rescaled asymptotics, and the JSON dump
     of the assembled end-state constraint family."""
+    first = first_positive_index(config.kernel.value_at_zero)
+    if config.scope != "auto" and config.scope < first:  # before any solve
+        raise ConfigError(
+            "scope",
+            f"start {config.scope} has a nonpositive rate for this kernel "
+            f"(first usable mode is {first})",
+        )
     rt = resolvent_of(config.kernel, TimeGrid(config.horizon, config.steps))
 
     start = scope_threshold(rt) if config.scope == "auto" else int(config.scope)

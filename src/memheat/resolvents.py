@@ -15,19 +15,19 @@ real check (`tests/test_route_independence.py` keeps them apart).
 Both routes take a stack of rates. Their one-rate functions,
 `mode_resolvent_direct` and `mode_resolvent_series`, are the one-row cases,
 kept because the acceptance tests compare them and the benchmark's tracer
-counts the direct one by name; `mode_kernels` has no one-rate twin. The
-kernels z of a stack are one product quadrature against the shared operand
-q', an O(nodes) exponential recursion per rate with no FFT
-(`algebra.convolve_exp_stack`); the series route reads every degree's
-weights, degree 0 included, from its own moment table.
-The series stops each rate at its own term count (`series_terms`, a
-rate-aware bound on the whole tail), builds the powers q', q'*q', ... once
-per call up to the largest count, in one local (terms, nodes) array freed
-on return, and sums them against the monomial weights of every rate in one
-product quadrature over that operand stack: the powers' spectra are
-transformed once for all rates, and each rate gets one quadrature over its
-own leading powers, its terms summed in frequency space, and one moment
-table up to its own count. Nothing is cached on the triple.
+reads them by name (the direct one's calls, the series one's term count).
+The kernels z of a stack (`mode_kernels`, no one-rate twin) are one product
+quadrature against the shared operand q', an O(nodes) exponential recursion
+per rate with no FFT (`algebra.convolve_exp_stack`); the series route reads
+every degree's weights, degree 0 included, from its own moment table.
+The series stops each rate at a term count its caller settles
+(`series_terms`, a rate-aware bound on the whole tail that refuses a
+nonpositive rate), builds the powers q', q'*q', ... once per call up to
+the largest count, in one local array freed on return, and sums them
+against every rate's monomial weights in one product quadrature over that
+operand stack: the powers' spectra are transformed once for all rates, and
+each rate gets its own leading powers summed in frequency space and one
+moment table up to its count. Nothing is cached on the triple.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from .kernels import MemoryKernel
 
 SERIES_MIN_TERMS = 3
 SERIES_MAX_TERMS = 60
+SERIES_TOL = 1e-14  # `mode_resolvent_series`'s tolerance, and a config's default
 
 
 @dataclass(frozen=True)
@@ -120,11 +121,14 @@ def series_terms(triple: ResolventTriple, mu2: float, tol: float) -> int:
     terms, -log k! and the smaller of two concave sequences), so the ratio
     r_k = B_{k+1} / B_k does not grow with k, and once it is below 1 the
     tail from term t on is at most B_t / (1 - r_t). The bounds are summed
-    in log space, so no power of S overflows. Raises ValueError for tol <= 0
-    and NumericalError if SERIES_MAX_TERMS terms do not suffice.
+    in log space, so no power of S overflows. Raises ValueError for tol <= 0,
+    and NumericalError for mu2 <= 0 (the series' quadrature needs a positive
+    rate) or if SERIES_MAX_TERMS terms do not suffice.
     """
     if tol <= 0:
         raise ValueError("series tolerance must be positive")
+    if mu2 <= 0:
+        raise NumericalError("the series route requires a positive decay rate; use the direct route")
     sup = triple.resolvent_deriv.sup_norm()
     if sup == 0.0:  # q' = 0: every term vanishes
         return SERIES_MIN_TERMS
@@ -150,38 +154,28 @@ def series_terms(triple: ResolventTriple, mu2: float, tol: float) -> int:
     )
 
 
-def mode_resolvent_series_stack(
-    triple: ResolventTriple, rates, tol: float = 1e-14
-) -> tuple:
+def mode_resolvent_series_stack(triple: ResolventTriple, rates, terms) -> np.ndarray:
     """Resolvent h of the mode kernel for every rate, as a truncated
-    iterated-convolution series.
+    iterated-convolution series: a (rates, nodes) stack.
 
-    Returns ((rates, nodes) stack of h, per-rate term counts). Rate r
-    stops at its own count t_r (`series_terms`). The powers q', q'*q', ...
-    do not depend on the rate: max t_r - 1 convolutions build them once in
-    one local array, and h = -sum_{k < t_r} (q'^{*(k+1)} * u^k e^{-mu2 u} / k!)
-    is one product quadrature over that stack, row r summing its first t_r
+    Rate r stops at its count terms[r] (`series_terms`, settled by the
+    caller). The powers q', q'*q', ... do not depend on the rate: one local
+    array holds them, and h = -sum_{k < terms[r]} (q'^{*(k+1)} * u^k e^{-mu2 u} / k!)
+    is one product quadrature over it, row r summing its first terms[r]
     operands. Row i holds the bits of the one-rate call for rates[i].
-    Requires every rate > 0 (the monomial-weight quadrature is only stable
-    there); the direct route has no such restriction. Every count is
-    settled, or the call fails, before the first convolution.
     """
-    if any(mu2 <= 0 for mu2 in rates):
-        raise NumericalError(
-            "the series route requires a positive decay rate; use the direct route"
-        )
-    grid = triple.grid
-    dq = triple.resolvent_deriv
-    terms = [series_terms(triple, mu2, tol) for mu2 in rates]
+    grid, dq = triple.grid, triple.resolvent_deriv
     powers = np.empty((max(terms), grid.size))
     powers[0] = dq.values
     for k in range(1, len(powers)):
         powers[k] = convolve(SampledFunction(grid, powers[k - 1]), dq).values
     h = convolve_exp_monomial_stack(powers, grid, rates, terms)
-    return np.negative(h, out=h), terms
+    return np.negative(h, out=h)
 
 
 def mode_resolvent_series(triple: ResolventTriple, mu2: float) -> tuple:
-    """`mode_resolvent_series_stack` for one rate: (h, terms_used)."""
-    h, terms = mode_resolvent_series_stack(triple, [mu2])
-    return SampledFunction(triple.grid, h[0]), terms[0]
+    """`mode_resolvent_series_stack` for one rate at its own count for
+    SERIES_TOL, settled before any convolution: (h, terms_used)."""
+    terms = series_terms(triple, mu2, SERIES_TOL)
+    h = mode_resolvent_series_stack(triple, [mu2], [terms])
+    return SampledFunction(triple.grid, h[0]), terms

@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 from mpmath.libmp import mpf_neg
 
-from memheat import biorth
+from memheat import NumericalError, biorth
 from memheat.cli import main
 from memheat.config import MAX_BIORTH_FAMILY, MAX_CONTROL_FAMILY, MAX_MODES, MAX_SCOPE
 from memheat.moments import SCOPE_SEARCH_WIDTH
@@ -170,10 +170,9 @@ def _series_counts(monkeypatch):
     calls = []
     series = experiments.mode_resolvent_series_stack
 
-    def recorded(rt, rates, tol):
-        h, terms = series(rt, rates, tol)
-        calls.append((list(rates), terms))
-        return h, terms
+    def recorded(rt, rates, terms):
+        calls.append((list(rates), list(terms)))
+        return series(rt, rates, terms)
 
     monkeypatch.setattr(experiments, "mode_resolvent_series_stack", recorded)
     return calls
@@ -195,6 +194,59 @@ def test_simulate_const30_checks_the_modes_whose_series_converge(tmp_path, monke
     assert rates == [n * n * math.pi**2 - 30.0 for n in (4, 5, 6)]
     assert terms == [42, 31, 26]
     assert 0.0 < gaps["series_vs_direct"] < 1e-2
+
+
+def test_simulate_lists_every_checked_mode_when_the_series_stack_fails(tmp_path, monkeypatch):
+    # the series only cross-checks the direct route: a failing stack lists
+    # the modes it was to check with its reason, in mode order after those
+    # whose own majorant failed, and the run still succeeds
+    from memheat import experiments
+
+    def failing(*args):
+        raise NumericalError("the series stack failed")
+
+    monkeypatch.setattr(experiments, "mode_resolvent_series_stack", failing)
+    out = tmp_path / "run"
+    argv = ["simulate", "--config", str(CONFIGS / "simulate_const30.json"), "--out", str(out)]
+    with pytest.warns(UserWarning, match="nonpositive shifted rate"):
+        assert main(argv) == 0
+    gaps = read_json(out / "discrepancy.json")
+    assert gaps["series_vs_direct"] is None
+    assert gaps["series_modes_skipped"] == [1]
+    failed = gaps["series_modes_failed"]
+    assert [f["mode"] for f in failed] == [2, 3, 4, 5, 6]
+    assert all("did not reach tolerance" in f["reason"] for f in failed[:2])
+    assert failed[0]["reason"] != failed[1]["reason"]
+    assert [f["reason"] for f in failed[2:]] == ["the series stack failed"] * 3
+
+
+def test_simulate_builds_the_mode_kernels_and_each_series_count_once(tmp_path, monkeypatch):
+    # the direct resolvents are solved from the z of the trajectories' solve,
+    # and the series stack takes the term counts the cross-check settled:
+    # one mode_kernels call and one series_terms call per positive mode
+    from memheat import dynamics, experiments, resolvents
+
+    kernel_calls, count_calls = [], []
+    kernels, terms = resolvents.mode_kernels, resolvents.series_terms
+
+    def counted_kernels(rt, rates):
+        kernel_calls.append(rates)
+        return kernels(rt, rates)
+
+    def counted_terms(rt, mu2, tol):
+        count_calls.append(mu2)
+        return terms(rt, mu2, tol)
+
+    for module in (dynamics, resolvents):
+        monkeypatch.setattr(module, "mode_kernels", counted_kernels)
+    for module in (experiments, resolvents):
+        monkeypatch.setattr(module, "series_terms", counted_terms)
+    out = tmp_path / "run"
+    argv = ["simulate", "--config", str(CONFIGS / "simulate_const.json"), "--out", str(out)]
+    assert main(argv) == 0
+    rates = [n * n * math.pi**2 - 1.0 for n in range(1, 9)]
+    assert kernel_calls == [rates]
+    assert count_calls == rates
 
 
 def test_control_complex_series_gap_is_the_routes_discretization(tmp_path, monkeypatch):
@@ -683,6 +735,18 @@ def test_biorth_at_a_huge_gain_exits_2(tmp_path, capsys, kernel):
     assert "biorth.family" in err and "first usable mode is" in err
 
 
+def test_moment_with_a_scope_below_the_gain_crossover_exits_2(tmp_path, capsys):
+    # pi^2 < 20 < 4 pi^2: a scope pinned at mode 1 holds a nonpositive rate,
+    # a config error refused before any solve, as biorth.fit_window is
+    data = {"kernel": {"type": "constant", "value": 20.0}, "horizon": 0.1, "steps": 500}
+    cfg = write_config(tmp_path, {**data, "modes": 3, "scope": 1})
+    out = tmp_path / "run"
+    assert main(["moment", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "scope" in err and "first usable mode is 2" in err
+
+
 def test_resolvent_with_an_overflowing_oracle_writes_finite_data(tmp_path):
     # m = -50: the closed form -50 e^{50 t} overflows past t ~ 14 while the
     # solved resolvent stays finite; the oracle is then not run, as for a
@@ -771,23 +835,6 @@ def test_simulate_keeps_a_growing_mode_on_its_ode(tmp_path):
     assert max(abs(row[1] - e) for row, e in zip(rows, exact)) <= 1e-3
 
 
-def test_degenerate_horizon_exits_3_without_output(tmp_path):
-    # M(t) = 1 - t: the resolvent transform crosses zero at t* = 0.86081...,
-    # and running the constraint assembly right at the crossing must refuse
-    cfg = write_config(
-        tmp_path,
-        {
-            "kernel": {"type": "polynomial", "coeffs": [1.0, -1.0]},
-            "horizon": 0.8608178819280081,
-            "steps": 400,
-            "modes": 3,
-        },
-    )
-    out = tmp_path / "run"
-    assert main(["moment", "--config", str(cfg), "--out", str(out)]) == 3
-    assert not out.exists()
-
-
 @pytest.mark.parametrize(
     "command,config,message",
     [
@@ -797,17 +844,17 @@ def test_degenerate_horizon_exits_3_without_output(tmp_path):
             {"kernel": {"type": "constant", "value": -200.0}, "horizon": 1.0, "steps": 100},
             "Volterra step is degenerate",
         ),
-        # pi^2 < 20, so a scope pinned at mode 1 holds a nonpositive rate
+        # M(t) = 1 - t: the resolvent transform crosses zero at t* = 0.86081...,
+        # and running the constraint assembly right at the crossing must refuse
         (
             "moment",
             {
-                "kernel": {"type": "constant", "value": 20.0},
-                "horizon": 0.1,
-                "steps": 500,
+                "kernel": {"type": "polynomial", "coeffs": [1.0, -1.0]},
+                "horizon": 0.8608178819280081,
+                "steps": 400,
                 "modes": 3,
-                "scope": 1,
             },
-            "scope start 1 admits a nonpositive shifted rate",
+            "the kernel resolvent vanishes at the horizon",
         ),
         # e^{-mu2 t} of the negative rates overflows
         (

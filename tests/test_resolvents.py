@@ -29,6 +29,7 @@ from memheat import algebra
 from memheat.algebra import convolve, convolve_exp_monomial_stack, volterra_solve
 from memheat.resolvents import (
     SERIES_MAX_TERMS,
+    SERIES_TOL,
     mode_kernels,
     mode_resolvent_direct,
     mode_resolvent_series,
@@ -39,6 +40,12 @@ from memheat.resolvents import (
 )
 
 GRID = TimeGrid(1.0, 1000)
+
+
+def series_stack(rt, rates):
+    """The series stack at the per-rate counts its callers settle, and those counts."""
+    terms = [series_terms(rt, mu2, SERIES_TOL) for mu2 in rates]
+    return mode_resolvent_series_stack(rt, rates, terms), terms
 
 
 def test_zero_kernel_resolvent_is_exactly_zero():
@@ -179,7 +186,7 @@ def test_series_vs_direct_sees_a_fault_in_the_direct_cell_weights(
     rates = [math.pi**2 - 1.0, 4.0 * math.pi**2 - 1.0, 100.0]
     rt = resolvent_of(kernel, TimeGrid(1.0, 2000))
     direct = mode_resolvent_stack(rt, rates)
-    series, _ = mode_resolvent_series_stack(rt, rates)
+    series, _ = series_stack(rt, rates)
     gaps = np.max(np.abs(direct - series), axis=1) / np.max(np.abs(direct), axis=1)
     assert np.all(gaps > 5e-7)
 
@@ -198,7 +205,7 @@ def test_series_route_validation():
     with pytest.raises(NumericalError):
         mode_resolvent_series(rt, -1.0)  # negative rate: direct route only
     with pytest.raises(ValueError):
-        mode_resolvent_series_stack(rt, [1.0], tol=0.0)
+        series_terms(rt, 1.0, 0.0)
     # a huge kernel derivative exhausts the 60-term budget
     rt_stiff = resolvent_of(ConstantKernel(40.0), GRID)
     with pytest.raises(NumericalError):
@@ -248,7 +255,7 @@ def test_series_stack_convolves_the_powers_once_for_all_rates(monkeypatch):
         return convolve(f, g)
 
     monkeypatch.setattr(resolvents, "convolve", counted)
-    h, terms = mode_resolvent_series_stack(rt, rates)
+    h, terms = series_stack(rt, rates)
     assert len(calls) == max(terms) - 1
     assert terms == [10, 10, 9, 5]  # a faster rate needs fewer terms
     assert h.shape == (len(rates), GRID.size)
@@ -256,7 +263,7 @@ def test_series_stack_convolves_the_powers_once_for_all_rates(monkeypatch):
         assert one_terms == count
         assert row.tobytes() == one.values.tobytes()
     with pytest.raises(NumericalError, match="positive decay rate"):
-        mode_resolvent_series_stack(rt, [2.0, 0.0])
+        mode_resolvent_series(rt, 0.0)
     assert len(calls) == max(terms) - 1  # a nonpositive rate fails before any work
 
 
@@ -308,24 +315,23 @@ def test_series_rows_stop_within_tolerance_of_the_full_series(
     # SERIES_MAX_TERMS-term row, plus round-off: measured at most 61 eps
     # times the row's scale over 1,000 random draws of this domain (2,094
     # rows), so C = 500.
-    # A rate that cannot converge fails the stack cleanly, before any work.
+    # A rate that cannot converge fails its count cleanly, before any work.
     grid = TimeGrid(horizon, 200)
     rt = resolvent_of(kernel, grid)
     rates = [math.exp(x) for x in log_rates]
     tol = math.exp(log_tol)
-    converged = []
+    converged, terms = [], []
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no overflow, in the bounds or the powers
         for mu2 in rates:
             try:
-                series_terms(rt, mu2, tol)
+                terms.append(series_terms(rt, mu2, tol))
                 converged.append(mu2)
-            except NumericalError:
-                with pytest.raises(NumericalError, match="did not reach tolerance"):
-                    mode_resolvent_series_stack(rt, rates, tol)
+            except NumericalError as exc:
+                assert "did not reach tolerance" in str(exc)
         if not converged:
             return
-        h, terms = mode_resolvent_series_stack(rt, converged, tol)
+        h = mode_resolvent_series_stack(rt, converged, terms)
         full, scales = full_series(rt, converged)
     assert all(t <= SERIES_MAX_TERMS for t in terms)
     for row, full_row, scale in zip(h, full, scales):
