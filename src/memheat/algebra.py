@@ -23,10 +23,12 @@ Everything downstream is built on four operations over sampled functions:
   series route of the mode resolvents asks for it, so the series and the
   direct route share no quadrature code.
 
-The two one-row functions are the only ones kept: the benchmark's tracer
-times both by name, and the routes that work one row at a time (the kernel
-resolvent, the direct mode resolvent, the heat baseline and the end
-brackets of the moment targets) call them.
+The two one-row functions are kept because the benchmark's tracer times
+both by name. The only command route that calls one is the kernel
+resolvent, which solves one row (`volterra_solve`); the end brackets of
+the moment targets read rows of `convolve_exp_stack`, and only the gate's
+one-mode routes call the rest (`convolve_exp_monomial` in the heat
+baseline).
 
 The product quadrature is the load-bearing piece: a plain trapezoid rule
 applied to f(s) e^{-mu2 (t-s)} loses all accuracy once mu2*dt is order one,
@@ -462,10 +464,9 @@ def convolve_exp_monomial(f: SampledFunction, rate: float) -> SampledFunction:
     return SampledFunction(f.grid, out[0])
 
 
-def end_pairing(f: SampledFunction, g: SampledFunction) -> float:
-    """Trapezoid value of int_0^T f(s) g(T - s) ds (the last convolve node)."""
-    grid = require_same_grid(f, g)
-    a = f.values
-    b = g.values[::-1]
+def end_pairing(a: np.ndarray, b: np.ndarray, dt: float) -> float:
+    """Trapezoid value of int_0^T a(s) b(T - s) ds (the last convolve node)
+    for two rows of samples on one grid of step dt."""
+    b = b[::-1]
     raw = float(np.dot(a, b))
-    return grid.dt * (raw - 0.5 * (a[0] * b[0] + a[-1] * b[-1]))
+    return dt * (raw - 0.5 * (a[0] * b[0] + a[-1] * b[-1]))

@@ -50,9 +50,9 @@ MIN_STEPS = 100
 # 17 MB, and those of a one-row solve about 8 MB. A larger value fails in
 # the allocation.
 MAX_STEPS = 100_000
-# Time grows linearly in modes, one Volterra solve each. Measured on the
-# same host at 1,000 modes and 1,000 steps: `simulate` 3.3 s and 142 MB,
-# `moment` 0.5 s and 52 MB (`moment` with 10 modes at 100,000 steps: 0.7 s).
+# Time grows linearly in modes, the stacks' rows. At 1,000 modes and 1,000
+# steps on a 2-core Xeon VM: `simulate` 2.2-3.0 s and 142 MB, `moment` 0.5 s
+# and 53 MB (`moment` with 10 modes at 100,000 steps: 0.6 s and 62 MB).
 MAX_MODES = 1000
 # The Cauchy closed form runs one row at a time. Measured `biorth` with 20
 # verified modes (Python 3.11, a 2-core Intel Xeon VM whose speed drifts up

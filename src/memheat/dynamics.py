@@ -13,15 +13,14 @@ is a genuine invertibility check, so the two routes are never collapsed.
 They share the z and k builders (`mode_kernels`, `_rhs_stack`): the pair
 checks the Volterra solve against the resolvent identity on the same z and
 k, and `tests/test_route_independence.py` fails on any further shared
-definition. The mode resolvent h of the explicit route is the only per-mode
-array a caller passes in, and none is cached. The solve route builds the z
-and k of all a grid's modes as the rows of two stacks (`mode_equations`),
-each one product quadrature against a shared operand (an O(nodes)
-exponential recursion per rate, no FFT); a row holds the bits of the
-one-mode routes. Those routes, `solve_mode`, `explicit_mode` and
-`heat_mode`, are the only one-mode functions kept, because the acceptance
-tests compare them; each reads row 0 of a stack (`mode_equations`,
-`_rhs_stack`) or calls the one-rate product quadrature.
+definition. The solve route builds the z and k of all a grid's modes as
+the rows of two stacks (`mode_equations`), each one product quadrature
+against a shared operand (an O(nodes) exponential recursion per rate, no
+FFT); a row holds the bits of the one-mode routes. `explicit_stack` takes
+stacks of mode resolvents h and of those k, so a caller checks its solve
+against the very k it solved; nothing is cached. The one-mode routes
+`solve_mode`, `explicit_mode` and `heat_mode` are kept for the acceptance
+gate and the benchmark's tracer, which call them by name.
 
 With no memory kernel the Volterra route degenerates, step by step, into the
 plain heat semigroup formula; the tests pin that degeneration down to exact
@@ -35,13 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (
-    convolve,
-    convolve_exp_monomial,
-    convolve_exp_stack,
-    volterra_solve,
-)
-from .grids import SampledFunction, require_same_grid
+from .algebra import convolve, convolve_exp_monomial, convolve_exp_stack, volterra_solve
+from .grids import SampledFunction, TimeGrid, require_same_grid
 from .modes import Mode
 from .resolvents import ResolventTriple, mode_kernels
 
@@ -107,14 +101,10 @@ def solve_mode(
     return ModalTrajectory(xi, w)
 
 
-def explicit_mode(
-    mode: Mode,
-    rt: ResolventTriple,
-    h: SampledFunction,
-    xi: float,
-    g: SampledFunction,
-) -> ModalTrajectory:
-    """Closed-form route w = k - h*k through a precomputed mode resolvent h.
+def explicit_stack(rates, h: np.ndarray, k: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """Closed-form route w = k - h*k for every row of two (modes, nodes)
+    stacks: row r pairs the mode resolvent h[r] with the right-hand side
+    k[r] of the mode of rate rates[r].
 
     A nonpositive rate mu2 makes h and k grow like e^{sigma t}, sigma = -mu2,
     and an FFT convolution's round-off is absolute, about eps times the
@@ -123,10 +113,20 @@ def explicit_mode(
     sigma = max(0, -mu2): for a positive rate the factors are exact ones and
     this is `convolve(h, k)` bit for bit.
     """
-    grid = g.grid
-    k = SampledFunction(grid, _rhs_stack([mode.shifted_rate], rt, [xi], g)[0])
-    sigma = max(0.0, -mode.shifted_rate)
-    tilt = np.exp(-sigma * grid.nodes)
-    hk = convolve(SampledFunction(grid, h.values * tilt), SampledFunction(grid, k.values * tilt))
-    w = k - SampledFunction(grid, hk.values * np.exp(sigma * grid.nodes))
-    return ModalTrajectory(xi, w)
+    w = np.empty_like(k)
+    for row, mu2, h_row, k_row in zip(w, rates, h, k):
+        sigma = max(0.0, -mu2)
+        tilt = np.exp(-sigma * grid.nodes)
+        hk = convolve(SampledFunction(grid, h_row * tilt), SampledFunction(grid, k_row * tilt))
+        row[:] = k_row - hk.values * np.exp(sigma * grid.nodes)
+    return w
+
+
+def explicit_mode(
+    mode: Mode, rt: ResolventTriple, h: SampledFunction, xi: float, g: SampledFunction
+) -> ModalTrajectory:
+    """`explicit_stack` for one mode, its mode resolvent h and its own k."""
+    rates = [mode.shifted_rate]
+    k = _rhs_stack(rates, rt, [xi], g)
+    w = explicit_stack(rates, h.values[None], k, g.grid)
+    return ModalTrajectory(xi, SampledFunction(g.grid, w[0]))

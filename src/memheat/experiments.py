@@ -12,16 +12,20 @@ the main grid and each refinement grid: the modes' kernels and right-hand
 sides are the rows of two stacks, each filled by one stacked product
 quadrature, and one stacked Volterra solve (`algebra.volterra_solve_stack`)
 returns every trajectory. `_cross_check` then checks every mode of the main
-grid against the resolvent representation and the series route, and
-refuses the run (NumericalError) where the solve and the representation
-part by more than the round-off of the data. Its direct mode resolvents
-are a second stacked solve, h = z - z*h on the first solve's z, never mixed
-with it; it settles each positive-rate mode's series term count once and
-hands the counts to one stacked series over the shared powers of q'. A mode
-whose series cannot converge within SERIES_MAX_TERMS is listed with its
-reason, and the other modes are still checked. A stacked call runs all its
-rows together, with as many rows per FFT call as fit in one bounded
-transform, and gives each row the bits of a call for that row alone.
+grid against the resolvent representation and the series route, and refuses
+the run (NumericalError) where the solve and the representation part by more
+than the round-off of the data. Its direct mode resolvents are a second
+stacked solve, h = z - z*h on the first solve's z, never mixed with it, and
+the representation w = k - h*k reads the rows of h and of the first solve's
+k (`dynamics.explicit_stack`), so no k is built twice. It settles each
+positive-rate mode's series term count once and hands the counts to one
+stacked series over the shared powers of q'. A mode whose series cannot
+converge within SERIES_MAX_TERMS is listed with its reason, and the other
+modes are still checked. `moment` reads each end bracket off the rows of
+stacks (`moments.end_brackets`), in its scope search and its window alike.
+A stacked call runs all its rows together, with as many rows per FFT call as
+fit in one bounded transform, and gives each row the bits of a call for that
+row alone.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ from .resolvents import (
     resolvent_of,
     series_terms,
 )
-from .dynamics import explicit_mode, mode_equations
+from .dynamics import explicit_stack, mode_equations
 
 
 def _per_mode(fn, items):
@@ -107,10 +111,10 @@ def cmd_resolvent(config: ExperimentConfig) -> dict:
 
 
 def _solve_trajectories(config: ExperimentConfig, steps: int) -> tuple:
-    """The resolvent triple, the modes, their kernels z, each right-hand
-    side's size max|k| and every mode's Volterra-route free trajectory on a
-    grid of `steps` cells: the one place a grid's modes are solved, for the
-    main grid and each refinement grid alike.
+    """The resolvent triple, the modes, their kernels z and right-hand sides
+    k, and every mode's Volterra-route free trajectory on a grid of `steps`
+    cells: the one place a grid's modes are solved, for the main grid and
+    each refinement grid alike.
 
     The kernels z and right-hand sides k of all modes are two (modes, size)
     stacks, and one stacked solve returns the trajectories as the rows of a
@@ -122,7 +126,7 @@ def _solve_trajectories(config: ExperimentConfig, steps: int) -> tuple:
     xis = config.initial.values(config.modes)
     z, k = mode_equations(modes, rt, xis, SampledFunction.zeros(grid))
     w = volterra_solve_stack(z, k, grid.dt)
-    return rt, modes, z, np.maximum(k.max(axis=1), -k.min(axis=1)), w  # max|k|, no |k| array
+    return rt, modes, z, k, w
 
 
 def _convergence_rows(config: ExperimentConfig, w: np.ndarray) -> list:
@@ -158,29 +162,25 @@ def _convergence_rows(config: ExperimentConfig, w: np.ndarray) -> list:
 ROUTE_GAP_TOL = 1e-10
 
 
-def _cross_check(config: ExperimentConfig, rt, modes, z, k_size, w) -> dict:
+def _cross_check(config: ExperimentConfig, rt, modes, z, k, w) -> dict:
     """`discrepancy.json`: every mode's trajectory in `w` against the
-    resolvent representation, and its direct resolvent against the series
-    route. The direct resolvents h = z - z*h are one stacked solve on the
-    solve's kernels `z`, and the series of all positive-rate modes one
-    stacked series, at the term counts settled here.
+    resolvent representation w = k - h*k on the solve's right-hand sides
+    `k`, and its direct resolvent against the series route. The direct
+    resolvents h = z - z*h are one stacked solve on the solve's kernels
+    `z`, and the series of all positive-rate modes one stacked series, at
+    the term counts settled here.
 
     Raises NumericalError if a mode's two routes part by more than
     ROUTE_GAP_TOL of max(|k|, |w|), the larger of its right-hand side's
-    size `k_size` and its trajectory's: such trajectories are not written.
+    size and its trajectory's: such trajectories are not written.
     """
-    g = SampledFunction.zeros(rt.grid)
-    xis = config.initial.values(config.modes)
     h = volterra_solve_stack(z, z, rt.grid.dt)
-
-    def gap(row):
-        mode, xi, w_mode, h_mode = row
-        explicit = explicit_mode(mode, rt, SampledFunction(rt.grid, h_mode), xi, g)
-        return float(np.max(np.abs(w_mode - explicit.w.values)))
-
-    gaps = _per_mode(gap, zip(modes, xis, w, h))
-    for mode, mode_gap, k_max, w_mode in zip(modes, gaps, k_size, w):
-        scale = max(float(k_max), float(np.max(np.abs(w_mode))))
+    rates = [mode.shifted_rate for mode in modes]
+    gaps = _per_mode(
+        lambda gap: float(np.max(np.abs(gap))), w - explicit_stack(rates, h, k, rt.grid)
+    )
+    for mode, mode_gap, k_mode, w_mode in zip(modes, gaps, k, w):
+        scale = max(float(np.max(np.abs(k_mode))), float(np.max(np.abs(w_mode))))
         if not mode_gap <= ROUTE_GAP_TOL * scale:  # a NaN gap is refused too
             raise NumericalError(
                 f"mode {mode.index}: the Volterra solve and the explicit route "
@@ -203,9 +203,8 @@ def _cross_check(config: ExperimentConfig, rt, modes, z, k_size, w) -> dict:
     series_gaps = []
     if terms:
         try:
-            h_series = mode_resolvent_series_stack(
-                rt, [modes[i].shifted_rate for i in terms], list(terms.values())
-            )
+            series_rates = [rates[i] for i in terms]
+            h_series = mode_resolvent_series_stack(rt, series_rates, list(terms.values()))
             series_gaps = [float(np.max(np.abs(hs - h[i]))) for i, hs in zip(terms, h_series)]
         except NumericalError as exc:
             reasons.update((modes[i].index, str(exc)) for i in terms)
@@ -225,9 +224,9 @@ def _cross_check(config: ExperimentConfig, rt, modes, z, k_size, w) -> dict:
 def cmd_simulate(config: ExperimentConfig, refine: bool = False) -> dict:
     """Free modal trajectories, the dual-representation gap, and the
     deficiency time series; optionally a grid-refinement table."""
-    rt, modes, z, k_size, w = _solve_trajectories(config, config.steps)  # w: (modes, size)
-    discrepancy = _cross_check(config, rt, modes, z, k_size, w)
-    del z  # not held through the refinement solves, which set the peak memory
+    rt, modes, z, k, w = _solve_trajectories(config, config.steps)  # w: (modes, size)
+    discrepancy = _cross_check(config, rt, modes, z, k, w)
+    del z, k  # not held through the refinement solves, which set the peak memory
     conv_rows = _convergence_rows(config, w) if refine else None
 
     # The row lists hold one Python object per sample, so they are built

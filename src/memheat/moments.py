@@ -19,11 +19,13 @@ this leaves is measured in `biorth`.
 The bracket of d_n per unit initial value depends only on the mode's rate.
 `end_brackets` computes it for a stack of rates in one pass: one stacked
 solve of their mode resolvents h and one stacked product quadrature for
-e0*q (an O(nodes) exponential recursion per rate). The scope search reads
-one rate at a time (`free_end_value`), since it stops at the first mode
-that passes; `asymptotic_table` computes the brackets of the whole window
-in one call and carries them in its report, and `build_moment_problem`
-scales those by the initial data. Nothing is cached on the triple.
+e0*q (an O(nodes) exponential recursion per rate); each bracket then reads
+its rows of those stacks. The scope search asks for one rate at a time,
+since it stops at the first mode that passes; `asymptotic_table` computes
+the brackets of the whole window in one call and carries them in its
+report, and `build_moment_problem` scales those by the initial data.
+`free_end_value`, one mode's bracket times its initial value, is kept for
+the acceptance gate. Nothing is cached on the triple.
 Whether the kernel has memory is read in one place, `check_end_value`,
 off the computed resolvent; the kernel families declare nothing about it.
 """
@@ -34,9 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import convolve_exp_monomial, convolve_exp_stack, end_pairing
+from .algebra import convolve_exp_stack, end_pairing
 from .errors import NumericalError, read_list, read_number, read_tagged
-from .grids import SampledFunction
 from .modes import Mode, dirichlet_modes_1d, first_positive_index
 from .resolvents import ResolventTriple, mode_resolvent_stack
 # the benchmark's tracer self-test (perfbench/test_checks.py) reads this binding
@@ -142,18 +143,17 @@ def end_brackets(rt: ResolventTriple, rates) -> np.ndarray:
     Evaluated directly from the explicit representation at the final node:
     d = [e^{-mu2 T} - (e0*q)(T) - (h*e0)(T) + (h*(e0*q))(T)] xi. The mode
     resolvents h of all rates are one stacked solve and their e0*q one
-    stacked product quadrature; entry i has the bits of a call for rates[i]
-    alone.
+    stacked product quadrature, and entry i reads row i of each; it has the
+    bits of a call for rates[i] alone.
     """
     grid = rt.grid
     h = mode_resolvent_stack(rt, rates)
     e0q = convolve_exp_stack(rt.resolvent.values, grid, rates)
     out = np.empty(len(rates))
     for i, mu2 in enumerate(rates):
-        h_i, q_i = SampledFunction(grid, h[i]), SampledFunction(grid, e0q[i])
         e_end = float(np.exp(-mu2 * grid.horizon))
-        he0_end = float(convolve_exp_monomial(h_i, mu2).values[-1])
-        out[i] = e_end - q_i.values[-1] - he0_end + end_pairing(h_i, q_i)
+        he0_end = convolve_exp_stack(h[i], grid, mu2)[0, -1]
+        out[i] = e_end - e0q[i, -1] - he0_end + end_pairing(h[i], e0q[i], grid.dt)
     return out
 
 
@@ -220,7 +220,7 @@ def scope_threshold(rt: ResolventTriple) -> int:
         return first
     modes = dirichlet_modes_1d(SCOPE_SEARCH_WIDTH, rt.gain, first=first)
     for mode in modes:
-        d = free_end_value(mode, rt)
+        d = end_brackets(rt, [mode.shifted_rate])[0]
         resid = mode.shifted_rate * d + end
         if abs(resid) < 0.5 * abs(end):
             return mode.index

@@ -21,8 +21,6 @@ from .errors import ConfigError
 
 def fmt17(x) -> str:
     """17-significant-digit decimal form; round-trips any finite double."""
-    if isinstance(x, bool):
-        return "true" if x else "false"
     if isinstance(x, int):
         return str(x)
     return format(float(x), ".17g")
@@ -46,10 +44,10 @@ def _atomic_write(path: Path, text: str) -> None:
 
 
 def write_csv(path, header, rows) -> None:
-    """Write rows of numbers (or strings) under a header, atomically."""
+    """Write rows of numbers under a header, atomically."""
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(v if isinstance(v, str) else fmt17(v) for v in row))
+        lines.append(",".join(fmt17(v) for v in row))
     _atomic_write(Path(path), "\n".join(lines) + "\n")
 
 

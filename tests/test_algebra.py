@@ -805,4 +805,4 @@ def test_end_pairing_oracle():
     f = sampled(lambda s: s)
     g = sampled(np.ones_like)
     # int_0^1 s ds = 1/2, trapezoid-exact for a linear integrand
-    assert abs(end_pairing(f, g) - 0.5) < 1e-14
+    assert abs(end_pairing(f.values, g.values, GRID.dt) - 0.5) < 1e-14

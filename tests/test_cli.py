@@ -17,6 +17,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from mpmath.libmp import mpf_neg
 
@@ -220,33 +221,56 @@ def test_simulate_lists_every_checked_mode_when_the_series_stack_fails(tmp_path,
     assert [f["reason"] for f in failed[2:]] == ["the series stack failed"] * 3
 
 
+def _patch_every_binding(monkeypatch, name, replacement):
+    """Replace a memheat function in every package module that binds it."""
+    modules = [m for n, m in sys.modules.items() if n.split(".")[0] == "memheat"]
+    original = getattr(next(m for m in modules if hasattr(m, name)), name)
+    for module in modules:
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, replacement)
+
+
 def test_simulate_builds_the_mode_kernels_and_each_series_count_once(tmp_path, monkeypatch):
     # the direct resolvents are solved from the z of the trajectories' solve,
-    # and the series stack takes the term counts the cross-check settled:
-    # one mode_kernels call and one series_terms call per positive mode
+    # the explicit route reads the k of that solve, and the series stack
+    # takes the term counts the cross-check settled: one mode_kernels and
+    # one _rhs_stack call, one series_terms call per positive mode, and no
+    # one-mode explicit route
     from memheat import dynamics, experiments, resolvents
 
-    kernel_calls, count_calls = [], []
-    kernels, terms = resolvents.mode_kernels, resolvents.series_terms
+    kernel_calls, rhs_calls, count_calls, explicit_calls = [], [], [], []
+    kernels, rhs, terms = resolvents.mode_kernels, dynamics._rhs_stack, resolvents.series_terms
+    explicit = dynamics.explicit_mode
 
     def counted_kernels(rt, rates):
         kernel_calls.append(rates)
         return kernels(rt, rates)
 
+    def counted_rhs(rates, rt, xis, g):
+        rhs_calls.append(rates)
+        return rhs(rates, rt, xis, g)
+
     def counted_terms(rt, mu2, tol):
         count_calls.append(mu2)
         return terms(rt, mu2, tol)
 
+    def counted_explicit(mode, *args):
+        explicit_calls.append(mode.index)
+        return explicit(mode, *args)
+
     for module in (dynamics, resolvents):
         monkeypatch.setattr(module, "mode_kernels", counted_kernels)
+    monkeypatch.setattr(dynamics, "_rhs_stack", counted_rhs)
     for module in (experiments, resolvents):
         monkeypatch.setattr(module, "series_terms", counted_terms)
+    _patch_every_binding(monkeypatch, "explicit_mode", counted_explicit)
     out = tmp_path / "run"
     argv = ["simulate", "--config", str(CONFIGS / "simulate_const.json"), "--out", str(out)]
     assert main(argv) == 0
     rates = [n * n * math.pi**2 - 1.0 for n in range(1, 9)]
-    assert kernel_calls == [rates]
+    assert kernel_calls == rhs_calls == [rates]
     assert count_calls == rates
+    assert explicit_calls == []
 
 
 def test_control_complex_series_gap_is_the_routes_discretization(tmp_path, monkeypatch):
@@ -307,14 +331,15 @@ def test_moment_window_brackets_are_one_stacked_call(tmp_path, monkeypatch, scop
     # the scope search reads one rate at a time and stops at mode 1; the
     # window's brackets are then one end_brackets call over exactly its
     # rates, whose h and e0*q are each one stacked call over the same rates,
-    # and whose (h*e0)(T) is one one-row quadrature per rate
-    from memheat import moments
+    # and whose (h*e0)(T) is read off one one-row quadrature per rate; no
+    # one-rate wrapper is called
+    from memheat import algebra, moments
 
-    calls = {"brackets": [], "h": [], "e0q": [], "he0": []}
+    calls = {"brackets": [], "h": [], "e0q": [], "monomial": []}
 
     def counted(name, fn, rates_at):
         def wrapper(*args):
-            calls[name].append(list(args[rates_at]))
+            calls[name].append(list(np.atleast_1d(args[rates_at])))
             return fn(*args)
 
         return wrapper
@@ -326,10 +351,10 @@ def test_moment_window_brackets_are_one_stacked_call(tmp_path, monkeypatch, scop
     monkeypatch.setattr(
         moments, "convolve_exp_stack", counted("e0q", moments.convolve_exp_stack, 2)
     )
-    monkeypatch.setattr(
-        moments,
+    _patch_every_binding(
+        monkeypatch,
         "convolve_exp_monomial",
-        counted("he0", moments.convolve_exp_monomial, slice(1, 2)),
+        counted("monomial", algebra.convolve_exp_monomial, 1),
     )
     cfg = write_config(tmp_path, {**SMALL, "scope": scope})
     out = tmp_path / "run"
@@ -338,8 +363,11 @@ def test_moment_window_brackets_are_one_stacked_call(tmp_path, monkeypatch, scop
     assert len(window) == SMALL["modes"]
     search = [window[:1]] if scope == "auto" else []
     assert calls["brackets"] == search + [window]
-    assert calls["h"] == calls["e0q"] == calls["brackets"]
-    assert calls["he0"] == [[rate] for rates in calls["brackets"] for rate in rates]
+    assert calls["h"] == calls["brackets"]
+    assert calls["e0q"] == [
+        call for rates in calls["brackets"] for call in [rates] + [[rate] for rate in rates]
+    ]
+    assert calls["monomial"] == []
 
 
 def test_moment_leaves_the_resolvent_triple_unchanged(tmp_path, monkeypatch):

@@ -40,6 +40,7 @@ from memheat.dynamics import (
     ModalTrajectory,
     heat_mode,
     explicit_mode,
+    explicit_stack,
     mode_equations,
     solve_mode,
 )
@@ -243,13 +244,16 @@ def test_explicit_route_tilts_only_a_growing_mode():
     # e^{-20.13 t}, h*k keeps w_1 on the exact mode through t = 1 (2.2e-4
     # apart, as the solve route); the plain convolve's absolute round-off
     # put it 2.5e3 away. Mode 2's rate is positive, and there the route is
-    # k - convolve(h, k) bit for bit.
+    # k - convolve(h, k) bit for bit. Over both modes, each row of the
+    # stacked route has the bytes of that mode's one-mode route, with zero
+    # and with constant forcing.
     grid = TimeGrid(2.0, 2000)
     rt = resolvent_of(ConstantKernel(30.0), grid)
     g = SampledFunction.zeros(grid)
     first = grid.nodes <= 1.0
-    for mode in dirichlet_modes_1d(2, gain=30.0):
-        h = mode_resolvent_direct(rt, mode.shifted_rate)
+    modes = dirichlet_modes_1d(2, gain=30.0)
+    hs = [mode_resolvent_direct(rt, mode.shifted_rate) for mode in modes]
+    for mode, h in zip(modes, hs):
         w = explicit_mode(mode, rt, h, 1.0, g).w.values
         if mode.shifted_rate < 0:
             exact = exact_const_memory(mode.eigenvalue, 1.0, 0.0, grid.nodes, c=30.0)
@@ -257,6 +261,14 @@ def test_explicit_route_tilts_only_a_growing_mode():
         else:
             k = rhs(mode, rt, 1.0, g)
             assert w.tobytes() == (k - convolve(h, k)).values.tobytes()
+    rates = [mode.shifted_rate for mode in modes]
+    xis = [1.0, 0.5]
+    for forcing in (g, const_forcing(grid, 1.0)):
+        with pytest.warns(UserWarning, match="nonpositive shifted rate"):
+            _, k = mode_equations(modes, rt, xis, forcing)
+        stack = explicit_stack(rates, np.array([h.values for h in hs]), k, grid)
+        for row, mode, h, xi in zip(stack, modes, hs, xis):
+            assert row.tobytes() == explicit_mode(mode, rt, h, xi, forcing).w.values.tobytes()
 
 
 def test_solve_vs_explicit_series_route():

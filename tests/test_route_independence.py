@@ -11,6 +11,10 @@ are not followed. The overlap of a pair, outside the `grids` and `errors`
 modules (the sampled-function container and the exception types), must be
 exactly the set declared here, so any new shared definition fails the test
 until it is declared and argued for.
+
+The same walk from the commands checks that they read rows of the stacks
+they build: of the one-row wrappers kept for the gate and the benchmark's
+tracer, a command reaches only the kernel resolvent's one-row solve.
 """
 
 import ast
@@ -18,6 +22,19 @@ import ast
 from test_reachability import FUNCTIONS, _package, _resolve
 
 SHARED_MODULES = {"grids", "errors"}
+COMMANDS = [
+    f"experiments.cmd_{name}" for name in ("resolvent", "simulate", "moment", "biorth", "control")
+]
+ONE_ROW_WRAPPERS = {
+    "dynamics.solve_mode",
+    "dynamics.explicit_mode",
+    "dynamics.heat_mode",
+    "resolvents.mode_resolvent_direct",
+    "resolvents.mode_resolvent_series",
+    "algebra.volterra_solve",
+    "algebra.convolve_exp_monomial",
+    "moments.free_end_value",
+}
 
 
 def _names_outside_annotations(node):
@@ -77,7 +94,7 @@ def test_marching_and_representation_share_only_the_mode_data():
     # definition fails here.
     assert _overlap(
         ["dynamics.mode_equations", "algebra.volterra_solve_stack"],
-        ["dynamics.explicit_mode", "resolvents.mode_resolvent_stack"],
+        ["dynamics.explicit_mode", "dynamics.explicit_stack", "resolvents.mode_resolvent_stack"],
     ) == {
         "resolvents.mode_kernels",
         "dynamics._rhs_stack",
@@ -87,3 +104,10 @@ def test_marching_and_representation_share_only_the_mode_data():
         "algebra._solve_span",
         "algebra._fft_size",
     }
+
+
+def test_commands_reach_no_one_row_wrapper_but_the_kernel_resolvents():
+    # the kernel resolvent is one row by nature; every other route a
+    # command takes reads rows of a stack it already built
+    reached = {f"{m}.{n}" for m, n in _route(_package(), COMMANDS)}
+    assert reached & ONE_ROW_WRAPPERS == {"algebra.volterra_solve"}
