@@ -7,7 +7,11 @@ Everything downstream is built on four operations over sampled functions:
 * `volterra_solve_stack` - solve y + K*y = f for a stack of rows, one kernel
   and one right-hand side per row, the trapezoid scheme solved blockwise
   with FFT history in O(n log^2 n) per row, each span length's kernel
-  spectrum transformed once per call where the bound allows;
+  spectrum transformed once per call where the bound allows. A base block
+  is one FFT product with the row's block inverse, formed once per call
+  by Newton doubling; each row's block is the largest power of two up to
+  BLOCK over which its data do not grow past GROWTH, since an FFT's
+  round-off is normwise, relative to the block's largest term.
   `volterra_solve` is its one-row case on sampled functions.
 * `convolve_exp_stack` - product quadrature of one operand against the
   exponential weight e^{-mu2 u}, one row per rate, for any sign of the
@@ -29,6 +33,10 @@ resolvent, which solves one row (`volterra_solve`); the end brackets of
 the moment targets read rows of `convolve_exp_stack`, and only the gate's
 one-mode routes call the rest (`convolve_exp_monomial` in the heat
 baseline).
+
+The double path calls no BLAS: its products are FFTs (numpy's pocketfft)
+and its sums numpy's own reductions (`end_pairing`), so its bits do not
+depend on the BLAS kernel a CPU selects.
 
 The product quadrature is the load-bearing piece: a plain trapezoid rule
 applied to f(s) e^{-mu2 (t-s)} loses all accuracy once mu2*dt is order one,
@@ -74,9 +82,25 @@ def convolve(f: SampledFunction, g: SampledFunction) -> SampledFunction:
     return SampledFunction(grid, out)
 
 
-# Largest diagonal block the Volterra solve inverts directly; the history
-# between blocks goes through FFT convolutions.
-BLOCK = 128
+# Largest base block of the Volterra solve, in nodes. On the march
+# benchmark's twelve solves, 512, 1,024, 2,048 and 4,096 took 99, 96, 89 and
+# 97 ms (medians of 15 alternating runs on a 2-core x86-64 VM, each size's
+# quartiles overlapping its neighbours'), against 131 ms for the 128-node
+# direct base. 2,048 gains its 7% inside that spread, and 1,024 keeps the
+# inverses and their spectra half as large.
+BLOCK = 1024
+
+# Largest growth a row's data may show over one base block: the peak of |.|
+# over the second half of a window against the peak over its first half.
+# An FFT product's round-off is relative to its largest term, so where the
+# data grow by G within a block, its first nodes lose about G times more
+# than a direct sum's. Against a step-by-step march in long double: at 2^10,
+# mode 2 of constant kernel 47 (exp_sum c = 22 and 25, b = 0, T = 1,
+# 1,000 steps) was off by 5.4e-11 of its size, and y + K*y = 1 with
+# K = -30 (200 steps) by 1.9e-12 of its own value at its worst node; at
+# 2^6 they read 1.6e-13 and 2.4e-14 (2^4 the same), the 128-node direct
+# base 1.5e-13 on the first.
+GROWTH = 2.0**6
 
 
 def volterra_solve(kernel: SampledFunction, rhs: SampledFunction) -> SampledFunction:
@@ -96,11 +120,24 @@ def volterra_solve_stack(kernels: np.ndarray, rhs: np.ndarray, dt: float) -> np.
     pivot = 1 + dt*K(0)/2, which this solves by divide and conquer (Hairer,
     Lubich & Schlichte 1985): the unknowns are halved recursively, the
     history of a solved left half reaches the right half through one FFT
-    middle product, and blocks of at most BLOCK nodes are solved by
-    convolving with the first column of the inverse of the leading
-    BLOCK x BLOCK system matrix (itself lower-triangular Toeplitz). That
-    costs O(n log^2 n) per row instead of the O(n^2) of marching step by
-    step, and a zero kernel returns f bit for bit.
+    middle product, and a span of at most B nodes, the row's base block, is
+    solved in one FFT product with the first B coefficients of the inverse
+    of its system matrix, y = irfft(rfft(b, 2B) * S, 2B)[:m]. That costs
+    O(n log^2 n) per row instead of the O(n^2) of marching step by step.
+
+    The base block (`_block_inverses`). Each row's B is the largest power
+    of two up to BLOCK over which neither its block inverse nor its
+    right-hand side grows past GROWTH, and its inverse spectrum S is
+    transformed once per call. Round-off inside a block is normwise, eps
+    times the block's largest terms, where a direct sum's is relative to
+    each sum; the growth bound keeps the two within a factor of about
+    GROWTH, so a growing row gets small blocks and a decaying one large.
+    Rows of one B go down the recursion together, so a stack pays its
+    Python overhead once per block size, and each row gets the same bits
+    as a solve of that row alone: its own B, pivot and inverse, and the
+    same operations on it. A row whose kernel is all zeros returns f bit
+    for bit. Nothing here calls BLAS: the products are FFTs (pocketfft)
+    and elementwise numpy, so the bits do not depend on the BLAS kernel.
 
     The middle product (Hanrot, Quercia & Zimmermann 2004): a span
     [lo, hi) of m nodes split at mid needs only the outputs mid-lo .. m-1
@@ -108,14 +145,14 @@ def volterra_solve_stack(kernels: np.ndarray, rhs: np.ndarray, dt: float) -> np.
     _fft_size(m) wraps nothing onto them, so each history step transforms
     at the size of its span, not of the linear product (about twice that).
 
-    All rows go down the recursion together, so a stack pays its Python
-    overhead once, and each row gets the same bits as a solve of that row
-    alone: its own pivot and inverse block, and the same operations on it.
     The history accumulates in the output stack, each node read once at its
-    block before the solution overwrites it. One FFT call transforms
+    block before the solution overwrites it. A history FFT call transforms
     max(1, top // size) rows, top = _fft_size(n - 1) being the FFT size of
-    the widest span, so no call holds more than the widest transform of a
-    single row.
+    the widest span, so no such call holds more than the widest transform
+    of a single row; a base block transforms all rows of its group in one
+    call, rows (B + 1) complex samples, as many as its kept spectra S. A
+    stack of rows with several block sizes solves each size's rows as a
+    copy, at most three more (rows, nodes) arrays.
 
     Every span of m nodes transforms the same kernel prefix K[:, :m] at
     _fft_size(m). Where the spectra of all rows fit in one such call
@@ -127,9 +164,7 @@ def volterra_solve_stack(kernels: np.ndarray, rhs: np.ndarray, dt: float) -> np.
     from one level to the next, and a kept length holds
     rows (size/2 + 1) <= top/2 + rows complex samples, so the kept spectra
     hold at most 2 top + 2 rows log2(top) of them, and top + 2 log2(top)
-    for one row, whose first kept level is the root's children (measured
-    for one row: 0.49 top at 16,001 nodes, 0.50 top at 800,001 and
-    0.75 top at 2^19 + 2; for 2 to 12 rows at most 1.0 top).
+    for one row, whose first kept level is the root's children.
 
     Raises NumericalError if a row's pivot is near zero (the scheme is
     degenerate there, and we refuse to amplify noise) or a row overflows.
@@ -141,38 +176,107 @@ def volterra_solve_stack(kernels: np.ndarray, rhs: np.ndarray, dt: float) -> np.
             "Refine the time grid or rescale the kernel."
         )
     n = rhs.shape[1]
-    # First column of each row's inverse block matrix: a unit impulse pushed
-    # through the leading block of that row's system.
-    m = min(BLOCK, n - 1)
-    inv = np.zeros((len(rhs), m))
-    for K, row, pivot in zip(kernels, inv, pivots):
-        row[0] = 1.0 / pivot
-        for i in range(1, m):
-            row[i] = -dt * np.dot(K[i:0:-1], row[:i]) / pivot
+    blocks, inverse = _block_inverses(kernels, rhs, pivots, dt)
+    zero = blocks == 0
     y = np.empty(rhs.shape)
     y[:, 0] = rhs[:, 0]
     np.multiply(kernels[:, 1:], 0.5, out=y[:, 1:])  # the history of y_0
     y[:, 1:] *= y[:, :1]
+    y[zero] = rhs[zero]
     top = _fft_size(n - 1)  # the span [1, n)
-    _solve_span(y, rhs, kernels, inv, dt, 1, n, top, {})
+    for block in sorted(set(blocks[~zero].tolist())):
+        rows = np.flatnonzero(blocks == block)
+        spectra = np.fft.rfft(inverse[rows, :block], 2 * block)
+        if len(rows) == len(y):
+            _solve_span(y, rhs, kernels, spectra, block, dt, 1, n, top, {})
+            continue
+        part = y[rows]
+        _solve_span(part, rhs[rows], kernels[rows], spectra, block, dt, 1, n, top, {})
+        y[rows] = part
     check_finite(y)
     return y
 
 
-def _solve_span(y, f, K, inv, dt, lo, hi, top, kernel_spectra):
+def _block_inverses(kernels, rhs, pivots, dt):
+    """Each row's base block B, and the first B coefficients of its inverse
+    in the first B columns of a (rows, cap) array; B = 0 for a zero kernel.
+
+    B is the largest power of two up to cap = min(BLOCK, _fft_size(n - 1))
+    that passes two tests:
+    * the right-hand side: cut f[1:] into chunks of B/2 nodes; every chunk
+      in the second half of the row has a peak of |f| at most GROWTH times
+      the chunk before it. A growing exponential shows the same ratio in
+      every pair of chunks; a start from zero like t^p shows 2^p in the
+      first pair at every chunk size, so the first half is left out (read
+      over the whole row, t^7 put B at 1 and took 3.4 s at 100,000 steps,
+      against 0.06 s);
+    * the inverse, the power series 1/(pivot + dt K_1 x + dt K_2 x^2 + ...)
+      doubled by Newton's iteration g <- g + g (1 - a g), each step two FFT
+      products at twice the current length (Kung 1974): a row stops at
+      the first length whose second half has a peak above GROWTH times
+      that of its first half, and keeps the length before.
+    """
+    rows, n = rhs.shape
+    cap = min(BLOCK, _fft_size(n - 1))
+    limit = np.ones(rows, dtype=int)  # the largest B the right-hand side passes
+    magnitude = np.abs(rhs[:, 1:])
+    todo = np.arange(rows)
+    h = cap // 2  # the chunk, B/2 nodes
+    while h and len(todo):
+        part = magnitude if len(todo) == rows else magnitude[todo]
+        whole = part.shape[1] // h * h
+        peaks = part[:, :whole].reshape(len(todo), -1, h).max(axis=2)
+        if whole < part.shape[1]:
+            peaks = np.concatenate([peaks, part[:, whole:].max(axis=1, keepdims=True)], axis=1)
+        last = max(1, peaks.shape[1] // 2)
+        steady = np.all(peaks[:, last:] <= GROWTH * peaks[:, last - 1 : -1], axis=1)
+        limit[todo[steady]] = 2 * h
+        todo = todo[~steady]
+        h //= 2
+    inverse = np.zeros((rows, cap))
+    inverse[:, 0] = 1.0 / pivots
+    peak = np.abs(inverse[:, 0])  # of each row's inverse so far
+    series = dt * kernels[:, :cap]
+    series[:, 0] = pivots
+    blocks = np.where(kernels.any(axis=1), 1, 0)
+    h = 1
+    while 2 * h <= cap:
+        active = np.flatnonzero((blocks == h) & (limit >= 2 * h))
+        if not len(active):
+            break
+        size = 2 * h
+        g = np.fft.rfft(inverse[active, :h], size)
+        # coefficients h .. 2h-1 of a g: the wrap-around reaches only 0 .. h-2
+        spectrum = np.fft.rfft(series[active, :size], size)
+        spectrum *= g
+        spectrum = np.fft.rfft(np.fft.irfft(spectrum, size)[:, h:], size)
+        spectrum *= g
+        tail = np.fft.irfft(spectrum, size)[:, :h]
+        grown = np.abs(tail).max(axis=1)
+        steady = grown <= GROWTH * peak[active]
+        active = active[steady]
+        inverse[active, h:size] = -tail[steady]
+        peak[active] = np.maximum(peak[active], grown[steady])
+        blocks[active] = size
+        h = size
+    return blocks, inverse
+
+
+def _solve_span(y, f, K, spectra, block, dt, lo, hi, top, kernel_spectra):
     """Fill y[:, lo:hi], given that it holds the history from y[:, :lo].
 
+    spectra holds each row's block inverse transformed at 2 block, and
     kernel_spectra maps a span length m to the spectra of K[:, :m], for the
     lengths whose spectra of all rows fit in one transform of size top.
     """
     m = hi - lo
-    if m <= BLOCK:
-        b = f[:, lo:hi] - dt * y[:, lo:hi]
-        for row, inv_row, b_row in zip(y, inv, b):
-            row[lo:hi] = np.convolve(inv_row[:m], b_row)[:m]
+    if m <= block:
+        b = np.fft.rfft(f[:, lo:hi] - dt * y[:, lo:hi], 2 * block)
+        b *= spectra
+        y[:, lo:hi] = np.fft.irfft(b, 2 * block)[:, :m]
         return
     mid = lo + m // 2
-    _solve_span(y, f, K, inv, dt, lo, mid, top, kernel_spectra)
+    _solve_span(y, f, K, spectra, block, dt, lo, mid, top, kernel_spectra)
     size = _fft_size(m)  # the middle product: no wrap-around onto mid-lo .. m-1
     rows = max(1, top // size)
     kernel = kernel_spectra.get(m)
@@ -186,7 +290,7 @@ def _solve_span(y, f, K, inv, dt, lo, hi, top, kernel_spectra):
         else:
             spectrum *= kernel
         y[r : r + rows, mid:hi] += np.fft.irfft(spectrum, size)[:, mid - lo : m]
-    _solve_span(y, f, K, inv, dt, mid, hi, top, kernel_spectra)
+    _solve_span(y, f, K, spectra, block, dt, mid, hi, top, kernel_spectra)
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +570,8 @@ def convolve_exp_monomial(f: SampledFunction, rate: float) -> SampledFunction:
 
 def end_pairing(a: np.ndarray, b: np.ndarray, dt: float) -> float:
     """Trapezoid value of int_0^T a(s) b(T - s) ds (the last convolve node)
-    for two rows of samples on one grid of step dt."""
+    for two rows of samples on one grid of step dt. The sum is numpy's own
+    reduction, not a BLAS dot, so its bits do not depend on the BLAS kernel."""
     b = b[::-1]
-    raw = float(np.dot(a, b))
+    raw = float(np.add.reduce(a * b))
     return dt * (raw - 0.5 * (a[0] * b[0] + a[-1] * b[-1]))

@@ -177,17 +177,26 @@ def orthonormal_family_gram(
     the rest of the pipeline (this is an honest end-to-end exercise, not a
     hardcoded identity matrix). The family is uniform on [-1, 1), row by
     row from the standard library's generator, whose sequence for a seed
-    is stable across Python versions.
+    is stable across Python versions. It is orthonormalized by modified
+    Gram-Schmidt, and every inner product, of the Gram matrix too, is
+    numpy's own reduction: no BLAS or LAPACK call, so the bits do not
+    depend on the BLAS kernel. The Gram matrix is formed on and above its
+    diagonal and mirrored, so it is exactly symmetric.
     """
     draw = random.Random(seed).random
     rows = np.array([[2.0 * draw() - 1.0 for _ in range(grid.size)] for _ in range(count)])
     weights = np.full(grid.size, grid.dt)
     weights[0] *= 0.5
     weights[-1] *= 0.5
-    g0 = (rows * weights) @ rows.T
-    chol = np.linalg.cholesky(g0)
-    rows = np.linalg.solve(chol, rows)
-    g1 = (rows * weights) @ rows.T
+    for i, row in enumerate(rows):
+        for done in rows[:i]:
+            row -= np.add.reduce(row * weights * done) * done
+        row /= math.sqrt(np.add.reduce(row * weights * row))
+    weighted = rows * weights
+    g1 = np.empty((count, count))
+    for i in range(count):
+        g1[i, i:] = np.add.reduce(weighted[i] * rows[i:], axis=1)
+        g1[i:, i] = g1[i, i:]
     return empirical_gram(g1, precision)
 
 
@@ -565,13 +574,17 @@ class GrowthFit:
 
 
 def fit_log_growth(indices, log_values) -> GrowthFit:
-    """Least-squares line through (n, log value)."""
+    """Least-squares line through (n, log value), in closed form: the slope
+    is sum(dx dy) / sum(dx^2) over the deviations from the means, every sum
+    numpy's own reduction (no LAPACK, so no dependence on the BLAS kernel)."""
     x = np.asarray(indices, dtype=float)
     y = np.asarray(log_values, dtype=float)
     if len(x) < 2:
         raise ValueError("need at least two points to fit a slope")
-    slope, intercept = np.polyfit(x, y, 1)
-    rms = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
+    dx = x - np.add.reduce(x) / len(x)
+    dy = y - np.add.reduce(y) / len(y)
+    slope = np.add.reduce(dx * dy) / np.add.reduce(dx * dx)
+    rms = float(np.sqrt(np.add.reduce((dy - slope * dx) ** 2) / len(x)))
     return GrowthFit(float(slope), rms)
 
 

@@ -33,6 +33,7 @@ from memheat import (
 from memheat.algebra import (
     BLOCK,
     FFT_BATCH,
+    _block_inverses,
     _fft_size,
     _moment_table,
     convolve,
@@ -313,47 +314,51 @@ def test_volterra_stack_matches_one_solve_per_row(rows, nodes, seed):
 def solve_per_span(kernels, rhs, dt):
     """The blocked solve with every span transforming its own kernel prefix
     K[:, :m], no spectrum shared between spans of one length: the recursion
-    `volterra_solve_stack` must reproduce bit for bit."""
+    `volterra_solve_stack` must reproduce bit for bit. Each row's base block
+    and inverse come from the solver's own `_block_inverses`."""
     n = rhs.shape[1]
     pivots = 1.0 + 0.5 * dt * kernels[:, 0]
-    inv = np.zeros((len(rhs), min(BLOCK, n - 1)))
-    for K, row, pivot in zip(kernels, inv, pivots):
-        row[0] = 1.0 / pivot
-        for i in range(1, len(row)):
-            row[i] = -dt * np.dot(K[i:0:-1], row[:i]) / pivot
+    blocks, inverse = _block_inverses(kernels, rhs, pivots, dt)
+    assert blocks.min() > 0  # every kernel here is nonzero
     y = np.empty(rhs.shape)
     y[:, 0] = rhs[:, 0]
     np.multiply(kernels[:, 1:], 0.5, out=y[:, 1:])
     y[:, 1:] *= y[:, :1]
-    _span_per_span(y, rhs, kernels, inv, dt, 1, n, 1 << (n - 2).bit_length())
+    top = 1 << (n - 2).bit_length()
+    for block in set(blocks.tolist()):
+        rows = blocks == block
+        spectra = np.fft.rfft(inverse[rows, :block], 2 * block)
+        part = y[rows]
+        _span_per_span(part, rhs[rows], kernels[rows], spectra, block, dt, 1, n, top)
+        y[rows] = part
     return y
 
 
-def _span_per_span(y, f, K, inv, dt, lo, hi, top):
+def _span_per_span(y, f, K, spectra, block, dt, lo, hi, top):
     m = hi - lo
-    if m <= BLOCK:
-        b = f[:, lo:hi] - dt * y[:, lo:hi]
-        for row, inv_row, b_row in zip(y, inv, b):
-            row[lo:hi] = np.convolve(inv_row[:m], b_row)[:m]
+    if m <= block:
+        b = np.fft.rfft(f[:, lo:hi] - dt * y[:, lo:hi], 2 * block)
+        b *= spectra
+        y[:, lo:hi] = np.fft.irfft(b, 2 * block)[:, :m]
         return
     mid = lo + m // 2
-    _span_per_span(y, f, K, inv, dt, lo, mid, top)
+    _span_per_span(y, f, K, spectra, block, dt, lo, mid, top)
     size = 1 << (m - 1).bit_length()
     rows = max(1, top // size)
     for r in range(0, len(y), rows):
         spectrum = np.fft.rfft(y[r : r + rows, lo:mid], size)
         spectrum *= np.fft.rfft(K[r : r + rows, :m], size)
         y[r : r + rows, mid:hi] += np.fft.irfft(spectrum, size)[:, mid - lo : m]
-    _span_per_span(y, f, K, inv, dt, mid, hi, top)
+    _span_per_span(y, f, K, spectra, block, dt, mid, hi, top)
 
 
 @pytest.mark.parametrize("rows", [1, 3, 12])
-@pytest.mark.parametrize("nodes", [1000, 3 * BLOCK + 6, 16000])
+@pytest.mark.parametrize("nodes", [1000, 3 * BLOCK + 6, 16000, 64000])
 def test_volterra_kernel_spectra_shared_per_span_length(rows, nodes, monkeypatch):
     # every span of one length transforms the same kernel prefix, so the
     # solve transforms it once where all rows fit in one widest transform;
-    # n - 1 odd (999, 3 BLOCK + 5 and 15,999) splits a level into spans of
-    # two lengths
+    # n - 1 odd (3 BLOCK + 5, 15,999 and 63,999) splits a level into spans
+    # of two lengths
     rng = np.random.default_rng(nodes + rows)
     kernels = 10.0 ** rng.uniform(-2, 1, (rows, 1)) * rng.standard_normal((rows, nodes))
     rhs = rng.standard_normal((rows, nodes))
@@ -371,11 +376,46 @@ def test_volterra_kernel_spectra_shared_per_span_length(rows, nodes, monkeypatch
     transforms.clear()
     y = volterra_solve_stack(kernels, rhs, dt)
     assert y.tobytes() == reference.tobytes()
-    # at 390 nodes no length recurs among the spans whose spectra fit, and
-    # 12 rows at 1,000 nodes outgrow the widest transform at every level
-    shared = nodes == 16000 or (nodes == 1000 and rows < 12)
+    # 1,000 nodes are one base block, with no history; at 3,078 no length
+    # recurs among the spans whose spectra fit; at 16,000 the lengths of
+    # about 4,000 and 2,000 recur, and 12 rows outgrow the widest transform
+    # at every level; at 64,000 the spans of about 4,000 fit 12 rows too
+    shared = nodes == 64000 or (nodes == 16000 and rows < 12)
     assert (sum(transforms) < per_span) == shared
     assert sum(transforms) <= per_span
+
+
+def march_longdouble(K, f, dt):
+    """The trapezoid scheme marched one step at a time in np.longdouble."""
+    K, f, dt = K.astype(np.longdouble), f.astype(np.longdouble), np.longdouble(dt)
+    pivot = 1 + dt * K[0] / 2
+    y = np.empty_like(f)
+    y[0] = f[0]
+    for i in range(1, len(f)):
+        acc = K[i] * y[0] / 2 + np.dot(K[i - 1 : 0 : -1], y[1:i])
+        y[i] = (f[i] - dt * acc) / pivot
+    return y
+
+
+@pytest.mark.parametrize("steps", [200, 400])
+def test_volterra_growing_row_gets_smaller_blocks_and_keeps_every_node(steps):
+    # y + K*y = 1 with K = -30 grows like e^{30 t}, by 1e13 over T = 1, and
+    # so does its block inverse. An FFT block's round-off is relative to its
+    # largest term: one block over the whole row put its first nodes off by
+    # several times their own size. The decaying rows beside it keep the
+    # largest block, and each row has the bits of its solo solve.
+    grid = TimeGrid(1.0, steps)
+    t = grid.nodes
+    kernels = np.array([np.full(grid.size, -30.0), np.ones(grid.size), np.exp(-t) + t])
+    rhs = np.array([np.ones(grid.size), np.cos(3.0 * t), np.ones(grid.size)])
+    y = volterra_solve_stack(kernels, rhs, grid.dt)
+    for row, alone in zip(y, solve_rows(kernels, rhs, grid.dt)):
+        assert row.tobytes() == alone.tobytes()
+    pivots = 1.0 + 0.5 * grid.dt * kernels[:, 0]
+    blocks, _ = _block_inverses(kernels, rhs, pivots, grid.dt)
+    assert blocks[0] < blocks[1] == blocks[2] == min(BLOCK, _fft_size(steps))
+    ref = march_longdouble(kernels[0], rhs[0], grid.dt)
+    assert np.all(np.abs(y[0] - ref) <= 1e-12 * np.abs(ref))
 
 
 def march_triple(grid):

@@ -90,8 +90,10 @@ def test_marching_and_representation_share_only_the_mode_data():
     # This pair checks the Volterra solve of w + z*w = k against the
     # resolvent identity w = k - h*k, both on the same z and k: the mode
     # kernels and right-hand sides are shared by design, and so is the
-    # solver that the resolvent h itself comes from. Any other shared
-    # definition fails here.
+    # solver that the resolvent h itself comes from, with its private
+    # helpers: `_block_inverses` sizes each row's base block and forms its
+    # inverse, `_solve_span` runs the recursion, and `_fft_size` sizes its
+    # transforms. Any other shared definition fails here.
     assert _overlap(
         ["dynamics.mode_equations", "algebra.volterra_solve_stack"],
         ["dynamics.explicit_mode", "dynamics.explicit_stack", "resolvents.mode_resolvent_stack"],
@@ -101,6 +103,7 @@ def test_marching_and_representation_share_only_the_mode_data():
         "algebra.convolve_exp_stack",
         "algebra._first_cell_weights",
         "algebra.volterra_solve_stack",
+        "algebra._block_inverses",
         "algebra._solve_span",
         "algebra._fft_size",
     }
