@@ -167,7 +167,8 @@ def volterra_solve_stack(kernels: np.ndarray, rhs: np.ndarray, dt: float) -> np.
     for one row, whose first kept level is the root's children.
 
     Raises NumericalError if a row's pivot is near zero (the scheme is
-    degenerate there, and we refuse to amplify noise) or a row overflows.
+    degenerate there, and we refuse to amplify noise) or a row overflows,
+    at the first base block that does.
     """
     pivots = 1.0 + 0.5 * dt * kernels[:, 0]
     if np.any(np.abs(pivots) < 1e-12):
@@ -274,6 +275,7 @@ def _solve_span(y, f, K, spectra, block, dt, lo, hi, top, kernel_spectra):
         b = np.fft.rfft(f[:, lo:hi] - dt * y[:, lo:hi], 2 * block)
         b *= spectra
         y[:, lo:hi] = np.fft.irfft(b, 2 * block)[:, :m]
+        check_finite(y[:, lo:hi])  # an overflow ends the solve at its block
         return
     mid = lo + m // 2
     _solve_span(y, f, K, spectra, block, dt, lo, mid, top, kernel_spectra)

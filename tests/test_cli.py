@@ -931,6 +931,32 @@ def test_numerical_failure_exits_3_without_output(tmp_path, capsys, command, con
     assert message in capsys.readouterr().err
 
 
+def test_an_overflowing_solve_stops_at_its_first_overflowing_block(tmp_path, capsys, monkeypatch):
+    # constant -50 on a grid that does not resolve it (dt |m(0)| = 2.5)
+    # grows so fast per node that its base block is 2 nodes; the resolvent
+    # overflows within about 300 nodes, and the solve stops there instead
+    # of running its 50,000 blocks (1.7 s before each block checked itself)
+    from memheat import algebra
+
+    spans = []
+    solve_span = algebra._solve_span
+
+    def counted(*args):
+        spans.append(None)
+        return solve_span(*args)
+
+    monkeypatch.setattr(algebra, "_solve_span", counted)
+    cfg = write_config(
+        tmp_path, {"kernel": {"type": "constant", "value": -50}, "horizon": 5000, "steps": 100000}
+    )
+    out = tmp_path / "run"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["resolvent", "--config", str(cfg), "--out", str(out)]) == 3
+    assert not out.exists()
+    assert "samples must all be finite" in capsys.readouterr().err
+    assert len(spans) < 1000
+
+
 def test_overrides_are_echoed(tmp_path):
     cfg = write_config(tmp_path, SMALL)
     out = tmp_path / "run"
