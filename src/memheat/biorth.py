@@ -159,9 +159,10 @@ def empirical_gram(matrix: np.ndarray, precision: int = 256) -> GramSystem:
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError("expected a square matrix")
-    # A float product such as (rows * w) @ rows.T is symmetric only to
-    # round-off, and the Cholesky solve reads one triangle; from_float keeps
-    # every double exact.
+    # The Cholesky solve reads one triangle. The sanity family's Gram is
+    # formed on one triangle and mirrored, so averaging leaves it as is; a
+    # library caller's float product, such as (rows * w) @ rows.T, may be
+    # symmetric only to round-off. from_float keeps every double exact.
     G = [[from_float(v) for v in row] for row in 0.5 * (matrix + matrix.T)]
     return GramSystem(lambda: G, precision)
 

@@ -1,9 +1,9 @@
 """Command-line entry point.
 
 Subcommands map one-to-one onto the functions in `experiments`; every run
-reads an optional JSON config, applies the command-line overrides, computes
-the command's files, and only then writes them, after the resolved config
-echo, into the output directory. Exit codes: 0 success, 2 configuration
+reads an optional JSON config, which alone sets the run, computes the
+command's files, and only then writes them, after the resolved config echo,
+into the output directory. Exit codes: 0 success, 2 configuration
 error (a bad `--out` included), 3 numerical failure.
 """
 
@@ -13,7 +13,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import apply_overrides, config_from_dict, load_config
+from .config import config_from_dict, load_config
 from .errors import ConfigError, NumericalError
 from .experiments import (
     cmd_biorth,
@@ -45,10 +45,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--out", type=Path, default=Path("out"), help="output directory"
         )
-        p.add_argument(
-            "--precision", type=int, default=None, help="override precision bits"
-        )
-        p.add_argument("--modes", type=int, default=None, help="override mode count")
         if name == "simulate":
             p.add_argument(
                 "--refine",
@@ -62,7 +58,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args.config) if args.config else config_from_dict({})
-        config = apply_overrides(config, modes=args.modes, precision=args.precision)
         runner = COMMANDS[args.command][0]
         options = {"refine": args.refine} if args.command == "simulate" else {}
         files = runner(config, **options)

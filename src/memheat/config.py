@@ -3,9 +3,9 @@
 Every run is reproducible from its config alone, so validation is strict:
 unknown keys are rejected (they are usually typos silently changing nothing),
 every value is read by the shared readers in `errors`, which range-check it
-and name the offending key path in the error, and
-the fully resolved configuration (defaults materialized, overrides applied)
-is echoed into the output directory next to the data files.
+and name the offending key path in the error, and the fully resolved
+configuration (defaults materialized) is echoed into the output directory
+next to the data files.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from .biorth import MAX_PRECISION_BITS
 from .errors import ConfigError, read_int, read_list, read_number, read_record
 from .kernels import MemoryKernel, kernel_from_config
 from .moments import InitialData, initial_data_from_config
-from .resolvents import SERIES_TOL
 
 _TOP_LEVEL_KEYS = {
     "kernel",
@@ -27,7 +26,6 @@ _TOP_LEVEL_KEYS = {
     "modes",
     "precision",
     "seed",
-    "series_tol",
     "initial",
     "scope",
     "control",
@@ -87,7 +85,6 @@ class ExperimentConfig:
     modes: int = 12
     precision: int = 256
     seed: int = 0
-    series_tol: float = SERIES_TOL
     initial: InitialData = InitialData.inverse_index()
     scope: object = "auto"  # "auto" or an explicit first mode index
     control_family: int = 40
@@ -105,7 +102,6 @@ class ExperimentConfig:
             "modes": self.modes,
             "precision": self.precision,
             "seed": self.seed,
-            "series_tol": self.series_tol,
             "initial": self.initial.to_config(),
             "scope": self.scope,
             "control": {"family": self.control_family, "active": self.control_active},
@@ -131,7 +127,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         data, "precision", "", minimum=MIN_PRECISION, maximum=MAX_PRECISION_BITS, default=d.precision
     )
     seed = read_int(data, "seed", "", minimum=0, default=d.seed)
-    series_tol = read_number(data, "series_tol", "", positive=True, default=d.series_tol)
     initial = initial_data_from_config(data.get("initial", d.initial.to_config()))
     scope = data.get("scope", d.scope)
     if scope != "auto":
@@ -172,7 +167,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         modes=modes,
         precision=precision,
         seed=seed,
-        series_tol=series_tol,
         initial=initial,
         scope=scope,
         control_family=control_family,
@@ -194,14 +188,4 @@ def load_config(path) -> ExperimentConfig:
         data = json.loads(text)
     except ValueError as exc:  # malformed, or an integer past Python's digit limit
         raise ConfigError(str(path), f"invalid JSON: {exc}") from exc
-    return config_from_dict(data)
-
-
-def apply_overrides(config: ExperimentConfig, modes=None, precision=None) -> ExperimentConfig:
-    """Apply command-line overrides, re-running the range checks."""
-    data = config.echo()
-    if modes is not None:
-        data["modes"] = modes
-    if precision is not None:
-        data["precision"] = precision
     return config_from_dict(data)

@@ -55,6 +55,7 @@ from .moments import (
     scope_threshold,
 )
 from .resolvents import (
+    SERIES_TOL,
     mode_resolvent_direct,  # noqa: F401  (the benchmark's tracer self-test calls it here)
     mode_resolvent_series_stack,
     resolvent_of,
@@ -79,11 +80,23 @@ def _per_mode(fn, items):
 
 def cmd_resolvent(config: ExperimentConfig) -> dict:
     """Tabulate the kernel's resolvent and its derivative, against the
-    closed-form oracle when the kernel family has one."""
+    closed-form oracle when the kernel family has one.
+
+    Raises NumericalError, before any solve, when that closed form is not
+    finite on the grid: it is the exact resolvent, so the true resolvent
+    leaves double range there and no finite solve on the grid is right.
+    """
     grid = TimeGrid(config.horizon, config.steps)
+    with np.errstate(over="ignore"):  # an overflow is refused just below
+        oracle = config.kernel.closed_form_resolvent(grid.nodes)
+    if oracle is not None and not np.all(np.isfinite(oracle)):
+        t = grid.nodes[np.argmin(np.isfinite(oracle))]
+        raise NumericalError(
+            f"the kernel's exact resolvent leaves double range at t = {t:.6g}, "
+            "so no solve on this grid is finite and right; shorten the horizon"
+        )
     rt = resolvent_of(config.kernel, grid)
     kernel_vals = config.kernel(grid.nodes)
-    oracle = config.kernel.closed_form_resolvent(grid.nodes)
 
     header = ["t", "kernel", "resolvent", "resolvent_deriv"]
     columns = [grid.nodes, kernel_vals, rt.resolvent.values, rt.resolvent_deriv.values]
@@ -93,10 +106,7 @@ def cmd_resolvent(config: ExperimentConfig) -> dict:
         "end_value": rt.end_value(),
         "oracle_sup_error": None,
     }
-    # an overflowing closed form is an oracle not run; only then is the reason written
-    if oracle is not None and not np.all(np.isfinite(oracle)):
-        summary["oracle_not_run"] = "the closed form is not finite on this grid"
-    elif oracle is not None:
+    if oracle is not None:
         err = np.abs(rt.resolvent.values - oracle)
         summary["oracle_sup_error"] = float(err.max())
         header += ["oracle", "abs_error"]
@@ -162,7 +172,7 @@ def _convergence_rows(config: ExperimentConfig, w: np.ndarray) -> list:
 ROUTE_GAP_TOL = 1e-10
 
 
-def _cross_check(config: ExperimentConfig, rt, modes, z, k, w) -> dict:
+def _cross_check(rt, modes, z, k, w) -> dict:
     """`discrepancy.json`: every mode's trajectory in `w` against the
     resolvent representation w = k - h*k on the solve's right-hand sides
     `k`, and its direct resolvent against the series route. The direct
@@ -197,7 +207,7 @@ def _cross_check(config: ExperimentConfig, rt, modes, z, k, w) -> dict:
             skipped.append(mode.index)
             continue
         try:
-            terms[i] = series_terms(rt, mode.shifted_rate, config.series_tol)
+            terms[i] = series_terms(rt, mode.shifted_rate, SERIES_TOL)
         except NumericalError as exc:
             reasons[mode.index] = str(exc)
     series_gaps = []
@@ -225,7 +235,7 @@ def cmd_simulate(config: ExperimentConfig, refine: bool = False) -> dict:
     """Free modal trajectories, the dual-representation gap, and the
     deficiency time series; optionally a grid-refinement table."""
     rt, modes, z, k, w = _solve_trajectories(config, config.steps)  # w: (modes, size)
-    discrepancy = _cross_check(config, rt, modes, z, k, w)
+    discrepancy = _cross_check(rt, modes, z, k, w)
     del z, k  # not held through the refinement solves, which set the peak memory
     conv_rows = _convergence_rows(config, w) if refine else None
 

@@ -50,7 +50,7 @@ from .kernels import MemoryKernel
 
 SERIES_MIN_TERMS = 3
 SERIES_MAX_TERMS = 60
-SERIES_TOL = 1e-14  # `mode_resolvent_series`'s tolerance, and a config's default
+SERIES_TOL = 1e-14  # the series route's truncation tolerance, in every command
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 from mpmath.libmp import mpf_neg
 
-from memheat import NumericalError, biorth
+from memheat import NumericalError, biorth, experiments
 from memheat.cli import main
 from memheat.config import MAX_BIORTH_FAMILY, MAX_CONTROL_FAMILY, MAX_MODES, MAX_SCOPE
 from memheat.moments import SCOPE_SEARCH_WIDTH
@@ -583,12 +583,12 @@ COINCIDENT_ROOTS = {
 def test_coincident_mode_roots_escalate_precision(tmp_path):
     # c = pi^2/4 gives mode 1 a double root (lam2 = 4c); below 64 bits the
     # two roots coincide, which must escalate like any residual miss
-    cfg = write_config(tmp_path, COINCIDENT_ROOTS)
     runs = {}
     for bits in ("32", "64"):
+        data = {**COINCIDENT_ROOTS, "precision": int(bits)}
+        cfg = write_config(tmp_path, data, f"{bits}.json")
         runs[bits] = tmp_path / bits
-        argv = ["control", "--config", str(cfg), "--out", str(runs[bits])]
-        assert main(argv + ["--precision", bits]) == 0
+        assert main(["control", "--config", str(cfg), "--out", str(runs[bits])]) == 0
     sweep = "control_sweep.csv"
     assert (runs["32"] / sweep).read_bytes() == (runs["64"] / sweep).read_bytes()
 
@@ -597,10 +597,9 @@ def test_ladder_top_exits_3_without_output(tmp_path, monkeypatch, capsys):
     # with the ladder capped at 32 bits the coincident roots never separate:
     # the run fails loudly, names every rung it tried and writes nothing
     monkeypatch.setattr(biorth, "MAX_PRECISION_BITS", 32)
-    cfg = write_config(tmp_path, COINCIDENT_ROOTS)
+    cfg = write_config(tmp_path, {**COINCIDENT_ROOTS, "precision": 16})
     out = tmp_path / "run"
-    argv = ["control", "--config", str(cfg), "--out", str(out), "--precision", "16"]
-    assert main(argv) == 3
+    assert main(["control", "--config", str(cfg), "--out", str(out)]) == 3
     assert not out.exists()
     assert "after 16, 32 bits" in capsys.readouterr().err
 
@@ -671,10 +670,31 @@ def test_size_past_its_bound_exits_2_without_output(tmp_path, capsys, command, d
 
 
 def test_modes_override_past_its_bound_exits_2(tmp_path, capsys):
+    # the mode count is set in the config alone, and simulate refuses it too
+    cfg = write_config(tmp_path, {"modes": MAX_MODES + 1})
     out = tmp_path / "run"
-    assert main(["simulate", "--modes", str(MAX_MODES + 1), "--out", str(out)]) == 2
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
     assert not out.exists()
     assert f"modes: must be at most {MAX_MODES}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", [["--modes", "3"], ["--precision", "64"]])
+def test_the_config_alone_sets_modes_and_precision(tmp_path, capsys, flag):
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["simulate", "--out", str(out), *flag])
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_series_tol_is_not_a_config_key(tmp_path, capsys):
+    # the series route's tolerance is resolvents.SERIES_TOL, set by no run
+    cfg = write_config(tmp_path, {**SMALL, "series_tol": 1e-12})
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "series_tol: unknown key" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -775,28 +795,22 @@ def test_moment_with_a_scope_below_the_gain_crossover_exits_2(tmp_path, capsys):
     assert "scope" in err and "first usable mode is 2" in err
 
 
-def test_resolvent_with_an_overflowing_oracle_writes_finite_data(tmp_path):
-    # m = -50: the closed form -50 e^{50 t} overflows past t ~ 14 while the
-    # solved resolvent stays finite; the oracle is then not run, as for a
-    # kernel without a closed form, and says why
+def test_resolvent_whose_exact_resolvent_overflows_exits_3(tmp_path, capsys, monkeypatch):
+    # m = -50: the closed form -50 e^{50 t} is the exact resolvent, and it
+    # leaves double range past t ~ 14, so the finite solve on this grid
+    # (end value -8.4e116) cannot be right; the run is refused before the
+    # solve, writes nothing and says to shorten the horizon
+    solves = []
+    monkeypatch.setattr(experiments, "resolvent_of", lambda *args: solves.append(args))
     data = {"kernel": {"type": "constant", "value": -50}, "horizon": 50, "steps": 400}
     cfg = write_config(tmp_path, data)
     out = tmp_path / "run"
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # the closed form's overflow
-        assert main(["resolvent", "--config", str(cfg), "--out", str(out)]) == 0
-    for path in out.glob("*.json"):
-        read_json(path)
-    for path in out.glob("*.csv"):
-        lines = path.read_text().splitlines()
-        cells = [float(cell) for line in lines[1:] for cell in line.split(",")]
-        assert all(math.isfinite(cell) for cell in cells), path.name
-    assert read_csv_header(out / "resolvent.csv") == [
-        "t", "kernel", "resolvent", "resolvent_deriv"
-    ]
-    summary = read_json(out / "resolvent_summary.json")
-    assert summary["oracle_sup_error"] is None
-    assert "not finite" in summary["oracle_not_run"]
+    assert main(["resolvent", "--config", str(cfg), "--out", str(out)]) == 3
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "exact resolvent leaves double range at t = 14.125" in err
+    assert "shorten the horizon" in err
+    assert solves == []
 
 
 def free_mode_of_constant_kernel(lam2, c, t):
@@ -932,7 +946,8 @@ def test_numerical_failure_exits_3_without_output(tmp_path, capsys, command, con
 
 
 def test_an_overflowing_solve_stops_at_its_first_overflowing_block(tmp_path, capsys, monkeypatch):
-    # constant -50 on a grid that does not resolve it (dt |m(0)| = 2.5)
+    # a constant -50, written as a polynomial so that no closed form refuses
+    # the run first, on a grid that does not resolve it (dt |m(0)| = 2.5)
     # grows so fast per node that its base block is 2 nodes; the resolvent
     # overflows within about 300 nodes, and the solve stops there instead
     # of running its 50,000 blocks (1.7 s before each block checked itself)
@@ -947,7 +962,7 @@ def test_an_overflowing_solve_stops_at_its_first_overflowing_block(tmp_path, cap
 
     monkeypatch.setattr(algebra, "_solve_span", counted)
     cfg = write_config(
-        tmp_path, {"kernel": {"type": "constant", "value": -50}, "horizon": 5000, "steps": 100000}
+        tmp_path, {"kernel": {"type": "polynomial", "coeffs": [-50]}, "horizon": 5000, "steps": 100000}
     )
     out = tmp_path / "run"
     with np.errstate(over="ignore", invalid="ignore"):
@@ -955,31 +970,6 @@ def test_an_overflowing_solve_stops_at_its_first_overflowing_block(tmp_path, cap
     assert not out.exists()
     assert "samples must all be finite" in capsys.readouterr().err
     assert len(spans) < 1000
-
-
-def test_overrides_are_echoed(tmp_path):
-    cfg = write_config(tmp_path, SMALL)
-    out = tmp_path / "run"
-    code = main(
-        [
-            "resolvent",
-            "--config",
-            str(cfg),
-            "--out",
-            str(out),
-            "--modes",
-            "2",
-            "--precision",
-            "64",
-        ]
-    )
-    assert code == 0
-    echo = read_json(out / "config_echo.json")
-    assert echo["modes"] == 2
-    assert echo["precision"] == 64
-    assert echo["steps"] == 200
-    with pytest.raises(SystemExit):
-        main(["resolvent", "--config", str(cfg), "--precision", "not-a-number"])
 
 
 def test_reruns_are_byte_identical(tmp_path):

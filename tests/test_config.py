@@ -1,13 +1,27 @@
-"""Config validation: defaults, echo round trip, and every rejection path."""
+"""Config validation: defaults, echo round trip, every rejection path, and
+a caller outside the tests for every config key and command-line option."""
 
+import argparse
 import json
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memheat import ConfigError
-from memheat.config import (
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import workloads  # noqa: E402
+from golden import runs  # noqa: E402
+
+from memheat import ConfigError  # noqa: E402
+from memheat.cli import build_parser  # noqa: E402
+from memheat.config import (  # noqa: E402
+    _BIORTH_KEYS,
+    _CONTROL_KEYS,
+    _TOP_LEVEL_KEYS,
     MAX_BIORTH_FAMILY,
     MAX_CONTROL_FAMILY,
     MAX_MODES,
@@ -15,11 +29,10 @@ from memheat.config import (
     MAX_STEPS,
     MIN_STEPS,
     ExperimentConfig,
-    apply_overrides,
     config_from_dict,
     load_config,
 )
-from memheat.kernels import ConstantKernel, ExpSumKernel
+from memheat.kernels import ConstantKernel, ExpSumKernel  # noqa: E402
 
 
 def test_defaults():
@@ -31,7 +44,6 @@ def test_defaults():
     assert cfg.modes == 12
     assert cfg.precision == 256
     assert cfg.seed == 0
-    assert cfg.series_tol == 1e-14
     assert cfg.initial.rule == "inverse_index"
     assert cfg.scope == "auto"
     assert (cfg.control_family, cfg.control_active) == (40, 12)
@@ -49,7 +61,6 @@ def test_full_parse():
             "modes": 6,
             "precision": 128,
             "seed": 3,
-            "series_tol": 1e-12,
             "initial": {"rule": "explicit", "values": [1.0, -0.5]},
             "scope": 2,
             "control": {"family": 10, "active": 4},
@@ -142,7 +153,8 @@ def test_root_and_unknown_keys():
         ({"kernel": {"type": ["constant"]}}, "kernel.type"),
         # integers too large for a double
         ({"horizon": HUGE}, "horizon: must be finite"),
-        ({"series_tol": HUGE}, "series_tol: must be finite"),
+        # the series route's tolerance is a module constant, not a key
+        ({"series_tol": 1e-12}, "series_tol: unknown key"),
         ({"kernel": {"type": "constant", "value": HUGE}}, "kernel.value: must be finite"),
         (
             {"kernel": {"type": "exp_sum", "terms": [{"c": 1.0, "b": HUGE}]}},
@@ -184,20 +196,6 @@ def test_control_family_shrink_needs_active_shrink():
     assert (cfg.control_family, cfg.control_active) == (8, 8)
 
 
-def test_apply_overrides():
-    base = config_from_dict({"steps": 300})
-    same = apply_overrides(base)
-    assert same == base
-    bumped = apply_overrides(base, modes=3, precision=512)
-    assert bumped.modes == 3
-    assert bumped.precision == 512
-    assert bumped.steps == 300
-    with pytest.raises(ConfigError, match="precision"):
-        apply_overrides(base, precision=4096)
-    with pytest.raises(ConfigError, match="modes"):
-        apply_overrides(base, modes=0)
-
-
 def test_load_config(tmp_path):
     path = tmp_path / "run.json"
     path.write_text(json.dumps({"kernel": {"type": "zero"}, "modes": 2}))
@@ -223,6 +221,48 @@ def test_config_is_frozen():
     with pytest.raises(AttributeError):
         cfg.steps = 7
     assert isinstance(cfg, ExperimentConfig)
+
+
+# ---------------------------------------------------------------------------
+# Every option has a caller outside the tests: a value that only tests set
+# is not shipped
+# ---------------------------------------------------------------------------
+
+
+def _workload_commands(tmp_path):
+    """The benchmark's commands, with the configs they write."""
+    return [c for name in ("march", "gram") for c in workloads.build(name, 1, tmp_path / name)]
+
+
+def test_every_config_key_is_set_by_a_shipped_or_benchmark_config(tmp_path):
+    configs = [json.loads(p.read_text()) for p in sorted((ROOT / "configs").glob("*.json"))]
+    configs += [json.loads(c.config.read_text()) for c in _workload_commands(tmp_path)]
+    set_keys = set()
+    for data in configs:
+        set_keys |= set(data)
+        for record in ("control", "biorth"):
+            set_keys |= {f"{record}.{key}" for key in data.get(record, {})}
+    schema = set(_TOP_LEVEL_KEYS)
+    schema |= {f"control.{key}" for key in _CONTROL_KEYS}
+    schema |= {f"biorth.{key}" for key in _BIORTH_KEYS}
+    assert sorted(schema - set_keys) == []
+
+
+def test_every_cli_option_is_passed_by_a_golden_or_benchmark_run(tmp_path):
+    argvs = [argv + ["--out"] for _, argv in runs()]
+    argvs += [list(c.argv) for c in _workload_commands(tmp_path)]
+    passed = {(argv[0], arg) for argv in argvs for arg in argv[1:] if arg.startswith("--")}
+    sub = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    options = {
+        (command, option)
+        for command, parser in sub.choices.items()
+        for action in parser._actions
+        for option in action.option_strings
+        if not isinstance(action, argparse._HelpAction)
+    }
+    assert sorted(options - passed) == []
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +325,6 @@ valid_configs = st.fixed_dictionaries(
         "modes": st.integers(1, MAX_MODES),
         "precision": st.integers(16, 1024),
         "seed": st.integers(0, 10**30),
-        "series_tol": positive,
         "initial": initials,
         "scope": st.one_of(st.just("auto"), st.integers(1, 10**30)),
         "control": controls(),
@@ -351,3 +390,4 @@ def test_any_json_tree_is_a_config_or_a_config_error(data):
     except ConfigError:
         return
     assert isinstance(cfg, ExperimentConfig)
+    assert "series_tol" not in data  # no longer a key: a tree that sets it is refused
