@@ -3,9 +3,11 @@ writes none.
 
 A command validates what it needs, runs the full computation, and returns
 its files as one dict of file name -> payload: `(header, rows)` for a `.csv`
-file, the record itself for a `.json` file. The CLI hands that dict to
-`output.write_outputs`, the one write phase, so a run whose computation
-fails leaves no output directory. All work happens on the calling thread.
+file, rows being a 2-D float array for a long table and a list of row tuples
+for a short one, and the record itself for a `.json` file. The CLI hands
+that dict to `output.write_outputs`, the one write phase, so a run whose
+computation fails leaves no output directory. All work happens on the
+calling thread.
 
 `simulate` solves a grid's modes in one place, `_solve_trajectories`, for
 the main grid and each refinement grid: the modes' kernels and right-hand
@@ -111,8 +113,10 @@ def cmd_resolvent(config: ExperimentConfig) -> dict:
         summary["oracle_sup_error"] = float(err.max())
         header += ["oracle", "abs_error"]
         columns += [oracle, err]
-    rows = list(zip(*columns))
-    return {"resolvent.csv": (header, rows), "resolvent_summary.json": summary}
+    return {
+        "resolvent.csv": (header, np.column_stack(columns)),
+        "resolvent_summary.json": summary,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +243,8 @@ def cmd_simulate(config: ExperimentConfig, refine: bool = False) -> dict:
     del z, k  # not held through the refinement solves, which set the peak memory
     conv_rows = _convergence_rows(config, w) if refine else None
 
-    # The row lists hold one Python object per sample, so they are built
-    # only after the refinement grids, whose solves set the peak memory.
+    # The tables are built only after the refinement grids, whose solves
+    # set the peak memory.
     lam2 = np.array([m.eigenvalue for m in modes])
     scaled = w / lam2[:, None]
     # sqrt(sum scaled^2) per sample, each column scaled by a power of two so
@@ -252,9 +256,9 @@ def cmd_simulate(config: ExperimentConfig, refine: bool = False) -> dict:
     files = {
         "trajectories.csv": (
             ["t"] + [f"w_{m.index}" for m in modes],
-            list(zip(rt.grid.nodes, *w)),
+            np.column_stack([rt.grid.nodes, *w]),
         ),
-        "deficiency.csv": (["t", "deficiency"], list(zip(rt.grid.nodes, deficiency))),
+        "deficiency.csv": (["t", "deficiency"], np.column_stack([rt.grid.nodes, deficiency])),
         "discrepancy.json": discrepancy,
     }
     if conv_rows is not None:

@@ -2,11 +2,13 @@
 
 Data files must be byte-identical across reruns of the same config: floats
 are printed with 17 significant digits (enough to round-trip IEEE doubles),
-JSON keys are sorted, and nothing embeds a timestamp. Files are written to a
-temporary sibling and renamed into place so readers never observe a partial
-file and interrupted runs leave no corrupt artifacts. `write_outputs` is the
-only place a run's files are written: the commands compute them, the CLI
-hands them over here.
+JSON keys are sorted, and nothing embeds a timestamp. A CSV table is a 2-D
+float array, or a list of row tuples for a small one, and is formatted a
+block of rows per `%` operation, not one Python call per number. Files are
+written to a temporary sibling and renamed into place so readers never
+observe a partial file and interrupted runs leave no corrupt artifacts.
+`write_outputs` is the only place a run's files are written: the commands
+compute them, the CLI hands them over here.
 """
 
 from __future__ import annotations
@@ -16,14 +18,9 @@ import json
 import os
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ConfigError
-
-
-def fmt17(x) -> str:
-    """17-significant-digit decimal form; round-trips any finite double."""
-    if isinstance(x, int):
-        return str(x)
-    return format(float(x), ".17g")
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -43,12 +40,34 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
+# Rows per `%` operation in `write_csv`: a block of a table is formatted by
+# one line template repeated this many times, so the per-call cost is paid
+# once per block and the text of one block at a time is held as Python floats.
+CSV_BLOCK = 256
+
+
 def write_csv(path, header, rows) -> None:
-    """Write rows of numbers under a header, atomically."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt17(v) for v in row))
-    _atomic_write(Path(path), "\n".join(lines) + "\n")
+    """Write a table of numbers under a header, atomically.
+
+    rows is a 2-D float array, or for a small table a list of row tuples in
+    which each column holds one kind of number, as its first row shows.
+    Every float prints as %.17g, which is format(float(x), ".17g") for any
+    double, nan, inf and -0.0 included. A column of Python ints prints as
+    %d, all its digits: a mode index at a large `scope` passes 2^53, where a
+    double no longer holds every integer.
+    """
+    parts = [",".join(header) + "\n"]
+    array = isinstance(rows, np.ndarray)
+    if len(rows):
+        if array:
+            line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+        else:
+            line = ",".join("%d" if isinstance(v, int) else "%.17g" for v in rows[0]) + "\n"
+        for lo in range(0, len(rows), CSV_BLOCK):
+            block = rows[lo : lo + CSV_BLOCK]
+            values = block.ravel().tolist() if array else [v for row in block for v in row]
+            parts.append((line * len(block)) % tuple(values))
+    _atomic_write(Path(path), "".join(parts))
 
 
 def write_json(path, payload) -> None:
@@ -59,8 +78,9 @@ def write_json(path, payload) -> None:
 
 def write_outputs(out_dir, files: dict) -> None:
     """Create out_dir and write each file in order, by its suffix: a `.csv`
-    payload is `(header, rows)`, a `.json` payload is the record. A directory
-    or file that cannot be written is a `--out` error, and undoes this call."""
+    payload is `(header, rows)` as `write_csv` takes them, a `.json` payload
+    is the record. A directory or file that cannot be written is a `--out`
+    error, and undoes this call."""
     out_dir = Path(out_dir)
     created = not out_dir.exists()
     try:

@@ -76,8 +76,23 @@ class ResolventTriple:
 
 
 def resolvent_of(kernel: MemoryKernel, grid: TimeGrid) -> ResolventTriple:
-    """Compute the resolvent triple of a kernel on a grid."""
+    """Compute the resolvent triple of a kernel on a grid.
+
+    Raises NumericalError when the trapezoid pivot 1 + dt*m(0)/2 is below
+    0, that is dt*|m(0)| > 2 with m(0) < 0: the scheme then flips the sign
+    of q at every step and grows, so the grid does not resolve the kernel
+    (a constant -50 at dt = 0.125 gave q(5) = -1.67e13, where the exact
+    value is -1.87e110). A pivot of 0 is left to the solve, which refuses
+    it as degenerate.
+    """
     m = SampledFunction(grid, kernel(grid.nodes))
+    pivot = 1.0 + 0.5 * grid.dt * m.values[0]
+    if pivot < 0.0:
+        raise NumericalError(
+            f"the trapezoid pivot 1 + dt*m(0)/2 is {pivot:.6g} < 0: dt*|m(0)| = "
+            f"{grid.dt * abs(m.values[0]):.6g} exceeds 2, so the grid does not "
+            "resolve the kernel; take more steps or a shorter horizon"
+        )
     mp = SampledFunction(grid, kernel.derivative(grid.nodes))
     gain = kernel.value_at_zero
     q = volterra_solve(m, m)

@@ -10,6 +10,11 @@ that a mismatch can be traced to its first differing line.
 
 Rewriting the golden file records an output change: list every file that
 changed and the reason in CHANGES.md.
+
+The bytes depend on numpy's own SIMD dispatch, which picks its kernels by
+the CPU: on an AVX-512 host, NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL
+X86_V4" changes 37 of the 62 files, and adding X86_V3 changes 40. So a
+mismatch report ends with the SIMD extensions numpy found.
 """
 
 import argparse
@@ -18,6 +23,8 @@ import json
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 from memheat.cli import main
 
@@ -80,6 +87,20 @@ def mismatches(golden: dict, actual: dict, out_root: Path) -> list:
     return problems
 
 
+def simd_extensions() -> str:
+    """The SIMD extensions numpy's dispatch found on this CPU, as
+    `numpy.show_runtime()` reports them."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    found = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__[f]]
+    return (
+        f"numpy {np.__version__} SIMD extensions: baseline {' '.join(umath.__cpu_baseline__)}; "
+        f"found {' '.join(found) or 'none'}"
+    )
+
+
 def cli(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--write", action="store_true", help="rewrite tests/golden.json")
@@ -93,6 +114,8 @@ def cli(argv=None) -> int:
         problems = mismatches(json.loads(GOLDEN.read_text()), actual, Path(tmp))
     for line in problems:
         print(line)
+    if problems:
+        print(simd_extensions())
     return 1 if problems else 0
 
 

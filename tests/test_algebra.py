@@ -418,6 +418,23 @@ def test_volterra_growing_row_gets_smaller_blocks_and_keeps_every_node(steps):
     assert np.all(np.abs(y[0] - ref) <= 1e-12 * np.abs(ref))
 
 
+def test_volterra_onset_from_exact_zeros_keeps_full_blocks():
+    # f = 0 up to t = 0.75 and 1 after, kernel 1: every ratio test reads the
+    # onset as unbounded growth, which put B at 1 and solved 100,001 nodes
+    # one at a time (3.6 s); a chunk of exact zeros passes whatever follows
+    for steps in (100000, 3000):
+        grid = TimeGrid(1.0, steps)
+        kernels = np.ones((1, grid.size))
+        rhs = (grid.nodes > 0.75).astype(float)[None]
+        pivots = 1.0 + 0.5 * grid.dt * kernels[:, 0]
+        blocks, _ = _block_inverses(kernels, rhs, pivots, grid.dt)
+        assert blocks.tolist() == [BLOCK]
+    # the full block keeps the solve at round-off (7.8e-16 measured)
+    y = volterra_solve_stack(kernels, rhs, grid.dt)
+    ref = march_longdouble(kernels[0], rhs[0], grid.dt)
+    assert np.max(np.abs(y[0] - ref)) <= 1e-14
+
+
 def march_triple(grid):
     """Resolvent triple and 8 modes of the two-term exp_sum kernel of the
     benchmark's march workload."""

@@ -935,6 +935,16 @@ def test_simulate_keeps_a_growing_mode_on_its_ode(tmp_path):
             )
             for horizon in (0.5, 2.0)
         ),
+        # a constant -50 with no closed form: at dt = 0.125 the trapezoid
+        # pivot 1 + dt m(0)/2 is -2.125, the scheme flips sign and grows at
+        # every step, and the run exited 0 with end_value -8.41e116;
+        # `resolvent_of` refuses such a grid before the solve (a pivot of
+        # exactly 0, the first case, keeps the solve's own message)
+        (
+            "resolvent",
+            {"kernel": {"type": "polynomial", "coeffs": [-50]}, "horizon": 50, "steps": 400},
+            "pivot 1 + dt*m(0)/2 is -2.125 < 0: dt*|m(0)| = 6.25 exceeds 2",
+        ),
     ],
 )
 def test_numerical_failure_exits_3_without_output(tmp_path, capsys, command, config, message):
@@ -947,10 +957,11 @@ def test_numerical_failure_exits_3_without_output(tmp_path, capsys, command, con
 
 def test_an_overflowing_solve_stops_at_its_first_overflowing_block(tmp_path, capsys, monkeypatch):
     # a constant -50, written as a polynomial so that no closed form refuses
-    # the run first, on a grid that does not resolve it (dt |m(0)| = 2.5)
-    # grows so fast per node that its base block is 2 nodes; the resolvent
-    # overflows within about 300 nodes, and the solve stops there instead
-    # of running its 50,000 blocks (1.7 s before each block checked itself)
+    # the run first, on a coarse grid whose pivot 1 + dt m(0)/2 is still
+    # positive (dt |m(0)| = 1.5; past 2 `resolvent_of` refuses the grid
+    # before the solve) grows so fast per node that its base block is 4
+    # nodes; the resolvent overflows after 247 spans, and the solve stops
+    # there instead of running its 25,000 blocks
     from memheat import algebra
 
     spans = []
@@ -962,7 +973,7 @@ def test_an_overflowing_solve_stops_at_its_first_overflowing_block(tmp_path, cap
 
     monkeypatch.setattr(algebra, "_solve_span", counted)
     cfg = write_config(
-        tmp_path, {"kernel": {"type": "polynomial", "coeffs": [-50]}, "horizon": 5000, "steps": 100000}
+        tmp_path, {"kernel": {"type": "polynomial", "coeffs": [-50]}, "horizon": 3000, "steps": 100000}
     )
     out = tmp_path / "run"
     with np.errstate(over="ignore", invalid="ignore"):

@@ -4,12 +4,41 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memheat import ConfigError
-from memheat.output import fmt17, write_csv, write_json, write_outputs
+from memheat.config import MAX_STEPS
+from memheat.output import CSV_BLOCK, write_csv, write_json, write_outputs
 
 
-def test_fmt17_round_trips_doubles():
+def _per_value(v) -> str:
+    """The per-value rule the CSV bytes are defined by."""
+    if isinstance(v, int):
+        return str(v)
+    return format(float(v), ".17g")
+
+
+def _expected(header, columns) -> str:
+    lines = [",".join(header)] + [",".join(map(_per_value, row)) for row in zip(*columns)]
+    return "".join(line + "\n" for line in lines)
+
+
+def _write_both_kinds(directory, header, columns):
+    """The text write_csv writes for a 2-D float array and for row tuples."""
+    payloads = {
+        "array": np.column_stack([np.asarray(c, dtype=float) for c in columns]),
+        "rows": list(zip(*columns)),
+    }
+    out = {}
+    for kind, rows in payloads.items():
+        path = directory / f"{kind}.csv"
+        write_csv(path, header, rows)
+        out[kind] = path.read_text()
+    return out
+
+
+def test_write_csv_round_trips_doubles(tmp_path):
     rng = np.random.default_rng(20240817)
     samples = np.concatenate(
         [
@@ -19,14 +48,67 @@ def test_fmt17_round_trips_doubles():
             np.array([0.0, 1.0, -1.0, np.pi, 2.0 / 3.0]),
         ]
     )
-    for x in samples:
-        assert float(fmt17(float(x))) == float(x)
+    path = tmp_path / "samples.csv"
+    write_csv(path, ["x"], samples[:, None])
+    lines = path.read_text().splitlines()
+    assert lines[0] == "x"
+    assert [float(x) for x in lines[1:]] == samples.tolist()
 
 
-def test_fmt17_scalar_kinds():
-    assert fmt17(42) == "42"
-    assert fmt17(float("nan")) == "nan"
-    assert fmt17(0.1) == "0.10000000000000001"
+def test_write_csv_scalar_kinds(tmp_path):
+    path = tmp_path / "kinds.csv"
+    write_csv(path, ["i", "a", "b"], [(42, float("nan"), 0.1)])
+    assert path.read_text() == "i,a,b\n42,nan,0.10000000000000001\n"
+    # a column of Python ints keeps every digit, past 2^53 too: a `moment`
+    # mode index at a large scope has no exact double
+    write_csv(path, ["n", "x"], [(10**150 + 1, 0.5), (10**150 + 2, -0.0)])
+    assert path.read_text() == f"n,x\n{10**150 + 1},0.5\n{10**150 + 2},-0\n"
+
+
+def test_write_csv_spans_several_blocks(tmp_path):
+    # a table longer than two blocks, with every kind of double in its rows
+    rng = np.random.default_rng(7)
+    nrows = 2 * CSV_BLOCK + 3
+    special = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -1e308, 1e308]
+    floats = rng.standard_normal((nrows, 3)) * 10.0 ** rng.integers(-300, 300, (nrows, 3))
+    floats.flat[:: 97] = np.resize(special, floats.flat[:: 97].shape)
+    steps = rng.integers(0, 8 * MAX_STEPS + 1, nrows).tolist()
+    columns = [steps, *floats.T.tolist()]
+    header = ["steps", "a", "b", "c"]
+    texts = _write_both_kinds(tmp_path, header, columns)
+    assert texts["array"] == texts["rows"] == _expected(header, columns)
+
+
+SPECIAL_FLOATS = [
+    float("nan"), float("inf"), float("-inf"), 0.0, -0.0,
+    5e-324, -5e-324, 2.225e-308, 1e308, -1e308, 0.1, 1.0 / 3.0,
+]
+FLOATS = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(allow_nan=True, allow_infinity=True))
+INTS = st.integers(-8 * MAX_STEPS, 8 * MAX_STEPS)
+
+
+@st.composite
+def tables(draw):
+    """(header, columns): each column all Python ints or all floats."""
+    ncols = draw(st.integers(1, 5))
+    nrows = draw(st.integers(0, 30))
+    columns = [
+        draw(st.lists(draw(st.sampled_from([FLOATS, INTS])), min_size=nrows, max_size=nrows))
+        for _ in range(ncols)
+    ]
+    return [f"c{j}" for j in range(ncols)], columns
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(table=tables())
+def test_write_csv_writes_the_per_value_rule(tmp_path_factory, table):
+    # the bytes of the old per-value rule, str() for an integer and
+    # format(float(v), ".17g") otherwise, for a float array (integers as
+    # their doubles, exact below 2^53) and for row tuples alike; zero-row
+    # tables write the header alone
+    header, columns = table
+    texts = _write_both_kinds(tmp_path_factory.mktemp("csv"), header, columns)
+    assert texts["array"] == texts["rows"] == _expected(header, columns)
 
 
 def test_write_csv(tmp_path):
